@@ -6,10 +6,7 @@ from .netmodel import (Branch, Bus, CaseError, CouplingSpec, Generator, Load,
 from .coupling import (CouplingPort, aggregate_current_d_to_t,
                        distribute_dual_t_to_d, distribute_voltage_t_to_d,
                        port_dual_prices, round_trip_check)
-from .ecf import (CircuitProblem, InfeasibilitySource, PortBuild, build_problem,
-                  infeasibility_current, inequality_residuals, kcl_residual,
-                  objective_and_gradient, pq_injection_residual,
-                  pv_magnitude_residual)
+from .ecf import CircuitProblem, InfeasibilitySource, PortBuild, build_problem
 from .pdip import (KktState, NewtonSystem, SolverOptions, assemble_kkt,
                    newton_step, solve_centralized, solve_nlp, solve_subproblem)
 from .gjn import (BoundaryState, Coordinator, Subproblem, compare_modes,

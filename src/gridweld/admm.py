@@ -22,10 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pdip
-from .coupling import _AGG, _DIST, CouplingPort
-from .ecf import PortBuild, build_problem
+from .coupling import _AGG, _DIST
+from .ecf import build_problem, partition_cells
 from .netmodel import default_partition
-from .report import NodeEntry, build_report
+from .report import build_report
 
 log = logging.getLogger("gridweld.admm")
 
@@ -46,7 +46,9 @@ class ConsensusAgent:
     For cells owning a feeder side, a local positive-sequence head phasor is
     appended to the state; the cell's fixed head-voltage parameters are the
     balanced expansion of that phasor, so the feeder steers its own head
-    while the penalty pulls it toward consensus.
+    while the penalty pulls it toward consensus.  ``head_ports`` and
+    ``free_ports`` are the torn ports whose distribution and transmission
+    sides the cell owns.
     """
 
     def __init__(self, name, base, head_ports, free_ports):
@@ -63,7 +65,8 @@ class ConsensusAgent:
         self.copy_map: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.centers: dict[str, np.ndarray] = {}
         self.rho = 1.0
-        for i, (key, port) in enumerate(head_ports):
+        for i, port in enumerate(head_ports):
+            key = port.key
             v1 = base.nvar + 2 * i
             self._head_keys.append((key, v1))
             sl = base.param_slots[f"headv:{key}"]
@@ -79,8 +82,8 @@ class ConsensusAgent:
             C[2:, 2:] = _AGG / (3.0 * port.kappa)
             self.copy_map[key] = (cols, C)
             self.centers[key] = np.array([1.0, 0.0, 0.0, 0.0])
-        for key, port in free_ports:
-            spec = port.spec
+        for port in free_ports:
+            key, spec = port.key, port.spec
             tnet = next(n for n in base.nets.values() if n.has_bus(spec.t_bus))
             iu, iv = base.maps.v_slot[(tnet.name, spec.t_bus, "1")]
             it = base.maps.port_tvar[key]
@@ -107,9 +110,6 @@ class ConsensusAgent:
         for key, v1 in self._head_keys:
             self.base.set_params(f"headv:{key}", _DIST @ x[v1:v1 + 2])
         return x[:self.base.nvar]
-
-    def set_params(self, name, values):
-        self.base.set_params(name, values)
 
     def x0(self):
         x = np.empty(self.nvar)
@@ -177,44 +177,16 @@ class ConsensusAgent:
         cols, C = self.copy_map[key]
         return C @ x[cols]
 
-    def source_values(self, x):
-        return self.base.source_values(x[:self.base.nvar])
-
-    def source_norm_objective(self, x):
-        return self.base.source_norm_objective(x[:self.base.nvar])
-
 
 def build_agents(nets, couplings, partition, *, source_kind, norm, q_only):
-    by_name = {n.name: n for n in nets}
-    net_of_bus = {b.id: n.name for n in nets for b in n.buses}
-    owner = {m: s.name for s in partition.subproblems for m in s.networks}
-    agents, torn = [], []
-    for sub in partition.subproblems:
-        members = [by_name[m] for m in sub.networks]
-        port_builds, head_ports, free_ports = [], [], []
-        for idx in partition.internal_couplings:
-            spec = couplings[idx]
-            if net_of_bus[spec.t_bus] in sub.networks:
-                port_builds.append(PortBuild(CouplingPort(spec), "internal"))
-        for idx in partition.external_couplings:
-            spec = couplings[idx]
-            port = CouplingPort(spec)
-            key = f"{spec.t_bus}:{spec.d_bus}"
-            if owner[net_of_bus[spec.t_bus]] == sub.name:
-                port_builds.append(PortBuild(port, "t_free"))
-                free_ports.append((key, port))
-            if owner[net_of_bus[spec.d_bus]] == sub.name:
-                port_builds.append(PortBuild(port, "d_head"))
-                head_ports.append((key, port))
-        base = build_problem(members, port_builds, source_kind=source_kind,
-                             norm=norm, q_only=q_only)
-        agents.append(ConsensusAgent(sub.name, base, head_ports, free_ports))
-    for idx in partition.external_couplings:
-        spec = couplings[idx]
-        key = f"{spec.t_bus}:{spec.d_bus}"
-        torn.append((key, owner[net_of_bus[spec.t_bus]],
-                     owner[net_of_bus[spec.d_bus]]))
-    return agents, torn
+    cells, torn = partition_cells(nets, couplings, partition, "t_free")
+    agents = [ConsensusAgent(cell.name,
+                             build_problem(cell.nets, cell.port_builds,
+                                           source_kind=source_kind, norm=norm,
+                                           q_only=q_only),
+                             cell.ports_d, cell.ports_t)
+              for cell in cells]
+    return agents, [(key, t_cell, d_cell) for key, _, t_cell, d_cell in torn]
 
 
 def admm_solve(nets, couplings, partition=None, *, source_kind="current",
@@ -312,37 +284,12 @@ def admm_solve(nets, couplings, partition=None, *, source_kind="current",
             trace_fh.close()
     wall = time.perf_counter() - t0
 
-    entries, kkt = [], {}
-    coords = {(n.name, b.id): (b.x, b.y) for n in nets for b in n.buses}
-    total_inner = 0
-    for agent in agents:
-        st = states[agent.name]
-        if st is None:
-            continue
-        total_inner += st.iterations
-        try:
-            res = pdip.assemble_kkt(agent, st)
-            for nm, val in (("stationarity", res.stationarity),
-                            ("feasibility", res.feasibility),
-                            ("complementarity", res.complementarity_raw)):
-                kkt[nm] = max(kkt.get(nm, 0.0), val)
-            kkt["mu_min"] = min(kkt.get("mu_min", np.inf), res.mu_min)
-            kkt["g_max"] = max(kkt.get("g_max", -np.inf), res.g_max)
-        except pdip.SolveFailure:
-            pass
-        for src in agent.sources:
-            comps = {c: float(st.x[i]) for c, i in zip(src.components,
-                                                       src.var_index)}
-            mag = float(np.hypot.reduce(list(comps.values())))
-            xy = coords.get((src.net, src.bus), (None, None))
-            entries.append(NodeEntry(net=src.net, bus=src.bus, phase=src.phase,
-                                     components=comps, magnitude=mag,
-                                     x=xy[0], y=xy[1]))
     diagnostics = {"rho": adm.rho, "primal_residual": adm.primal_residual
                    if torn else 0.0,
                    "dual_residual": adm.dual_residual if torn else 0.0}
-    return build_report(None, None, status, mode="admm", nets=nets,
-                        epochs=iters, inner_iterations=total_inner, kkt=kkt,
-                        diagnostics=diagnostics, wall_time=wall,
-                        extra_nodes=entries, norm=norm, source_kind=source_kind,
-                        q_only=q_only)
+    return build_report([(a, states[a.name]) for a in agents], status,
+                        mode="admm", nets=nets, epochs=iters,
+                        inner_iterations=sum(st.iterations
+                                             for st in states.values()
+                                             if st is not None),
+                        diagnostics=diagnostics, wall_time=wall)

@@ -41,6 +41,11 @@ class CouplingPort:
     def kappa(self) -> float:
         return self.spec.kappa
 
+    @property
+    def key(self) -> str:
+        """Port name used for parameter slots, index maps and exchange data."""
+        return f"{self.spec.t_bus}:{self.spec.d_bus}"
+
 
 def aggregate_current_d_to_t(port: CouplingPort, i_abc) -> tuple[float, float]:
     """Positive-sequence current seen by the transmission side.

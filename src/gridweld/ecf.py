@@ -1,15 +1,12 @@
 """Equivalent-circuit residuals and derivatives for combined networks.
 
 Every network element is a current-voltage relation in rectangular
-coordinates; node balance (KCL) rows form the equality constraints.  The
-module has two layers:
-
-* standalone residual operations (:func:`pq_injection_residual`,
-  :func:`pv_magnitude_residual`, :func:`infeasibility_current`, ...) used
-  directly in tests and demos;
-* :func:`build_problem`, which walks one or more networks plus their
-  coupling ports and emits a :class:`CircuitProblem` with vectorized
-  residual / Jacobian / Lagrangian-Hessian evaluators for the solver.
+coordinates; node balance (KCL) rows form the equality constraints.
+:func:`build_problem` walks one or more networks plus their coupling ports
+and emits a :class:`CircuitProblem` with vectorized residual / Jacobian /
+Lagrangian-Hessian evaluators for the solver; :func:`partition_cells` gives
+the per-cell network and port lists a partition's distributed solves build
+their problems from.
 
 State vector ordering (fixed, relied on by tests and warm starts):
 
@@ -35,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coupling import _AGG, _DIST, CouplingPort
-from .netmodel import Network
+from .netmodel import Network, Partition
 
 #: voltage-magnitude-squared guard for current-injection denominators (pu^2)
 DELTA_V = 1e-4
@@ -43,145 +40,6 @@ DELTA_V = 1e-4
 SOURCE_KINDS = ("current", "power", "admittance")
 _SOURCE_COMPONENTS = {"current": ("ir", "ii"), "power": ("p", "q"),
                       "admittance": ("g", "b")}
-
-
-class VoltageCollapseError(ArithmeticError):
-    """Injection current evaluated below the voltage-magnitude guard."""
-
-
-# ---------------------------------------------------------------------------
-# standalone residual operations
-
-
-def pq_injection_residual(p, q, v_r, v_i, i_r, i_i):
-    """Current-injection residual pair for a constant-power element.
-
-    Returns (real, imaginary) residuals of the current definition rows;
-    raises :class:`VoltageCollapseError` when the voltage magnitude falls
-    below the guard instead of clamping.
-    """
-    d = v_r * v_r + v_i * v_i
-    if d < DELTA_V:
-        raise VoltageCollapseError(f"|V|^2 = {d:.3e} below guard {DELTA_V}")
-    return (i_r - (p * v_r + q * v_i) / d,
-            i_i - (p * v_i - q * v_r) / d)
-
-
-def pq_injection_jacobian(p, q, v_r, v_i):
-    """Rows of d(residual)/d(v_r, v_i, i_r, i_i, p, q) for the pair above."""
-    d = v_r * v_r + v_i * v_i
-    if d < DELTA_V:
-        raise VoltageCollapseError(f"|V|^2 = {d:.3e} below guard {DELTA_V}")
-    gr = p * v_r + q * v_i
-    gi = p * v_i - q * v_r
-    row_r = np.array([-(p / d - 2 * v_r * gr / d ** 2),
-                      -(q / d - 2 * v_i * gr / d ** 2),
-                      1.0, 0.0, -v_r / d, -v_i / d])
-    row_i = np.array([-(-q / d - 2 * v_r * gi / d ** 2),
-                      -(p / d - 2 * v_i * gi / d ** 2),
-                      0.0, 1.0, -v_i / d, v_r / d])
-    return np.vstack([row_r, row_i])
-
-
-def pv_magnitude_residual(v_r, v_i, v_set):
-    """Voltage-magnitude residual for a PV or slack-adjacent constraint."""
-    return v_r * v_r + v_i * v_i - v_set * v_set
-
-
-def infeasibility_current(kind, comp_a, comp_b, v_r, v_i):
-    """Rectangular current contribution of one infeasibility source.
-
-    ``(comp_a, comp_b)`` is (I_R, I_I) for current sources, (P, Q) for power
-    sources and (G, B) for admittance sources.
-    """
-    if kind == "current":
-        return comp_a, comp_b
-    if kind == "power":
-        d = v_r * v_r + v_i * v_i
-        if d < DELTA_V:
-            raise VoltageCollapseError(f"|V|^2 = {d:.3e} below guard {DELTA_V}")
-        return ((comp_a * v_r + comp_b * v_i) / d,
-                (comp_a * v_i - comp_b * v_r) / d)
-    if kind == "admittance":
-        return (comp_a * v_r - comp_b * v_i,
-                comp_a * v_i + comp_b * v_r)
-    raise ValueError(f"unknown source kind {kind!r}")
-
-
-def objective_and_gradient(sources, norm):
-    """Norm of a source vector and its gradient.
-
-    L2 is the half sum of squares; L1 reports the epigraph objective at its
-    optimum (auxiliaries equal the absolute values), with the subgradient.
-    """
-    s = np.asarray(sources, dtype=float)
-    if norm == "l2":
-        return 0.5 * float(s @ s), s.copy()
-    if norm == "l1":
-        return float(np.abs(s).sum()), np.sign(s)
-    raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
-
-
-def kcl_residual(net: Network, voltages, injections=None, sources=None):
-    """Node-balance residual pairs from explicit per-node values.
-
-    ``voltages`` maps (bus, phase) -> (V_R, V_I); ``injections`` maps
-    (bus, phase) -> (I_R, I_I) for device currents entering the balance with
-    positive sign; ``sources`` maps (bus, phase) -> (I_R, I_I) contributions
-    that are subtracted.  Returns {(bus, phase): (res_R, res_I)}.
-    """
-    injections = injections or {}
-    sources = sources or {}
-    res = {key: [0.0, 0.0] for key in net.phase_nodes()}
-    for br in net.branches:
-        for oi, ph_i in enumerate(br.phases):
-            for oj, ph_j in enumerate(br.phases):
-                g, b = br.g[oi][oj], br.b[oi][oj]
-                vf = voltages[(br.from_bus, ph_j)]
-                vt = voltages[(br.to_bus, ph_j)]
-                dvr, dvi = vf[0] - vt[0], vf[1] - vt[1]
-                res[(br.from_bus, ph_i)][0] += g * dvr - b * dvi
-                res[(br.from_bus, ph_i)][1] += g * dvi + b * dvr
-                res[(br.to_bus, ph_i)][0] -= g * dvr - b * dvi
-                res[(br.to_bus, ph_i)][1] -= g * dvi + b * dvr
-    for key, (ir, ii) in injections.items():
-        res[key][0] += ir
-        res[key][1] += ii
-    for key, (ir, ii) in sources.items():
-        res[key][0] -= ir
-        res[key][1] -= ii
-    return {k: (v[0], v[1]) for k, v in res.items()}
-
-
-def inequality_residuals(net: Network, voltages):
-    """Voltage-band and branch-flow inequality rows at explicit voltages.
-
-    Rows are <= 0 when satisfied.  Returns a list of
-    (label, value) pairs in deterministic order.
-    """
-    rows = []
-    for bus in net.buses:
-        if bus.kind == "slack":
-            continue
-        for ph in bus.phases:
-            vr, vi = voltages[(bus.id, ph)]
-            d = vr * vr + vi * vi
-            rows.append((f"vmin:{bus.id}:{ph}", bus.v_min ** 2 - d))
-            rows.append((f"vmax:{bus.id}:{ph}", d - bus.v_max ** 2))
-    for br in net.branches:
-        if br.flow_limit is None:
-            continue
-        for oi, ph_i in enumerate(br.phases):
-            cur_r = cur_i = 0.0
-            for oj, ph_j in enumerate(br.phases):
-                g, b = br.g[oi][oj], br.b[oi][oj]
-                vf, vt = voltages[(br.from_bus, ph_j)], voltages[(br.to_bus, ph_j)]
-                dvr, dvi = vf[0] - vt[0], vf[1] - vt[1]
-                cur_r += g * dvr - b * dvi
-                cur_i += g * dvi + b * dvr
-            rows.append((f"flow:{br.from_bus}-{br.to_bus}:{ph_i}",
-                         cur_r ** 2 + cur_i ** 2 - br.flow_limit ** 2))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +73,55 @@ class PortBuild:
 
     @property
     def key(self) -> str:
-        return f"{self.port.spec.t_bus}:{self.port.spec.d_bus}"
+        return self.port.key
+
+
+@dataclass
+class Cell:
+    """One partition cell: its member networks and how its ports build."""
+    name: str
+    nets: list[Network]
+    port_builds: list[PortBuild]
+    ports_t: list[CouplingPort]       # torn ports whose transmission side is here
+    ports_d: list[CouplingPort]       # torn ports whose distribution side is here
+
+
+def partition_cells(nets, couplings, partition: Partition, t_mode: str):
+    """Walk a partition into per-cell builds plus the ports it tears.
+
+    A cell's internal couplings enter in full; a torn port enters its
+    transmission cell in ``t_mode`` ('t_draw' or 't_free') and its
+    distribution cell as 'd_head'.  Within a cell the internal ports come
+    first, then the torn ports in coupling order (the variable layout
+    depends on it).  Returns ``(cells, torn)`` with ``torn`` a list of
+    ``(key, port, t_cell, d_cell)`` in coupling order.
+    """
+    by_name = {n.name: n for n in nets}
+    net_of_bus = {b.id: n.name for n in nets for b in n.buses}
+    owner = {m: s.name for s in partition.subproblems for m in s.networks}
+    torn = []
+    for idx in partition.external_couplings:
+        spec = couplings[idx]
+        port = CouplingPort(spec)
+        torn.append((port.key, port, owner[net_of_bus[spec.t_bus]],
+                     owner[net_of_bus[spec.d_bus]]))
+    cells = []
+    for sub in partition.subproblems:
+        cell = Cell(name=sub.name, nets=[by_name[m] for m in sub.networks],
+                    port_builds=[], ports_t=[], ports_d=[])
+        for idx in partition.internal_couplings:
+            spec = couplings[idx]
+            if net_of_bus[spec.t_bus] in sub.networks:
+                cell.port_builds.append(PortBuild(CouplingPort(spec), "internal"))
+        for _, port, t_cell, d_cell in torn:
+            if t_cell == sub.name:
+                cell.port_builds.append(PortBuild(port, t_mode))
+                cell.ports_t.append(port)
+            if d_cell == sub.name:
+                cell.port_builds.append(PortBuild(port, "d_head"))
+                cell.ports_d.append(port)
+        cells.append(cell)
+    return cells, torn
 
 
 def _slot_is_param(slot: int) -> bool:

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pdip
-from .coupling import (CouplingPort, aggregate_current_d_to_t,
+from .coupling import (_AGG, _DIST, CouplingPort, aggregate_current_d_to_t,
                        distribute_voltage_t_to_d, port_dual_prices)
-from .ecf import PortBuild, build_problem
+from .ecf import build_problem, partition_cells
 from .netmodel import Network, Partition, default_partition
-from .report import NodeEntry, build_report
+from .report import build_report
 
 log = logging.getLogger("gridweld.gjn")
 
@@ -104,38 +104,13 @@ def _initial_boundary(port: CouplingPort) -> BoundaryState:
 def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
                       norm, q_only=False):
     """Instantiate per-cell problems plus the port list torn by the partition."""
-    by_name = {n.name: n for n in nets}
-    net_of_bus = {b.id: n.name for n in nets for b in n.buses}
-    subs = []
-    torn: list[tuple[str, CouplingPort, str, str]] = []   # (key, port, t_sub, d_sub)
-    owner = {m: s.name for s in partition.subproblems for m in s.networks}
-    ports_by_key = {}
-    for idx in partition.external_couplings:
-        spec = couplings[idx]
-        port = CouplingPort(spec)
-        key = f"{spec.t_bus}:{spec.d_bus}"
-        torn.append((key, port, owner[net_of_bus[spec.t_bus]],
-                     owner[net_of_bus[spec.d_bus]]))
-        ports_by_key[key] = port
-    for sub in partition.subproblems:
-        members = [by_name[m] for m in sub.networks]
-        port_builds = []
-        ports_t, ports_d = [], []
-        for idx in partition.internal_couplings:
-            spec = couplings[idx]
-            if net_of_bus[spec.t_bus] in sub.networks:
-                port_builds.append(PortBuild(CouplingPort(spec), "internal"))
-        for key, port, t_sub, d_sub in torn:
-            if t_sub == sub.name:
-                port_builds.append(PortBuild(port, "t_draw"))
-                ports_t.append(port)
-            if d_sub == sub.name:
-                port_builds.append(PortBuild(port, "d_head"))
-                ports_d.append(port)
-        problem = build_problem(members, port_builds, source_kind=source_kind,
-                                norm=norm, q_only=q_only)
-        subs.append(Subproblem(name=sub.name, nets=members, problem=problem,
-                               ports_t=ports_t, ports_d=ports_d))
+    cells, torn = partition_cells(nets, couplings, partition, "t_draw")
+    subs = [Subproblem(name=cell.name, nets=cell.nets,
+                       problem=build_problem(cell.nets, cell.port_builds,
+                                             source_kind=source_kind,
+                                             norm=norm, q_only=q_only),
+                       ports_t=cell.ports_t, ports_d=cell.ports_d)
+            for cell in cells]
     for sub in subs:
         if sub.external_dim and sub.external_dim > 0.2 * sub.internal_dim:
             warnings.warn(f"subproblem '{sub.name}': boundary dimension "
@@ -144,14 +119,12 @@ def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
     return subs, torn
 
 
-def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0,
-                          dual_feedback=True):
+def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
     """Pure-Jacobi exchange: new boundary values from epoch-end snapshots.
 
     Reads only the finished subproblem states, so the result is independent
     of solve completion order.  Returns (new_boundary, metric).
     """
-    from .coupling import _AGG
     new = {}
     metric = 0.0
     for key, port, t_sub, d_sub in torn:
@@ -165,17 +138,13 @@ def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0,
         rr, ri = tsub.problem.maps.kcl_row[(tnet, spec.t_bus, "1")]
         lam_t = np.array([tsub.state.lam[rr], tsub.state.lam[ri]])
         i_d = dsub.state.x[np.array(dsub.problem.maps.port_dvar[key])]
-        if dual_feedback:
-            head_sens = dsub.problem.param_lagrangian_grad(
-                dsub.state.x, dsub.state.lam, dsub.state.mu, f"headv:{key}")
-            v_price = _AGG @ head_sens
-        else:
-            v_price = np.zeros(2)
+        head_sens = dsub.problem.param_lagrangian_grad(
+            dsub.state.x, dsub.state.lam, dsub.state.mu, f"headv:{key}")
         bs = BoundaryState(
             draw=np.asarray(aggregate_current_d_to_t(port, i_d)),
             head_v=distribute_voltage_t_to_d(port, v_t[0], v_t[1]),
             price=port_dual_prices(port, lam_t[0], lam_t[1]),
-            v_price=v_price,
+            v_price=_AGG @ head_sens,
             t_voltage=v_t, t_dual=lam_t, d_current=np.asarray(i_d))
         if damping != 1.0:
             for attr in ("draw", "head_v", "price", "v_price"):
@@ -192,8 +161,7 @@ class Coordinator:
 
     def __init__(self, nets, couplings, partition=None, *, source_kind="current",
                  norm="l2", q_only=False, opts=None, gauss_tol=1e-6,
-                 max_epochs=200, damping=1.0, workers=1, trace_path=None,
-                 dual_feedback=True):
+                 max_epochs=200, damping=1.0, workers=1, trace_path=None):
         self.nets = list(nets)
         self.couplings = list(couplings)
         self.partition = partition or default_partition(self.nets, self.couplings)
@@ -203,7 +171,6 @@ class Coordinator:
         self.damping = damping
         self.workers = max(1, workers)
         self.trace_path = trace_path
-        self.dual_feedback = dual_feedback
         self.subs, self.torn = build_subproblems(
             self.nets, self.couplings, self.partition, source_kind=source_kind,
             norm=norm, q_only=q_only)
@@ -218,13 +185,11 @@ class Coordinator:
     def _external_of(self, sub: Subproblem) -> dict:
         ext = {}
         for port in sub.ports_t:
-            key = f"{port.spec.t_bus}:{port.spec.d_bus}"
-            ext[f"draw:{key}"] = self.boundary[key].draw
-            ext[f"vprice:{key}"] = self.boundary[key].v_price
+            ext[f"draw:{port.key}"] = self.boundary[port.key].draw
+            ext[f"vprice:{port.key}"] = self.boundary[port.key].v_price
         for port in sub.ports_d:
-            key = f"{port.spec.t_bus}:{port.spec.d_bus}"
-            ext[f"headv:{key}"] = self.boundary[key].head_v
-            ext[f"price:{key}"] = self.boundary[key].price
+            ext[f"headv:{port.key}"] = self.boundary[port.key].head_v
+            ext[f"price:{port.key}"] = self.boundary[port.key].price
         return ext
 
     def _solve_one(self, sub: Subproblem):
@@ -268,8 +233,7 @@ class Coordinator:
             inner[name] = (status, used)
         if all(sub.state is not None for sub in self.subs):
             new_boundary, metric = gauss_boundary_update(
-                self.torn, self.boundary, self.by_name, self.damping,
-                self.dual_feedback)
+                self.torn, self.boundary, self.by_name, self.damping)
             self.boundary = new_boundary
         else:
             metric = float("nan")
@@ -316,44 +280,17 @@ class Coordinator:
         return self._report(status, wall)
 
     def _report(self, status, wall):
-        entries: list[NodeEntry] = []
-        kkt: dict[str, float] = {}
-        total_inner = 0
-        coords = {(n.name, b.id): (b.x, b.y) for n in self.nets for b in n.buses}
-        for sub in self.subs:
-            total_inner += sub.inner_iterations
-            if sub.state is None:
-                continue
-            try:
-                res = pdip.assemble_kkt(sub.problem, sub.state)
-            except pdip.SolveFailure:
-                continue
-            for name, val in (("stationarity", res.stationarity),
-                              ("feasibility", res.feasibility),
-                              ("complementarity", res.complementarity_raw)):
-                kkt[name] = max(kkt.get(name, 0.0), val)
-            kkt["mu_min"] = min(kkt.get("mu_min", np.inf), res.mu_min)
-            kkt["g_max"] = max(kkt.get("g_max", -np.inf), res.g_max)
-            for src in sub.problem.sources:
-                comps = {c: float(sub.state.x[i])
-                         for c, i in zip(src.components, src.var_index)}
-                mag = float(np.hypot.reduce(list(comps.values())))
-                xy = coords.get((src.net, src.bus), (None, None))
-                entries.append(NodeEntry(net=src.net, bus=src.bus,
-                                         phase=src.phase, components=comps,
-                                         magnitude=mag, x=xy[0], y=xy[1]))
-        any_sub = self.subs[0]
         diagnostics = {
             "gauss_metric": self.metric_history[-1] if self.metric_history else 0.0,
             "ext_int_ratio": {s.name: (s.external_dim / s.internal_dim)
                               for s in self.subs},
         }
-        return build_report(None, None, status, mode="dpdip", nets=self.nets,
-                            epochs=len(self.epochs), inner_iterations=total_inner,
-                            kkt=kkt, diagnostics=diagnostics, wall_time=wall,
-                            extra_nodes=entries, norm=any_sub.problem.norm,
-                            source_kind=any_sub.problem.source_kind,
-                            q_only=any_sub.problem.q_only)
+        return build_report([(s.problem, s.state) for s in self.subs], status,
+                            mode="dpdip", nets=self.nets,
+                            epochs=len(self.epochs),
+                            inner_iterations=sum(s.inner_iterations
+                                                 for s in self.subs),
+                            diagnostics=diagnostics, wall_time=wall)
 
     # -- diagnostics ----------------------------------------------------------------
 
@@ -394,7 +331,7 @@ class Coordinator:
             B = sub.problem._B_eq.toarray()
             rows = off + sub.problem.nvar + np.arange(sub.problem.n_eq)
             for port in sub.ports_t:
-                key = f"{port.spec.t_bus}:{port.spec.d_bus}"
+                key = port.key
                 sl = sub.problem.param_slots[f"draw:{key}"]
                 Y[np.ix_(rows, np.arange(y_offsets[key], y_offsets[key] + 2))] \
                     = B[:, sl]
@@ -403,7 +340,7 @@ class Coordinator:
                     if psl.start <= par < psl.stop:
                         Y[off + var, y_offsets[key] + 14 + (par - psl.start)] = 1.0
             for port in sub.ports_d:
-                key = f"{port.spec.t_bus}:{port.spec.d_bus}"
+                key = port.key
                 sl = sub.problem.param_slots[f"headv:{key}"]
                 Y[np.ix_(rows, np.arange(y_offsets[key] + 2,
                                          y_offsets[key] + 8))] = B[:, sl]
@@ -411,7 +348,6 @@ class Coordinator:
                 for var, par in sub.problem._price_pairs:
                     if psl.start <= par < psl.stop:
                         Y[off + var, y_offsets[key] + 8 + (par - psl.start)] = 1.0
-        from .coupling import _AGG, _DIST
         for key, port, t_sub, d_sub in self.torn:
             yo = y_offsets[key]
             Y[yo:yo + 16, yo:yo + 16] = np.eye(16)
@@ -427,13 +363,12 @@ class Coordinator:
             rr, ri = tsub.problem.maps.kcl_row[(tnet, spec.t_bus, "1")]
             lam_cols = [toff + tsub.problem.nvar + rr, toff + tsub.problem.nvar + ri]
             Y[yo + 8:yo + 14, lam_cols] = -_AGG.T / (3.0 * port.kappa)
-            if self.dual_feedback:
-                # head sensitivity is linear in the feeder duals through the
-                # parameter columns of its equality rows
-                hsl = dsub.problem.param_slots[f"headv:{key}"]
-                Bd = dsub.problem._B_eq.toarray()[:, hsl]
-                lam_cols_d = doff + dsub.problem.nvar + np.arange(dsub.problem.n_eq)
-                Y[np.ix_(np.arange(yo + 14, yo + 16), lam_cols_d)] = -_AGG @ Bd.T
+            # head sensitivity is linear in the feeder duals through the
+            # parameter columns of its equality rows
+            hsl = dsub.problem.param_slots[f"headv:{key}"]
+            Bd = dsub.problem._B_eq.toarray()[:, hsl]
+            lam_cols_d = doff + dsub.problem.nvar + np.arange(dsub.problem.n_eq)
+            Y[np.ix_(np.arange(yo + 14, yo + 16), lam_cols_d)] = -_AGG @ Bd.T
         gamma = self.damping if damping is None else damping
         T = _jacobi_iteration_matrix(Y, blocks)
         if gamma != 1.0:

@@ -42,11 +42,8 @@ class SolverOptions:
     inertia_delta0: float = 1e-8
     inertia_delta_max: float = 1e4
     barrier_progress: float = 10.0     # decrease eps once residual <= this * eps
-    initialization: str = "flat"       # cold-start mode; warm states override
 
     def __post_init__(self):
-        if self.initialization != "flat":
-            raise ValueError("only the 'flat' initialization mode is provided")
         if not (0.0 < self.tau_boundary < 1.0):
             raise ValueError("tau_boundary must lie in (0, 1)")
         for name in ("kkt_tolerance", "max_iterations", "barrier_initial",
@@ -186,9 +183,9 @@ def newton_step(system: NewtonSystem, opts: SolverOptions | None = None,
             raise SolveFailure("inertia correction exceeded its cap")
 
 
-def _merit(problem, x, eps, nu, c=None, g=None):
-    c = problem.residual_eq(x) if c is None else c
-    g = problem.residual_in(x) if g is None else g
+def _merit(problem, x, eps, nu):
+    c = problem.residual_eq(x)
+    g = problem.residual_in(x)
     if g.size and np.max(g) >= 0.0:
         return np.inf
     barrier = -eps * float(np.sum(np.log(-g))) if g.size else 0.0
@@ -344,18 +341,13 @@ def solve_centralized(nets, couplings, *, source_kind="current", norm="l2",
     t0 = time.perf_counter()
     try:
         state, status = solve_nlp(problem, opts, trace=trace)
-        res = assemble_kkt(problem, state)
-        kkt = {"stationarity": res.stationarity, "feasibility": res.feasibility,
-               "complementarity": res.complementarity_raw, "mu_min": res.mu_min,
-               "g_max": res.g_max}
     except SolveFailure as exc:
         log.error("centralized solve failed: %s", exc)
-        state, status, kkt = None, "failed", {}
+        state, status = None, "failed"
     wall = time.perf_counter() - t0
-    return build_report(problem if state is not None else None, state, status,
-                        mode="central", nets=nets,
+    return build_report([(problem, state)], status, mode="central", nets=nets,
                         inner_iterations=state.iterations if state else 0,
-                        kkt=kkt, wall_time=wall)
+                        wall_time=wall)
 
 
 def solve_subproblem(problem, external: dict | None = None,

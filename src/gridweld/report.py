@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pdip
+
 SCHEMA_VERSION = "gridweld-report/1"
 NONZERO_THRESHOLD = 1e-6
 
@@ -75,32 +77,50 @@ class SolveReport:
         }
 
 
-def build_report(problem, state, status, *, mode, nets, epochs=1,
-                 inner_iterations=0, kkt=None, diagnostics=None,
-                 wall_time=0.0, threshold=NONZERO_THRESHOLD,
-                 extra_nodes=None, norm=None, source_kind=None,
-                 q_only=None) -> SolveReport:
-    """Assemble a report from one solved problem (plus optional merged nodes).
+def build_report(parts, status, *, mode, nets, epochs=1, inner_iterations=0,
+                 diagnostics=None, wall_time=0.0) -> SolveReport:
+    """Assemble the report of one run from its solved parts.
 
-    ``extra_nodes`` lets distributed drivers pass pre-extracted entries from
-    other subproblems; this problem's sources are appended to them.
+    ``parts`` lists ``(problem, state)`` pairs in order: the combined
+    problem of a centralized solve, or one pair per cell of a distributed or
+    consensus run.  A ``None`` state (a solve that never produced one)
+    contributes nothing.  Every other part contributes its sources' values,
+    and its KKT figures enter the worst case over the parts (max of
+    stationarity, feasibility and unperturbed complementarity, min of the
+    smallest multiplier, max of the largest inequality row) unless its
+    state fails :func:`~gridweld.pdip.assemble_kkt`; such a part still
+    reports its sources.  The remaining phase nodes of ``nets`` follow with
+    zero magnitude, in net/bus/phase order.  Norm, source kind and the
+    Q-only flag are read from the first part's problem, which carries them
+    even when the solve failed.
     """
-    coords = {}
-    for net in nets:
-        for bus in net.buses:
-            coords[(net.name, bus.id)] = (bus.x, bus.y)
-    entries: list[NodeEntry] = list(extra_nodes) if extra_nodes else []
-    have = {(e.net, e.bus, e.phase) for e in entries}
-    if problem is not None:
+    coords = {(net.name, bus.id): (bus.x, bus.y)
+              for net in nets for bus in net.buses}
+    entries: list[NodeEntry] = []
+    kkt: dict[str, float] = {}
+    for problem, state in parts:
+        if state is None:
+            continue
+        try:
+            res = pdip.assemble_kkt(problem, state)
+        except pdip.SolveFailure:
+            pass
+        else:
+            for name, val in (("stationarity", res.stationarity),
+                              ("feasibility", res.feasibility),
+                              ("complementarity", res.complementarity_raw)):
+                kkt[name] = max(kkt.get(name, 0.0), val)
+            kkt["mu_min"] = min(kkt.get("mu_min", np.inf), res.mu_min)
+            kkt["g_max"] = max(kkt.get("g_max", -np.inf), res.g_max)
         for src in problem.sources:
             comps = {c: float(state.x[i])
                      for c, i in zip(src.components, src.var_index)}
-            mag = float(np.hypot.reduce(list(comps.values()))) if comps else 0.0
             xy = coords.get((src.net, src.bus), (None, None))
-            entries.append(NodeEntry(net=src.net, bus=src.bus, phase=src.phase,
-                                     components=comps, magnitude=mag,
-                                     x=xy[0], y=xy[1]))
-            have.add((src.net, src.bus, src.phase))
+            entries.append(NodeEntry(
+                net=src.net, bus=src.bus, phase=src.phase, components=comps,
+                magnitude=float(np.hypot.reduce(list(comps.values()))),
+                x=xy[0], y=xy[1]))
+    have = {(e.net, e.bus, e.phase) for e in entries}
     for net in nets:
         for bus in net.buses:
             for ph in bus.phases:
@@ -113,20 +133,17 @@ def build_report(problem, state, status, *, mode, nets, epochs=1,
         totals["magnitude"] += abs(e.magnitude)
         for c, v in e.components.items():
             totals[c] = totals.get(c, 0.0) + abs(v)
-    nz = sum(1 for e in entries if e.magnitude > threshold)
-    norm = norm if norm is not None else (problem.norm if problem else "l2")
-    source_kind = source_kind if source_kind is not None else (
-        problem.source_kind if problem else None)
-    q_only = q_only if q_only is not None else (
-        problem.q_only if problem else False)
-    objective = _merged_objective(entries, norm)
+    first = parts[0][0]
     return SolveReport(
-        status=status, mode=mode, norm=norm, source_kind=source_kind,
-        q_only=q_only,
-        objective=objective, per_node=entries, totals=totals,
-        nonzero_count=nz, threshold=threshold, kkt=kkt or {},
-        epochs=epochs, inner_iterations=inner_iterations,
-        diagnostics=diagnostics or {}, wall_time=wall_time)
+        status=status, mode=mode, norm=first.norm,
+        source_kind=first.source_kind, q_only=first.q_only,
+        objective=_merged_objective(entries, first.norm), per_node=entries,
+        totals=totals,
+        nonzero_count=sum(1 for e in entries
+                          if e.magnitude > NONZERO_THRESHOLD),
+        threshold=NONZERO_THRESHOLD, kkt=kkt, epochs=epochs,
+        inner_iterations=inner_iterations, diagnostics=diagnostics or {},
+        wall_time=wall_time)
 
 
 def _merged_objective(entries, norm) -> float:

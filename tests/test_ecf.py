@@ -1,126 +1,79 @@
 import numpy as np
 import pytest
 
-from gridweld.ecf import (DELTA_V, VoltageCollapseError, infeasibility_current,
-                          inequality_residuals, kcl_residual,
-                          objective_and_gradient, pq_injection_jacobian,
-                          pq_injection_residual, pv_magnitude_residual)
+from gridweld import build_problem
 from gridweld.netmodel import case_from_dict
 
-from conftest import centralized_problem, interior_point, load
+from conftest import centralized_problem, interior_point
 from oracles import fd_jacobian, solve_power_flow
 from test_netmodel import minimal_two_bus
 
 
-# -- standalone operations ----------------------------------------------------
+# -- element rows of the two-bus case against complex arithmetic -------------
 
 
-def test_pq_injection_exact_points():
-    assert pq_injection_residual(1.0, 0.0, 1.0, 0.0, 1.0, 0.0) == (0.0, 0.0)
-    # |V|^2 = 1 for V = 0.8 + j0.6
-    r = pq_injection_residual(1.0, 0.5, 0.8, 0.6, 1.1, 0.2)
-    assert r == pytest.approx((0.0, 0.0), abs=1e-15)
+def _two_bus_problem(case=None, **kw):
+    nets, _ = case_from_dict(case or minimal_two_bus())
+    return build_problem(nets, **kw)
 
 
-def test_pq_injection_guard_reports():
-    with pytest.raises(VoltageCollapseError):
-        pq_injection_residual(1.0, 0.0, 5e-3, 5e-3, 0.0, 0.0)
-    assert (5e-3) ** 2 * 2 < DELTA_V
-
-
-def test_pq_injection_jacobian_matches_fd(rng):
-    for _ in range(10):
-        p, q = rng.standard_normal(2)
-        vr, vi = rng.uniform(0.6, 1.2, 2)
-        ir, ii = rng.standard_normal(2)
-        J = pq_injection_jacobian(p, q, vr, vi)
-
-        def f(z):
-            return np.array(pq_injection_residual(z[4], z[5], z[0], z[1],
-                                                  z[2], z[3]))
-        Jfd = fd_jacobian(f, np.array([vr, vi, ir, ii, p, q]))
-        assert np.max(np.abs(J - Jfd)) < 1e-6 * max(1.0, np.max(np.abs(J)))
-
-
-def test_pv_magnitude_examples():
-    assert pv_magnitude_residual(1.0, 0.0, 1.0) == 0.0
-    assert pv_magnitude_residual(0.6, 0.8, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert pv_magnitude_residual(1.02, 0.0, 1.0) == pytest.approx(0.0404,
-                                                                  abs=1e-12)
-
-
-def test_infeasibility_current_cases():
-    assert infeasibility_current("power", 0.1, 0.0, 1.0, 0.0) == \
-        pytest.approx((0.1, 0.0))
-    assert infeasibility_current("admittance", 0.05, 0.0, 1.0, 0.0) == \
-        pytest.approx((0.05, 0.0))
-    # (0.1 - j0.05) / (0.8 - j0.6) expanded
-    got = infeasibility_current("power", 0.1, 0.05, 0.8, 0.6)
-    want = (0.1 - 0.05j) / (0.8 - 0.6j)
-    assert got == pytest.approx((want.real, want.imag), abs=1e-15)
-    assert got == pytest.approx((0.11, 0.02), abs=1e-15)
-    assert infeasibility_current("current", 0.3, -0.2, 0.9, 0.1) == (0.3, -0.2)
-
-
-def test_power_source_equals_current_source_through_complex_product(rng):
-    for _ in range(25):
-        vr, vi = rng.uniform(0.5, 1.3, 2) * rng.choice([-1, 1], 2)
-        ir, ii = rng.standard_normal(2)
-        p = vr * ir + vi * ii
-        q = vi * ir - vr * ii
-        got = infeasibility_current("power", p, q, vr, vi)
-        assert got == pytest.approx((ir, ii), rel=1e-12, abs=1e-12)
-
-
-def test_objective_examples():
-    val, grad = objective_and_gradient([0.3, -0.4], "l2")
-    assert val == pytest.approx(0.125)
-    assert np.allclose(grad, [0.3, -0.4])
-    val, grad = objective_and_gradient([0.3, -0.4], "l1")
-    assert val == pytest.approx(0.7)
-    assert np.allclose(grad, [1.0, -1.0])
-
-
-def test_kcl_single_branch_example():
-    nets, _ = case_from_dict(minimal_two_bus())
-    net = nets[0]
-    volts = {("b1", "1"): (1.0, 0.0), ("b2", "1"): (0.9, 0.0)}
-    res = kcl_residual(net, volts)
-    assert res[("b2", "1")] == pytest.approx((-0.1, 0.0), abs=1e-15)
-    assert res[("b1", "1")] == pytest.approx((0.1, 0.0), abs=1e-15)
-
-
-def test_kcl_equal_voltages_zero_residual():
-    nets, _ = load("case_micro_td")
-    for net in nets:
-        volts = {k: (0.97, 0.13) for k in net.phase_nodes()}
-        res = kcl_residual(net, volts)
-        assert max(abs(v) for pair in res.values() for v in pair) < 1e-12
+def _at_voltages(prob, volts):
+    """Flat start with the given complex bus voltages written in."""
+    x = prob.x0()
+    for bus, v in volts.items():
+        iu, iv = prob.maps.v_slot[("t0", bus, "1")]
+        x[iu], x[iv] = v.real, v.imag
+    return x
 
 
 def test_inequality_rows_examples():
-    nets, _ = case_from_dict(minimal_two_bus())
-    net = nets[0]
-    rows = dict(inequality_residuals(net, {("b1", "1"): (1.0, 0.0),
-                                           ("b2", "1"): (1.0, 0.0)}))
-    assert rows["vmin:b2:1"] == pytest.approx(0.9 ** 2 - 1.0)
-    assert rows["vmax:b2:1"] == pytest.approx(1.0 - 1.1 ** 2)
-    rows = dict(inequality_residuals(net, {("b1", "1"): (1.0, 0.0),
-                                           ("b2", "1"): (1.1, 0.0)}))
-    assert rows["vmax:b2:1"] == pytest.approx(1.1 ** 2 - 1.1 ** 2, abs=1e-15)
+    prob = _two_bus_problem()
+    rows = {label: i for i, label in enumerate(prob.in_label)}
+    # the slack bus carries no band rows
+    assert sorted(rows) == ["vhi:b2:1", "vlo:b2:1"]
+    for v2 in (1.0 + 0.0j, 1.1 + 0.0j, 0.6 + 0.8j, 0.93 - 0.07j):
+        g = prob.residual_in(_at_voltages(prob, {"b1": 1.0 + 0.0j, "b2": v2}))
+        assert g[rows["vlo:b2:1"]] == pytest.approx(0.9 ** 2 - abs(v2) ** 2,
+                                                    abs=1e-15)
+        assert g[rows["vhi:b2:1"]] == pytest.approx(abs(v2) ** 2 - 1.1 ** 2,
+                                                    abs=1e-15)
 
 
-def test_branch_flow_row_matches_complex_oracle(rng):
+def test_branch_flow_row_matches_complex_oracle():
     case = minimal_two_bus()
     case["networks"][0]["branches"][0]["G"] = [[1.2]]
     case["networks"][0]["branches"][0]["B"] = [[-3.4]]
     case["networks"][0]["branches"][0]["flow_limit"] = 0.8
-    nets, _ = case_from_dict(case)
+    prob = _two_bus_problem(case)
+    row = prob.in_label.index("flow:0:b1-b2:1")
     v1, v2 = (1.01 + 0.02j), (0.93 - 0.07j)
-    rows = dict(inequality_residuals(nets[0], {
-        ("b1", "1"): (v1.real, v1.imag), ("b2", "1"): (v2.real, v2.imag)}))
+    g = prob.residual_in(_at_voltages(prob, {"b1": v1, "b2": v2}))
     want = abs((1.2 - 3.4j) * (v1 - v2)) ** 2 - 0.8 ** 2
-    assert rows["flow:b1-b2:1"] == pytest.approx(want, rel=1e-13)
+    assert g[row] == pytest.approx(want, rel=1e-13)
+
+
+def test_power_source_equals_current_source_through_complex_product(rng):
+    """A power source S at V enters the balance as the current conj(S / V)."""
+    cur = _two_bus_problem(source_kind="current")
+    pwr = _two_bus_problem(source_kind="power")
+    (src_c,), (src_p,) = cur.sources, pwr.sources
+    assert src_c.var_index == src_p.var_index
+    assert pwr.var_label[:src_p.var_index[0]] == \
+        cur.var_label[:src_c.var_index[0]]
+    for _ in range(25):
+        v1, v2 = (complex(*(rng.uniform(0.5, 1.3, 2) * rng.choice([-1, 1], 2)))
+                  for _ in range(2))
+        x = _at_voltages(cur, {"b1": v1, "b2": v2})
+        others = [i for i in range(cur.nvar)
+                  if i not in src_c.var_index and cur.var_label[i][0] != "v"]
+        x[others] += rng.standard_normal(len(others))
+        i_src = complex(*rng.standard_normal(2))
+        x[list(src_c.var_index)] = i_src.real, i_src.imag
+        s = v2 * np.conj(i_src)
+        y = x.copy()
+        y[list(src_p.var_index)] = s.real, s.imag
+        assert np.allclose(pwr.residual_eq(y), cur.residual_eq(x),
+                           rtol=1e-12, atol=1e-12)
 
 
 # -- assembled problem ---------------------------------------------------------

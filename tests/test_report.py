@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from gridweld.netmodel import case_from_dict, case_to_dict
-from gridweld.pdip import solve_centralized
-from gridweld.report import (SCHEMA_VERSION, export_heatmap,
+from gridweld import gjn, pdip
+from gridweld.netmodel import case_from_dict, case_to_dict, load_partition
+from gridweld.pdip import KktState, SolveFailure, assemble_kkt, solve_centralized
+from gridweld.report import (SCHEMA_VERSION, build_report, export_heatmap,
                              localize_weak_nodes, parse_heatmap, write_report)
 
-from conftest import load
+from conftest import load, partition_path
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +126,81 @@ def test_golden_report_structure(tmp_path):
     node = doc["per_node"][0]
     assert {"net", "bus", "phase", "components", "magnitude"} <= set(node)
     assert doc["objective_pu"] < 1e-8
+
+
+def test_failed_central_report_keeps_requested_labels(monkeypatch):
+    def fail(*args, **kwargs):
+        raise SolveFailure("forced")
+    monkeypatch.setattr(pdip, "solve_nlp", fail)
+    nets, coups = load("case_micro_td_stressed")
+    rep = solve_centralized(nets, coups, source_kind="power", norm="l1",
+                            q_only=True)
+    assert rep.status == "failed"
+    assert rep.norm == "l1"
+    assert rep.source_kind == "power"
+    assert rep.q_only is True
+    assert rep.kkt == {}
+    assert all(e.magnitude == 0.0 for e in rep.per_node)
+
+
+@pytest.fixture(scope="module")
+def micro_cells():
+    """The two cells of a converged distributed run on the stressed case."""
+    nets, coups = load("case_micro_td_stressed")
+    part = load_partition(partition_path("micro_default"), nets, coups)
+    co = gjn.Coordinator(nets, coups, part, source_kind="current", norm="l2")
+    assert co.run().converged
+    parts = [(sub.problem, sub.state) for sub in co.subs]
+    assert len(parts) == 2
+    return nets, parts
+
+
+def _assert_sources_reported(rep, problem, state):
+    by_node = {(e.net, e.bus, e.phase): e for e in rep.per_node}
+    for src in problem.sources:
+        entry = by_node[(src.net, src.bus, src.phase)]
+        assert entry.components == {c: float(state.x[i]) for c, i in
+                                    zip(src.components, src.var_index)}
+
+
+def test_build_report_takes_worst_kkt_over_parts(micro_cells):
+    nets, parts = micro_cells
+    rep = build_report(parts, "converged", mode="dpdip", nets=nets)
+    res = [assemble_kkt(problem, state) for problem, state in parts]
+    assert rep.kkt == {
+        "stationarity": max(r.stationarity for r in res),
+        "feasibility": max(r.feasibility for r in res),
+        "complementarity": max(r.complementarity_raw for r in res),
+        "mu_min": min(r.mu_min for r in res),
+        "g_max": max(r.g_max for r in res)}
+    for problem, state in parts:
+        _assert_sources_reported(rep, problem, state)
+    n_nodes = sum(len(b.phases) for n in nets for b in n.buses)
+    assert len(rep.per_node) == n_nodes
+    assert len({(e.net, e.bus, e.phase) for e in rep.per_node}) == n_nodes
+
+
+def test_build_report_keeps_sources_of_part_failing_kkt(micro_cells):
+    nets, parts = micro_cells
+    bad_at = next(i for i, (p, _) in enumerate(parts) if p.n_in)
+    problem, state = parts[bad_at]
+    # doubled voltages break every upper band row; sources keep their values
+    x = state.x.copy()
+    volt = [i for i, label in enumerate(problem.var_label)
+            if label.startswith(("vr:", "vi:"))]
+    x[volt] *= 2.0
+    bad = KktState(x=x, lam=state.lam, mu=state.mu, eps=state.eps)
+    with pytest.raises(SolveFailure):
+        assemble_kkt(problem, bad)
+    mixed = list(parts)
+    mixed[bad_at] = (problem, bad)
+    rep = build_report(mixed, "failed", mode="dpdip", nets=nets)
+    (good_problem, good_state), = [p for i, p in enumerate(parts)
+                                   if i != bad_at]
+    res = assemble_kkt(good_problem, good_state)
+    assert rep.kkt == {"stationarity": res.stationarity,
+                       "feasibility": res.feasibility,
+                       "complementarity": res.complementarity_raw,
+                       "mu_min": res.mu_min, "g_max": res.g_max}
+    _assert_sources_reported(rep, problem, bad)
+    _assert_sources_reported(rep, good_problem, good_state)

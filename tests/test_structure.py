@@ -1,5 +1,7 @@
 """Structural contracts: assembled system shape and shipped-file provenance."""
 
+import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 
 from gridweld import casegen
 
-from conftest import CASES, centralized_problem, interior_point
+from conftest import CASES, ROOT, centralized_problem, interior_point
 
 
 def test_shipped_cases_match_their_generators(tmp_path):
@@ -53,3 +55,29 @@ def test_case_files_are_valid_json_with_sorted_keys():
     for path in sorted(Path(CASES).glob("*.json")):
         doc = json.loads(path.read_text())
         assert "base_mva" in doc and "networks" in doc
+
+
+def test_demo_and_readme_imports_resolve():
+    """Every gridweld name the demos and the README's Library block import
+    exists.  Only the imports are checked: running the demos takes seconds
+    each."""
+    texts = {p.name: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))}
+    readme = (ROOT / "README.md").read_text()
+    texts["README.md"] = readme.split("## Library", 1)[1] \
+        .split("```python", 1)[1].split("```", 1)[0]
+    checked = 0
+    for name, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names if a.name.startswith("gridweld")]
+                for mod in mods:
+                    importlib.import_module(mod)
+                    checked += 1
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "gridweld":
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(mod, alias.name), \
+                        f"{name}: {node.module} has no {alias.name}"
+                    checked += 1
+    assert len(texts) > 1 and checked > 0
