@@ -61,7 +61,7 @@ class ConsensusAgent:
         self.q_only, self.sources = base.q_only, base.sources
         self.maps = base.maps
         self._head_keys = []
-        self._jac_pad = {}
+        eq_pad = sp.lil_matrix((self.n_eq, self.extra))
         self.copy_map: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.centers: dict[str, np.ndarray] = {}
         self.rho = 1.0
@@ -74,7 +74,8 @@ class ConsensusAgent:
                 raise ValueError("feeder-head nonlinearities (loads or flow "
                                  "limits at the coupling node) are not "
                                  "supported in consensus mode")
-            self._jac_pad[key] = (base._B_eq[:, sl] @ sp.csr_matrix(_DIST)).tocsr()
+            eq_pad[:, 2 * i:2 * i + 2] = \
+                (base._B_eq[:, sl] @ sp.csr_matrix(_DIST)).tocsr()
             idv = np.asarray(base.maps.port_dvar[key])
             cols = np.concatenate([[v1, v1 + 1], idv])
             C = np.zeros((4, 8))
@@ -82,6 +83,9 @@ class ConsensusAgent:
             C[2:, 2:] = _AGG / (3.0 * port.kappa)
             self.copy_map[key] = (cols, C)
             self.centers[key] = np.array([1.0, 0.0, 0.0, 0.0])
+        # Jacobian columns of the head phasors: constant, so built once
+        self._eq_pad = eq_pad.tocsr()
+        self._in_pad = sp.csr_matrix((self.n_in, self.extra))
         for port in free_ports:
             key, spec = port.key, port.spec
             tnet = next(n for n in base.nets.values() if n.has_bus(spec.t_bus))
@@ -145,10 +149,7 @@ class ConsensusAgent:
         J = self.base.jac_eq(self._sync(x))
         if not self.extra:
             return J
-        pad = sp.lil_matrix((self.n_eq, self.extra))
-        for i, (key, v1) in enumerate(self._head_keys):
-            pad[:, 2 * i:2 * i + 2] = self._jac_pad[key]
-        return sp.hstack([J, pad.tocsr()], format="csr")
+        return sp.hstack([J, self._eq_pad], format="csr")
 
     def residual_in(self, x):
         return self.base.residual_in(self._sync(x))
@@ -157,8 +158,7 @@ class ConsensusAgent:
         J = self.base.jac_in(self._sync(x))
         if not self.extra:
             return J
-        return sp.hstack([J, sp.csr_matrix((self.n_in, self.extra))],
-                         format="csr")
+        return sp.hstack([J, self._in_pad], format="csr")
 
     def hess_lagrangian(self, x, lam, mu):
         W = sp.coo_matrix(self.base.hess_lagrangian(self._sync(x), lam, mu))

@@ -75,6 +75,9 @@ def build_parser() -> _Parser:
 def _config(ns) -> RunConfig:
     if ns.q_only and ns.source != "power":
         raise _ArgumentError("--q-only is only valid with --source power")
+    for flag in ("tol_kkt", "tol_gauss", "max_epochs", "inner_cap", "workers"):
+        if not getattr(ns, flag) > 0:
+            raise _ArgumentError(f"--{flag.replace('_', '-')} must be positive")
     return RunConfig(case=ns.case, partition=ns.partition, mode=ns.mode,
                      norm=ns.norm, source=ns.source, q_only=ns.q_only,
                      tol_kkt=ns.tol_kkt, tol_gauss=ns.tol_gauss,

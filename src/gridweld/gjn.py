@@ -90,7 +90,6 @@ class BoundaryState:
 class EpochRecord:
     epoch: int
     metric: float
-    boundary_before: dict[str, list]
     boundary_after: dict[str, list]
     inner: dict[str, tuple[str, int]]
 
@@ -178,7 +177,6 @@ class Coordinator:
         self.boundary = {key: _initial_boundary(port)
                          for key, port, _, _ in self.torn}
         self.epochs: list[EpochRecord] = []
-        self.metric_history: list[float] = []
 
     # -- one epoch ------------------------------------------------------------
 
@@ -217,7 +215,6 @@ class Coordinator:
         return sub.name, state, status, used
 
     def run_epoch(self, epoch: int) -> EpochRecord:
-        before = {k: b.stacked().tolist() for k, b in self.boundary.items()}
         if self.workers == 1 or len(self.subs) == 1:
             results = [self._solve_one(s) for s in self.subs]
         else:
@@ -237,12 +234,11 @@ class Coordinator:
             self.boundary = new_boundary
         else:
             metric = float("nan")
-        rec = EpochRecord(epoch=epoch, metric=metric, boundary_before=before,
+        rec = EpochRecord(epoch=epoch, metric=metric,
                           boundary_after={k: b.stacked().tolist()
                                           for k, b in self.boundary.items()},
                           inner=inner)
         self.epochs.append(rec)
-        self.metric_history.append(metric)
         return rec
 
     # -- full run ----------------------------------------------------------------
@@ -269,7 +265,7 @@ class Coordinator:
                 if (not self.torn or rec.metric <= self.gauss_tol) and all_inner:
                     status = "converged"
                     break
-                if _diverging(self.metric_history):
+                if _diverging([r.metric for r in self.epochs]):
                     log.error("boundary exchange diverging; stopping")
                     status = "diverged"
                     break
@@ -281,7 +277,7 @@ class Coordinator:
 
     def _report(self, status, wall):
         diagnostics = {
-            "gauss_metric": self.metric_history[-1] if self.metric_history else 0.0,
+            "gauss_metric": self.epochs[-1].metric if self.epochs else 0.0,
             "ext_int_ratio": {s.name: (s.external_dim / s.internal_dim)
                               for s in self.subs},
         }

@@ -14,13 +14,18 @@ the full unreduced Newton system
 
 with a direct sparse factorization, fraction-to-boundary step caps, an
 Armijo backtracking line search on an L1-penalty merit function, and
-inertia correction by growing multiples of the identity on W.
+inertia correction by growing multiples of the identity on W.  Each
+iterate's ``f``, ``c``, ``g``, gradient and Jacobians are evaluated once and
+every use reads them from there: on small cells the Jacobian builds are
+the main per-step cost besides the KKT matrix and its factorization, so a
+step builds each Jacobian once rather than once for each use.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,25 +98,67 @@ class SolveFailure(RuntimeError):
     pass
 
 
-def _raw_residuals(problem, state: KktState):
-    c = problem.residual_eq(state.x)
-    g = problem.residual_in(state.x)
-    r_x = problem.grad_objective(state.x)
-    if c.size:
-        r_x = r_x + problem.jac_eq(state.x).T @ state.lam
-    if g.size:
-        r_x = r_x + problem.jac_in(state.x).T @ state.mu
-    r_m = -state.mu * g - state.eps if g.size else np.zeros(0)
-    return r_x, c, g, r_m
+class _Point:
+    """Every x-dependent value the iteration reads at one ``x``.
+
+    ``f``, ``c`` and ``g`` are evaluated at once (every line-search trial
+    needs them), the gradient and Jacobians on first use.  A point is never
+    kept beyond the call that made it, since exchange parameters change
+    between calls, and its arrays are never written in place.
+    """
+
+    def __init__(self, problem, x):
+        self.problem, self.x = problem, x
+        self.f = problem.objective(x)
+        self.c = problem.residual_eq(x)
+        self.g = problem.residual_in(x)
+        self.c_norm = float(np.sum(np.abs(self.c)))
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.problem.grad_objective(self.x)
+
+    @cached_property
+    def Jc(self):
+        if not self.c.size:
+            return sp.csr_matrix((0, self.problem.nvar))
+        return self.problem.jac_eq(self.x)
+
+    @cached_property
+    def Jg(self):
+        if not self.g.size:
+            return sp.csr_matrix((0, self.problem.nvar))
+        return self.problem.jac_in(self.x)
+
+    def residuals(self, state: KktState):
+        """(r_x, r_c, g, r_m) of the perturbed KKT conditions at ``state``."""
+        r_x = self.grad
+        if self.c.size:
+            r_x = r_x + self.Jc.T @ state.lam
+        if self.g.size:
+            r_x = r_x + self.Jg.T @ state.mu
+        r_m = -state.mu * self.g - state.eps if self.g.size else np.zeros(0)
+        return r_x, self.c, self.g, r_m
+
+    def merit(self, eps: float, nu: float) -> float:
+        """L1-penalty barrier merit; infinite off the strict interior."""
+        g = self.g
+        if g.size and np.max(g) >= 0.0:
+            return np.inf
+        barrier = -eps * float(np.sum(np.log(-g))) if g.size else 0.0
+        return self.f + barrier + nu * self.c_norm
 
 
-def assemble_kkt(problem, state: KktState) -> KktResiduals:
+def assemble_kkt(problem, state: KktState,
+                 point: _Point | None = None) -> KktResiduals:
     """Residuals of the perturbed first-order conditions at a state.
 
+    ``point`` holds the evaluations at ``state.x`` if the caller has them.
     Rejects non-interior points: every inequality must hold strictly so the
     barrier is well defined.
     """
-    r_x, c, g, r_m = _raw_residuals(problem, state)
+    point = point or _Point(problem, state.x)
+    r_x, c, g, r_m = point.residuals(state)
     if g.size and np.max(g) >= 0.0:
         raise SolveFailure(f"non-interior point: max g = {np.max(g):.3e}")
     return KktResiduals(
@@ -137,14 +184,15 @@ class NewtonSystem:
     mi: int
 
     @classmethod
-    def build(cls, problem, state: KktState) -> "NewtonSystem":
-        r_x, c, g, r_m = _raw_residuals(problem, state)
+    def build(cls, problem, state: KktState,
+              point: _Point | None = None) -> "NewtonSystem":
+        point = point or _Point(problem, state.x)
+        r_x, c, g, r_m = point.residuals(state)
         W = problem.hess_lagrangian(state.x, state.lam, state.mu)
-        Jc = problem.jac_eq(state.x) if c.size else sp.csr_matrix((0, problem.nvar))
-        Jg = problem.jac_in(state.x) if g.size else sp.csr_matrix((0, problem.nvar))
         rhs = -np.concatenate([r_x, c, r_m])
-        return cls(W=W.tocsr(), Jc=Jc.tocsr(), Jg=Jg.tocsr(), g=g, mu=state.mu,
-                   rhs=rhs, n=problem.nvar, me=c.size, mi=g.size)
+        return cls(W=W.tocsr(), Jc=point.Jc.tocsr(), Jg=point.Jg.tocsr(),
+                   g=g, mu=state.mu, rhs=rhs, n=problem.nvar, me=c.size,
+                   mi=g.size)
 
     def matrix(self, delta: float = 0.0) -> sp.csc_matrix:
         W = self.W
@@ -183,15 +231,6 @@ def newton_step(system: NewtonSystem, opts: SolverOptions | None = None,
             raise SolveFailure("inertia correction exceeded its cap")
 
 
-def _merit(problem, x, eps, nu):
-    c = problem.residual_eq(x)
-    g = problem.residual_in(x)
-    if g.size and np.max(g) >= 0.0:
-        return np.inf
-    barrier = -eps * float(np.sum(np.log(-g))) if g.size else 0.0
-    return problem.objective(x) + barrier + nu * float(np.sum(np.abs(c)))
-
-
 def solve_nlp(problem, opts: SolverOptions | None = None,
               warm: KktState | None = None, newton_budget: int | None = None,
               trace: list | None = None) -> tuple[KktState, str]:
@@ -204,51 +243,53 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
     opts = opts or SolverOptions()
     budget = newton_budget if newton_budget is not None else opts.max_iterations
 
-    if warm is None:
-        x = problem.x0()
-        g = problem.residual_in(x)
+    point = _Point(problem, problem.x0() if warm is None else warm.x)
+    state = warm
+    if state is None:
+        g = point.g
         if g.size and np.max(g) >= 0.0:
             raise SolveFailure(f"initial point not strictly interior: "
                                f"max g = {np.max(g):.3e}")
         eps = opts.barrier_initial if g.size else opts.barrier_floor
         mu = eps / (-g) if g.size else np.zeros(0)
-        state = KktState(x=x, lam=np.zeros(problem.n_eq), mu=mu, eps=eps)
-    else:
-        state = warm
+        state = KktState(x=point.x, lam=np.zeros(problem.n_eq), mu=mu, eps=eps)
 
     nu = 1.0
     tau = opts.tau_boundary
-    for it in range(budget):
-        res = assemble_kkt(problem, state)
+    for it in range(budget + 1):
+        res = assemble_kkt(problem, state, point)
         if res.converged(opts) and state.eps <= opts.barrier_floor * (1 + 1e-9):
             state.iterations += it
             return state, "converged"
+        if it == budget:
+            state.iterations += it
+            return state, "iteration-capped"
         # barrier update once the current perturbed system is solved well enough
         current = max(res.stationarity, res.feasibility, res.complementarity)
         while (state.eps > opts.barrier_floor
                and current <= opts.barrier_progress * state.eps):
             state.eps = max(opts.barrier_floor, opts.barrier_decrease * state.eps)
-            res = assemble_kkt(problem, state)
+            res = assemble_kkt(problem, state, point)
             current = max(res.stationarity, res.feasibility, res.complementarity)
 
-        system = NewtonSystem.build(problem, state)
+        system = NewtonSystem.build(problem, state, point)
+        # merit slope along dx: grad_barrier @ dx - nu * |c|_1
+        grad_barrier = point.grad
+        if system.mi:
+            grad_barrier = grad_barrier + state.eps * (system.Jg.T @ (1.0 / (-system.g)))
+        flat = 1e-10 * (1.0 + abs(point.f))
         delta = 0.0
         for _attempt in range(60):
             dx, dlam, dmu, delta = newton_step(system, opts, delta)
             nu = max(nu, 1.1 * float(np.max(np.abs(state.lam + dlam), initial=0.0)) + 0.1)
-            # directional derivative of the merit along dx
-            grad_barrier = problem.grad_objective(state.x)
-            if system.mi:
-                grad_barrier = grad_barrier + state.eps * (system.Jg.T @ (1.0 / (-system.g)))
-            c_norm = float(np.sum(np.abs(problem.residual_eq(state.x))))
-            dphi = float(grad_barrier @ dx) - nu * c_norm
-            if dphi < 0.0 or dphi <= 1e-10 * (1.0 + abs(problem.objective(state.x))):
+            dphi = float(grad_barrier @ dx) - nu * point.c_norm
+            if dphi < 0.0 or dphi <= flat:
                 break
             delta = opts.inertia_delta0 if delta == 0.0 else delta * 10.0
             if delta > opts.inertia_delta_max:
                 state.iterations += it
                 return state, "failed"
-        alpha_max = 1.0
+        alpha_max = alpha_mu = 1.0
         if system.mi:
             s = -system.g
             ds = -(system.Jg @ dx)
@@ -256,14 +297,11 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             if shrink.any():
                 alpha_max = min(1.0, float(np.min(tau * s[shrink] / (-ds[shrink]))))
             dmu_neg = dmu < 0.0
-            alpha_mu = 1.0
             if dmu_neg.any():
                 alpha_mu = min(1.0, float(np.min(
                     tau * state.mu[dmu_neg] / (-dmu[dmu_neg]))))
-        else:
-            alpha_mu = 1.0
 
-        phi0 = _merit(problem, state.x, state.eps, nu)
+        phi0 = point.merit(state.eps, nu)
         kkt0 = max(res.stationarity, res.feasibility, res.complementarity)
         dual_only = float(np.max(np.abs(dx), initial=0.0)) <= \
             1e-12 * (1.0 + float(np.max(np.abs(state.x))))
@@ -273,19 +311,20 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             x_new = state.x + alpha * dx
             ok = problem.interior_ok(x_new) if hasattr(problem, "interior_ok") else True
             if ok:
-                phi = _merit(problem, x_new, state.eps, nu)
+                trial = _Point(problem, x_new)
+                phi = trial.merit(state.eps, nu)
                 if dual_only or phi <= phi0 + 1e-4 * alpha * dphi:
                     accepted = True
                     break
                 if np.isfinite(phi):
                     # merit is flat near a solution when the step is mostly in
                     # the duals; accept on plain KKT-residual contraction
-                    trial = KktState(x=x_new, lam=state.lam + alpha * dlam,
-                                     mu=(np.maximum(state.mu + min(alpha_mu, alpha) * dmu,
-                                                    1e-300) if system.mi
-                                         else state.mu),
-                                     eps=state.eps)
-                    tres = assemble_kkt(problem, trial)
+                    tstate = KktState(x=x_new, lam=state.lam + alpha * dlam,
+                                      mu=(np.maximum(state.mu + min(alpha_mu, alpha) * dmu,
+                                                     1e-300) if system.mi
+                                          else state.mu),
+                                      eps=state.eps)
+                    tres = assemble_kkt(problem, tstate, trial)
                     if max(tres.stationarity, tres.feasibility,
                            tres.complementarity) <= 0.9 * kkt0:
                         accepted = True
@@ -296,28 +335,20 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             state.iterations += it
             return state, "failed"
 
+        point = trial
         state.x = x_new
         state.lam = state.lam + alpha * dlam
         if system.mi:
             state.mu = np.maximum(state.mu + alpha_mu * dmu, 1e-300)
             # keep multipliers commensurate with the barrier (re-centering clip)
-            s = -problem.residual_in(state.x)
+            s = -point.g
             lo = state.eps / (1e10 * s)
             hi = 1e10 * state.eps / s
             state.mu = np.clip(state.mu, lo, hi)
         if trace is not None:
             trace.append(IterRecord(iteration=it, eps=state.eps,
-                                    kkt=max(res.stationarity, res.feasibility,
-                                            res.complementarity),
-                                    alpha=alpha,
-                                    objective=problem.objective(state.x),
-                                    merit=phi))
-
-    res = assemble_kkt(problem, state)
-    state.iterations += budget
-    if res.converged(opts) and state.eps <= opts.barrier_floor * (1 + 1e-9):
-        return state, "converged"
-    return state, "iteration-capped"
+                                    kkt=kkt0, alpha=alpha,
+                                    objective=point.f, merit=phi))
 
 
 def solve_centralized(nets, couplings, *, source_kind="current", norm="l2",

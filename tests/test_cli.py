@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gridweld.cli import main
 
 from conftest import case_path, partition_path
@@ -30,6 +32,21 @@ def test_invalid_combination_q_only_without_power(capsys):
                     "--source", "current"])
     assert code == 1
     assert "q-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--tol-kkt", "-1"),
+                                         ("--tol-gauss", "0"),
+                                         ("--max-epochs", "0"),
+                                         ("--inner-cap", "0"),
+                                         ("--workers", "-2")])
+def test_non_positive_number_exits_one_naming_the_flag(tmp_path, capsys,
+                                                       flag, value):
+    code = run_cli(["--case", case_path("case_micro_td"), "--mode", "dpdip",
+                    flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_central_solve_writes_report_and_heatmap(tmp_path, capsys):

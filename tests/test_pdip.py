@@ -185,8 +185,8 @@ def test_kkt_residuals_match_fd_of_lagrangian_at_random_point(rng):
     lam = rng.standard_normal(prob.n_eq)
     mu = np.abs(rng.standard_normal(prob.n_in)) + 0.01
     state = KktState(x=x, lam=lam, mu=mu, eps=1e-4)
-    from gridweld.pdip import _raw_residuals
-    r_x, c, g, r_m = _raw_residuals(prob, state)
+    from gridweld.pdip import _Point
+    r_x, c, g, r_m = _Point(prob, x).residuals(state)
 
     def lagrangian(z):
         val = prob.objective(z) + lam @ prob.residual_eq(z)
@@ -231,6 +231,26 @@ def test_merit_never_increases_within_barrier_phase():
     for eps, merits in by_eps.items():
         for a, b in zip(merits, merits[1:]):
             assert b <= a + 1e-8 * (1.0 + abs(a))
+
+
+@pytest.mark.parametrize("case, norm", [("case_micro_td_stressed", "l1"),
+                                        ("case_micro_td_stressed", "l2"),
+                                        ("case_feeder210_stressed", "l1")])
+def test_jacobians_evaluated_once_per_iterate(monkeypatch, case, norm):
+    from gridweld.ecf import CircuitProblem
+    calls = {"jac_eq": 0, "jac_in": 0}
+    for name in calls:
+        original = getattr(CircuitProblem, name)
+
+        def counted(self, x, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(CircuitProblem, name, counted)
+    nets, coups, prob = centralized_problem(case, norm=norm)
+    state, status = solve_nlp(prob)
+    assert status == "converged"
+    assert calls["jac_eq"] <= state.iterations + 1
+    assert calls["jac_in"] <= state.iterations + 1
 
 
 def test_feasible_t_subproblem_with_oracle_boundary_draw():
