@@ -87,13 +87,17 @@ class ConsensusAgent:
         self._eq_pad = eq_pad.tocsr()
         self._in_pad = sp.csr_matrix((self.n_in, self.extra))
         for port in free_ports:
-            key, spec = port.key, port.spec
-            tnet = next(n for n in base.nets.values() if n.has_bus(spec.t_bus))
-            iu, iv = base.maps.v_slot[(tnet.name, spec.t_bus, "1")]
+            key = port.key
+            iu, iv = base.maps.poi_v[key]
             it = base.maps.port_tvar[key]
             cols = np.array([iu, iv, it[0], it[1]])
             self.copy_map[key] = (cols, np.eye(4))
             self.centers[key] = np.array([1.0, 0.0, 0.0, 0.0])
+        # penalty Hessian pattern: constant, so built once; only rho scales it
+        blocks = list(self.copy_map.values())
+        self._pen_rows = [np.repeat(idx, len(idx)) for idx, _ in blocks]
+        self._pen_cols = [np.tile(idx, len(idx)) for idx, _ in blocks]
+        self._pen_blocks = [(C.T @ C).ravel() for _, C in blocks]
 
     def _params_in_nonlinear(self, sl) -> bool:
         h = self.base._h
@@ -162,15 +166,10 @@ class ConsensusAgent:
 
     def hess_lagrangian(self, x, lam, mu):
         W = sp.coo_matrix(self.base.hess_lagrangian(self._sync(x), lam, mu))
-        r, c, v = [W.row], [W.col], [W.data]
-        for key, (idx, C) in self.copy_map.items():
-            blk = self.rho * (C.T @ C)
-            ii, jj = np.meshgrid(idx, idx, indexing="ij")
-            r.append(ii.ravel())
-            c.append(jj.ravel())
-            v.append(blk.ravel())
+        v = [W.data] + [self.rho * blk for blk in self._pen_blocks]
         return sp.csr_matrix((np.concatenate(v),
-                              (np.concatenate(r), np.concatenate(c))),
+                              (np.concatenate([W.row] + self._pen_rows),
+                               np.concatenate([W.col] + self._pen_cols))),
                              shape=(self.nvar, self.nvar))
 
     def local_copy(self, x, key):

@@ -544,6 +544,8 @@ class IndexMaps:
     kcl_row: dict = field(default_factory=dict)      # (net,bus,ph) -> (rowR, rowI)
     port_tvar: dict = field(default_factory=dict)    # port key -> (2,) indices
     port_dvar: dict = field(default_factory=dict)    # port key -> (6,) indices
+    poi_v: dict = field(default_factory=dict)        # port key -> POI voltage [iu, iv] slots
+    poi_row: dict = field(default_factory=dict)      # port key -> POI balance [rowR, rowI]
     source_of: dict = field(default_factory=dict)    # (net,bus,ph) -> InfeasibilitySource
     pv_qvar: dict = field(default_factory=dict)      # (net,bus,ph) -> q index
     inj_var: dict = field(default_factory=dict)      # (net,bus,ph) -> (ir, ii)
@@ -740,8 +742,11 @@ class _Builder:
     def _alloc_ports(self):
         for pb in self.ports:
             spec = pb.port.spec
-            if pb.mode in ("internal", "t_free"):
+            if pb.mode in ("internal", "t_free", "t_draw"):
                 tnet = self._net_of_bus(spec.t_bus)
+                self.maps.poi_v[pb.key] = list(
+                    self.maps.v_slot[(tnet, spec.t_bus, "1")])
+            if pb.mode in ("internal", "t_free"):
                 owner = f"port:{pb.key}" if pb.mode == "internal" else tnet
                 self.maps.port_tvar[pb.key] = [
                     self._new_var(owner, f"itr:{pb.key}", 0.0),
@@ -755,9 +760,8 @@ class _Builder:
             if pb.mode == "t_draw":
                 self._new_params(f"draw:{pb.key}", 2)
                 # POI-voltage price fed back from the distribution cell
-                tnet = self._net_of_bus(spec.t_bus)
                 sl = self._new_params(f"vprice:{pb.key}", 2)
-                tu, tv = self.maps.v_slot[(tnet, spec.t_bus, "1")]
+                tu, tv = self.maps.poi_v[pb.key]
                 self.price_pairs.append((tu, sl.start))
                 self.price_pairs.append((tv, sl.start + 1))
             if pb.mode == "d_head":
@@ -908,6 +912,7 @@ class _Builder:
             if pb.mode in ("internal", "t_free", "t_draw"):
                 tnet = self._net_of_bus(spec.t_bus)
                 rr, ri = self.maps.kcl_row[(tnet, spec.t_bus, "1")]
+                self.maps.poi_row[pb.key] = [rr, ri]
                 if pb.mode == "t_draw":
                     sl = self.param_slots[f"draw:{pb.key}"]
                     self._stamp_eq(rr, -(sl.start) - 1, 1.0)
@@ -934,9 +939,8 @@ class _Builder:
                     self._stamp_eq(row, it[r], 1.0)
                     for cidx in range(6):
                         self._stamp_eq(row, idv[cidx], -_AGG[r, cidx] / (3 * kappa))
-                tnet = self._net_of_bus(spec.t_bus)
                 dnet = self._net_of_bus(spec.d_bus)
-                tu, tv = self.maps.v_slot[(tnet, spec.t_bus, "1")]
+                tu, tv = self.maps.poi_v[pb.key]
                 for k, ph in enumerate("abc"):
                     du, dv = self.maps.v_slot[(dnet, spec.d_bus, ph)]
                     for c, slot in ((0, du), (1, dv)):

@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import pdip
 from .coupling import (_AGG, _DIST, CouplingPort, aggregate_current_d_to_t,
@@ -130,12 +131,8 @@ def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
         old = boundary[key]
         tsub = subs_by_name[t_sub]
         dsub = subs_by_name[d_sub]
-        spec = port.spec
-        tnet = next(n.name for n in tsub.nets if n.has_bus(spec.t_bus))
-        iu, iv = tsub.problem.maps.v_slot[(tnet, spec.t_bus, "1")]
-        v_t = np.array([tsub.state.x[iu], tsub.state.x[iv]])
-        rr, ri = tsub.problem.maps.kcl_row[(tnet, spec.t_bus, "1")]
-        lam_t = np.array([tsub.state.lam[rr], tsub.state.lam[ri]])
+        v_t = tsub.state.x[tsub.problem.maps.poi_v[key]]
+        lam_t = tsub.state.lam[tsub.problem.maps.poi_row[key]]
         i_d = dsub.state.x[np.array(dsub.problem.maps.port_dvar[key])]
         head_sens = dsub.problem.param_lagrangian_grad(
             dsub.state.x, dsub.state.lam, dsub.state.mu, f"headv:{key}")
@@ -291,89 +288,66 @@ class Coordinator:
     # -- diagnostics ----------------------------------------------------------------
 
     def spectral_radius(self, damping: float | None = None) -> float:
-        """Gauss-Jacobi contraction factor of the global linearized system.
+        """Gauss-Jacobi contraction factor of the linearized exchange.
 
-        Assembles the block system whose fixed point is the converged run:
-        diagonal blocks are the subproblem KKT matrices plus an identity on
-        the exchanged boundary values; off-diagonal blocks couple boundary
-        parameters into subproblem rows and subproblem states into the
-        exchange formulas.  ``damping=1`` (the default exchange) rates the
-        raw iteration; values below one rate the relaxed update actually
-        configured.  Dense eigensolve; intended for desk-scale cases.
+        The block-Jacobi matrix of the converged system is bipartite: cells
+        read only boundary values and the exchange reads only cell states.
+        So its spectral radius is ``sqrt(rho(BA))``, where ``BA`` is the
+        16p x 16p linearized epoch map on the stacked boundary values of the
+        p torn ports.  Each cell contributes the sensitivity of its KKT point
+        to its boundary parameters (one sparse factorization of its KKT
+        matrix, one solve per parameter); the exchange maps those onto the
+        new boundary values.  With damping ``g`` every eigenvalue ``t`` of
+        ``BA`` gives the rates ``l`` solving ``l^2 - (1-g) l - g t = 0``.
+        ``damping=1`` (the default exchange) rates the raw iteration; values
+        below one rate the relaxed update actually configured.  The cost
+        grows with the number of ports, not with the cells' size cubed.
         """
-        sizes, offsets = [], {}
-        pos = 0
         for sub in self.subs:
-            n = sub.problem.nvar + sub.problem.n_eq + sub.problem.n_in
-            offsets[sub.name] = pos
-            sizes.append(n)
-            pos += n
-        y_offsets = {}
-        for key, port, _, _ in self.torn:
-            y_offsets[key] = pos
-            pos += 16           # draw(2) + head_v(6) + price(6) + v_price(2)
-        dim = pos
-        Y = np.zeros((dim, dim))
-        blocks = []
+            if sub.state is None:
+                raise ValueError(f"subproblem '{sub.name}' has no state; "
+                                 "spectral_radius needs a finished run")
+        gamma = self.damping if damping is None else damping
+        at = {key: 16 * k for k, (key, _, _, _) in enumerate(self.torn)}
+        first = {"draw": 0, "headv": 2, "price": 8, "vprice": 14}
+        BA = np.zeros((16 * len(self.torn),) * 2)
+        sens = {}
         for sub in self.subs:
-            off = offsets[sub.name]
+            prob = sub.problem
+            if not prob.n_param:
+                continue
             for name, values in self._external_of(sub).items():
-                sub.problem.set_params(name, values)
-            system = pdip.NewtonSystem.build(sub.problem, sub.state)
-            n = sizes[self.subs.index(sub)]
-            Y[off:off + n, off:off + n] = system.matrix(0.0).toarray()
-            blocks.append(np.arange(off, off + n))
-            # boundary parameters entering this cell's equality rows
-            B = sub.problem._B_eq.toarray()
-            rows = off + sub.problem.nvar + np.arange(sub.problem.n_eq)
-            for port in sub.ports_t:
-                key = port.key
-                sl = sub.problem.param_slots[f"draw:{key}"]
-                Y[np.ix_(rows, np.arange(y_offsets[key], y_offsets[key] + 2))] \
-                    = B[:, sl]
-                psl = sub.problem.param_slots[f"vprice:{key}"]
-                for var, par in sub.problem._price_pairs:
-                    if psl.start <= par < psl.stop:
-                        Y[off + var, y_offsets[key] + 14 + (par - psl.start)] = 1.0
-            for port in sub.ports_d:
-                key = port.key
-                sl = sub.problem.param_slots[f"headv:{key}"]
-                Y[np.ix_(rows, np.arange(y_offsets[key] + 2,
-                                         y_offsets[key] + 8))] = B[:, sl]
-                psl = sub.problem.param_slots[f"price:{key}"]
-                for var, par in sub.problem._price_pairs:
-                    if psl.start <= par < psl.stop:
-                        Y[off + var, y_offsets[key] + 8 + (par - psl.start)] = 1.0
+                prob.set_params(name, values)
+            K = pdip.NewtonSystem.build(prob, sub.state).matrix(0.0)
+            # boundary parameters into cell rows: prices into the stationarity
+            # rows, draws and head voltages into the equality rows
+            C = np.zeros((K.shape[0], prob.n_param))
+            C[prob._price_pairs[:, 0], prob._price_pairs[:, 1]] = 1.0
+            C[prob.nvar:prob.nvar + prob.n_eq] = \
+                prob._B_eq[:, :prob.n_param].toarray()
+            cols = np.empty(prob.n_param, dtype=int)
+            for name, sl in prob.param_slots.items():
+                kind, key = name.split(":", 1)
+                cols[sl] = at[key] + first[kind] + np.arange(sl.stop - sl.start)
+            # implicit-function sensitivity of the cell's KKT point
+            sens[sub.name] = (-spla.splu(K).solve(C), cols, prob)
         for key, port, t_sub, d_sub in self.torn:
-            yo = y_offsets[key]
-            Y[yo:yo + 16, yo:yo + 16] = np.eye(16)
-            blocks.append(np.arange(yo, yo + 16))
-            tsub, dsub = self.by_name[t_sub], self.by_name[d_sub]
-            toff, doff = offsets[t_sub], offsets[d_sub]
-            spec = port.spec
-            idv = np.asarray(dsub.problem.maps.port_dvar[key])
-            Y[yo:yo + 2, doff + idv] = -_AGG / (3.0 * port.kappa)
-            tnet = next(n.name for n in tsub.nets if n.has_bus(spec.t_bus))
-            iu, iv = tsub.problem.maps.v_slot[(tnet, spec.t_bus, "1")]
-            Y[yo + 2:yo + 8, [toff + iu, toff + iv]] = -_DIST
-            rr, ri = tsub.problem.maps.kcl_row[(tnet, spec.t_bus, "1")]
-            lam_cols = [toff + tsub.problem.nvar + rr, toff + tsub.problem.nvar + ri]
-            Y[yo + 8:yo + 14, lam_cols] = -_AGG.T / (3.0 * port.kappa)
+            yo, k3 = at[key], 3.0 * port.kappa
+            St, tcols, tprob = sens[t_sub]
+            Sd, dcols, dprob = sens[d_sub]
+            lam_d = Sd[dprob.nvar:dprob.nvar + dprob.n_eq]
+            lam_t = St[tprob.nvar + np.asarray(tprob.maps.poi_row[key])]
+            BA[yo:yo + 2, dcols] = _AGG @ Sd[dprob.maps.port_dvar[key]] / k3
+            BA[yo + 2:yo + 8, tcols] = _DIST @ St[tprob.maps.poi_v[key]]
+            BA[yo + 8:yo + 14, tcols] = _AGG.T @ lam_t / k3
             # head sensitivity is linear in the feeder duals through the
             # parameter columns of its equality rows
-            hsl = dsub.problem.param_slots[f"headv:{key}"]
-            Bd = dsub.problem._B_eq.toarray()[:, hsl]
-            lam_cols_d = doff + dsub.problem.nvar + np.arange(dsub.problem.n_eq)
-            Y[np.ix_(np.arange(yo + 14, yo + 16), lam_cols_d)] = -_AGG @ Bd.T
-        gamma = self.damping if damping is None else damping
-        T = _jacobi_iteration_matrix(Y, blocks)
-        if gamma != 1.0:
-            y_rows = np.concatenate([np.arange(yo, yo + 16)
-                                     for yo in y_offsets.values()]) \
-                if y_offsets else np.zeros(0, dtype=int)
-            T[y_rows, :] *= gamma
-            T[y_rows, y_rows] += 1.0 - gamma
-        return float(np.max(np.abs(np.linalg.eigvals(T))))
+            hsl = dprob.param_slots[f"headv:{key}"]
+            BA[yo + 14:yo + 16, dcols] = _AGG @ (dprob._B_eq[:, hsl].T @ lam_d)
+        theta = np.linalg.eigvals(BA).astype(complex)
+        root = np.sqrt((1.0 - gamma) ** 2 + 4.0 * gamma * theta)
+        rates = np.abs(np.concatenate([1.0 - gamma + root, 1.0 - gamma - root]))
+        return float(np.max(rates, initial=0.0) / 2.0)
 
 
 def _diverging(history, factor=10.0, span=3) -> bool:
@@ -383,19 +357,14 @@ def _diverging(history, factor=10.0, span=3) -> bool:
     return all(history[-i] > factor * history[-i - span] for i in (1, 2, 3))
 
 
-def _jacobi_iteration_matrix(Y, blocks) -> np.ndarray:
-    """M^-1 N for the block splitting M (diagonal blocks), N = M - Y."""
+def spectral_radius_split(Y, blocks) -> float:
+    """rho(M^-1 N) for the block-Jacobi splitting M (diagonal blocks), N = M - Y."""
     Y = np.asarray(Y, dtype=float)
     M = np.zeros_like(Y)
     for idx in blocks:
         idx = np.asarray(idx, dtype=int)
         M[np.ix_(idx, idx)] = Y[np.ix_(idx, idx)]
-    return np.linalg.solve(M, M - Y)
-
-
-def spectral_radius_split(Y, blocks) -> float:
-    """rho(M^-1 N) for the block-Jacobi splitting M (diagonal blocks), N = M - Y."""
-    T = _jacobi_iteration_matrix(Y, blocks)
+    T = np.linalg.solve(M, M - Y)
     return float(np.max(np.abs(np.linalg.eigvals(T))))
 
 

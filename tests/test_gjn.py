@@ -211,13 +211,34 @@ def test_spectral_radius_toy_examples():
 FROZEN_MICRO_RHO = 0.15796278906192782
 
 
-def test_spectral_radius_micro_frozen():
+# frozen radii, measured on the dense global block-Jacobi matrix
+@pytest.mark.parametrize("case,partition,damping,want", [
+    pytest.param("case_micro_td", None, 1.0, FROZEN_MICRO_RHO, id="micro_td-raw"),
+    pytest.param("case_twofeeder_stressed", None, 1.0, 0.38560390036451886,
+                 id="twofeeder_stressed-raw"),
+    pytest.param("case_threefeeder_td", None, 0.5, 0.5231060954714792,
+                 id="threefeeder_td-0.5"),
+    pytest.param("case_feeder210_stressed", None, 1.0, 0.2924736090232543,
+                 id="feeder210_stressed-raw"),
+    # one cell, no torn port: nothing to exchange
+    pytest.param("case_micro_td", "micro_single", 1.0, 0.0, id="micro_single-raw"),
+    pytest.param("case_micro_td", "micro_single", 0.5, 0.0, id="micro_single-0.5"),
+])
+@pytest.mark.filterwarnings("ignore:coupling .*degenerate tearing:UserWarning")
+def test_spectral_radius_frozen(case, partition, damping, want):
+    co = coordinator(case, partition=partition)
+    assert co.run().converged
+    assert co.spectral_radius(damping=damping) == pytest.approx(want, abs=1e-9)
+
+
+def test_spectral_radius_without_state_names_the_cell():
     co = coordinator("case_micro_td")
-    rep = co.run()
-    assert rep.converged
-    r = co.spectral_radius()
-    assert r < 1.0
-    assert r == pytest.approx(FROZEN_MICRO_RHO, abs=1e-6)
+    with pytest.raises(ValueError, match="'t0'"):
+        co.spectral_radius()
+    co.run()
+    co.by_name["d0"].state = None
+    with pytest.raises(ValueError, match="'d0'"):
+        co.spectral_radius()
 
 
 def test_spectral_radius_below_one_on_converged_cases():

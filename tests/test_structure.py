@@ -3,6 +3,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,3 +84,16 @@ def test_demo_and_readme_imports_resolve():
                         f"{name}: {node.module} has no {alias.name}"
                     checked += 1
     assert len(texts) > 1 and checked > 0
+
+
+def test_convergence_diagnostics_demo_runs():
+    """The spectral-radius demo runs end to end and prints both radii."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "demos/06_convergence_diagnostics.py"], cwd=ROOT,
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "raw radius" in done.stdout
+    assert "relaxed (0.5)" in done.stdout
