@@ -13,7 +13,7 @@ residual-balancing adaptation of the penalty weight.
 
 from __future__ import annotations
 
-import logging
+import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,8 +26,6 @@ from .coupling import _AGG, _DIST
 from .ecf import build_problem, partition_cells
 from .netmodel import default_partition
 from .report import build_report
-
-log = logging.getLogger("gridweld.admm")
 
 
 @dataclass
@@ -211,36 +209,39 @@ def admm_solve(nets, couplings, partition=None, *, source_kind="current",
                        for a in (t, d)})
     states: dict[str, pdip.KktState | None] = {a.name: None for a in agents}
     statuses = {a.name: "pending" for a in agents}
-    t0 = time.perf_counter()
-    trace_fh = open(trace_path, "w") if trace_path else None
     participating = {a.name: [key for key, t, d in torn if a.name in (t, d)]
                      for a in agents}
+    budget = opts.inner_cap if torn else None
 
     def x_update(agent):
         for key in participating[agent.name]:
             agent.centers[key] = adm.z[key] - adm.u[(agent.name, key)]
         agent.rho = adm.rho
-        state, status = pdip.solve_nlp(
-            agent, opts, warm=states[agent.name],
-            newton_budget=opts.inner_cap if torn else None)
-        if status == "failed" and states[agent.name] is not None:
-            state, status = pdip.solve_nlp(
-                agent, opts, warm=None,
-                newton_budget=opts.inner_cap if torn else None)
+        state, status, _ = pdip.solve_warm_or_cold(
+            lambda warm: pdip.solve_nlp(agent, opts, warm=warm,
+                                        newton_budget=budget),
+            states[agent.name], f"agent '{agent.name}'")
         return agent.name, state, status
 
     status = "budget-exhausted"
     iters = 0
-    try:
+    t0 = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        trace_fh = (stack.enter_context(open(trace_path, "w"))
+                    if trace_path else None)
+        pool = (stack.enter_context(ThreadPoolExecutor(workers))
+                if workers > 1 and len(agents) > 1 else None)
         for it in range(1, max_iterations + 1):
             iters = it
-            if workers > 1 and len(agents) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(x_update, agents))
-            else:
-                results = [x_update(a) for a in agents]
+            results = (list(pool.map(x_update, agents)) if pool
+                       else [x_update(a) for a in agents])
             for name, state, st in results:
-                states[name], statuses[name] = state, st
+                statuses[name] = st
+                if state is not None:
+                    states[name] = state
+            if any(state is None for _, state, _ in results):
+                status = "failed"
+                break
             if not torn:
                 status = ("converged"
                           if all(s == "converged" for s in statuses.values())
@@ -278,9 +279,6 @@ def admm_solve(nets, couplings, partition=None, *, source_kind="current",
                     adm.rho /= 2.0
                     for k in adm.u:
                         adm.u[k] *= 2.0
-    finally:
-        if trace_fh:
-            trace_fh.close()
     wall = time.perf_counter() - t0
 
     diagnostics = {"rho": adm.rho, "primal_residual": adm.primal_residual

@@ -75,6 +75,8 @@ def build_parser() -> _Parser:
 def _config(ns) -> RunConfig:
     if ns.q_only and ns.source != "power":
         raise _ArgumentError("--q-only is only valid with --source power")
+    if ns.trace is not None and ns.mode == "compare":
+        raise _ArgumentError("--trace is not valid with --mode compare")
     for flag in ("tol_kkt", "tol_gauss", "max_epochs", "inner_cap", "workers"):
         if not getattr(ns, flag) > 0:
             raise _ArgumentError(f"--{flag.replace('_', '-')} must be positive")

@@ -14,6 +14,7 @@ boundary primal/dual values; internal states never leave their owner.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import time
@@ -188,35 +189,19 @@ class Coordinator:
         return ext
 
     def _solve_one(self, sub: Subproblem):
-        capped = bool(self.torn)
-        start = sub.state.iterations if sub.state is not None else 0
-
-        def attempt(warm):
-            try:
-                return pdip.solve_subproblem(sub.problem,
-                                             self._external_of(sub),
-                                             self.opts, warm=warm,
-                                             capped=capped)
-            except pdip.SolveFailure as exc:
-                log.error("subproblem '%s': %s", sub.name, exc)
-                return None, "failed"
-
-        state, status = attempt(sub.state)
-        if status == "failed" and sub.state is not None:
-            # a boundary jump can strand a warm start; restart cold once
-            log.warning("subproblem '%s': warm start failed, restarting cold",
-                        sub.name)
-            start = 0
-            state, status = attempt(None)
-        used = state.iterations - start if state is not None else 0
+        state, status, used = pdip.solve_warm_or_cold(
+            lambda warm: pdip.solve_subproblem(
+                sub.problem, self._external_of(sub), self.opts, warm=warm,
+                capped=bool(self.torn)),
+            sub.state, f"subproblem '{sub.name}'")
         return sub.name, state, status, used
 
-    def run_epoch(self, epoch: int) -> EpochRecord:
-        if self.workers == 1 or len(self.subs) == 1:
+    def run_epoch(self, epoch: int, pool=None) -> EpochRecord:
+        """One epoch; with ``pool`` (an executor) the cells solve on it."""
+        if pool is None:
             results = [self._solve_one(s) for s in self.subs]
         else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(self._solve_one, self.subs))
+            results = list(pool.map(self._solve_one, self.subs))
         inner = {}
         for name, state, status, used in sorted(results, key=lambda r: r[0]):
             sub = self.by_name[name]
@@ -243,10 +228,13 @@ class Coordinator:
     def run(self):
         t0 = time.perf_counter()
         status = "epoch-budget-exhausted"
-        trace_fh = open(self.trace_path, "w") if self.trace_path else None
-        try:
+        with contextlib.ExitStack() as stack:
+            trace_fh = (stack.enter_context(open(self.trace_path, "w"))
+                        if self.trace_path else None)
+            pool = (stack.enter_context(ThreadPoolExecutor(self.workers))
+                    if self.workers > 1 and len(self.subs) > 1 else None)
             for epoch in range(1, self.max_epochs + 1):
-                rec = self.run_epoch(epoch)
+                rec = self.run_epoch(epoch, pool)
                 if trace_fh:
                     trace_fh.write(json.dumps(
                         {"type": "epoch", "epoch": epoch, "metric": rec.metric,
@@ -266,9 +254,6 @@ class Coordinator:
                     log.error("boundary exchange diverging; stopping")
                     status = "diverged"
                     break
-        finally:
-            if trace_fh:
-                trace_fh.close()
         wall = time.perf_counter() - t0
         return self._report(status, wall)
 

@@ -3,22 +3,24 @@
 Solves ``min f(x)  s.t.  c(x) = 0,  g(x) <= 0`` for any problem object
 exposing the :class:`~gridweld.ecf.CircuitProblem` evaluation surface
 (``objective/grad_objective``, ``residual_eq/jac_eq``,
-``residual_in/jac_in``, ``hess_lagrangian``, ``x0``; ``interior_ok`` is
-optional).  Complementarity is relaxed to ``mu * (-g) = eps`` and the
-perturbation is driven to a floor on a monotone schedule; each step solves
-the full unreduced Newton system
+``residual_in/jac_in``, ``hess_lagrangian``, ``interior_ok``, ``x0``).
+Complementarity is relaxed to ``mu * (-g) = eps`` and the perturbation is
+driven to a floor on a monotone schedule; each step solves the full
+unreduced Newton system
 
-    [ W        Jc^T   Jg^T   ] [dx  ]     [ r_x ]
-    [ Jc       0      0      ] [dlam] = - [ r_c ]
-    [ -M Jg    0      -G     ] [dmu ]     [ r_m ]
+    [ W + delta*I  Jc^T   Jg^T   ] [dx  ]     [ r_x ]
+    [ Jc           0      0      ] [dlam] = - [ r_c ]
+    [ -M Jg        0      -G     ] [dmu ]     [ r_m ]
 
-with a direct sparse factorization, fraction-to-boundary step caps, an
-Armijo backtracking line search on an L1-penalty merit function, and
-inertia correction by growing multiples of the identity on W.  Each
-iterate's ``f``, ``c``, ``g``, gradient and Jacobians are evaluated once and
-every use reads them from there: on small cells the Jacobian builds are
-the main per-step cost besides the KKT matrix and its factorization, so a
-step builds each Jacobian once rather than once for each use.
+with a direct sparse factorization, fraction-to-boundary step caps and an
+Armijo backtracking line search on an L1-penalty merit function.  One loop
+picks ``delta``: 0, then 1e-8 growing tenfold to 1e4, moving on while the
+factor is singular or not finite or the step is no descent direction of
+the merit; past 1e4 the solve fails.  Each iterate's ``f``, ``c``, ``g``,
+gradient and Jacobians are evaluated once and every use reads them from
+there: on small cells the Jacobian builds are the main per-step cost
+besides the KKT matrix and its factorization, so a step builds each
+Jacobian once rather than once for each use.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ import scipy.sparse.linalg as spla
 
 log = logging.getLogger("gridweld.pdip")
 
+TAU_BOUNDARY = 0.995       # fraction-to-boundary
+MAX_BACKTRACKS = 40
+DELTA_FIRST = 1e-8         # first nonzero regularization delta on W
+DELTA_MAX = 1e4
+
 
 @dataclass
 class SolverOptions:
@@ -41,19 +48,12 @@ class SolverOptions:
     barrier_initial: float = 0.1
     barrier_decrease: float = 0.1
     barrier_floor: float = 1e-9
-    tau_boundary: float = 0.995        # fraction-to-boundary
     inner_cap: int = 50                # per-epoch Newton cap in distributed mode
-    max_backtracks: int = 40
-    inertia_delta0: float = 1e-8
-    inertia_delta_max: float = 1e4
     barrier_progress: float = 10.0     # decrease eps once residual <= this * eps
 
     def __post_init__(self):
-        if not (0.0 < self.tau_boundary < 1.0):
-            raise ValueError("tau_boundary must lie in (0, 1)")
         for name in ("kkt_tolerance", "max_iterations", "barrier_initial",
-                     "barrier_decrease", "barrier_floor", "inner_cap",
-                     "max_backtracks"):
+                     "barrier_decrease", "barrier_floor", "inner_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -208,27 +208,18 @@ class NewtonSystem:
         return sp.bmat(blocks, format="csc")
 
 
-def newton_step(system: NewtonSystem, opts: SolverOptions | None = None,
-                delta: float = 0.0):
-    """Direct solve of the Newton system, growing delta*I on W if needed.
+def newton_step(system: NewtonSystem, delta: float = 0.0):
+    """One factorization and solve of the Newton system with ``delta*I`` on W.
 
-    Returns (dx, dlam, dmu, delta_used).  Raises :class:`SolveFailure` once
-    the inertia-correction cap is exceeded.
+    Returns (dx, dlam, dmu), or None when the matrix is singular or the
+    solution is not finite.
     """
-    opts = opts or SolverOptions()
-    while True:
-        try:
-            Y = system.matrix(delta)
-            lu = spla.splu(Y)
-            v = lu.solve(system.rhs)
-            if np.all(np.isfinite(v)):
-                n, me = system.n, system.me
-                return (v[:n], v[n:n + me], v[n + me:], delta)
-        except RuntimeError:
-            pass
-        delta = opts.inertia_delta0 if delta == 0.0 else delta * 10.0
-        if delta > opts.inertia_delta_max:
-            raise SolveFailure("inertia correction exceeded its cap")
+    try:
+        v = spla.splu(system.matrix(delta)).solve(system.rhs)
+    except RuntimeError:
+        return None
+    n, me = system.n, system.me
+    return (v[:n], v[n:n + me], v[n + me:]) if np.all(np.isfinite(v)) else None
 
 
 def solve_nlp(problem, opts: SolverOptions | None = None,
@@ -255,7 +246,6 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         state = KktState(x=point.x, lam=np.zeros(problem.n_eq), mu=mu, eps=eps)
 
     nu = 1.0
-    tau = opts.tau_boundary
     for it in range(budget + 1):
         res = assemble_kkt(problem, state, point)
         if res.converged(opts) and state.eps <= opts.barrier_floor * (1 + 1e-9):
@@ -279,14 +269,17 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             grad_barrier = grad_barrier + state.eps * (system.Jg.T @ (1.0 / (-system.g)))
         flat = 1e-10 * (1.0 + abs(point.f))
         delta = 0.0
-        for _attempt in range(60):
-            dx, dlam, dmu, delta = newton_step(system, opts, delta)
-            nu = max(nu, 1.1 * float(np.max(np.abs(state.lam + dlam), initial=0.0)) + 0.1)
-            dphi = float(grad_barrier @ dx) - nu * point.c_norm
-            if dphi < 0.0 or dphi <= flat:
-                break
-            delta = opts.inertia_delta0 if delta == 0.0 else delta * 10.0
-            if delta > opts.inertia_delta_max:
+        while True:
+            step = newton_step(system, delta)
+            if step is not None:
+                dx, dlam, dmu = step
+                nu = max(nu, 1.1 * float(np.max(np.abs(state.lam + dlam), initial=0.0)) + 0.1)
+                dphi = float(grad_barrier @ dx) - nu * point.c_norm
+                if dphi <= flat:
+                    break
+            # singular or non-finite factor, or no descent: regularize W more
+            delta = DELTA_FIRST if delta == 0.0 else delta * 10.0
+            if delta > DELTA_MAX:
                 state.iterations += it
                 return state, "failed"
         alpha_max = alpha_mu = 1.0
@@ -295,11 +288,12 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             ds = -(system.Jg @ dx)
             shrink = ds < 0.0
             if shrink.any():
-                alpha_max = min(1.0, float(np.min(tau * s[shrink] / (-ds[shrink]))))
+                alpha_max = min(1.0, float(np.min(
+                    TAU_BOUNDARY * s[shrink] / (-ds[shrink]))))
             dmu_neg = dmu < 0.0
             if dmu_neg.any():
                 alpha_mu = min(1.0, float(np.min(
-                    tau * state.mu[dmu_neg] / (-dmu[dmu_neg]))))
+                    TAU_BOUNDARY * state.mu[dmu_neg] / (-dmu[dmu_neg]))))
 
         phi0 = point.merit(state.eps, nu)
         kkt0 = max(res.stationarity, res.feasibility, res.complementarity)
@@ -307,10 +301,9 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             1e-12 * (1.0 + float(np.max(np.abs(state.x))))
         alpha = alpha_max
         accepted = False
-        for _bt in range(opts.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             x_new = state.x + alpha * dx
-            ok = problem.interior_ok(x_new) if hasattr(problem, "interior_ok") else True
-            if ok:
+            if problem.interior_ok(x_new):
                 trial = _Point(problem, x_new)
                 phi = trial.merit(state.eps, nu)
                 if dual_only or phi <= phi0 + 1e-4 * alpha * dphi:
@@ -340,11 +333,6 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         state.lam = state.lam + alpha * dlam
         if system.mi:
             state.mu = np.maximum(state.mu + alpha_mu * dmu, 1e-300)
-            # keep multipliers commensurate with the barrier (re-centering clip)
-            s = -point.g
-            lo = state.eps / (1e10 * s)
-            hi = 1e10 * state.eps / s
-            state.mu = np.clip(state.mu, lo, hi)
         if trace is not None:
             trace.append(IterRecord(iteration=it, eps=state.eps,
                                     kkt=kkt0, alpha=alpha,
@@ -398,3 +386,27 @@ def solve_subproblem(problem, external: dict | None = None,
             problem.set_params(name, values)
     budget = opts.inner_cap if capped else None
     return solve_nlp(problem, opts, warm=warm, newton_budget=budget, trace=trace)
+
+
+def solve_warm_or_cold(solve, warm: KktState | None, label: str):
+    """``solve(warm) -> (state, status)``, restarted cold once if it fails.
+
+    A jump in the exchange parameters can strand a warm start; a cold start
+    from ``x0`` drops its history.  A :class:`SolveFailure` is logged under
+    ``label`` and reads as ``(None, 'failed')``.  Returns ``(state, status,
+    steps)``, ``steps`` being the Newton steps of the last attempt.
+    """
+    def attempt(w):
+        start = w.iterations if w is not None else 0   # solve_nlp resumes w
+        try:
+            state, status = solve(w)
+        except SolveFailure as exc:
+            log.error("%s: %s", label, exc)
+            return None, "failed", 0
+        return state, status, state.iterations - start
+
+    result = attempt(warm)
+    if result[1] == "failed" and warm is not None:
+        log.warning("%s: warm start failed, restarting cold", label)
+        result = attempt(None)
+    return result

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridweld import admm, gjn
+from gridweld import admm, gjn, pdip
 from gridweld.netmodel import load_partition
 from gridweld.pdip import solve_centralized
 
@@ -80,3 +80,43 @@ def test_budget_exhaustion_reported_as_dash_in_comparison():
     assert row["objective"] is None
     table = gjn.format_comparison([row], "case")
     assert "—" in table
+
+
+def _failing_warm_solves(monkeypatch, fail_cold):
+    """Make the first warm x-update raise; with ``fail_cold`` every later
+    call raises too.  Returns the list of calls as (warm given, raised)."""
+    original = pdip.solve_nlp
+    calls = []
+
+    def flaky(problem, opts=None, warm=None, **kw):
+        failed_before = any(r for _, r in calls)
+        raised = ((warm is not None and not failed_before)
+                  or (fail_cold and failed_before))
+        calls.append((warm is not None, raised))
+        if raised:
+            raise pdip.SolveFailure("forced")
+        return original(problem, opts, warm=warm, **kw)
+    monkeypatch.setattr(pdip, "solve_nlp", flaky)
+    return calls
+
+
+def test_failed_warm_x_update_restarts_cold(monkeypatch):
+    calls = _failing_warm_solves(monkeypatch, fail_cold=False)
+    nets, coups = load("case_micro_td")
+    rep = admm.admm_solve(nets, coups, source_kind="current", norm="l2",
+                          tol=1e-6)
+    first = calls.index((True, True))
+    assert calls[first + 1] == (False, False)      # the cold restart
+    assert rep.status == "converged"
+    assert rep.objective < 1e-8
+
+
+def test_failed_cold_restart_ends_run_with_report(monkeypatch):
+    _failing_warm_solves(monkeypatch, fail_cold=True)
+    nets, coups = load("case_micro_td")
+    rep = admm.admm_solve(nets, coups, source_kind="current", norm="l2",
+                          tol=1e-6)
+    assert rep.status == "failed"
+    assert rep.epochs == 2
+    row = gjn._mode_row("ADMM", rep, rep.epochs)
+    assert row["objective"] is None

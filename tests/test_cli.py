@@ -34,6 +34,16 @@ def test_invalid_combination_q_only_without_power(capsys):
     assert "q-only" in capsys.readouterr().err
 
 
+def test_invalid_combination_trace_with_compare(tmp_path, capsys):
+    # compare mode writes no trace, so asking for one is an input error
+    code = run_cli(["--case", case_path("case_micro_td"), "--mode", "compare",
+                    "--trace", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--trace" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag, value", [("--tol-kkt", "-1"),
                                          ("--tol-gauss", "0"),
                                          ("--max-epochs", "0"),

@@ -53,6 +53,9 @@ class ToyProblem:
     def hess_lagrangian(self, x, lam, mu):
         return self._hess(x, lam, mu)
 
+    def interior_ok(self, x):
+        return True
+
 
 def qp_x_ge_1():
     # min x^2  s.t.  x >= 1; optimum x = 1, multiplier 2
@@ -96,9 +99,8 @@ def test_newton_step_unconstrained_quadratic_is_exact():
                       x_start=[3.0])
     state = KktState(x=prob.x0(), lam=np.zeros(0), mu=np.zeros(0), eps=1e-9)
     system = NewtonSystem.build(prob, state)
-    dx, dlam, dmu, delta = newton_step(system)
+    dx, dlam, dmu = newton_step(system)
     assert dx[0] == pytest.approx(-3.0, abs=1e-14)
-    assert delta == 0.0
     state, status = solve_nlp(prob)
     assert status == "converged" and abs(state.x[0]) < 1e-10
 
@@ -126,7 +128,7 @@ def test_newton_step_matches_dense_oracle(rng):
     rhs = rng.standard_normal(n + me + mi)
     system = NewtonSystem(W=W, Jc=Jc, Jg=Jg, g=g, mu=mu, rhs=rhs,
                           n=n, me=me, mi=mi)
-    dx, dlam, dmu, _ = newton_step(system)
+    dx, dlam, dmu = newton_step(system)
     v = np.concatenate([dx, dlam, dmu])
     Y = system.matrix(0.0).toarray()
     assert np.max(np.abs(Y @ v - rhs)) < 1e-10
@@ -134,14 +136,39 @@ def test_newton_step_matches_dense_oracle(rng):
     assert np.max(np.abs(v - v_dense)) < 1e-8
 
 
-def test_newton_step_inertia_path_on_singular_system():
-    n = 3
-    system = NewtonSystem(W=sp.csr_matrix((n, n)), Jc=sp.csr_matrix((0, n)),
-                          Jg=sp.csr_matrix((0, n)), g=np.zeros(0),
-                          mu=np.zeros(0), rhs=np.ones(n), n=n, me=0, mi=0)
-    dx, _, _, delta = newton_step(system)
-    assert delta > 0.0
-    assert np.all(np.isfinite(dx))
+def test_non_descent_direction_retries_with_larger_delta():
+    # min -x^2/2 + x^4/4 from x = 0.3: W < 0 there, so the plain Newton step
+    # heads for the maximum at 0; a larger delta turns it into descent
+    prob = ToyProblem(
+        1, lambda x: float(-x[0] ** 2 / 2 + x[0] ** 4 / 4),
+        lambda x: -x + x ** 3,
+        lambda x, lam, mu: sp.csr_matrix(np.array([[3 * x[0] ** 2 - 1]])),
+        x_start=[0.3])
+    state, status = solve_nlp(prob)
+    assert status == "converged"
+    assert abs(state.x[0]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_singular_kkt_matrix_retries_with_larger_delta(monkeypatch):
+    # min x0 s.t. x0 >= 1; x1 appears nowhere, so its KKT column is zero
+    import gridweld.pdip as pdip
+    original, singular = pdip.newton_step, []
+
+    def counted(system, delta=0.0):
+        step = original(system, delta)
+        singular.append(step is None)
+        return step
+    monkeypatch.setattr(pdip, "newton_step", counted)
+    prob = ToyProblem(
+        2, lambda x: float(x[0]), lambda x: np.array([1.0, 0.0]),
+        lambda x, lam, mu: sp.csr_matrix((2, 2)),
+        g=lambda x: np.array([1.0 - x[0]]),
+        jg=lambda x: sp.csr_matrix(np.array([[-1.0, 0.0]])),
+        x_start=[3.0, 0.0])
+    state, status = solve_nlp(prob)
+    assert status == "converged"
+    assert state.x == pytest.approx([1.0, 0.0], abs=1e-7)
+    assert any(singular)
 
 
 def _oracle_state(prob, nets, pf):
@@ -357,7 +384,5 @@ def test_l1_gives_strictly_fewer_nonzero_buses_than_l2():
 
 
 def test_solver_options_validated():
-    with pytest.raises(ValueError):
-        SolverOptions(tau_boundary=1.5)
     with pytest.raises(ValueError):
         SolverOptions(kkt_tolerance=-1.0)
