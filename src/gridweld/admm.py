@@ -58,22 +58,25 @@ class ConsensusAgent:
         self.norm, self.source_kind = base.norm, base.source_kind
         self.q_only, self.sources = base.q_only, base.sources
         self.maps = base.maps
-        self._head_keys = []
-        eq_pad = sp.lil_matrix((self.n_eq, self.extra))
+        self._head_keys = [(port.key, base.nvar + 2 * i)
+                           for i, port in enumerate(head_ports)]
         self.copy_map: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.centers: dict[str, np.ndarray] = {}
         self.rho = 1.0
+        # the head phasors' Jacobian columns come from the head-voltage
+        # parameter columns; they are constant, so built once, only if those
+        # parameters enter linearly: no W_xp or W_pp entry in their columns
+        W_xp, W_pp, Jc_p, _ = base.param_derivatives(
+            self._sync(self.x0()), np.zeros(self.n_eq), np.zeros(self.n_in))
+        eq_pad = sp.lil_matrix((self.n_eq, self.extra))
         for i, port in enumerate(head_ports):
-            key = port.key
-            v1 = base.nvar + 2 * i
-            self._head_keys.append((key, v1))
+            key, v1 = self._head_keys[i]
             sl = base.param_slots[f"headv:{key}"]
-            if self._params_in_nonlinear(sl):
-                raise ValueError("feeder-head nonlinearities (loads or flow "
-                                 "limits at the coupling node) are not "
-                                 "supported in consensus mode")
-            eq_pad[:, 2 * i:2 * i + 2] = \
-                (base._B_eq[:, sl] @ sp.csr_matrix(_DIST)).tocsr()
+            if W_xp[:, sl].nnz or W_pp[:, sl].nnz:
+                raise ValueError("feeder-head nonlinearities (loads, flow "
+                                 "limits or sources at the coupling node) "
+                                 "are not supported in consensus mode")
+            eq_pad[:, 2 * i:2 * i + 2] = (Jc_p[:, sl] @ sp.csr_matrix(_DIST)).tocsr()
             idv = np.asarray(base.maps.port_dvar[key])
             cols = np.concatenate([[v1, v1 + 1], idv])
             C = np.zeros((4, 8))
@@ -81,7 +84,6 @@ class ConsensusAgent:
             C[2:, 2:] = _AGG / (3.0 * port.kappa)
             self.copy_map[key] = (cols, C)
             self.centers[key] = np.array([1.0, 0.0, 0.0, 0.0])
-        # Jacobian columns of the head phasors: constant, so built once
         self._eq_pad = eq_pad.tocsr()
         self._in_pad = sp.csr_matrix((self.n_in, self.extra))
         for port in free_ports:
@@ -96,19 +98,6 @@ class ConsensusAgent:
         self._pen_rows = [np.repeat(idx, len(idx)) for idx, _ in blocks]
         self._pen_cols = [np.tile(idx, len(idx)) for idx, _ in blocks]
         self._pen_blocks = [(C.T @ C).ravel() for _, C in blocks]
-
-    def _params_in_nonlinear(self, sl) -> bool:
-        h = self.base._h
-        for slot in ("iu", "iv"):
-            if len(h.get(slot, ())):
-                pidx = -h[slot][h[slot] < 0] - 1
-                if np.any((pidx >= sl.start) & (pidx < sl.stop)):
-                    return True
-        for fr in self.base._flows:
-            pidx = -fr["slots"][fr["slots"] < 0] - 1
-            if np.any((pidx >= sl.start) & (pidx < sl.stop)):
-                return True
-        return False
 
     # -- state sync ------------------------------------------------------------
 

@@ -22,6 +22,16 @@ State vector ordering (fixed, relied on by tests and warm starts):
    provides;
 6. infeasibility source components per eligible (bus, phase);
 7. epigraph auxiliaries, one per source component (L1 objective only).
+
+Every row is evaluated over ``z = [x; params; 0]``: exchange parameter
+``j`` is column ``nvar + j`` and an absent slot points at the trailing zero.
+A row is a linear part, stamped once on z columns, plus at most one
+nonlinear element of three types: current injections (constant-power
+devices and power-kind sources), squared magnitudes (PV pins, voltage
+bounds, branch-flow limits) and bilinear admittance sources.  Each type
+gives its values, Jacobian entries and Hessian entries over z with index
+arrays fixed at build time; the x columns feed the solver and the
+parameter columns feed :meth:`CircuitProblem.param_derivatives`.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ from .netmodel import Network, Partition
 DELTA_V = 1e-4
 
 SOURCE_KINDS = ("current", "power", "admittance")
+#: flat-start voltage angle per phase
+_FLAT = {"a": 0.0, "b": -2 * np.pi / 3, "c": 2 * np.pi / 3, "1": 0.0}
 _SOURCE_COMPONENTS = {"current": ("ir", "ii"), "power": ("p", "q"),
                       "admittance": ("g", "b")}
 
@@ -124,25 +136,188 @@ def partition_cells(nets, couplings, partition: Partition, t_mode: str):
     return cells, torn
 
 
-def _slot_is_param(slot: int) -> bool:
-    return slot < 0
+# ---------------------------------------------------------------------------
+# nonlinear element types
 
 
-def _param_index(slot: int) -> int:
-    return -slot - 1
+class _Injection:
+    """Current-injection rows ``-(a*u + b*v)/(u^2 + v^2)``.
+
+    ``(u, v)`` is a bus voltage; ``a = a0 + sa*z[ia]`` and ``b = b0 + z[ib]``
+    are the active and reactive power of a constant-power device or of a
+    power-kind source.  One spec per row: ``(row, iu, iv, ia, ib, a0, sa,
+    b0)``.
+    """
+
+    def __init__(self, specs):
+        s = np.array(specs, dtype=float).reshape(-1, 8)
+        self.rows, iu, iv, ia, ib = s[:, :5].T.astype(int)
+        self.iu, self.iv, self.ia, self.ib = iu, iv, ia, ib
+        self.a0, self.sa, self.b0 = s[:, 5:].T
+        self.jac_rows = np.concatenate([self.rows] * 4)
+        self.jac_cols = np.concatenate([iu, iv, ia, ib])
+        self.pairs = [(iu, iu), (iu, iv), (iv, iv), (iu, ia), (iu, ib),
+                      (iv, ia), (iv, ib)]
+
+    def _parts(self, z):
+        u, v = z[self.iu], z[self.iv]
+        a = self.a0 + self.sa * z[self.ia]
+        b = self.b0 + z[self.ib]
+        return u, v, a, b, u * u + v * v, a * u + b * v
+
+    def values(self, z):
+        u, v, a, b, d, g = self._parts(z)
+        return -g / d
+
+    def jac_values(self, z):
+        u, v, a, b, d, g = self._parts(z)
+        return np.concatenate([-(a / d - 2 * u * g / d ** 2),
+                               -(b / d - 2 * v * g / d ** 2),
+                               -self.sa * u / d, -v / d])
+
+    def hess_values(self, z, lam):
+        u, v, a, b, d, g = self._parts(z)
+        w = -lam[self.rows]
+        d2, d3 = d ** 2, d ** 3
+        hub = -2 * u * v / d2
+        return np.concatenate([
+            w * (-4 * a * u / d2 - 2 * g / d2 + 8 * u * u * g / d3),
+            w * (-2 * (a * v + b * u) / d2 + 8 * u * v * g / d3),
+            w * (-4 * b * v / d2 - 2 * g / d2 + 8 * v * v * g / d3),
+            w * self.sa * (1 / d - 2 * u * u / d2), w * hub,
+            w * self.sa * hub, w * (1 / d - 2 * v * v / d2)])
+
+
+class _SquaredMagnitude:
+    """Rows ``sign*((cR.z)^2 + (cI.z)^2) + const``.
+
+    A voltage-magnitude pin or bound is such a row over ``(u, v)`` with
+    ``cR = (1, 0)`` and ``cI = (0, 1)``; a branch-flow limit takes the real
+    and imaginary parts of the branch current.  Rows come in blocks
+    ``(rows, sign, const, cols, cR, cI)`` with ``(m, k)`` coefficient
+    arrays.  Within a block the terms and the Hessian pairs run position by
+    position over its rows, and the block is one Hessian group; pairs whose
+    coefficient ``cR_a cR_b + cI_a cI_b`` is zero are left out.
+    """
+
+    def __init__(self, blocks):
+        self.rows, self.sign, self.const = (
+            np.concatenate([blk[i] for blk in blocks]) for i in range(3))
+        self.jac_cols, self._c_r, self._c_i = (
+            np.concatenate([blk[i].T.ravel() for blk in blocks]) for i in range(3, 6))
+        of, p_of, coef, self.pairs = [], [], [], []
+        n = 0
+        for _, _, _, bcols, b_r, b_i in blocks:
+            m, k = bcols.shape
+            of.append(n + np.arange(m * k) % m)
+            a, b = np.array([(i, j) for i in range(k) for j in range(i, k)]).T
+            c = (b_r[:, a] * b_r[:, b] + b_i[:, a] * b_i[:, b]).T
+            pk, rk = np.nonzero(c)
+            self.pairs.append((bcols[rk, a[pk]], bcols[rk, b[pk]]))
+            p_of.append(n + rk)
+            coef.append(c[pk, rk])
+            n += m
+        self._of, self._p_of, self._coef = (np.concatenate(a) for a in (of, p_of, coef))
+        self.jac_rows = self.rows[self._of]
+
+    def _components(self, z):
+        zt = z[self.jac_cols]
+        n = len(self.rows)
+        return (np.bincount(self._of, self._c_r * zt, n),
+                np.bincount(self._of, self._c_i * zt, n))
+
+    def values(self, z):
+        cr, ci = self._components(z)
+        return self.sign * (cr * cr + ci * ci) + self.const
+
+    def jac_values(self, z):
+        cr, ci = self._components(z)
+        t = self._of
+        return self.sign[t] * (2 * cr[t] * self._c_r + 2 * ci[t] * self._c_i)
+
+    def hess_values(self, z, mult):
+        w = mult[self.rows] * self.sign
+        return 2 * w[self._p_of] * self._coef
+
+
+class _Admittance:
+    """Row pairs ``-(G u - B v)`` and ``-(G v + B u)``: an admittance-kind
+    source ``(G, B) = (z[ig], z[ib])`` drawing current at ``(u, v)``.  One
+    spec per source: ``(row_r, row_i, iu, iv, ig, ib)``."""
+
+    def __init__(self, specs):
+        rr, ri, iu, iv, ig, ib = np.array(specs, dtype=int).reshape(-1, 6).T
+        self.row_r, self.row_i, self.iu, self.iv, self.ig, self.ib = rr, ri, iu, iv, ig, ib
+        self.rows = np.concatenate([rr, ri])
+        self.jac_rows = np.concatenate([rr, rr, ri, ri, rr, ri, rr, ri])
+        self.jac_cols = np.concatenate([ig, ib, ig, ib, iu, iu, iv, iv])
+        self.pairs = [(iu, ig), (iu, ib), (iv, ib), (iv, ig)]
+
+    def _parts(self, z):
+        return z[self.iu], z[self.iv], z[self.ig], z[self.ib]
+
+    def values(self, z):
+        u, v, gs, bs = self._parts(z)
+        return np.concatenate([-(gs * u - bs * v), -(gs * v + bs * u)])
+
+    def jac_values(self, z):
+        u, v, gs, bs = self._parts(z)
+        return np.concatenate([-u, v, -v, -u, -gs, -bs, bs, -gs])
+
+    def hess_values(self, z, lam):
+        wr, wi = lam[self.row_r], lam[self.row_i]
+        return np.concatenate([-wr, -wi, wr, -wi])
+
+
+def _voltage_block(specs):
+    """``|V|^2`` rows ``(row, iu, iv, sign, const)`` as one squared-magnitude block."""
+    s = np.array(specs, dtype=float).reshape(-1, 5)
+    m = len(s)
+    return (s[:, 0].astype(int), s[:, 3], s[:, 4], s[:, 1:3].astype(int),
+            np.zeros((m, 2)) + (1.0, 0.0), np.zeros((m, 2)) + (0.0, 1.0))
+
+
+def _select(src, rows, cols, keep, row0=0, col0=0):
+    """The ``keep`` entries of a fixed scatter ``vals[src] -> (rows, cols)``."""
+    keep = np.flatnonzero(keep)
+    return src[keep], rows[keep] - row0, cols[keep] - col0
+
+
+class _FixedCSR:
+    """A CSR pattern fixed at build time from the entries ``vals[src] ->
+    (rows, cols)``; each call scatters new values into it, keeping every
+    entry (duplicates included), so the pattern depends on the build only."""
+
+    def __init__(self, src, rows, cols, shape):
+        order = np.lexsort((cols, rows))
+        # int32, the index type scipy picks at these sizes, spares its
+        # per-call scan of the index arrays
+        self.src, self.indices = src[order], cols[order].astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=shape[0]))]).astype(np.int32)
+        self.shape = shape
+
+    def __call__(self, vals):
+        return sp.csr_matrix((vals[self.src], self.indices, self.indptr), shape=self.shape)
+
+
+# ---------------------------------------------------------------------------
+# assembled problem
 
 
 class CircuitProblem:
     """Residuals, Jacobians and Lagrangian Hessian of one assembled problem.
 
-    Equality residuals have the form ``A_eq x + B_eq p + b_eq + nl(x, p)``
-    with ``p`` the exchange-parameter vector; inequalities follow the same
-    split.  The Jacobian sparsity pattern is fixed after assembly.
+    Every row is evaluated over ``z = [x; params; 0]``: a linear part
+    stamped on z columns plus the nonlinear element rows.  ``residual_*``,
+    ``jac_*`` and ``hess_lagrangian`` read the x columns,
+    :meth:`param_derivatives` the parameter columns.  The sparsity
+    patterns are fixed after assembly.
     """
 
     def __init__(self, builder: "_Builder"):
         b = builder
-        self.nvar = b.nvar
+        self.nvar = nx = b.nvar
         self.n_eq = b.n_eq
         self.n_in = b.n_in
         self.nets = b.nets
@@ -157,33 +332,78 @@ class CircuitProblem:
         self.eq_label = b.eq_label
         self.in_label = b.in_label
         self.param_slots: dict[str, slice] = b.param_slots
-        self.n_param = b.n_param
+        self.n_param = npar = b.n_param
         self.params = np.zeros(b.n_param)
         self.maps = b.maps
 
-        self._A_eq = sp.csr_matrix(
-            (b.eq_vals, (b.eq_rows, b.eq_cols)), shape=(self.n_eq, self.nvar))
-        self._B_eq = sp.csr_matrix(
-            (b.eqp_vals, (b.eqp_rows, b.eqp_cols)), shape=(self.n_eq, max(b.n_param, 1)))
+        # linear equality part [A | B] over z, split by column
+        rows, cols = (np.asarray(a, dtype=int) for a in (b.eq_rows, b.eq_cols))
+        vals = np.asarray(b.eq_vals, dtype=float)
+        on_x = cols < nx
+        self._A_eq = sp.csr_matrix((vals[on_x], (rows[on_x], cols[on_x])),
+                                   shape=(self.n_eq, nx))
+        self._B_eq = sp.csr_matrix((vals[~on_x], (rows[~on_x], cols[~on_x] - nx)),
+                                   shape=(self.n_eq, npar))
         self._b_eq = np.zeros(self.n_eq)
         np.add.at(self._b_eq, b.eqc_rows, b.eqc_vals)
         self._A_in = sp.csr_matrix(
-            (b.in_vals, (b.in_rows, b.in_cols)), shape=(self.n_in, self.nvar))
+            (b.in_vals, (b.in_rows, b.in_cols)), shape=(self.n_in, nx))
         self._b_in = np.zeros(self.n_in)
         np.add.at(self._b_in, b.inc_rows, b.inc_vals)
 
-        # h-family instances (current-injection style nonlinearities)
-        self._h = {k: np.asarray(v) for k, v in b.h_arrays().items()}
-        self._pv = {k: np.asarray(v) for k, v in b.pv_arrays().items()}
-        self._vmag = {k: np.asarray(v) for k, v in b.vmag_arrays().items()}
-        self._adm = {k: np.asarray(v) for k, v in b.adm_arrays().items()}
-        self._flows = b.flow_rows
+        self._inj = _Injection(b.inj)
+        self._eq = [self._inj] + (
+            [_SquaredMagnitude([_voltage_block(b.pv)])] if b.pv else []) + (
+            [_Admittance(b.adm)] if b.adm else [])
+        self._in = [_SquaredMagnitude([_voltage_block(b.vmag)] + b.flows)]
         self._src_idx = np.array([i for s in self.sources for i in s.var_index],
                                  dtype=int)
         self._epi_idx = np.asarray(b.epi_idx, dtype=int)
         self._price_pairs = np.asarray(b.price_pairs, dtype=int).reshape(-1, 2)
         self._x0 = np.asarray(b.x0_vals)
-        self._guard_uv = np.asarray(b.guard_uv, dtype=int).reshape(-1, 2)
+
+        def on_p(c):
+            return (c >= nx) & (c < nx + npar)
+
+        # Jacobian entries, split into x and parameter columns
+        def jac_entries(elems, n_rows, b_rows, b_cols):
+            """x entries, and the fixed parameter block that also holds the
+            linear entries at ``(b_rows, b_cols)`` (their values follow the
+            element values)."""
+            rows, cols = (np.concatenate([getattr(e, k) for e in elems])
+                          for k in ("jac_rows", "jac_cols"))
+            src = np.arange(len(rows) + len(b_rows))
+            src_p, rows_p, cols_p = _select(src, rows, cols, on_p(cols), col0=nx)
+            return (_select(src, rows, cols, cols < nx), _FixedCSR(
+                np.concatenate([src[len(rows):], src_p]), np.concatenate([b_rows, rows_p]),
+                np.concatenate([b_cols, cols_p]), (n_rows, npar)))
+        B = self._B_eq
+        self._jac_eq = jac_entries(self._eq, self.n_eq, np.repeat(
+            np.arange(self.n_eq), np.diff(B.indptr)), B.indices)
+        self._jac_in = jac_entries(self._in, self.n_in, *np.zeros((2, 0), int))
+
+        # Lagrangian Hessian pairs in emission order: the objective (L2
+        # squares, then the bilinear price terms), then each element group.
+        # A group emits its pairs, then the mirror images of its off-diagonal
+        # pairs.  The order fixes how duplicate entries sum, and so the
+        # rounding of W; W drops exact zeros, the parameter blocks keep them.
+        groups = [(self._src_idx, self._src_idx)] if self.norm == "l2" else []
+        groups.append((self._price_pairs[:, 0], nx + self._price_pairs[:, 1]))
+        self._obj_hess = np.ones(sum(len(i) for i, _ in groups))
+        groups += [g for e in self._eq + self._in for g in e.pairs]
+        pi, pj = (np.concatenate([g[k] for g in groups]) for k in (0, 1))
+        gid = np.repeat(np.arange(len(groups)), [len(i) for i, _ in groups])
+        src = np.concatenate([np.arange(len(pi)), np.flatnonzero(pi != pj)])
+        mirror = np.arange(len(src)) >= len(pi)
+        order = np.lexsort((mirror, gid[src]))
+        src, mirror = src[order], mirror[order]
+        rows = np.where(mirror, pj[src], pi[src])
+        cols = np.where(mirror, pi[src], pj[src])
+        self._hess_xx = _select(src, rows, cols, (rows < nx) & (cols < nx))
+        self._hess_xp = _FixedCSR(*_select(src, rows, cols, (rows < nx) & on_p(cols),
+                                           col0=nx), (nx, npar))
+        self._hess_pp = _FixedCSR(*_select(src, rows, cols, on_p(rows) & on_p(cols),
+                                           nx, nx), (npar, npar))
 
     # -- parameter handling ------------------------------------------------
 
@@ -194,28 +414,37 @@ class CircuitProblem:
         return self.params[self.param_slots[name]].copy()
 
     def x0(self) -> np.ndarray:
-        x = self._x0.copy()
-        if len(self._epi_idx):
-            x[self._epi_idx] = 0.1
-        return x
+        return self._x0.copy()
 
-    # -- gather helpers ----------------------------------------------------
+    # -- evaluation over z ---------------------------------------------------
 
-    def _gather(self, x, slots):
-        slots = np.asarray(slots, dtype=int)
-        out = np.empty(len(slots))
-        var = slots >= 0
-        out[var] = x[slots[var]]
-        out[~var] = self.params[-slots[~var] - 1]
-        return out
+    def _z(self, x):
+        return np.concatenate([x, self.params, [0.0]])
+
+    def _jac_values(self, elems, z):
+        return np.concatenate([e.jac_values(z) for e in elems])
+
+    def _hess_values(self, z, lam, mu):
+        return np.concatenate([self._obj_hess]
+                              + [e.hess_values(z, lam) for e in self._eq]
+                              + [e.hess_values(z, mu) for e in self._in])
+
+    def _residual(self, r, elems, x):
+        z = self._z(x)
+        for e in elems:
+            np.add.at(r, e.rows, e.values(z))
+        return r
+
+    def _jacobian(self, A, elems, entries, x):
+        src, rows, cols = entries
+        vals = self._jac_values(elems, self._z(x))[src]
+        return A + sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
 
     def interior_ok(self, x) -> bool:
         """Voltage-magnitude guard for all current-injection denominators."""
-        if not len(self._guard_uv):
-            return True
-        u = self._gather(x, self._guard_uv[:, 0])
-        v = self._gather(x, self._guard_uv[:, 1])
-        return bool(np.min(u * u + v * v) >= DELTA_V)
+        z = self._z(x)
+        u, v = z[self._inj.iu], z[self._inj.iv]
+        return bool(np.min(u * u + v * v, initial=np.inf) >= DELTA_V)
 
     # -- objective ----------------------------------------------------------
 
@@ -226,9 +455,7 @@ class CircuitProblem:
             f += 0.5 * float(s @ s)
         elif self.norm == "l1" and len(self._epi_idx):
             f += float(x[self._epi_idx].sum())
-        if len(self._price_pairs):
-            f += float(self.params[self._price_pairs[:, 1]] @ x[self._price_pairs[:, 0]])
-        return f
+        return f + float(self.params[self._price_pairs[:, 1]] @ x[self._price_pairs[:, 0]])
 
     def grad_objective(self, x) -> np.ndarray:
         g = np.zeros(self.nvar)
@@ -236,8 +463,7 @@ class CircuitProblem:
             g[self._src_idx] = x[self._src_idx]
         elif self.norm == "l1" and len(self._epi_idx):
             g[self._epi_idx] = 1.0
-        if len(self._price_pairs):
-            np.add.at(g, self._price_pairs[:, 0], self.params[self._price_pairs[:, 1]])
+        np.add.at(g, self._price_pairs[:, 0], self.params[self._price_pairs[:, 1]])
         return g
 
     def source_values(self, x) -> np.ndarray:
@@ -250,142 +476,49 @@ class CircuitProblem:
             return 0.5 * float(s @ s)
         return float(np.abs(s).sum())
 
-    # -- equalities ----------------------------------------------------------
-
-    def _h_parts(self, x):
-        h = self._h
-        if not len(h["row"]):
-            return None
-        u = self._gather(x, h["iu"])
-        v = self._gather(x, h["iv"])
-        a = h["a0"].copy()
-        mask = h["ia"] >= 0
-        a[mask] += h["sa"][mask] * x[h["ia"][mask]]
-        bb = h["b0"].copy()
-        maskb = h["ib"] >= 0
-        bb[maskb] += h["sb"][maskb] * x[h["ib"][maskb]]
-        d = u * u + v * v
-        g = a * u + bb * v
-        return u, v, a, bb, d, g
+    # -- constraints ---------------------------------------------------------
 
     def residual_eq(self, x) -> np.ndarray:
         r = self._A_eq @ x + self._b_eq
         if self.n_param:
             r += self._B_eq @ self.params
-        parts = self._h_parts(x)
-        if parts is not None:
-            u, v, a, bb, d, g = parts
-            np.add.at(r, self._h["row"], self._h["sigma"] * g / d)
-        if len(self._pv["row"]):
-            u = self._gather(x, self._pv["iu"])
-            v = self._gather(x, self._pv["iv"])
-            np.add.at(r, self._pv["row"], u * u + v * v + self._pv["const"])
-        if len(self._adm["row_r"]):
-            u = self._gather(x, self._adm["iu"])
-            v = self._gather(x, self._adm["iv"])
-            gs, bs = x[self._adm["ig"]], x[self._adm["ib"]]
-            np.add.at(r, self._adm["row_r"], -(gs * u - bs * v))
-            np.add.at(r, self._adm["row_i"], -(gs * v + bs * u))
-        return r
+        return self._residual(r, self._eq, x)
 
     def jac_eq(self, x) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        parts = self._h_parts(x)
-        if parts is not None:
-            u, v, a, bb, d, g = parts
-            h = self._h
-            sig = h["sigma"]
-            hu = sig * (a / d - 2 * u * g / d ** 2)
-            hv = sig * (bb / d - 2 * v * g / d ** 2)
-            for slot, val in (("iu", hu), ("iv", hv)):
-                mask = h[slot] >= 0
-                rows.append(h["row"][mask])
-                cols.append(h[slot][mask])
-                vals.append(val[mask])
-            for slot, sgn, comp in (("ia", h["sa"], u), ("ib", h["sb"], v)):
-                mask = h[slot] >= 0
-                rows.append(h["row"][mask])
-                cols.append(h[slot][mask])
-                vals.append(sig[mask] * sgn[mask] * comp[mask] / d[mask])
-        if len(self._pv["row"]):
-            pv = self._pv
-            u = self._gather(x, pv["iu"])
-            v = self._gather(x, pv["iv"])
-            for slot, val in (("iu", 2 * u), ("iv", 2 * v)):
-                mask = pv[slot] >= 0
-                rows.append(pv["row"][mask])
-                cols.append(pv[slot][mask])
-                vals.append(val[mask])
-        if len(self._adm["row_r"]):
-            ad = self._adm
-            u = self._gather(x, ad["iu"])
-            v = self._gather(x, ad["iv"])
-            gs, bs = x[ad["ig"]], x[ad["ib"]]
-            mask_u = ad["iu"] >= 0
-            mask_v = ad["iv"] >= 0
-            # rows carry -(G u - B v) and -(G v + B u)
-            entries = [
-                (ad["row_r"], ad["ig"], -u),
-                (ad["row_r"], ad["ib"], v),
-                (ad["row_i"], ad["ig"], -v),
-                (ad["row_i"], ad["ib"], -u),
-                (ad["row_r"][mask_u], ad["iu"][mask_u], -gs[mask_u]),
-                (ad["row_i"][mask_u], ad["iu"][mask_u], -bs[mask_u]),
-                (ad["row_r"][mask_v], ad["iv"][mask_v], bs[mask_v]),
-                (ad["row_i"][mask_v], ad["iv"][mask_v], -gs[mask_v]),
-            ]
-            for rr, cc, vv in entries:
-                rows.append(rr)
-                cols.append(cc)
-                vals.append(vv)
-        if rows:
-            extra = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.n_eq, self.nvar))
-            return (self._A_eq + extra).tocsr()
-        return self._A_eq.copy()
-
-    # -- inequalities ---------------------------------------------------------
+        return self._jacobian(self._A_eq, self._eq, self._jac_eq[0], x)
 
     def residual_in(self, x) -> np.ndarray:
-        r = self._A_in @ x + self._b_in
-        if len(self._vmag["row"]):
-            vm = self._vmag
-            u = self._gather(x, vm["iu"])
-            v = self._gather(x, vm["iv"])
-            np.add.at(r, vm["row"], vm["sign"] * (u * u + v * v) + vm["const"])
-        for fr in self._flows:
-            cur_r = fr["cR"] @ self._gather(x, fr["slots"]) + fr["dR"]
-            cur_i = fr["cI"] @ self._gather(x, fr["slots"]) + fr["dI"]
-            r[fr["row"]] += cur_r * cur_r + cur_i * cur_i + fr["const"]
-        return r
+        return self._residual(self._A_in @ x + self._b_in, self._in, x)
 
     def jac_in(self, x) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        if len(self._vmag["row"]):
-            vm = self._vmag
-            u = self._gather(x, vm["iu"])
-            v = self._gather(x, vm["iv"])
-            for slot, val in (("iu", 2 * u), ("iv", 2 * v)):
-                mask = vm[slot] >= 0
-                rows.append(vm["row"][mask])
-                cols.append(vm[slot][mask])
-                vals.append((vm["sign"] * val)[mask])
-        for fr in self._flows:
-            xs = self._gather(x, fr["slots"])
-            cur_r = fr["cR"] @ xs + fr["dR"]
-            cur_i = fr["cI"] @ xs + fr["dI"]
-            grad = 2 * cur_r * fr["cR"] + 2 * cur_i * fr["cI"]
-            mask = fr["slots"] >= 0
-            rows.append(np.full(mask.sum(), fr["row"]))
-            cols.append(fr["slots"][mask])
-            vals.append(grad[mask])
-        if rows:
-            extra = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.n_in, self.nvar))
-            return (self._A_in + extra).tocsr()
-        return self._A_in.copy()
+        return self._jacobian(self._A_in, self._in, self._jac_in[0], x)
+
+    # -- Lagrangian derivatives ------------------------------------------------
+
+    def hess_lagrangian(self, x, lam, mu) -> sp.csr_matrix:
+        """W = obj Hessian + sum lam_i H(eq_i) + sum mu_j H(in_j), exactly symmetric."""
+        src, rows, cols = self._hess_xx
+        v = self._hess_values(self._z(x), lam, mu)[src]
+        keep = v != 0.0
+        return sp.csr_matrix((v[keep], (rows[keep], cols[keep])),
+                             shape=(self.nvar, self.nvar))
+
+    def param_derivatives(self, x, lam, mu):
+        """Parameter blocks of the KKT derivatives at ``(x, lam, mu)``.
+
+        Returns ``(W_xp, W_pp, Jc_p, Jg_p)``: the mixed and the pure
+        parameter blocks of the Lagrangian Hessian and the parameter columns
+        of the equality and inequality Jacobians.  Every pattern is fixed by
+        the build (no entry is dropped for being zero), so ``W_xp`` or
+        ``W_pp`` has an entry in a parameter's column exactly when that
+        parameter prices the objective or enters a row nonlinearly.
+        """
+        z = self._z(x)
+        h = self._hess_values(z, lam, mu)
+        return (self._hess_xp(h), self._hess_pp(h),
+                self._jac_eq[1](np.concatenate([self._jac_values(self._eq, z),
+                                                self._B_eq.data])),
+                self._jac_in[1](self._jac_values(self._in, z)))
 
     def param_lagrangian_grad(self, x, lam, mu, name: str) -> np.ndarray:
         """Gradient of the Lagrangian with respect to one parameter block.
@@ -394,143 +527,10 @@ class CircuitProblem:
         head voltages of a torn feeder) to this cell's optimum, used by the
         coordinator to price boundary quantities on the other side.
         """
-        sl = self.param_slots[name]
-        out = np.asarray((self._B_eq[:, sl].T @ lam)).ravel().copy()
-        parts = self._h_parts(x)
-        if parts is not None:
-            u, v, a, bb, d, g = parts
-            h = self._h
-            w = h["sigma"] * lam[h["row"]]
-            hu = w * (a / d - 2 * u * g / d ** 2)
-            hv = w * (bb / d - 2 * v * g / d ** 2)
-            for slot, val in (("iu", hu), ("iv", hv)):
-                s_ = h[slot]
-                mask = s_ < 0
-                if mask.any():
-                    pidx = -s_[mask] - 1
-                    inside = (pidx >= sl.start) & (pidx < sl.stop)
-                    np.add.at(out, pidx[inside] - sl.start, val[mask][inside])
-        for fr in self._flows:
-            w = mu[fr["row"]]
-            if w == 0.0 or not (fr["slots"] < 0).any():
-                continue
-            xs = self._gather(x, fr["slots"])
-            cur_r = fr["cR"] @ xs + fr["dR"]
-            cur_i = fr["cI"] @ xs + fr["dI"]
-            grad = w * (2 * cur_r * fr["cR"] + 2 * cur_i * fr["cI"])
-            mask = fr["slots"] < 0
-            pidx = -fr["slots"][mask] - 1
-            inside = (pidx >= sl.start) & (pidx < sl.stop)
-            np.add.at(out, pidx[inside] - sl.start, grad[mask][inside])
-        if len(self._adm["row_r"]):
-            ad = self._adm
-            for uvslot in ("iu", "iv"):
-                s_ = ad[uvslot]
-                mask = s_ < 0
-                if not mask.any():
-                    continue
-                gs, bs = x[ad["ig"][mask]], x[ad["ib"][mask]]
-                wr = lam[ad["row_r"][mask]]
-                wi = lam[ad["row_i"][mask]]
-                val = (-gs * wr - bs * wi) if uvslot == "iu" else (bs * wr - gs * wi)
-                pidx = -s_[mask] - 1
-                inside = (pidx >= sl.start) & (pidx < sl.stop)
-                np.add.at(out, pidx[inside] - sl.start, val[inside])
-        return out
-
-    # -- Lagrangian Hessian ----------------------------------------------------
-
-    def hess_lagrangian(self, x, lam, mu) -> sp.csr_matrix:
-        """W = obj Hessian + sum lam_i H(eq_i) + sum mu_j H(in_j), exactly symmetric."""
-        rows, cols, vals = [], [], []
-
-        def add_sym(i, j, v):
-            mask = np.asarray(v) != 0.0
-            i, j, v = np.asarray(i)[mask], np.asarray(j)[mask], np.asarray(v)[mask]
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            off = i != j
-            rows.append(j[off])
-            cols.append(i[off])
-            vals.append(v[off])
-
-        if self.norm == "l2" and len(self._src_idx):
-            add_sym(self._src_idx, self._src_idx, np.ones(len(self._src_idx)))
-
-        parts = self._h_parts(x)
-        if parts is not None:
-            u, v, a, bb, d, g = parts
-            h = self._h
-            w = h["sigma"] * lam[h["row"]]
-            d2, d3 = d ** 2, d ** 3
-            huu = -4 * a * u / d2 - 2 * g / d2 + 8 * u * u * g / d3
-            hvv = -4 * bb * v / d2 - 2 * g / d2 + 8 * v * v * g / d3
-            huv = -2 * (a * v + bb * u) / d2 + 8 * u * v * g / d3
-            hua = 1 / d - 2 * u * u / d2
-            hub = -2 * u * v / d2
-            hvb = 1 / d - 2 * v * v / d2
-            iu, iv, ia, ib = h["iu"], h["iv"], h["ia"], h["ib"]
-            vu = (iu >= 0)
-            vv_ = (iv >= 0)
-            va = ia >= 0
-            vb = ib >= 0
-            pairs = [
-                (vu, iu, iu, w * huu), (vu & vv_, iu, iv, w * huv),
-                (vv_, iv, iv, w * hvv),
-                (vu & va, iu, ia, w * h["sa"] * hua),
-                (vu & vb, iu, ib, w * h["sb"] * hub),
-                (vv_ & va, iv, ia, w * h["sa"] * hub),
-                (vv_ & vb, iv, ib, w * h["sb"] * hvb),
-            ]
-            for mask, ii, jj, ww in pairs:
-                if mask.any():
-                    add_sym(ii[mask], jj[mask], ww[mask])
-
-        if len(self._pv["row"]):
-            pv = self._pv
-            w = lam[pv["row"]]
-            for slot in ("iu", "iv"):
-                mask = pv[slot] >= 0
-                add_sym(pv[slot][mask], pv[slot][mask], 2 * w[mask])
-
-        if len(self._adm["row_r"]):
-            ad = self._adm
-            wr = lam[ad["row_r"]]
-            wi = lam[ad["row_i"]]
-            for uvslot, gw, bw in (("iu", -wr, -wi), ("iv", wr, -wi)):
-                mask = ad[uvslot] >= 0
-                if uvslot == "iu":
-                    add_sym(ad["iu"][mask], ad["ig"][mask], gw[mask])
-                    add_sym(ad["iu"][mask], ad["ib"][mask], bw[mask])
-                else:
-                    add_sym(ad["iv"][mask], ad["ib"][mask], gw[mask])
-                    add_sym(ad["iv"][mask], ad["ig"][mask], bw[mask])
-
-        if len(self._vmag["row"]):
-            vm = self._vmag
-            w = mu[vm["row"]] * vm["sign"]
-            for slot in ("iu", "iv"):
-                mask = vm[slot] >= 0
-                add_sym(vm[slot][mask], vm[slot][mask], 2 * w[mask])
-
-        for fr in self._flows:
-            w = mu[fr["row"]]
-            if w == 0.0:
-                continue
-            mask = fr["slots"] >= 0
-            idx = fr["slots"][mask]
-            blk = 2 * w * (np.outer(fr["cR"][mask], fr["cR"][mask])
-                           + np.outer(fr["cI"][mask], fr["cI"][mask]))
-            ii, jj = np.meshgrid(idx, idx, indexing="ij")
-            upper = np.triu(np.ones_like(blk, dtype=bool))
-            add_sym(ii[upper], jj[upper], blk[upper])
-
-        if not rows:
-            return sp.csr_matrix((self.nvar, self.nvar))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.nvar, self.nvar))
+        _, _, Jc_p, Jg_p = self.param_derivatives(x, lam, mu)
+        grad = Jc_p.T @ lam + Jg_p.T @ mu
+        np.add.at(grad, self._price_pairs[:, 1], x[self._price_pairs[:, 0]])
+        return grad[self.param_slots[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +540,7 @@ class CircuitProblem:
 @dataclass
 class IndexMaps:
     """Lookup tables produced during assembly (variable/row bookkeeping)."""
-    v_slot: dict = field(default_factory=dict)       # (net,bus,ph) -> (iu_slot, iv_slot)
+    v_slot: dict = field(default_factory=dict)       # (net,bus,ph) -> (iu, iv) z columns
     kcl_row: dict = field(default_factory=dict)      # (net,bus,ph) -> (rowR, rowI)
     port_tvar: dict = field(default_factory=dict)    # port key -> (2,) indices
     port_dvar: dict = field(default_factory=dict)    # port key -> (6,) indices
@@ -582,18 +582,13 @@ class _Builder:
         self.sources: list[InfeasibilitySource] = []
 
         self.eq_rows, self.eq_cols, self.eq_vals = [], [], []
-        self.eqp_rows, self.eqp_cols, self.eqp_vals = [], [], []
         self.eqc_rows, self.eqc_vals = [], []
         self.in_rows, self.in_cols, self.in_vals = [], [], []
         self.inc_rows, self.inc_vals = [], []
-        self._h_list = []
-        self._pv_list = []
-        self._vmag_list = []
-        self._adm_list = []
-        self.flow_rows = []
+        # nonlinear element specs (see the element types)
+        self.inj, self.pv, self.adm, self.vmag, self.flows = [], [], [], [], []
         self.epi_idx: list[int] = []
         self.price_pairs: list[tuple[int, int]] = []
-        self.guard_uv: list[tuple[int, int]] = []
 
         self._head_param_buses = {}   # (net,bus) -> port key, distribution heads
         for pb in self.ports:
@@ -635,17 +630,11 @@ class _Builder:
         self.n_param += count
         return self.param_slots[name]
 
-    def _stamp_eq(self, row, slot, val):
-        """Stamp a coefficient on a variable or exchange-parameter slot."""
-        if val == 0.0:
-            return
-        if _slot_is_param(slot):
-            self.eqp_rows.append(row)
-            self.eqp_cols.append(_param_index(slot))
-            self.eqp_vals.append(val)
-        else:
+    def _stamp_eq(self, row, col, val):
+        """Stamp a linear coefficient on a z column (variable or parameter)."""
+        if val != 0.0:
             self.eq_rows.append(row)
-            self.eq_cols.append(slot)
+            self.eq_cols.append(col)
             self.eq_vals.append(val)
 
     # -- assembly ------------------------------------------------------------
@@ -659,6 +648,7 @@ class _Builder:
             self._alloc_slack_and_pv(net)
         self._alloc_ports()
         self._alloc_sources()
+        self._alloc_params()
         for net in self.net_list:
             self._rows_network(net)
         self._rows_ports()
@@ -666,24 +656,14 @@ class _Builder:
 
     def _alloc_voltages(self, net):
         for bus in net.buses:
-            head_key = self._head_param_buses.get((net.name, bus.id))
+            if (net.name, bus.id) in self._head_param_buses:
+                continue            # exchange parameters (_alloc_params)
             for ph in bus.phases:
-                if head_key is not None:
-                    name = f"headv:{head_key}"
-                    if name not in self.param_slots:
-                        self._new_params(name, 6)
-                    base = self.param_slots[name].start
-                    off = 2 * "abc".index(ph)
-                    self.maps.v_slot[(net.name, bus.id, ph)] = (
-                        -(base + off) - 1, -(base + off + 1) - 1)
-                else:
-                    # flat start: unit magnitude everywhere (balanced
-                    # rotations on feeders), so branch flows begin at zero
-                    ang = {"a": 0.0, "b": -2 * np.pi / 3, "c": 2 * np.pi / 3,
-                           "1": 0.0}[ph]
-                    iu = self._new_var(net.name, f"vr:{bus.id}:{ph}", np.cos(ang))
-                    iv = self._new_var(net.name, f"vi:{bus.id}:{ph}", np.sin(ang))
-                    self.maps.v_slot[(net.name, bus.id, ph)] = (iu, iv)
+                # flat start: unit magnitude everywhere (balanced
+                # rotations on feeders), so branch flows begin at zero
+                iu = self._new_var(net.name, f"vr:{bus.id}:{ph}", np.cos(_FLAT[ph]))
+                iv = self._new_var(net.name, f"vi:{bus.id}:{ph}", np.sin(_FLAT[ph]))
+                self.maps.v_slot[(net.name, bus.id, ph)] = (iu, iv)
 
     def _net_injection(self, net, bus, ph):
         """(P_const, Q_const, has_any, pv_box or None) at one (bus, phase)."""
@@ -757,19 +737,6 @@ class _Builder:
                 self.maps.port_dvar[pb.key] = [
                     self._new_var(owner, f"id{ph}{c}:{pb.key}", 0.0)
                     for ph in "abc" for c in ("r", "i")]
-            if pb.mode == "t_draw":
-                self._new_params(f"draw:{pb.key}", 2)
-                # POI-voltage price fed back from the distribution cell
-                sl = self._new_params(f"vprice:{pb.key}", 2)
-                tu, tv = self.maps.poi_v[pb.key]
-                self.price_pairs.append((tu, sl.start))
-                self.price_pairs.append((tv, sl.start + 1))
-            if pb.mode == "d_head":
-                # head voltage params were allocated with the voltages; the
-                # port-current prices from the transmission dual come here
-                sl = self._new_params(f"price:{pb.key}", 6)
-                for off, var in enumerate(self.maps.port_dvar[pb.key]):
-                    self.price_pairs.append((var, sl.start + off))
 
     def _alloc_sources(self):
         if self.source_kind is None:
@@ -793,6 +760,32 @@ class _Builder:
                 for c, vi in zip(src.components, src.var_index):
                     self.epi_idx.append(self._new_var(
                         self.var_owner[vi], f"t:{self.var_label[vi]}", 0.1))
+
+    def _alloc_params(self):
+        """Exchange parameters, after every variable: parameter j is z column
+        nvar + j, and column nvar + n_param holds the constant zero."""
+        for net in self.net_list:
+            for bus in net.buses:
+                key = self._head_param_buses.get((net.name, bus.id))
+                if key is None:
+                    continue
+                base = self.nvar + self._new_params(f"headv:{key}", 6).start
+                for ph in bus.phases:
+                    off = base + 2 * "abc".index(ph)
+                    self.maps.v_slot[(net.name, bus.id, ph)] = (off, off + 1)
+        for pb in self.ports:
+            if pb.mode == "t_draw":
+                self._new_params(f"draw:{pb.key}", 2)
+                # POI-voltage price fed back from the distribution cell
+                sl = self._new_params(f"vprice:{pb.key}", 2)
+                tu, tv = self.maps.poi_v[pb.key]
+                self.price_pairs += [(tu, sl.start), (tv, sl.start + 1)]
+            if pb.mode == "d_head":
+                # port-current prices from the transmission dual
+                sl = self._new_params(f"price:{pb.key}", 6)
+                for off, var in enumerate(self.maps.port_dvar[pb.key]):
+                    self.price_pairs.append((var, sl.start + off))
+        self.zero = self.nvar + self.n_param
 
     # -- equality rows ---------------------------------------------------------
 
@@ -830,38 +823,29 @@ class _Builder:
                 p, q, has, box = self._net_injection(net, bus, ph)
                 if inj is not None:
                     # balance picks up the device current ...
-                    self.eq_rows += [rr, ri]
-                    self.eq_cols += [inj[0], inj[1]]
-                    self.eq_vals += [1.0, 1.0]
+                    self._stamp_eq(rr, inj[0], 1.0)
+                    self._stamp_eq(ri, inj[1], 1.0)
                     # ... defined by the constant-power relation
                     dr = self._new_eq(nm, f"defr:{bus.id}:{ph}")
                     di = self._new_eq(nm, f"defi:{bus.id}:{ph}")
-                    self.eq_rows += [dr, di]
-                    self.eq_cols += [inj[0], inj[1]]
-                    self.eq_vals += [1.0, 1.0]
-                    qvar = self.maps.pv_qvar.get((nm, bus.id, ph), -1)
-                    ang = {"a": 0.0, "b": -2 * np.pi / 3, "c": 2 * np.pi / 3,
-                           "1": 0.0}[ph]
-                    x0r = self.x0_vals[iu] if iu >= 0 else np.cos(ang)
-                    x0i = self.x0_vals[iv] if iv >= 0 else np.sin(ang)
-                    self._h_list.append(dict(row=dr, iu=iu, iv=iv, a0=p, ia=-1, sa=1.0,
-                                             b0=q if qvar < 0 else 0.0,
-                                             ib=qvar, sb=1.0, sigma=-1.0))
-                    self._h_list.append(dict(row=di, iu=iu, iv=iv,
-                                             a0=-q if qvar < 0 else 0.0,
-                                             ia=qvar, sa=-1.0, b0=p, ib=-1, sb=1.0,
-                                             sigma=-1.0))
-                    self.guard_uv.append((iu, iv))
+                    self._stamp_eq(dr, inj[0], 1.0)
+                    self._stamp_eq(di, inj[1], 1.0)
+                    qvar = self.maps.pv_qvar.get((nm, bus.id, ph))
+                    x0r, x0i = np.cos(_FLAT[ph]), np.sin(_FLAT[ph])   # flat start
+                    # a PV bus's net reactive demand is a variable
+                    qcol, qr, qi = ((self.zero, q, -q) if qvar is None
+                                    else (qvar, 0.0, 0.0))
+                    self.inj += [(dr, iu, iv, self.zero, qcol, p, 1.0, qr),
+                                 (di, iu, iv, qcol, self.zero, qi, -1.0, p)]
                     # start injection currents consistent with the flat voltages
                     d0 = x0r * x0r + x0i * x0i
-                    q0 = q if qvar < 0 else self.x0_vals[qvar]
+                    q0 = q if qvar is None else self.x0_vals[qvar]
                     self.x0_vals[inj[0]] = (p * x0r + q0 * x0i) / d0
                     self.x0_vals[inj[1]] = (p * x0i - q0 * x0r) / d0
                 if bus.kind == "slack":
                     isr, isi = self.maps.inj_var[(nm, bus.id, ph + "!slack")]
-                    self.eq_rows += [rr, ri]
-                    self.eq_cols += [isr, isi]
-                    self.eq_vals += [1.0, 1.0]
+                    self._stamp_eq(rr, isr, 1.0)
+                    self._stamp_eq(ri, isi, 1.0)
                     for part, (slot, target) in zip(
                             "ri", ((iu, bus.v_set), (iv, 0.0))):
                         row = self._new_eq(nm, f"slack{part}:{bus.id}:{ph}")
@@ -870,17 +854,15 @@ class _Builder:
                         self.eqc_vals.append(-target)
                 elif bus.kind == "pv":
                     row = self._new_eq(nm, f"pvmag:{bus.id}:{ph}")
-                    self._pv_list.append(dict(row=row, iu=iu, iv=iv,
-                                              const=-bus.v_set ** 2))
+                    self.pv.append((row, iu, iv, 1.0, -bus.v_set ** 2))
 
         if self.source_kind == "current":
             for src in self.sources:
                 if src.net != nm:
                     continue
                 rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
-                self.eq_rows += [rr, ri]
-                self.eq_cols += [src.var_index[0], src.var_index[1]]
-                self.eq_vals += [-1.0, -1.0]
+                self._stamp_eq(rr, src.var_index[0], -1.0)
+                self._stamp_eq(ri, src.var_index[1], -1.0)
         elif self.source_kind == "power":
             for src in self.sources:
                 if src.net != nm:
@@ -888,22 +870,18 @@ class _Builder:
                 rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
                 iu, iv = self.maps.v_slot[(nm, src.bus, src.phase)]
                 if self.q_only:
-                    ip, iq = -1, src.var_index[0]
+                    ip, iq = self.zero, src.var_index[0]
                 else:
                     ip, iq = src.var_index
-                self._h_list.append(dict(row=rr, iu=iu, iv=iv, a0=0.0, ia=ip, sa=1.0,
-                                         b0=0.0, ib=iq, sb=1.0, sigma=-1.0))
-                self._h_list.append(dict(row=ri, iu=iu, iv=iv, a0=0.0, ia=iq, sa=-1.0,
-                                         b0=0.0, ib=ip, sb=1.0, sigma=-1.0))
-                self.guard_uv.append((iu, iv))
+                self.inj += [(rr, iu, iv, ip, iq, 0.0, 1.0, 0.0),
+                             (ri, iu, iv, iq, ip, 0.0, -1.0, 0.0)]
         elif self.source_kind == "admittance":
             for src in self.sources:
                 if src.net != nm:
                     continue
                 rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
                 iu, iv = self.maps.v_slot[(nm, src.bus, src.phase)]
-                self._adm_list.append(dict(row_r=rr, row_i=ri, iu=iu, iv=iv,
-                                           ig=src.var_index[0], ib=src.var_index[1]))
+                self.adm.append((rr, ri, iu, iv, *src.var_index))
 
     def _rows_ports(self):
         for pb in self.ports:
@@ -913,23 +891,20 @@ class _Builder:
                 tnet = self._net_of_bus(spec.t_bus)
                 rr, ri = self.maps.kcl_row[(tnet, spec.t_bus, "1")]
                 self.maps.poi_row[pb.key] = [rr, ri]
-                if pb.mode == "t_draw":
-                    sl = self.param_slots[f"draw:{pb.key}"]
-                    self._stamp_eq(rr, -(sl.start) - 1, 1.0)
-                    self._stamp_eq(ri, -(sl.start + 1) - 1, 1.0)
+                if pb.mode == "t_draw":      # the draw is an exchange parameter
+                    col = self.nvar + self.param_slots[f"draw:{pb.key}"].start
+                    it = (col, col + 1)
                 else:
                     it = self.maps.port_tvar[pb.key]
-                    self.eq_rows += [rr, ri]
-                    self.eq_cols += [it[0], it[1]]
-                    self.eq_vals += [1.0, 1.0]
+                self._stamp_eq(rr, it[0], 1.0)
+                self._stamp_eq(ri, it[1], 1.0)
             if pb.mode in ("internal", "d_head"):
                 dnet = self._net_of_bus(spec.d_bus)
                 idv = self.maps.port_dvar[pb.key]
                 for k, ph in enumerate("abc"):
                     rr, ri = self.maps.kcl_row[(dnet, spec.d_bus, ph)]
-                    self.eq_rows += [rr, ri]
-                    self.eq_cols += [idv[2 * k], idv[2 * k + 1]]
-                    self.eq_vals += [-1.0, -1.0]
+                    self._stamp_eq(rr, idv[2 * k], -1.0)
+                    self._stamp_eq(ri, idv[2 * k + 1], -1.0)
             if pb.mode == "internal":
                 it = self.maps.port_tvar[pb.key]
                 idv = self.maps.port_dvar[pb.key]
@@ -960,11 +935,9 @@ class _Builder:
                 for ph in bus.phases:
                     iu, iv = self.maps.v_slot[(nm, bus.id, ph)]
                     row = self._new_in(nm, f"vlo:{bus.id}:{ph}")
-                    self._vmag_list.append(dict(row=row, iu=iu, iv=iv, sign=-1.0,
-                                                const=bus.v_min ** 2))
+                    self.vmag.append((row, iu, iv, -1.0, bus.v_min ** 2))
                     row = self._new_in(nm, f"vhi:{bus.id}:{ph}")
-                    self._vmag_list.append(dict(row=row, iu=iu, iv=iv, sign=1.0,
-                                                const=-bus.v_max ** 2))
+                    self.vmag.append((row, iu, iv, 1.0, -bus.v_max ** 2))
             for bidx, br in enumerate(net.branches):
                 if br.flow_limit is None:
                     continue
@@ -979,10 +952,10 @@ class _Builder:
                         slots += [fu, fv, tu, tv]
                         c_r += [g, -b, -g, b]
                         c_i += [b, g, -b, -g]
-                    self.flow_rows.append(dict(
-                        row=row, slots=np.array(slots, dtype=int),
-                        cR=np.array(c_r), cI=np.array(c_i), dR=0.0, dI=0.0,
-                        const=-br.flow_limit ** 2))
+                    self.flows.append((np.array([row]), np.ones(1),
+                                       np.array([-br.flow_limit ** 2]),
+                                       np.array([slots]), np.array([c_r]),
+                                       np.array([c_i])))
             for (onet, obus, ph), qvar in self.maps.pv_qvar.items():
                 if onet != nm:
                     continue
@@ -1020,32 +993,6 @@ class _Builder:
                 self.in_rows.append(row)
                 self.in_cols.append(tvar)
                 self.in_vals.append(-1.0)
-
-    # -- array exports -----------------------------------------------------------
-
-    def _export(self, lst, fields, int_fields):
-        out = {}
-        for f_ in fields:
-            arr = [d[f_] for d in lst]
-            out[f_] = np.array(arr, dtype=int if f_ in int_fields else float)
-        return out
-
-    def h_arrays(self):
-        return self._export(self._h_list,
-                            ("row", "iu", "iv", "a0", "ia", "sa", "b0", "ib", "sb",
-                             "sigma"), {"row", "iu", "iv", "ia", "ib"})
-
-    def pv_arrays(self):
-        return self._export(self._pv_list, ("row", "iu", "iv", "const"),
-                            {"row", "iu", "iv"})
-
-    def vmag_arrays(self):
-        return self._export(self._vmag_list, ("row", "iu", "iv", "sign", "const"),
-                            {"row", "iu", "iv"})
-
-    def adm_arrays(self):
-        return self._export(self._adm_list, ("row_r", "row_i", "iu", "iv", "ig", "ib"),
-                            {"row_r", "row_i", "iu", "iv", "ig", "ib"})
 
 
 def build_problem(nets, ports=(), *, source_kind="current", norm="l2",

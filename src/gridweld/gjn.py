@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pdip
@@ -281,9 +282,12 @@ class Coordinator:
         16p x 16p linearized epoch map on the stacked boundary values of the
         p torn ports.  Each cell contributes the sensitivity of its KKT point
         to its boundary parameters (one sparse factorization of its KKT
-        matrix, one solve per parameter); the exchange maps those onto the
-        new boundary values.  With damping ``g`` every eigenvalue ``t`` of
-        ``BA`` gives the rates ``l`` solving ``l^2 - (1-g) l - g t = 0``.
+        matrix, one solve per parameter, with every parameter block from
+        ``param_derivatives``); the exchange maps those onto the new
+        boundary values.  The map is exact also where head parameters enter
+        rows nonlinearly (head loads, head flow limits).  With damping
+        ``g`` every eigenvalue ``t`` of ``BA`` gives the rates ``l`` solving
+        ``l^2 - (1-g) l - g t = 0``.
         ``damping=1`` (the default exchange) rates the raw iteration; values
         below one rate the relaxed update actually configured.  The cost
         grows with the number of ports, not with the cells' size cubed.
@@ -303,32 +307,31 @@ class Coordinator:
                 continue
             for name, values in self._external_of(sub).items():
                 prob.set_params(name, values)
-            K = pdip.NewtonSystem.build(prob, sub.state).matrix(0.0)
-            # boundary parameters into cell rows: prices into the stationarity
-            # rows, draws and head voltages into the equality rows
-            C = np.zeros((K.shape[0], prob.n_param))
-            C[prob._price_pairs[:, 0], prob._price_pairs[:, 1]] = 1.0
-            C[prob.nvar:prob.nvar + prob.n_eq] = \
-                prob._B_eq[:, :prob.n_param].toarray()
+            st = sub.state
+            K = pdip.NewtonSystem.build(prob, st).matrix(0.0)
+            W_xp, W_pp, Jc_p, Jg_p = prob.param_derivatives(st.x, st.lam, st.mu)
+            # boundary parameters into the linearized KKT rows: stationarity,
+            # equalities and complementarity (-mu * g)
+            C = sp.vstack([W_xp, Jc_p, -sp.diags(st.mu) @ Jg_p]).toarray()
             cols = np.empty(prob.n_param, dtype=int)
             for name, sl in prob.param_slots.items():
                 kind, key = name.split(":", 1)
                 cols[sl] = at[key] + first[kind] + np.arange(sl.stop - sl.start)
-            # implicit-function sensitivity of the cell's KKT point
-            sens[sub.name] = (-spla.splu(K).solve(C), cols, prob)
+            # implicit-function sensitivity of the cell's KKT point, and the
+            # derivative of the parameter gradient of the Lagrangian (the
+            # v-price source) along it: d(grad_p L) = G^T d(x, lam, mu) + W_pp dp
+            G = sp.vstack([W_xp, Jc_p, Jg_p]).tocsc()
+            sens[sub.name] = (-spla.splu(K).solve(C), cols, prob, G, W_pp)
         for key, port, t_sub, d_sub in self.torn:
             yo, k3 = at[key], 3.0 * port.kappa
-            St, tcols, tprob = sens[t_sub]
-            Sd, dcols, dprob = sens[d_sub]
-            lam_d = Sd[dprob.nvar:dprob.nvar + dprob.n_eq]
+            St, tcols, tprob, _, _ = sens[t_sub]
+            Sd, dcols, dprob, Gd, Wd = sens[d_sub]
             lam_t = St[tprob.nvar + np.asarray(tprob.maps.poi_row[key])]
             BA[yo:yo + 2, dcols] = _AGG @ Sd[dprob.maps.port_dvar[key]] / k3
             BA[yo + 2:yo + 8, tcols] = _DIST @ St[tprob.maps.poi_v[key]]
             BA[yo + 8:yo + 14, tcols] = _AGG.T @ lam_t / k3
-            # head sensitivity is linear in the feeder duals through the
-            # parameter columns of its equality rows
             hsl = dprob.param_slots[f"headv:{key}"]
-            BA[yo + 14:yo + 16, dcols] = _AGG @ (dprob._B_eq[:, hsl].T @ lam_d)
+            BA[yo + 14:yo + 16, dcols] = _AGG @ (Gd[:, hsl].T @ Sd + Wd[hsl].toarray())
         theta = np.linalg.eigvals(BA).astype(complex)
         root = np.sqrt((1.0 - gamma) ** 2 + 4.0 * gamma * theta)
         rates = np.abs(np.concatenate([1.0 - gamma + root, 1.0 - gamma - root]))

@@ -10,6 +10,7 @@ PARTITIONS = CASES / "partitions"
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from gridweld import CouplingPort, PortBuild, build_problem, load_case  # noqa: E402
+from gridweld.coupling import distribute_voltage_t_to_d  # noqa: E402
 
 
 def case_path(name: str) -> str:
@@ -30,6 +31,19 @@ def centralized_problem(name: str, **kw):
     kw.setdefault("source_kind", "current")
     kw.setdefault("norm", "l2")
     return nets, coups, build_problem(nets, ports, **kw)
+
+
+def head_cell(name: str, kind="current"):
+    """The distribution cell of a one-port case built on its own, with the
+    head voltages at 1.01 pu / 0.02 rad and nonzero port-current prices."""
+    nets, coups = load(name)
+    dnet = next(n for n in nets if n.side == "distribution")
+    port = CouplingPort(coups[0])
+    prob = build_problem([dnet], [PortBuild(port, "d_head")],
+                         source_kind=kind, norm="l2")
+    prob.set_params(f"headv:{port.key}", distribute_voltage_t_to_d(port, 1.01, 0.02))
+    prob.set_params(f"price:{port.key}", 0.1 * np.arange(6))
+    return prob, port.key
 
 
 def interior_point(problem, rng, scale=0.05):

@@ -1,34 +1,25 @@
 """Branch-flow limits end to end, including limits on a torn feeder's head
 section where the flow rows involve exchange parameters."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridweld import gjn
-from gridweld.coupling import CouplingPort, distribute_voltage_t_to_d
-from gridweld.ecf import PortBuild, build_problem
+from gridweld import admm, gjn, load_case
+from gridweld.coupling import CouplingPort
+from gridweld.ecf import SOURCE_KINDS, PortBuild, build_problem
 from gridweld.pdip import solve_centralized, solve_nlp
 
-from conftest import interior_point, load
+from conftest import CASES, head_cell, interior_point, load
 from oracles import fd_gradient, fd_jacobian
 
 
 @pytest.fixture(scope="module")
 def flowcap():
     return load("case_micro_flowcap")
-
-
-def d_cell(flowcap, kind="current"):
-    nets, coups = flowcap
-    dnet = next(n for n in nets if n.side == "distribution")
-    spec = coups[0]
-    prob = build_problem([dnet], [PortBuild(CouplingPort(spec), "d_head")],
-                         source_kind=kind, norm="l2")
-    key = f"{spec.t_bus}:{spec.d_bus}"
-    prob.set_params(f"headv:{key}",
-                    distribute_voltage_t_to_d(CouplingPort(spec), 1.01, 0.02))
-    prob.set_params(f"price:{key}", 0.1 * np.arange(6))
-    return prob, key
 
 
 def test_limits_bind_at_the_optimum(flowcap):
@@ -57,8 +48,8 @@ def test_distributed_matches_centralized_with_binding_flows(flowcap):
     assert cen.objective > 1e-4
 
 
-def test_parameterized_flow_rows_match_fd(flowcap, rng):
-    prob, key = d_cell(flowcap)
+def test_parameterized_flow_rows_match_fd(rng):
+    prob, key = head_cell("case_micro_flowcap")
     for _ in range(5):
         x = interior_point(prob, rng, scale=0.02)
         G = prob.jac_in(x).toarray()
@@ -80,25 +71,53 @@ def test_parameterized_flow_rows_match_fd(flowcap, rng):
         assert np.max(np.abs(Wv - Wv_fd)) < 2e-5 * max(1.0, np.max(np.abs(Wv)))
 
 
-def test_head_sensitivity_gradient_matches_fd(flowcap, rng):
-    """The boundary feedback quantity: dL/d(head voltage params), including
-    head loads (current-injection rows) and a capped head branch."""
-    prob, key = d_cell(flowcap)
-    x = interior_point(prob, rng, scale=0.02)
-    lam = rng.standard_normal(prob.n_eq)
-    mu = np.abs(rng.standard_normal(prob.n_in))
-    got = prob.param_lagrangian_grad(x, lam, mu, f"headv:{key}")
-    sl = prob.param_slots[f"headv:{key}"]
-    base = prob.params.copy()
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_head_sensitivity_gradient_matches_fd(seed):
+    """The parameter blocks of ``param_derivatives`` and the boundary
+    feedback dL/dp against central differences in the parameters, for every
+    source kind, with head loads (current-injection rows) and a capped head
+    branch (flow rows) on the head voltages."""
+    rng = np.random.default_rng(seed)
+    for kind in SOURCE_KINDS:
+        prob, _ = head_cell("case_micro_flowcap", kind)
+        x = interior_point(prob, rng, scale=0.02)
+        lam = rng.standard_normal(prob.n_eq)
+        mu = np.abs(rng.standard_normal(prob.n_in))
+        p0 = prob.params.copy()
 
-    def lagrangian_of_params(p6):
-        prob.params[sl] = p6
-        val = (prob.objective(x) + lam @ prob.residual_eq(x)
-               + mu @ prob.residual_in(x))
-        prob.params[:] = base
-        return val
-    want = fd_gradient(lagrangian_of_params, base[sl].copy())
-    assert np.max(np.abs(got - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
+        def of_params(fun):
+            def at(p):
+                prob.params[:] = p
+                try:
+                    return fun()
+                finally:
+                    prob.params[:] = p0
+            return at
+
+        def grad_x():
+            return (prob.grad_objective(x) + prob.jac_eq(x).T @ lam
+                    + prob.jac_in(x).T @ mu)
+
+        def grad_p():
+            return np.concatenate([prob.param_lagrangian_grad(x, lam, mu, name)
+                                   for name in prob.param_slots])
+
+        def lagrangian():
+            return (prob.objective(x) + lam @ prob.residual_eq(x)
+                    + mu @ prob.residual_in(x))
+        W_xp, W_pp, Jc_p, Jg_p = prob.param_derivatives(x, lam, mu)
+        for label, got, fun in (("W_xp", W_xp, grad_x), ("W_pp", W_pp, grad_p),
+                                ("Jc_p", Jc_p, lambda: prob.residual_eq(x)),
+                                ("Jg_p", Jg_p, lambda: prob.residual_in(x))):
+            got = got.toarray()
+            want = fd_jacobian(of_params(fun), p0)
+            assert np.max(np.abs(got - want)) < 1e-6 * max(1.0, np.max(np.abs(want))), \
+                (kind, label)
+        assert np.any(W_pp.toarray()), "head rows should be nonlinear in the head"
+        got = grad_p()
+        want = fd_gradient(of_params(lagrangian), p0)
+        assert np.max(np.abs(got - want)) < 1e-6 * max(1.0, np.max(np.abs(want))), kind
 
 
 def test_head_load_supported_in_distributed_mode(flowcap):
@@ -114,4 +133,20 @@ def test_consensus_mode_rejects_head_nonlinearities(flowcap):
     nets, coups = flowcap
     with pytest.raises(ValueError, match="coupling node"):
         admm.admm_solve(nets, coups, source_kind="current", norm="l2",
+                        max_iterations=2)
+
+
+def test_consensus_mode_rejects_a_head_source(tmp_path):
+    """An admittance source at the feeder head enters the head rows
+    bilinearly, so its head phasor columns are not constant."""
+    doc = json.loads((CASES / "case_micro_td_stressed.json").read_text())
+    for net in doc["networks"]:
+        for bus in net["buses"]:
+            if bus["id"] == "d1":
+                bus["infeasibility_eligible"] = True
+    path = tmp_path / "case_micro_td_head_source.json"
+    path.write_text(json.dumps(doc))
+    nets, coups = load_case(str(path))
+    with pytest.raises(ValueError, match="coupling node"):
+        admm.admm_solve(nets, coups, source_kind="admittance", norm="l2",
                         max_iterations=2)

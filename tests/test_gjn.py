@@ -211,7 +211,10 @@ def test_spectral_radius_toy_examples():
 FROZEN_MICRO_RHO = 0.15796278906192782
 
 
-# frozen radii, measured on the dense global block-Jacobi matrix
+# frozen radii, measured on the dense global block-Jacobi matrix; the
+# micro_flowcap radius (a head load and a capped head branch, so the head
+# parameters enter rows nonlinearly) agrees with a central-difference
+# Jacobian of one exact epoch (h = 1e-7), sqrt(rho) = 0.1527419, to 3e-7
 @pytest.mark.parametrize("case,partition,damping,want", [
     pytest.param("case_micro_td", None, 1.0, FROZEN_MICRO_RHO, id="micro_td-raw"),
     pytest.param("case_twofeeder_stressed", None, 1.0, 0.38560390036451886,
@@ -220,6 +223,8 @@ FROZEN_MICRO_RHO = 0.15796278906192782
                  id="threefeeder_td-0.5"),
     pytest.param("case_feeder210_stressed", None, 1.0, 0.2924736090232543,
                  id="feeder210_stressed-raw"),
+    pytest.param("case_micro_flowcap", None, 1.0, 0.15274159949223337,
+                 id="micro_flowcap-raw"),
     # one cell, no torn port: nothing to exchange
     pytest.param("case_micro_td", "micro_single", 1.0, 0.0, id="micro_single-raw"),
     pytest.param("case_micro_td", "micro_single", 0.5, 0.0, id="micro_single-0.5"),

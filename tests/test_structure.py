@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gridweld import casegen
+from gridweld.ecf import SOURCE_KINDS
 
-from conftest import CASES, ROOT, centralized_problem, interior_point
+from conftest import CASES, ROOT, centralized_problem, head_cell, interior_point
 
 
 def test_shipped_cases_match_their_generators(tmp_path):
@@ -41,17 +43,28 @@ def test_equality_row_count_identity():
     assert prob.n_eq == want
 
 
-def test_jacobian_sparsity_pattern_stable_across_states(rng):
-    nets, coups, prob = centralized_problem("case_micro_td",
-                                            source_kind="power")
+def _same_pattern(a, b):
+    a, b = a.tocsr().sorted_indices(), b.tocsr().sorted_indices()
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_jacobian_sparsity_pattern_stable_across_states(rng, kind):
+    nets, coups, prob = centralized_problem("case_micro_td", source_kind=kind)
     x1 = interior_point(prob, rng)
     x2 = interior_point(prob, rng)
-    a, b = prob.jac_eq(x1).sorted_indices(), prob.jac_eq(x2).sorted_indices()
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    a, b = prob.jac_in(x1).sorted_indices(), prob.jac_in(x2).sorted_indices()
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
+    assert _same_pattern(prob.jac_eq(x1), prob.jac_eq(x2))
+    assert _same_pattern(prob.jac_in(x1), prob.jac_in(x2))
+    # parameter columns, with head loads and a capped head branch on them
+    cell, _ = head_cell("case_micro_flowcap", kind)
+    x1 = interior_point(cell, rng, scale=0.02)
+    x2 = interior_point(cell, rng, scale=0.02)
+    d1 = cell.param_derivatives(x1, rng.standard_normal(cell.n_eq),
+                                rng.random(cell.n_in))
+    d2 = cell.param_derivatives(x2, rng.standard_normal(cell.n_eq),
+                                rng.random(cell.n_in))
+    for a, b in zip(d1, d2):
+        assert a.nnz and _same_pattern(a, b)
 
 
 def test_case_files_are_valid_json_with_sorted_keys():
