@@ -1,14 +1,15 @@
 """Consensus ADMM baseline over the coupling-port boundary.
 
 Each torn port gets one consensus variable in the transmission-side
-positive-sequence representation: a voltage pair and a current pair.  The
-transmission cell's local copy is its POI voltage and a free port-current
-variable; the distribution cell's copy is a local positive-sequence head
-phasor (its head voltages are the balanced expansion of it) and the
-aggregated port current.  x-updates solve each cell's NLP with the scaled
-quadratic penalty through the interior-point core; the z-update is the
-plain consensus average and the dual update is first order, with
-residual-balancing adaptation of the penalty weight.
+positive-sequence representation: a voltage pair and a current pair.  Both
+local copies are ordinary variables of the cell problems.  The transmission
+cell's copy is its POI voltage and a free port-current pair (a 't_free'
+port); the distribution cell's copy is a local positive-sequence head
+phasor, tied to the head voltages by the balanced-expansion rows of a
+'d_phasor' port, and the aggregated port current.  x-updates solve each
+cell's NLP with the scaled quadratic penalty through the interior-point
+core; the z-update is the plain consensus average and the dual update is
+first order, with residual-balancing adaptation of the penalty weight.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from . import pdip
-from .coupling import _AGG, _DIST
+from .coupling import _AGG
 from .ecf import build_problem, partition_cells
 from .netmodel import default_partition
 from .report import build_report
@@ -39,120 +41,67 @@ class AdmmState:
 
 
 class ConsensusAgent:
-    """One cell's NLP augmented with boundary penalty terms.
+    """One cell's problem plus the scaled consensus penalty on its copies.
 
-    For cells owning a feeder side, a local positive-sequence head phasor is
-    appended to the state; the cell's fixed head-voltage parameters are the
-    balanced expansion of that phasor, so the feeder steers its own head
-    while the penalty pulls it toward consensus.  ``head_ports`` and
-    ``free_ports`` are the torn ports whose distribution and transmission
-    sides the cell owns.
+    The cell builds its torn feeder heads as 'd_phasor' ports and its torn
+    transmission sides as 't_free' ports, so every local copy is a set of
+    ordinary variables: ``head_ports`` copy the head phasor and the
+    aggregated port current, ``free_ports`` the POI voltage and the free
+    port current.  The agent adds the penalty to the objective and its
+    derivatives; every other value is the cell problem's own.
     """
 
     def __init__(self, name, base, head_ports, free_ports):
         self.name = name
         self.base = base
-        self.extra = 2 * len(head_ports)
-        self.nvar = base.nvar + self.extra
-        self.n_eq, self.n_in = base.n_eq, base.n_in
-        self.norm, self.source_kind = base.norm, base.source_kind
-        self.q_only, self.sources = base.q_only, base.sources
-        self.maps = base.maps
-        self._head_keys = [(port.key, base.nvar + 2 * i)
-                           for i, port in enumerate(head_ports)]
         self.copy_map: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.centers: dict[str, np.ndarray] = {}
         self.rho = 1.0
-        # the head phasors' Jacobian columns come from the head-voltage
-        # parameter columns; they are constant, so built once, only if those
-        # parameters enter linearly: no W_xp or W_pp entry in their columns
-        W_xp, W_pp, Jc_p, _ = base.param_derivatives(
-            self._sync(self.x0()), np.zeros(self.n_eq), np.zeros(self.n_in))
-        eq_pad = sp.lil_matrix((self.n_eq, self.extra))
-        for i, port in enumerate(head_ports):
-            key, v1 = self._head_keys[i]
-            sl = base.param_slots[f"headv:{key}"]
-            if W_xp[:, sl].nnz or W_pp[:, sl].nnz:
+        maps = base.maps
+        for port in head_ports:
+            # a head voltage that enters a row nonlinearly (a load, a flow
+            # limit or a power- or admittance-kind source at the coupling
+            # node) is rejected: without this check, L2 ADMM on
+            # case_micro_flowcap had not finished after 10 minutes
+            head = [c for (_, bus, _), slot in maps.v_slot.items()
+                    if bus == port.spec.d_bus for c in slot]
+            if np.isin(head, base.nonlinear_cols).any():
                 raise ValueError("feeder-head nonlinearities (loads, flow "
                                  "limits or sources at the coupling node) "
                                  "are not supported in consensus mode")
-            eq_pad[:, 2 * i:2 * i + 2] = (Jc_p[:, sl] @ sp.csr_matrix(_DIST)).tocsr()
-            idv = np.asarray(base.maps.port_dvar[key])
-            cols = np.concatenate([[v1, v1 + 1], idv])
-            C = np.zeros((4, 8))
-            C[:2, :2] = np.eye(2)
-            C[2:, 2:] = _AGG / (3.0 * port.kappa)
-            self.copy_map[key] = (cols, C)
-            self.centers[key] = np.array([1.0, 0.0, 0.0, 0.0])
-        self._eq_pad = eq_pad.tocsr()
-        self._in_pad = sp.csr_matrix((self.n_in, self.extra))
+            self.copy_map[port.key] = (
+                np.concatenate([maps.poi_v[port.key], maps.port_dvar[port.key]]),
+                block_diag(np.eye(2), _AGG / (3.0 * port.kappa)))
         for port in free_ports:
-            key = port.key
-            iu, iv = base.maps.poi_v[key]
-            it = base.maps.port_tvar[key]
-            cols = np.array([iu, iv, it[0], it[1]])
-            self.copy_map[key] = (cols, np.eye(4))
-            self.centers[key] = np.array([1.0, 0.0, 0.0, 0.0])
+            self.copy_map[port.key] = (
+                np.concatenate([maps.poi_v[port.key], maps.port_tvar[port.key]]),
+                np.eye(4))
+        self.centers = {key: np.array([1.0, 0.0, 0.0, 0.0]) for key in self.copy_map}
         # penalty Hessian pattern: constant, so built once; only rho scales it
         blocks = list(self.copy_map.values())
         self._pen_rows = [np.repeat(idx, len(idx)) for idx, _ in blocks]
         self._pen_cols = [np.tile(idx, len(idx)) for idx, _ in blocks]
         self._pen_blocks = [(C.T @ C).ravel() for _, C in blocks]
 
-    # -- state sync ------------------------------------------------------------
-
-    def _sync(self, x):
-        for key, v1 in self._head_keys:
-            self.base.set_params(f"headv:{key}", _DIST @ x[v1:v1 + 2])
-        return x[:self.base.nvar]
-
-    def x0(self):
-        x = np.empty(self.nvar)
-        x[:self.base.nvar] = self.base.x0()
-        for _, v1 in self._head_keys:
-            x[v1:v1 + 2] = (1.0, 0.0)
-        return x
-
-    def interior_ok(self, x):
-        return self.base.interior_ok(self._sync(x))
-
-    # -- evaluations -------------------------------------------------------------
+    def __getattr__(self, name):
+        """Sizes, sources, x0, residuals, Jacobians: the cell problem's."""
+        return getattr(self.base, name)
 
     def objective(self, x):
-        f = self.base.objective(self._sync(x))
+        f = self.base.objective(x)
         for key, (cols, C) in self.copy_map.items():
             d = C @ x[cols] - self.centers[key]
             f += 0.5 * self.rho * float(d @ d)
         return f
 
     def grad_objective(self, x):
-        g = np.zeros(self.nvar)
-        g[:self.base.nvar] = self.base.grad_objective(self._sync(x))
+        g = self.base.grad_objective(x)
         for key, (cols, C) in self.copy_map.items():
             d = C @ x[cols] - self.centers[key]
             np.add.at(g, cols, self.rho * (C.T @ d))
         return g
 
-    def residual_eq(self, x):
-        return self.base.residual_eq(self._sync(x))
-
-    def jac_eq(self, x):
-        J = self.base.jac_eq(self._sync(x))
-        if not self.extra:
-            return J
-        return sp.hstack([J, self._eq_pad], format="csr")
-
-    def residual_in(self, x):
-        return self.base.residual_in(self._sync(x))
-
-    def jac_in(self, x):
-        J = self.base.jac_in(self._sync(x))
-        if not self.extra:
-            return J
-        return sp.hstack([J, self._in_pad], format="csr")
-
     def hess_lagrangian(self, x, lam, mu):
-        W = sp.coo_matrix(self.base.hess_lagrangian(self._sync(x), lam, mu))
+        W = sp.coo_matrix(self.base.hess_lagrangian(x, lam, mu))
         v = [W.data] + [self.rho * blk for blk in self._pen_blocks]
         return sp.csr_matrix((np.concatenate(v),
                               (np.concatenate([W.row] + self._pen_rows),
@@ -165,7 +114,7 @@ class ConsensusAgent:
 
 
 def build_agents(nets, couplings, partition, *, source_kind, norm, q_only):
-    cells, torn = partition_cells(nets, couplings, partition, "t_free")
+    cells, torn = partition_cells(nets, couplings, partition, "t_free", "d_phasor")
     agents = [ConsensusAgent(cell.name,
                              build_problem(cell.nets, cell.port_builds,
                                            source_kind=source_kind, norm=norm,

@@ -17,9 +17,9 @@ State vector ordering (fixed, relied on by tests and warm starts):
    load or generation;
 3. per network: slack source currents, two per slack bus phase;
 4. per network: net reactive demand, one variable per PV (bus, phase);
-5. per coupling port: transmission-side port current pair, then
-   distribution-side per-phase port currents (six), as the port mode
-   provides;
+5. per coupling port: transmission-side port current pair, then the
+   local head phasor pair of a 'd_phasor' port, then distribution-side
+   per-phase port currents (six), as the port mode provides;
 6. infeasibility source components per eligible (bus, phase);
 7. epigraph auxiliaries, one per source component (L1 objective only).
 
@@ -79,6 +79,10 @@ class PortBuild:
                      no tie row (consensus penalties pin it).
     mode 'd_head':   distribution side only; head voltages and port-current
                      prices are exchange parameters.
+    mode 'd_phasor': distribution side only; a local positive-sequence head
+                     phasor stands in for the POI voltage, tied to the head
+                     voltages by the 'internal' port's voltage rows.
+    Neither distribution-only mode bounds the head voltages.
     """
     port: CouplingPort
     mode: str
@@ -98,15 +102,17 @@ class Cell:
     ports_d: list[CouplingPort]       # torn ports whose distribution side is here
 
 
-def partition_cells(nets, couplings, partition: Partition, t_mode: str):
+def partition_cells(nets, couplings, partition: Partition, t_mode: str,
+                    d_mode: str):
     """Walk a partition into per-cell builds plus the ports it tears.
 
     A cell's internal couplings enter in full; a torn port enters its
     transmission cell in ``t_mode`` ('t_draw' or 't_free') and its
-    distribution cell as 'd_head'.  Within a cell the internal ports come
-    first, then the torn ports in coupling order (the variable layout
-    depends on it).  Returns ``(cells, torn)`` with ``torn`` a list of
-    ``(key, port, t_cell, d_cell)`` in coupling order.
+    distribution cell in ``d_mode`` ('d_head' or 'd_phasor').  Within a
+    cell the internal ports come first, then the torn ports in coupling
+    order (the variable layout depends on it).  Returns ``(cells, torn)``
+    with ``torn`` a list of ``(key, port, t_cell, d_cell)`` in coupling
+    order.
     """
     by_name = {n.name: n for n in nets}
     net_of_bus = {b.id: n.name for n in nets for b in n.buses}
@@ -130,7 +136,7 @@ def partition_cells(nets, couplings, partition: Partition, t_mode: str):
                 cell.port_builds.append(PortBuild(port, t_mode))
                 cell.ports_t.append(port)
             if d_cell == sub.name:
-                cell.port_builds.append(PortBuild(port, "d_head"))
+                cell.port_builds.append(PortBuild(port, d_mode))
                 cell.ports_d.append(port)
         cells.append(cell)
     return cells, torn
@@ -325,9 +331,6 @@ class CircuitProblem:
         self.source_kind = b.source_kind
         self.q_only = b.q_only
         self.sources: list[InfeasibilitySource] = b.sources
-        self.var_owner = b.var_owner
-        self.eq_owner = b.eq_owner
-        self.in_owner = b.in_owner
         self.var_label = b.var_label
         self.eq_label = b.eq_label
         self.in_label = b.in_label
@@ -392,6 +395,9 @@ class CircuitProblem:
         self._obj_hess = np.ones(sum(len(i) for i, _ in groups))
         groups += [g for e in self._eq + self._in for g in e.pairs]
         pi, pj = (np.concatenate([g[k] for g in groups]) for k in (0, 1))
+        #: z columns that some row holds nonlinearly (in a Hessian pair)
+        self.nonlinear_cols = np.union1d(pi[len(self._obj_hess):],
+                                         pj[len(self._obj_hess):])
         gid = np.repeat(np.arange(len(groups)), [len(i) for i, _ in groups])
         src = np.concatenate([np.arange(len(pi)), np.flatnonzero(pi != pj)])
         mirror = np.arange(len(src)) >= len(pi)
@@ -515,8 +521,11 @@ class CircuitProblem:
         """
         z = self._z(x)
         h = self._hess_values(z, lam, mu)
-        return (self._hess_xp(h), self._hess_pp(h),
-                self._jac_eq[1](np.concatenate([self._jac_values(self._eq, z),
+        return (self._hess_xp(h), self._hess_pp(h), *self._param_jacobians(z))
+
+    def _param_jacobians(self, z):
+        """Parameter columns ``(Jc_p, Jg_p)`` of the two Jacobians at ``z``."""
+        return (self._jac_eq[1](np.concatenate([self._jac_values(self._eq, z),
                                                 self._B_eq.data])),
                 self._jac_in[1](self._jac_values(self._in, z)))
 
@@ -527,7 +536,7 @@ class CircuitProblem:
         head voltages of a torn feeder) to this cell's optimum, used by the
         coordinator to price boundary quantities on the other side.
         """
-        _, _, Jc_p, Jg_p = self.param_derivatives(x, lam, mu)
+        Jc_p, Jg_p = self._param_jacobians(self._z(x))
         grad = Jc_p.T @ lam + Jg_p.T @ mu
         np.add.at(grad, self._price_pairs[:, 1], x[self._price_pairs[:, 0]])
         return grad[self.param_slots[name]]
@@ -544,9 +553,9 @@ class IndexMaps:
     kcl_row: dict = field(default_factory=dict)      # (net,bus,ph) -> (rowR, rowI)
     port_tvar: dict = field(default_factory=dict)    # port key -> (2,) indices
     port_dvar: dict = field(default_factory=dict)    # port key -> (6,) indices
-    poi_v: dict = field(default_factory=dict)        # port key -> POI voltage [iu, iv] slots
+    # port key -> POI voltage [iu, iv] slots; a 'd_phasor' port's head phasor
+    poi_v: dict = field(default_factory=dict)
     poi_row: dict = field(default_factory=dict)      # port key -> POI balance [rowR, rowI]
-    source_of: dict = field(default_factory=dict)    # (net,bus,ph) -> InfeasibilitySource
     pv_qvar: dict = field(default_factory=dict)      # (net,bus,ph) -> q index
     inj_var: dict = field(default_factory=dict)      # (net,bus,ph) -> (ir, ii)
 
@@ -570,9 +579,6 @@ class _Builder:
         self.n_eq = 0
         self.n_in = 0
         self.n_param = 0
-        self.var_owner: list[str] = []
-        self.eq_owner: list[str] = []
-        self.in_owner: list[str] = []
         self.var_label: list[str] = []
         self.eq_label: list[str] = []
         self.in_label: list[str] = []
@@ -590,12 +596,12 @@ class _Builder:
         self.epi_idx: list[int] = []
         self.price_pairs: list[tuple[int, int]] = []
 
-        self._head_param_buses = {}   # (net,bus) -> port key, distribution heads
-        for pb in self.ports:
-            spec = pb.port.spec
-            if pb.mode == "d_head":
-                dnet = self._net_of_bus(spec.d_bus)
-                self._head_param_buses[(dnet, spec.d_bus)] = pb.key
+        # torn feeder heads (net, bus) -> port build: their voltages are not
+        # bounded, and those of a 'd_head' port are exchange parameters
+        self._heads = {(self._net_of_bus(pb.port.spec.d_bus), pb.port.spec.d_bus): pb
+                       for pb in self.ports if pb.mode in ("d_head", "d_phasor")}
+        self._head_param_buses = {nb: pb.key for nb, pb in self._heads.items()
+                                  if pb.mode == "d_head"}
         self._build()
 
     # -- small allocation helpers -------------------------------------------
@@ -606,21 +612,18 @@ class _Builder:
                 return net.name
         raise KeyError(bus_id)
 
-    def _new_var(self, owner, label, x0):
-        self.var_owner.append(owner)
+    def _new_var(self, label, x0):
         self.var_label.append(label)
         self.x0_vals.append(x0)
         self.nvar += 1
         return self.nvar - 1
 
-    def _new_eq(self, owner, label=""):
-        self.eq_owner.append(owner)
+    def _new_eq(self, label=""):
         self.eq_label.append(label)
         self.n_eq += 1
         return self.n_eq - 1
 
-    def _new_in(self, owner, label=""):
-        self.in_owner.append(owner)
+    def _new_in(self, label=""):
         self.in_label.append(label)
         self.n_in += 1
         return self.n_in - 1
@@ -661,8 +664,8 @@ class _Builder:
             for ph in bus.phases:
                 # flat start: unit magnitude everywhere (balanced
                 # rotations on feeders), so branch flows begin at zero
-                iu = self._new_var(net.name, f"vr:{bus.id}:{ph}", np.cos(_FLAT[ph]))
-                iv = self._new_var(net.name, f"vi:{bus.id}:{ph}", np.sin(_FLAT[ph]))
+                iu = self._new_var(f"vr:{bus.id}:{ph}", np.cos(_FLAT[ph]))
+                iv = self._new_var(f"vi:{bus.id}:{ph}", np.sin(_FLAT[ph]))
                 self.maps.v_slot[(net.name, bus.id, ph)] = (iu, iv)
 
     def _net_injection(self, net, bus, ph):
@@ -693,8 +696,8 @@ class _Builder:
                 p, q, has, box = self._net_injection(net, bus, ph)
                 if not has and box is None and bus.kind != "pv":
                     continue
-                ir = self._new_var(net.name, f"ir:{bus.id}:{ph}", 0.0)
-                ii = self._new_var(net.name, f"ii:{bus.id}:{ph}", 0.0)
+                ir = self._new_var(f"ir:{bus.id}:{ph}", 0.0)
+                ii = self._new_var(f"ii:{bus.id}:{ph}", 0.0)
                 self.maps.inj_var[(net.name, bus.id, ph)] = (ir, ii)
 
     def _alloc_slack_and_pv(self, net):
@@ -702,8 +705,8 @@ class _Builder:
             if bus.kind == "slack":
                 for ph in bus.phases:
                     self.maps.inj_var.setdefault((net.name, bus.id, ph + "!slack"), (
-                        self._new_var(net.name, f"isr:{bus.id}:{ph}", 0.0),
-                        self._new_var(net.name, f"isi:{bus.id}:{ph}", 0.0)))
+                        self._new_var(f"isr:{bus.id}:{ph}", 0.0),
+                        self._new_var(f"isi:{bus.id}:{ph}", 0.0)))
             elif bus.kind == "pv":
                 for ph in bus.phases:
                     p, q, has, box = self._net_injection(net, bus, ph)
@@ -717,7 +720,7 @@ class _Builder:
                                 f"pv bus '{bus.id}': reactive box must have q_min < q_max")
                         qg0 = 0.5 * (box[0] + box[1])
                     self.maps.pv_qvar[(net.name, bus.id, ph)] = self._new_var(
-                        net.name, f"q:{bus.id}:{ph}", q - qg0)
+                        f"q:{bus.id}:{ph}", q - qg0)
 
     def _alloc_ports(self):
         for pb in self.ports:
@@ -727,15 +730,14 @@ class _Builder:
                 self.maps.poi_v[pb.key] = list(
                     self.maps.v_slot[(tnet, spec.t_bus, "1")])
             if pb.mode in ("internal", "t_free"):
-                owner = f"port:{pb.key}" if pb.mode == "internal" else tnet
-                self.maps.port_tvar[pb.key] = [
-                    self._new_var(owner, f"itr:{pb.key}", 0.0),
-                    self._new_var(owner, f"iti:{pb.key}", 0.0)]
-            if pb.mode in ("internal", "d_head"):
-                dnet = self._net_of_bus(spec.d_bus)
-                owner = f"port:{pb.key}" if pb.mode == "internal" else dnet
+                self.maps.port_tvar[pb.key] = [self._new_var(f"itr:{pb.key}", 0.0),
+                                               self._new_var(f"iti:{pb.key}", 0.0)]
+            if pb.mode == "d_phasor":      # flat start: the unit phasor
+                self.maps.poi_v[pb.key] = [self._new_var(f"vpr:{pb.key}", 1.0),
+                                           self._new_var(f"vpi:{pb.key}", 0.0)]
+            if pb.mode in ("internal", "d_head", "d_phasor"):
                 self.maps.port_dvar[pb.key] = [
-                    self._new_var(owner, f"id{ph}{c}:{pb.key}", 0.0)
+                    self._new_var(f"id{ph}{c}:{pb.key}", 0.0)
                     for ph in "abc" for c in ("r", "i")]
 
     def _alloc_sources(self):
@@ -749,17 +751,15 @@ class _Builder:
                 if not bus.infeasibility_eligible:
                     continue
                 for ph in bus.phases:
-                    idx = tuple(self._new_var(net.name, f"s{c}:{bus.id}:{ph}", 0.0)
+                    idx = tuple(self._new_var(f"s{c}:{bus.id}:{ph}", 0.0)
                                 for c in comps)
                     src = InfeasibilitySource(net.name, bus.id, ph,
                                               self.source_kind, comps, idx)
                     self.sources.append(src)
-                    self.maps.source_of[(net.name, bus.id, ph)] = src
         if self.norm == "l1":
             for src in self.sources:
                 for c, vi in zip(src.components, src.var_index):
-                    self.epi_idx.append(self._new_var(
-                        self.var_owner[vi], f"t:{self.var_label[vi]}", 0.1))
+                    self.epi_idx.append(self._new_var(f"t:{self.var_label[vi]}", 0.1))
 
     def _alloc_params(self):
         """Exchange parameters, after every variable: parameter j is z column
@@ -793,8 +793,8 @@ class _Builder:
         nm = net.name
         for bus in net.buses:
             for ph in bus.phases:
-                rr = self._new_eq(nm, f"kclr:{bus.id}:{ph}")
-                ri = self._new_eq(nm, f"kcli:{bus.id}:{ph}")
+                rr = self._new_eq(f"kclr:{bus.id}:{ph}")
+                ri = self._new_eq(f"kcli:{bus.id}:{ph}")
                 self.maps.kcl_row[(nm, bus.id, ph)] = (rr, ri)
         for br in net.branches:
             for oi, ph_i in enumerate(br.phases):
@@ -826,8 +826,8 @@ class _Builder:
                     self._stamp_eq(rr, inj[0], 1.0)
                     self._stamp_eq(ri, inj[1], 1.0)
                     # ... defined by the constant-power relation
-                    dr = self._new_eq(nm, f"defr:{bus.id}:{ph}")
-                    di = self._new_eq(nm, f"defi:{bus.id}:{ph}")
+                    dr = self._new_eq(f"defr:{bus.id}:{ph}")
+                    di = self._new_eq(f"defi:{bus.id}:{ph}")
                     self._stamp_eq(dr, inj[0], 1.0)
                     self._stamp_eq(di, inj[1], 1.0)
                     qvar = self.maps.pv_qvar.get((nm, bus.id, ph))
@@ -848,12 +848,12 @@ class _Builder:
                     self._stamp_eq(ri, isi, 1.0)
                     for part, (slot, target) in zip(
                             "ri", ((iu, bus.v_set), (iv, 0.0))):
-                        row = self._new_eq(nm, f"slack{part}:{bus.id}:{ph}")
+                        row = self._new_eq(f"slack{part}:{bus.id}:{ph}")
                         self._stamp_eq(row, slot, 1.0)
                         self.eqc_rows.append(row)
                         self.eqc_vals.append(-target)
                 elif bus.kind == "pv":
-                    row = self._new_eq(nm, f"pvmag:{bus.id}:{ph}")
+                    row = self._new_eq(f"pvmag:{bus.id}:{ph}")
                     self.pv.append((row, iu, iv, 1.0, -bus.v_set ** 2))
 
         if self.source_kind == "current":
@@ -898,7 +898,7 @@ class _Builder:
                     it = self.maps.port_tvar[pb.key]
                 self._stamp_eq(rr, it[0], 1.0)
                 self._stamp_eq(ri, it[1], 1.0)
-            if pb.mode in ("internal", "d_head"):
+            if pb.mode in ("internal", "d_head", "d_phasor"):
                 dnet = self._net_of_bus(spec.d_bus)
                 idv = self.maps.port_dvar[pb.key]
                 for k, ph in enumerate("abc"):
@@ -908,18 +908,20 @@ class _Builder:
             if pb.mode == "internal":
                 it = self.maps.port_tvar[pb.key]
                 idv = self.maps.port_dvar[pb.key]
-                owner = f"port:{pb.key}"
                 for r, part in enumerate("ri"):
-                    row = self._new_eq(owner, f"c1{part}:{pb.key}")
+                    row = self._new_eq(f"c1{part}:{pb.key}")
                     self._stamp_eq(row, it[r], 1.0)
                     for cidx in range(6):
                         self._stamp_eq(row, idv[cidx], -_AGG[r, cidx] / (3 * kappa))
+            if pb.mode in ("internal", "d_phasor"):
+                # the head voltages are the balanced expansion of the POI
+                # voltage, or of a 'd_phasor' port's local phasor
                 dnet = self._net_of_bus(spec.d_bus)
                 tu, tv = self.maps.poi_v[pb.key]
                 for k, ph in enumerate("abc"):
                     du, dv = self.maps.v_slot[(dnet, spec.d_bus, ph)]
                     for c, slot in ((0, du), (1, dv)):
-                        row = self._new_eq(owner, f"c2{'ri'[c]}:{pb.key}:{ph}")
+                        row = self._new_eq(f"c2{'ri'[c]}:{pb.key}:{ph}")
                         self._stamp_eq(row, slot, 1.0)
                         self._stamp_eq(row, tu, -_DIST[2 * k + c, 0])
                         self._stamp_eq(row, tv, -_DIST[2 * k + c, 1])
@@ -930,20 +932,20 @@ class _Builder:
         for net in self.net_list:
             nm = net.name
             for bus in net.buses:
-                if bus.kind == "slack" or (nm, bus.id) in self._head_param_buses:
+                if bus.kind == "slack" or (nm, bus.id) in self._heads:
                     continue
                 for ph in bus.phases:
                     iu, iv = self.maps.v_slot[(nm, bus.id, ph)]
-                    row = self._new_in(nm, f"vlo:{bus.id}:{ph}")
+                    row = self._new_in(f"vlo:{bus.id}:{ph}")
                     self.vmag.append((row, iu, iv, -1.0, bus.v_min ** 2))
-                    row = self._new_in(nm, f"vhi:{bus.id}:{ph}")
+                    row = self._new_in(f"vhi:{bus.id}:{ph}")
                     self.vmag.append((row, iu, iv, 1.0, -bus.v_max ** 2))
             for bidx, br in enumerate(net.branches):
                 if br.flow_limit is None:
                     continue
                 for oi in range(len(br.phases)):
                     row = self._new_in(
-                        nm, f"flow:{bidx}:{br.from_bus}-{br.to_bus}:{br.phases[oi]}")
+                        f"flow:{bidx}:{br.from_bus}-{br.to_bus}:{br.phases[oi]}")
                     slots, c_r, c_i = [], [], []
                     for oj, ph_j in enumerate(br.phases):
                         g, b = br.g[oi][oj], br.b[oi][oj]
@@ -963,14 +965,14 @@ class _Builder:
                 p, q, has, box = self._net_injection(net, bus, ph)
                 lo, hi = box
                 if np.isfinite(hi):          # q_net >= q_load - q_max
-                    row = self._new_in(nm, f"qlo:{obus}:{ph}")
+                    row = self._new_in(f"qlo:{obus}:{ph}")
                     self.in_rows.append(row)
                     self.in_cols.append(qvar)
                     self.in_vals.append(-1.0)
                     self.inc_rows.append(row)
                     self.inc_vals.append(q - hi)
                 if np.isfinite(lo):          # q_net <= q_load - q_min
-                    row = self._new_in(nm, f"qhi:{obus}:{ph}")
+                    row = self._new_in(f"qhi:{obus}:{ph}")
                     self.in_rows.append(row)
                     self.in_cols.append(qvar)
                     self.in_vals.append(1.0)
@@ -979,17 +981,16 @@ class _Builder:
         if self.norm == "l1":
             flat = [vi for s in self.sources for vi in s.var_index]
             for svar, tvar in zip(flat, self.epi_idx):
-                owner = self.var_owner[svar]
                 tag = self.var_label[svar]
-                row = self._new_in(owner, f"epi+:{tag}")   # s - t <= 0
+                row = self._new_in(f"epi+:{tag}")   # s - t <= 0
                 self.in_rows += [row, row]
                 self.in_cols += [svar, tvar]
                 self.in_vals += [1.0, -1.0]
-                row = self._new_in(owner, f"epi-:{tag}")   # -s - t <= 0
+                row = self._new_in(f"epi-:{tag}")   # -s - t <= 0
                 self.in_rows += [row, row]
                 self.in_cols += [svar, tvar]
                 self.in_vals += [-1.0, -1.0]
-                row = self._new_in(owner, f"epi0:{tag}")   # -t <= 0
+                row = self._new_in(f"epi0:{tag}")   # -t <= 0
                 self.in_rows.append(row)
                 self.in_cols.append(tvar)
                 self.in_vals.append(-1.0)

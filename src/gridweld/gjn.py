@@ -50,7 +50,8 @@ class Subproblem:
 
     @property
     def external_dim(self) -> int:
-        return 2 * len(self.ports_t) + 12 * len(self.ports_d)
+        """Boundary values the cell reads: its exchange parameters."""
+        return self.problem.n_param
 
     @property
     def internal_dim(self) -> int:
@@ -106,7 +107,7 @@ def _initial_boundary(port: CouplingPort) -> BoundaryState:
 def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
                       norm, q_only=False):
     """Instantiate per-cell problems plus the port list torn by the partition."""
-    cells, torn = partition_cells(nets, couplings, partition, "t_draw")
+    cells, torn = partition_cells(nets, couplings, partition, "t_draw", "d_head")
     subs = [Subproblem(name=cell.name, nets=cell.nets,
                        problem=build_problem(cell.nets, cell.port_builds,
                                              source_kind=source_kind,

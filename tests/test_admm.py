@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gridweld import admm, gjn, pdip
+from gridweld import CouplingPort, PortBuild, admm, build_problem, gjn, pdip
+from gridweld.coupling import _DIST
 from gridweld.netmodel import load_partition
 from gridweld.pdip import solve_centralized
 
@@ -17,6 +18,43 @@ def test_single_subproblem_reduces_to_centralized():
     assert rep.status == "converged"
     assert rep.epochs == 1
     assert abs(rep.objective - cen.objective) < 1e-8
+
+
+@pytest.mark.parametrize("kind,norm", [("current", "l2"), ("power", "l1"),
+                                       ("admittance", "l2")])
+def test_phasor_cell_is_head_cell_with_head_voltages_kept(rng, kind, norm):
+    """A 'd_phasor' feeder cell poses the 'd_head' cell's problem: with the
+    head voltages at the balanced expansion of the phasor, both cells have
+    the same inequality rows, every shared row takes the same value and the
+    six tie rows vanish."""
+    nets, coups = load("case_micro_td_stressed")
+    dnet = next(n for n in nets if n.side == "distribution")
+    port = CouplingPort(coups[0])
+    head, phasor = (build_problem([dnet], [PortBuild(port, mode)],
+                                  source_kind=kind, norm=norm)
+                    for mode in ("d_head", "d_phasor"))
+    x = phasor.x0() + 0.05 * rng.standard_normal(phasor.nvar)
+    expansion = _DIST @ x[phasor.maps.poi_v[port.key]]
+    for k, ph in enumerate("abc"):
+        x[list(phasor.maps.v_slot[(dnet.name, port.spec.d_bus, ph)])] = \
+            expansion[2 * k:2 * k + 2]
+    head.set_params(f"headv:{port.key}", expansion)
+    at = {label: i for i, label in enumerate(phasor.var_label)}
+    x_head = x[[at[label] for label in head.var_label]]
+
+    c_head, c_phasor = head.residual_eq(x_head), phasor.residual_eq(x)
+    eq_at = {label: i for i, label in enumerate(phasor.eq_label)}
+    for i, label in enumerate(head.eq_label):
+        assert c_phasor[eq_at.pop(label)] == pytest.approx(c_head[i], abs=1e-12)
+    assert sorted(eq_at) == sorted(f"c2{part}:{port.key}:{ph}"
+                                   for part in "ri" for ph in "abc")
+    assert np.max(np.abs(c_phasor[list(eq_at.values())])) < 1e-15
+
+    g_head, g_phasor = head.residual_in(x_head), phasor.residual_in(x)
+    in_at = {label: i for i, label in enumerate(head.in_label)}
+    assert sorted(phasor.in_label) == sorted(in_at)    # no head voltage bounds
+    for i, label in enumerate(phasor.in_label):
+        assert g_phasor[i] == g_head[in_at[label]]
 
 
 def test_feasible_case_converges_to_zero():

@@ -191,6 +191,10 @@ def test_ext_int_ratio_reported_and_warned():
     ratios = rep.diagnostics["ext_int_ratio"]
     assert set(ratios) == {"t0", "d0"}
     assert all(r > 0 for r in ratios.values())
+    # every boundary value a cell reads counts: draw and v-price on the
+    # transmission side, head voltages and prices on the feeder side
+    for sub in co.subs:
+        assert ratios[sub.name] == sub.problem.n_param / sub.problem.nvar
 
 
 def test_spectral_radius_toy_examples():
