@@ -132,7 +132,8 @@ def run(cfg: RunConfig) -> int:
                     fh.write(json.dumps(
                         {"type": "iter", "iteration": r.iteration, "eps": r.eps,
                          "kkt": r.kkt, "alpha": r.alpha,
-                         "objective": r.objective}, sort_keys=True) + "\n")
+                         "objective": r.objective, "delta": r.delta,
+                         "backtracks": r.backtracks}, sort_keys=True) + "\n")
     elif cfg.mode == "dpdip":
         rep = gjn.run(nets, couplings, partition, source_kind=cfg.source,
                       norm=cfg.norm, q_only=cfg.q_only, opts=opts,

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import pdip
 from .coupling import (_AGG, _DIST, CouplingPort, aggregate_current_d_to_t,
@@ -282,11 +281,14 @@ class Coordinator:
         So its spectral radius is ``sqrt(rho(BA))``, where ``BA`` is the
         16p x 16p linearized epoch map on the stacked boundary values of the
         p torn ports.  Each cell contributes the sensitivity of its KKT point
-        to its boundary parameters (one sparse factorization of its KKT
-        matrix, one solve per parameter, with every parameter block from
-        ``param_derivatives``); the exchange maps those onto the new
-        boundary values.  The map is exact also where head parameters enter
-        rows nonlinearly (head loads, head flow limits).  With damping
+        to its boundary parameters: one :meth:`pdip.NewtonSystem.solve` with
+        a right-hand-side column per parameter (every parameter block from
+        ``param_derivatives``), which factors the cell's condensed KKT
+        matrix once, in the column order the cell's Newton steps use, and
+        recovers the inequality multipliers' block from ``dx`` as a Newton
+        step does.  The exchange maps those onto the new boundary values.
+        The map is exact also where head parameters enter rows nonlinearly
+        (head loads, head flow limits).  With damping
         ``g`` every eigenvalue ``t`` of ``BA`` gives the rates ``l`` solving
         ``l^2 - (1-g) l - g t = 0``.
         ``damping=1`` (the default exchange) rates the raw iteration; values
@@ -309,20 +311,21 @@ class Coordinator:
             for name, values in self._external_of(sub).items():
                 prob.set_params(name, values)
             st = sub.state
-            K = pdip.NewtonSystem.build(prob, st).matrix(0.0)
             W_xp, W_pp, Jc_p, Jg_p = prob.param_derivatives(st.x, st.lam, st.mu)
-            # boundary parameters into the linearized KKT rows: stationarity,
-            # equalities and complementarity (-mu * g)
-            C = sp.vstack([W_xp, Jc_p, -sp.diags(st.mu) @ Jg_p]).toarray()
+            # implicit-function sensitivity of the cell's KKT point: the Newton
+            # system with the boundary parameters' derivatives of its rows
+            # (stationarity, equalities, complementarity -mu * g) moved right
+            S = np.vstack(pdip.NewtonSystem.build(prob, st).solve(
+                -W_xp.toarray(), -Jc_p.toarray(),
+                (sp.diags(st.mu) @ Jg_p).toarray()))
             cols = np.empty(prob.n_param, dtype=int)
             for name, sl in prob.param_slots.items():
                 kind, key = name.split(":", 1)
                 cols[sl] = at[key] + first[kind] + np.arange(sl.stop - sl.start)
-            # implicit-function sensitivity of the cell's KKT point, and the
-            # derivative of the parameter gradient of the Lagrangian (the
+            # the derivative of the parameter gradient of the Lagrangian (the
             # v-price source) along it: d(grad_p L) = G^T d(x, lam, mu) + W_pp dp
             G = sp.vstack([W_xp, Jc_p, Jg_p]).tocsc()
-            sens[sub.name] = (-spla.splu(K).solve(C), cols, prob, G, W_pp)
+            sens[sub.name] = (S, cols, prob, G, W_pp)
         for key, port, t_sub, d_sub in self.torn:
             yo, k3 = at[key], 3.0 * port.kappa
             St, tcols, tprob, _, _ = sens[t_sub]

@@ -5,27 +5,40 @@ exposing the :class:`~gridweld.ecf.CircuitProblem` evaluation surface
 (``objective/grad_objective``, ``residual_eq/jac_eq``,
 ``residual_in/jac_in``, ``hess_lagrangian``, ``interior_ok``, ``x0``).
 Complementarity is relaxed to ``mu * (-g) = eps`` and the perturbation is
-driven to a floor on a monotone schedule; each step solves the full
-unreduced Newton system
+driven to a floor on a monotone schedule.  Each step solves the Newton
+system of the perturbed conditions
 
     [ W + delta*I  Jc^T   Jg^T   ] [dx  ]     [ r_x ]
     [ Jc           0      0      ] [dlam] = - [ r_c ]
     [ -M Jg        0      -G     ] [dmu ]     [ r_m ]
 
-with a direct sparse factorization, fraction-to-boundary step caps and an
-Armijo backtracking line search on an L1-penalty merit function.  One loop
-picks ``delta``: 0, then 1e-8 growing tenfold to 1e4, moving on while the
-factor is singular or not finite or the step is no descent direction of
-the merit; past 1e4 the solve fails.  Each iterate's ``f``, ``c``, ``g``,
-gradient and Jacobians are evaluated once and every use reads them from
-there: on small cells the Jacobian builds are the main per-step cost
-besides the KKT matrix and its factorization, so a step builds each
-Jacobian once rather than once for each use.
+in condensed form, as MATPOWER's MIPS does: with ``s = -g`` the last block
+row gives ``dmu = (r_m - mu * (Jg dx)) / g``, and substituting it leaves
+
+    [ W + Jg^T diag(mu/s) Jg + delta*I   Jc^T ] [dx  ]     [ r_x - Jg^T (r_m/s) ]
+    [ Jc                                 0    ] [dlam] = - [ r_c                ]
+
+which is factored by sparse LU; ``dmu`` is then recovered from ``dx``.  The
+column order of that factorization (SuperLU's COLAMD) is taken on a
+problem's first factorization and kept for the problem, weakly referenced;
+every later step, epoch and exchange sensitivity of the problem factors the
+matrix with its columns in that order and no reordering.  On an unchanged
+pattern that gives the same factors bit for bit as a fresh COLAMD.  Steps
+have fraction-to-boundary caps and an Armijo backtracking line search on
+an L1-penalty merit function.  One loop picks ``delta``: 0, then 1e-8
+growing tenfold to 1e4, moving on while the factor is singular or not
+finite or the step is no descent direction of the merit; past 1e4 the
+solve fails.  Each iterate's ``f``, ``c``, ``g``, gradient and Jacobians
+are evaluated once and every use reads them from there: on small cells the
+Jacobian builds are the main per-step cost besides the KKT matrix and its
+factorization, so a step builds each Jacobian once rather than once for
+each use.
 """
 
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +52,9 @@ TAU_BOUNDARY = 0.995       # fraction-to-boundary
 MAX_BACKTRACKS = 40
 DELTA_FIRST = 1e-8         # first nonzero regularization delta on W
 DELTA_MAX = 1e4
+
+# problem -> column order of its condensed KKT matrix (see NewtonSystem.solve)
+_COLUMN_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -92,6 +108,8 @@ class IterRecord:
     alpha: float
     objective: float
     merit: float
+    delta: float          # regularization on W that gave the accepted step
+    backtracks: int       # step halvings before acceptance
 
 
 class SolveFailure(RuntimeError):
@@ -172,7 +190,14 @@ def assemble_kkt(problem, state: KktState,
 
 @dataclass
 class NewtonSystem:
-    """One linearized perturbed-KKT system with a fixed sparsity pattern."""
+    """One linearized perturbed-KKT system, solved in condensed form.
+
+    :meth:`matrix` is the condensed matrix
+    ``[[W + Jg^T diag(mu/s) Jg + delta*I, Jc^T], [Jc, 0]]`` with ``s = -g``;
+    :meth:`solve` solves the unreduced three-block system through it.  The
+    column order of the factorization is kept for ``problem`` (when given)
+    from its first factorization on.
+    """
     W: sp.csr_matrix
     Jc: sp.csr_matrix
     Jg: sp.csr_matrix
@@ -182,6 +207,7 @@ class NewtonSystem:
     n: int
     me: int
     mi: int
+    problem: object = None
 
     @classmethod
     def build(cls, problem, state: KktState,
@@ -192,20 +218,46 @@ class NewtonSystem:
         rhs = -np.concatenate([r_x, c, r_m])
         return cls(W=W.tocsr(), Jc=point.Jc.tocsr(), Jg=point.Jg.tocsr(),
                    g=g, mu=state.mu, rhs=rhs, n=problem.nvar, me=c.size,
-                   mi=g.size)
+                   mi=g.size, problem=problem)
 
     def matrix(self, delta: float = 0.0) -> sp.csc_matrix:
-        W = self.W
-        if delta:
-            W = W + delta * sp.identity(self.n, format="csr")
-        blocks = [[W, self.Jc.T if self.me else None,
-                   self.Jg.T if self.mi else None]]
-        if self.me:
-            blocks.append([self.Jc, None, None])
+        """The condensed KKT matrix, ``delta*I`` added to its Hessian block."""
+        H = self.W
         if self.mi:
-            mjg = -sp.diags(self.mu) @ self.Jg
-            blocks.append([mjg, None, -sp.diags(self.g)])
-        return sp.bmat(blocks, format="csc")
+            H = H + self.Jg.T @ (sp.diags(self.mu / -self.g) @ self.Jg)
+        if delta:
+            H = H + delta * sp.identity(self.n, format="csr")
+        if not self.me:
+            return H.tocsc()
+        return sp.bmat([[H, self.Jc.T], [self.Jc, None]], format="csc")
+
+    def solve(self, b_x, b_c, b_m, delta: float = 0.0):
+        """(dx, dlam, dmu) with the unreduced matrix times them equal to
+        ``(b_x, b_c, b_m)``; each block may be 1-D or 2-D (one column per
+        right-hand side).  Raises ``RuntimeError`` when the factor is
+        singular."""
+        inv_s = 1.0 / -self.g
+        if self.mi:
+            b_x = b_x - self.Jg.T @ _scale_rows(inv_s, b_m)
+        K = self.matrix(delta)
+        rhs = np.concatenate([b_x, b_c])
+        order = _COLUMN_ORDERS.get(self.problem) if self.problem is not None else None
+        if order is None:
+            lu = spla.splu(K)
+            if self.problem is not None:
+                _COLUMN_ORDERS[self.problem] = np.argsort(lu.perm_c)
+            v = lu.solve(rhs)
+        else:
+            v = np.empty_like(rhs)
+            v[order] = spla.splu(K[:, order], permc_spec="NATURAL").solve(rhs)
+        dx, dlam = v[:self.n], v[self.n:]
+        dmu = _scale_rows(inv_s, b_m + _scale_rows(self.mu, self.Jg @ dx))
+        return dx, dlam, dmu
+
+
+def _scale_rows(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``diag(w) @ a`` for a 1-D or 2-D array ``a``."""
+    return (w * a.T).T
 
 
 def newton_step(system: NewtonSystem, delta: float = 0.0):
@@ -214,12 +266,12 @@ def newton_step(system: NewtonSystem, delta: float = 0.0):
     Returns (dx, dlam, dmu), or None when the matrix is singular or the
     solution is not finite.
     """
+    n, me, rhs = system.n, system.me, system.rhs
     try:
-        v = spla.splu(system.matrix(delta)).solve(system.rhs)
+        step = system.solve(rhs[:n], rhs[n:n + me], rhs[n + me:], delta)
     except RuntimeError:
         return None
-    n, me = system.n, system.me
-    return (v[:n], v[n:n + me], v[n + me:]) if np.all(np.isfinite(v)) else None
+    return step if all(np.all(np.isfinite(v)) for v in step) else None
 
 
 def solve_nlp(problem, opts: SolverOptions | None = None,
@@ -301,7 +353,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             1e-12 * (1.0 + float(np.max(np.abs(state.x))))
         alpha = alpha_max
         accepted = False
-        for _bt in range(MAX_BACKTRACKS):
+        for backtracks in range(MAX_BACKTRACKS):
             x_new = state.x + alpha * dx
             if problem.interior_ok(x_new):
                 trial = _Point(problem, x_new)
@@ -336,7 +388,8 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         if trace is not None:
             trace.append(IterRecord(iteration=it, eps=state.eps,
                                     kkt=kkt0, alpha=alpha,
-                                    objective=point.f, merit=phi))
+                                    objective=point.f, merit=phi,
+                                    delta=delta, backtracks=backtracks))
 
 
 def solve_centralized(nets, couplings, *, source_kind="current", norm="l2",

@@ -115,7 +115,12 @@ def test_central_trace_records_solver_iterations(tmp_path):
     rows = [json.loads(l) for l in
             (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert rows and rows[0]["type"] == "iter"
-    assert {"iteration", "eps", "kkt", "alpha", "objective"} <= set(rows[0])
+    assert {"iteration", "eps", "kkt", "alpha", "objective", "delta",
+            "backtracks"} <= set(rows[0])
+    for row in rows:
+        assert row["delta"] == 0.0 or 1e-8 <= row["delta"] <= 1e4
+        assert isinstance(row["backtracks"], int) and row["backtracks"] >= 0
+        assert row["alpha"] <= 0.5 ** row["backtracks"]
 
 
 def test_byte_identical_reports_across_worker_counts(tmp_path):

@@ -117,23 +117,94 @@ def test_toy_qp_kkt_residual_contracts_fast():
     assert tail[-1] < 0.2 * tail[0]
 
 
-def test_newton_step_matches_dense_oracle(rng):
-    n, me, mi = 12, 5, 6
+def _random_system(rng, me, mi, n=12, k=None):
+    """A random Newton system and its unreduced dense matrix, built here
+    from W, Jc, Jg, g and mu independently of ``NewtonSystem.matrix``;
+    ``k`` right-hand-side columns (None: one 1-D right-hand side)."""
     A = rng.standard_normal((n, n))
-    W = sp.csr_matrix(A @ A.T + n * np.eye(n))
-    Jc = sp.csr_matrix(rng.standard_normal((me, n)))
-    Jg = sp.csr_matrix(rng.standard_normal((mi, n)))
+    W = A @ A.T + n * np.eye(n)
+    Jc = rng.standard_normal((me, n))
+    Jg = rng.standard_normal((mi, n))
     g = -np.abs(rng.standard_normal(mi)) - 0.1
     mu = np.abs(rng.standard_normal(mi)) + 0.1
-    rhs = rng.standard_normal(n + me + mi)
-    system = NewtonSystem(W=W, Jc=Jc, Jg=Jg, g=g, mu=mu, rhs=rhs,
+    shape = (n + me + mi,) if k is None else (n + me + mi, k)
+    rhs = rng.standard_normal(shape)
+    system = NewtonSystem(W=sp.csr_matrix(W), Jc=sp.csr_matrix(Jc),
+                          Jg=sp.csr_matrix(Jg), g=g, mu=mu, rhs=rhs,
                           n=n, me=me, mi=mi)
-    dx, dlam, dmu = newton_step(system)
+
+    def dense(delta):
+        Y = np.zeros((n + me + mi,) * 2)
+        Y[:n, :n] = W + delta * np.eye(n)
+        Y[:n, n:n + me] = Jc.T
+        Y[:n, n + me:] = Jg.T
+        Y[n:n + me, :n] = Jc
+        Y[n + me:, :n] = -mu[:, None] * Jg
+        Y[n + me:, n + me:] = -np.diag(g)
+        return Y
+    return system, dense
+
+
+BLOCKS = pytest.mark.parametrize("me, mi", [(5, 6), (0, 6), (5, 0), (0, 0)])
+
+
+@BLOCKS
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_newton_step_matches_dense_oracle(rng, me, mi, delta):
+    system, dense = _random_system(rng, me, mi)
+    dx, dlam, dmu = newton_step(system, delta)
+    assert (dx.shape, dlam.shape, dmu.shape) == ((system.n,), (me,), (mi,))
     v = np.concatenate([dx, dlam, dmu])
-    Y = system.matrix(0.0).toarray()
-    assert np.max(np.abs(Y @ v - rhs)) < 1e-10
-    v_dense = np.linalg.solve(Y, rhs)
+    Y = dense(delta)
+    assert np.max(np.abs(Y @ v - system.rhs)) < 1e-10
+    v_dense = np.linalg.solve(Y, system.rhs)
     assert np.max(np.abs(v - v_dense)) < 1e-8
+
+
+@BLOCKS
+def test_block_solve_with_many_right_hand_sides_matches_dense_oracle(rng, me, mi):
+    system, dense = _random_system(rng, me, mi, k=4)
+    n, b = system.n, system.rhs
+    blocks = system.solve(b[:n], b[n:n + me], b[n + me:])
+    assert [x.shape for x in blocks] == [(n, 4), (me, 4), (mi, 4)]
+    v = np.vstack(blocks)
+    Y = dense(0.0)
+    assert np.max(np.abs(Y @ v - b)) < 1e-10
+    assert np.max(np.abs(v - np.linalg.solve(Y, b))) < 1e-8
+
+
+def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
+    """One COLAMD ordering per problem, on its first factorization; every
+    later factorization, warm solves included, reuses it unpermuted."""
+    import scipy.sparse.linalg as spla
+    import gridweld.pdip as pdip
+    original, specs = spla.splu, []
+
+    def recorded(A, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return original(A, *args, **kwargs)
+    monkeypatch.setattr(spla, "splu", recorded)
+    nets, coups, prob = centralized_problem("case_feeder210_stressed")
+    state, status = solve_nlp(prob, newton_budget=5)
+    assert status == "iteration-capped"
+    state, status = solve_nlp(prob, warm=state)
+    assert status == "converged"
+    assert len(specs) >= state.iterations > 5
+    assert specs[0] is None and specs[1:] == ["NATURAL"] * (len(specs) - 1)
+
+    # on a new problem: the first factor is a fresh COLAMD one, the second
+    # reuses its order on the same matrix, with a bit-identical step
+    nets, coups, fresh = centralized_problem("case_feeder210_stressed")
+    x0 = fresh.x0()
+    g = fresh.residual_in(x0)
+    system = NewtonSystem.build(fresh, KktState(x=x0, lam=np.zeros(fresh.n_eq),
+                                                mu=0.1 / -g, eps=0.1))
+    specs.clear()
+    first, second = newton_step(system), newton_step(system)
+    assert specs == [None, "NATURAL"]
+    assert pdip._COLUMN_ORDERS[fresh].size == fresh.nvar + fresh.n_eq
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_non_descent_direction_retries_with_larger_delta():

@@ -110,3 +110,11 @@ def test_convergence_diagnostics_demo_runs():
     assert done.returncode == 0, done.stderr
     assert "raw radius" in done.stdout
     assert "relaxed (0.5)" in done.stdout
+
+
+def test_one_factorization_site():
+    """Every KKT factorization goes through ``pdip.NewtonSystem.solve``, so
+    one matrix form and one column-order cache serve every solver path."""
+    src = ROOT / "src" / "gridweld"
+    users = sorted(p.name for p in src.glob("*.py") if "splu" in p.read_text())
+    assert users == ["pdip.py"]
