@@ -9,7 +9,7 @@ from .coupling import (CouplingPort, aggregate_current_d_to_t,
 from .ecf import CircuitProblem, InfeasibilitySource, PortBuild, build_problem
 from .pdip import (KktState, NewtonSystem, SolverOptions, assemble_kkt,
                    newton_step, solve_centralized, solve_nlp, solve_subproblem)
-from .gjn import (BoundaryState, Coordinator, Subproblem, compare_modes,
+from .gjn import (Coordinator, Subproblem, compare_modes,
                   gauss_boundary_update, spectral_radius_split)
 from .admm import admm_solve
 from .report import (SolveReport, build_report, export_heatmap,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +32,12 @@ from .report import build_report
 
 @dataclass
 class AdmmState:
+    """Consensus values and scaled duals, indexed by torn-port position."""
     rho: float
-    z: dict[str, np.ndarray]                      # port key -> (4,)
-    u: dict[tuple[str, str], np.ndarray]          # (agent, key) -> (4,)
+    z: np.ndarray                                 # (p, 4)
+    u: np.ndarray                                 # (p, 2, 4): T side, D side
     primal_residual: float = np.inf
     dual_residual: float = np.inf
-    history: list = field(default_factory=list)   # (r, s, rho) per iteration
 
 
 class ConsensusAgent:
@@ -141,19 +141,17 @@ def admm_solve(nets, couplings, partition=None, *, source_kind="current",
                                 source_kind=source_kind, norm=norm,
                                 q_only=q_only)
     by_name = {a.name: a for a in agents}
-    adm = AdmmState(rho=rho,
-                    z={key: np.array([1.0, 0.0, 0.0, 0.0]) for key, _, _ in torn},
-                    u={(a, key): np.zeros(4) for key, t, d in torn
-                       for a in (t, d)})
+    adm = AdmmState(rho=rho, z=np.tile([1.0, 0.0, 0.0, 0.0], (len(torn), 1)),
+                    u=np.zeros((len(torn), 2, 4)))
     states: dict[str, pdip.KktState | None] = {a.name: None for a in agents}
     statuses = {a.name: "pending" for a in agents}
-    participating = {a.name: [key for key, t, d in torn if a.name in (t, d)]
-                     for a in agents}
     budget = opts.inner_cap if torn else None
 
     def x_update(agent):
-        for key in participating[agent.name]:
-            agent.centers[key] = adm.z[key] - adm.u[(agent.name, key)]
+        for k, (key, *sides) in enumerate(torn):
+            for side, name in enumerate(sides):
+                if name == agent.name:
+                    agent.centers[key] = adm.z[k] - adm.u[k, side]
         agent.rho = adm.rho
         state, status, _ = pdip.solve_warm_or_cold(
             lambda warm: pdip.solve_nlp(agent, opts, warm=warm,
@@ -185,21 +183,14 @@ def admm_solve(nets, couplings, partition=None, *, source_kind="current",
                           if all(s == "converged" for s in statuses.values())
                           else "failed")
                 break
-            copies = {(a.name, key): a.local_copy(states[a.name].x, key)
-                      for a in agents for key in participating[a.name]}
-            z_old = {k: v.copy() for k, v in adm.z.items()}
-            for key, t_sub, d_sub in torn:
-                adm.z[key] = 0.5 * (
-                    copies[(t_sub, key)] + adm.u[(t_sub, key)]
-                    + copies[(d_sub, key)] + adm.u[(d_sub, key)])
-            r = 0.0
-            for (name, key), y in copies.items():
-                adm.u[(name, key)] += y - adm.z[key]
-                r = max(r, float(np.max(np.abs(y - adm.z[key]))))
-            s = adm.rho * max(float(np.max(np.abs(adm.z[k] - z_old[k])))
-                              for k in adm.z)
+            y = np.array([[by_name[name].local_copy(states[name].x, key)
+                           for name in sides] for key, *sides in torn])
+            z_old, u = adm.z, adm.u
+            adm.z = 0.5 * (y[:, 0] + u[:, 0] + y[:, 1] + u[:, 1])
+            adm.u += y - adm.z[:, None]
+            r = float(np.max(np.abs(y - adm.z[:, None])))
+            s = adm.rho * float(np.max(np.abs(adm.z - z_old)))
             adm.primal_residual, adm.dual_residual = r, s
-            adm.history.append((r, s, adm.rho))
             if trace_fh:
                 trace_fh.write(json.dumps(
                     {"type": "admm", "iteration": it, "r": r, "s": s,
@@ -211,12 +202,10 @@ def admm_solve(nets, couplings, partition=None, *, source_kind="current",
             if adapt and it % 5 == 0:
                 if r > 10.0 * s:
                     adm.rho *= 2.0
-                    for k in adm.u:
-                        adm.u[k] /= 2.0
+                    adm.u /= 2.0
                 elif s > 10.0 * r:
                     adm.rho /= 2.0
-                    for k in adm.u:
-                        adm.u[k] *= 2.0
+                    adm.u *= 2.0
     wall = time.perf_counter() - t0
 
     diagnostics = {"rho": adm.rho, "primal_residual": adm.primal_residual

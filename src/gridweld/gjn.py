@@ -10,6 +10,10 @@ is identical for any worker count.
 
 The payload that crosses subproblem boundaries is restricted to per-port
 boundary primal/dual values; internal states never leave their owner.
+Those values form one boundary vector, 16 per torn port (``PORT_LAYOUT``);
+each cell reads its parameters from it through its ``cols``, and one
+function, :func:`_exchange`, writes a port's values from its cells' states
+(each epoch) or from their sensitivities (the epoch map).
 """
 
 from __future__ import annotations
@@ -20,138 +24,109 @@ import logging
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import pdip
-from .coupling import (_AGG, _DIST, CouplingPort, aggregate_current_d_to_t,
-                       distribute_voltage_t_to_d, port_dual_prices)
+from .coupling import _AGG, _DIST, distribute_voltage_t_to_d
 from .ecf import build_problem, partition_cells
 from .netmodel import Network, Partition, default_partition
 from .report import build_report
 
 log = logging.getLogger("gridweld.gjn")
 
+#: Torn port k owns entries PORT_DIM*k onwards of the boundary vector; each
+#: parameter-slot kind starts at its offset there: the draw (2) and head
+#: voltages (6) are the primal exchange, the port-current prices (6) and the
+#: POI-voltage price (2) the dual one
+PORT_DIM = 16
+PORT_LAYOUT = {"draw": 0, "headv": 2, "price": 8, "vprice": 14}
+
 
 @dataclass
 class Subproblem:
-    """One partition cell with its own problem, state and boundary ports."""
+    """One partition cell with its own problem and state; ``cols`` is the
+    boundary-vector index of each of its exchange parameters."""
     name: str
     nets: list[Network]
     problem: object
-    ports_t: list[CouplingPort]       # this cell owns the transmission side
-    ports_d: list[CouplingPort]       # this cell owns the distribution side
+    cols: np.ndarray
     state: pdip.KktState | None = None
     status: str = "pending"
     inner_iterations: int = 0
-
-    @property
-    def external_dim(self) -> int:
-        """Boundary values the cell reads: its exchange parameters."""
-        return self.problem.n_param
-
-    @property
-    def internal_dim(self) -> int:
-        return self.problem.nvar
-
-
-@dataclass
-class BoundaryState:
-    """Exchange values for one coupling port (the only shared payload).
-
-    ``draw`` and ``head_v`` are the primal exchange; ``price`` carries the
-    transmission balance duals into the feeder's port-current rows, and
-    ``v_price`` carries the feeder's marginal head-voltage sensitivity back
-    into the POI voltage rows, so the union of cell conditions matches the
-    combined first-order system at the fixed point.
-    """
-    draw: np.ndarray          # (2,) positive-sequence draw at the POI
-    head_v: np.ndarray        # (6,) feeder-head phase voltages
-    price: np.ndarray         # (6,) port-current prices (distribution duals)
-    v_price: np.ndarray       # (2,) POI-voltage price (feeder sensitivity)
-    t_voltage: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    t_dual: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    d_current: np.ndarray = field(default_factory=lambda: np.zeros(6))
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.draw, self.head_v, self.price, self.v_price])
-
-    def payload(self, key: str) -> dict:
-        return {"port": key,
-                "draw": self.draw.tolist(),
-                "head_voltage": self.head_v.tolist(),
-                "price": self.price.tolist(),
-                "v_price": self.v_price.tolist(),
-                "t_voltage": self.t_voltage.tolist(),
-                "t_dual": self.t_dual.tolist(),
-                "d_current": self.d_current.tolist()}
 
 
 @dataclass
 class EpochRecord:
     epoch: int
     metric: float
-    boundary_after: dict[str, list]
+    boundary_after: list[float]
     inner: dict[str, tuple[str, int]]
-
-
-def _initial_boundary(port: CouplingPort) -> BoundaryState:
-    return BoundaryState(draw=np.zeros(2),
-                         head_v=distribute_voltage_t_to_d(port, 1.0, 0.0),
-                         price=np.zeros(6), v_price=np.zeros(2))
 
 
 def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
                       norm, q_only=False):
     """Instantiate per-cell problems plus the port list torn by the partition."""
     cells, torn = partition_cells(nets, couplings, partition, "t_draw", "d_head")
-    subs = [Subproblem(name=cell.name, nets=cell.nets,
-                       problem=build_problem(cell.nets, cell.port_builds,
-                                             source_kind=source_kind,
-                                             norm=norm, q_only=q_only),
-                       ports_t=cell.ports_t, ports_d=cell.ports_d)
-            for cell in cells]
-    for sub in subs:
-        if sub.external_dim and sub.external_dim > 0.2 * sub.internal_dim:
-            warnings.warn(f"subproblem '{sub.name}': boundary dimension "
-                          f"{sub.external_dim} exceeds 20% of internal "
-                          f"dimension {sub.internal_dim}")
+    at = {key: PORT_DIM * k for k, (key, _, _, _) in enumerate(torn)}
+    subs = []
+    for cell in cells:
+        prob = build_problem(cell.nets, cell.port_builds, source_kind=source_kind,
+                             norm=norm, q_only=q_only)
+        cols = np.empty(prob.n_param, dtype=int)
+        for name, sl in prob.param_slots.items():
+            kind, key = name.split(":", 1)
+            cols[sl] = at[key] + PORT_LAYOUT[kind] + np.arange(sl.stop - sl.start)
+        if prob.n_param > 0.2 * prob.nvar:
+            warnings.warn(f"subproblem '{cell.name}': boundary dimension "
+                          f"{prob.n_param} exceeds 20% of internal "
+                          f"dimension {prob.nvar}")
+        subs.append(Subproblem(cell.name, cell.nets, prob, cols))
     return subs, torn
 
 
+def _exchange(port, i_d, v_t, lam_t, head):
+    """A torn port's PORT_DIM new boundary values from what its cells hold.
+
+    ``i_d`` are the feeder's six port currents, ``v_t`` and ``lam_t`` the
+    transmission POI voltage and balance duals, and ``head`` the gradient of
+    the feeder's Lagrangian in its head voltages.  Distribution currents
+    aggregate into the draw, the POI voltage distributes onto the head, the
+    POI duals become the port-current prices and the head gradient the POI
+    voltage price.  The map is linear: given blocks of sensitivity rows
+    (2-D, a column per boundary value) instead of values, it returns the
+    rows of the linearized exchange.
+    """
+    k3 = 3.0 * port.kappa
+    return np.concatenate([_AGG @ i_d / k3, _DIST @ v_t, _AGG.T @ lam_t / k3,
+                           _AGG @ head])
+
+
 def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
-    """Pure-Jacobi exchange: new boundary values from epoch-end snapshots.
+    """Pure-Jacobi exchange: the new boundary vector from epoch-end snapshots.
 
     Reads only the finished subproblem states, so the result is independent
-    of solve completion order.  Returns (new_boundary, metric).
+    of solve completion order.  Returns ``(new_boundary, metric, readings)``;
+    row k of ``readings`` holds what the exchange read at port k: the POI
+    voltage (2), the POI balance duals (2) and the feeder port currents (6).
     """
-    new = {}
-    metric = 0.0
-    for key, port, t_sub, d_sub in torn:
-        old = boundary[key]
-        tsub = subs_by_name[t_sub]
-        dsub = subs_by_name[d_sub]
-        v_t = tsub.state.x[tsub.problem.maps.poi_v[key]]
-        lam_t = tsub.state.lam[tsub.problem.maps.poi_row[key]]
-        i_d = dsub.state.x[np.array(dsub.problem.maps.port_dvar[key])]
-        head_sens = dsub.problem.param_lagrangian_grad(
-            dsub.state.x, dsub.state.lam, dsub.state.mu, f"headv:{key}")
-        bs = BoundaryState(
-            draw=np.asarray(aggregate_current_d_to_t(port, i_d)),
-            head_v=distribute_voltage_t_to_d(port, v_t[0], v_t[1]),
-            price=port_dual_prices(port, lam_t[0], lam_t[1]),
-            v_price=_AGG @ head_sens,
-            t_voltage=v_t, t_dual=lam_t, d_current=np.asarray(i_d))
-        if damping != 1.0:
-            for attr in ("draw", "head_v", "price", "v_price"):
-                setattr(bs, attr, (1 - damping) * getattr(old, attr)
-                        + damping * getattr(bs, attr))
-        metric = max(metric, float(np.max(np.abs(bs.stacked() - old.stacked()),
-                                          initial=0.0)))
-        new[key] = bs
-    return new, metric
+    new = np.empty((len(torn), PORT_DIM))
+    readings = np.empty((len(torn), 10))
+    for k, (key, port, t_sub, d_sub) in enumerate(torn):
+        t, d = subs_by_name[t_sub], subs_by_name[d_sub]
+        v_t = t.state.x[t.problem.maps.poi_v[key]]
+        lam_t = t.state.lam[t.problem.maps.poi_row[key]]
+        i_d = d.state.x[d.problem.maps.port_dvar[key]]
+        head = d.problem.param_lagrangian_grad(d.state.x, d.state.lam,
+                                               d.state.mu, f"headv:{key}")
+        new[k] = _exchange(port, i_d, v_t, lam_t, head)
+        readings[k] = np.concatenate([v_t, lam_t, i_d])
+    new = new.ravel()
+    if damping != 1.0:
+        new = (1 - damping) * boundary + damping * new
+    return new, float(np.max(np.abs(new - boundary), initial=0.0)), readings
 
 
 class Coordinator:
@@ -173,27 +148,32 @@ class Coordinator:
             self.nets, self.couplings, self.partition, source_kind=source_kind,
             norm=norm, q_only=q_only)
         self.by_name = {s.name: s for s in self.subs}
-        self.boundary = {key: _initial_boundary(port)
-                         for key, port, _, _ in self.torn}
+        # flat start: zero draws and prices, balanced 1 pu head voltages
+        self.boundary = np.zeros(PORT_DIM * len(self.torn))
+        for k, (_, port, _, _) in enumerate(self.torn):
+            head = PORT_DIM * k + PORT_LAYOUT["headv"]
+            self.boundary[head:head + 6] = distribute_voltage_t_to_d(port, 1.0, 0.0)
+        self.readings = np.zeros((len(self.torn), 10))   # see gauss_boundary_update
         self.epochs: list[EpochRecord] = []
+
+    def payload(self, key: str) -> dict:
+        """What crossed torn port ``key`` in the last exchange."""
+        k = [t[0] for t in self.torn].index(key)
+        mine = self.boundary[PORT_DIM * k:PORT_DIM * (k + 1)]
+        draw, head_v, price, v_price = np.split(mine, list(PORT_LAYOUT.values())[1:])
+        t_voltage, t_dual, d_current = np.split(self.readings[k], [2, 4])
+        return {"port": key, "draw": draw.tolist(),
+                "head_voltage": head_v.tolist(), "price": price.tolist(),
+                "v_price": v_price.tolist(), "t_voltage": t_voltage.tolist(),
+                "t_dual": t_dual.tolist(), "d_current": d_current.tolist()}
 
     # -- one epoch ------------------------------------------------------------
 
-    def _external_of(self, sub: Subproblem) -> dict:
-        ext = {}
-        for port in sub.ports_t:
-            ext[f"draw:{port.key}"] = self.boundary[port.key].draw
-            ext[f"vprice:{port.key}"] = self.boundary[port.key].v_price
-        for port in sub.ports_d:
-            ext[f"headv:{port.key}"] = self.boundary[port.key].head_v
-            ext[f"price:{port.key}"] = self.boundary[port.key].price
-        return ext
-
     def _solve_one(self, sub: Subproblem):
+        sub.problem.params[:] = self.boundary[sub.cols]
         state, status, used = pdip.solve_warm_or_cold(
             lambda warm: pdip.solve_subproblem(
-                sub.problem, self._external_of(sub), self.opts, warm=warm,
-                capped=bool(self.torn)),
+                sub.problem, self.opts, warm=warm, capped=bool(self.torn)),
             sub.state, f"subproblem '{sub.name}'")
         return sub.name, state, status, used
 
@@ -212,14 +192,12 @@ class Coordinator:
             sub.inner_iterations += used
             inner[name] = (status, used)
         if all(sub.state is not None for sub in self.subs):
-            new_boundary, metric = gauss_boundary_update(
+            self.boundary, metric, self.readings = gauss_boundary_update(
                 self.torn, self.boundary, self.by_name, self.damping)
-            self.boundary = new_boundary
         else:
             metric = float("nan")
         rec = EpochRecord(epoch=epoch, metric=metric,
-                          boundary_after={k: b.stacked().tolist()
-                                          for k, b in self.boundary.items()},
+                          boundary_after=self.boundary.tolist(),
                           inner=inner)
         self.epochs.append(rec)
         return rec
@@ -241,8 +219,8 @@ class Coordinator:
                         {"type": "epoch", "epoch": epoch, "metric": rec.metric,
                          "inner": {k: {"status": v[0], "iterations": v[1]}
                                    for k, v in rec.inner.items()},
-                         "ports": {k: self.boundary[k].payload(k)
-                                   for k in sorted(self.boundary)}},
+                         "ports": {key: self.payload(key)
+                                   for key, _, _, _ in self.torn}},
                         sort_keys=True) + "\n")
                 all_inner = all(s.status == "converged" for s in self.subs)
                 if any(s.status == "failed" for s in self.subs):
@@ -261,7 +239,7 @@ class Coordinator:
     def _report(self, status, wall):
         diagnostics = {
             "gauss_metric": self.epochs[-1].metric if self.epochs else 0.0,
-            "ext_int_ratio": {s.name: (s.external_dim / s.internal_dim)
+            "ext_int_ratio": {s.name: s.problem.n_param / s.problem.nvar
                               for s in self.subs},
         }
         return build_report([(s.problem, s.state) for s in self.subs], status,
@@ -273,44 +251,33 @@ class Coordinator:
 
     # -- diagnostics ----------------------------------------------------------------
 
-    def spectral_radius(self, damping: float | None = None) -> float:
-        """Gauss-Jacobi contraction factor of the linearized exchange.
+    def epoch_map(self) -> np.ndarray:
+        """``BA``: the Jacobian of one undamped epoch on the boundary vector.
 
-        The block-Jacobi matrix of the converged system is bipartite: cells
-        read only boundary values and the exchange reads only cell states.
-        So its spectral radius is ``sqrt(rho(BA))``, where ``BA`` is the
-        16p x 16p linearized epoch map on the stacked boundary values of the
-        p torn ports.  Each cell contributes the sensitivity of its KKT point
-        to its boundary parameters: one :meth:`pdip.NewtonSystem.solve` with
-        a right-hand-side column per parameter (every parameter block from
-        ``param_derivatives``), which factors the cell's condensed KKT
-        matrix once, in the column order the cell's Newton steps use, and
-        recovers the inequality multipliers' block from ``dx`` as a Newton
-        step does.  The exchange maps those onto the new boundary values.
-        The map is exact also where head parameters enter rows nonlinearly
-        (head loads, head flow limits).  With damping
-        ``g`` every eigenvalue ``t`` of ``BA`` gives the rates ``l`` solving
-        ``l^2 - (1-g) l - g t = 0``.
-        ``damping=1`` (the default exchange) rates the raw iteration; values
-        below one rate the relaxed update actually configured.  The cost
-        grows with the number of ports, not with the cells' size cubed.
+        Evaluated at the cells' states with the current boundary as their
+        parameters.  Each cell contributes the sensitivity of its KKT point
+        to its parameters: one :meth:`pdip.NewtonSystem.solve` with a
+        right-hand-side column per parameter (every parameter block from
+        ``param_derivatives``), which factors the cell's condensed KKT matrix
+        once, in the column order the cell's Newton steps use, and recovers
+        the inequality multipliers' block from ``dx`` as a Newton step does.
+        The sensitivity stays in the cell's own parameter columns; only the
+        rows :func:`_exchange` reads are widened to the whole boundary before
+        the exchange maps them onto the new boundary values.  The map is
+        exact also where head parameters enter rows nonlinearly (head loads,
+        head flow limits).  Its cost grows with the number of ports, not
+        with the cells' size cubed.
         """
         for sub in self.subs:
             if sub.state is None:
                 raise ValueError(f"subproblem '{sub.name}' has no state; "
-                                 "spectral_radius needs a finished run")
-        gamma = self.damping if damping is None else damping
-        at = {key: 16 * k for k, (key, _, _, _) in enumerate(self.torn)}
-        first = {"draw": 0, "headv": 2, "price": 8, "vprice": 14}
-        BA = np.zeros((16 * len(self.torn),) * 2)
+                                 "the epoch map needs a finished run")
         sens = {}
         for sub in self.subs:
-            prob = sub.problem
+            prob, st = sub.problem, sub.state
             if not prob.n_param:
                 continue
-            for name, values in self._external_of(sub).items():
-                prob.set_params(name, values)
-            st = sub.state
+            prob.params[:] = self.boundary[sub.cols]
             W_xp, W_pp, Jc_p, Jg_p = prob.param_derivatives(st.x, st.lam, st.mu)
             # implicit-function sensitivity of the cell's KKT point: the Newton
             # system with the boundary parameters' derivatives of its rows
@@ -318,25 +285,42 @@ class Coordinator:
             S = np.vstack(pdip.NewtonSystem.build(prob, st).solve(
                 -W_xp.toarray(), -Jc_p.toarray(),
                 (sp.diags(st.mu) @ Jg_p).toarray()))
-            cols = np.empty(prob.n_param, dtype=int)
-            for name, sl in prob.param_slots.items():
-                kind, key = name.split(":", 1)
-                cols[sl] = at[key] + first[kind] + np.arange(sl.stop - sl.start)
-            # the derivative of the parameter gradient of the Lagrangian (the
+            # and the derivative of the parameter gradient of the Lagrangian (the
             # v-price source) along it: d(grad_p L) = G^T d(x, lam, mu) + W_pp dp
-            G = sp.vstack([W_xp, Jc_p, Jg_p]).tocsc()
-            sens[sub.name] = (S, cols, prob, G, W_pp)
-        for key, port, t_sub, d_sub in self.torn:
-            yo, k3 = at[key], 3.0 * port.kappa
-            St, tcols, tprob, _, _ = sens[t_sub]
-            Sd, dcols, dprob, Gd, Wd = sens[d_sub]
-            lam_t = St[tprob.nvar + np.asarray(tprob.maps.poi_row[key])]
-            BA[yo:yo + 2, dcols] = _AGG @ Sd[dprob.maps.port_dvar[key]] / k3
-            BA[yo + 2:yo + 8, tcols] = _DIST @ St[tprob.maps.poi_v[key]]
-            BA[yo + 8:yo + 14, tcols] = _AGG.T @ lam_t / k3
-            hsl = dprob.param_slots[f"headv:{key}"]
-            BA[yo + 14:yo + 16, dcols] = _AGG @ (Gd[:, hsl].T @ Sd + Wd[hsl].toarray())
-        theta = np.linalg.eigvals(BA).astype(complex)
+            sens[sub.name] = (S, sp.vstack([W_xp, Jc_p, Jg_p]).tocsc(), W_pp)
+
+        def wide(sub, rows):
+            out = np.zeros((rows.shape[0], self.boundary.size))
+            out[:, sub.cols] = rows
+            return out
+
+        BA = np.empty((self.boundary.size,) * 2)
+        for k, (key, port, t_sub, d_sub) in enumerate(self.torn):
+            t, d = self.by_name[t_sub], self.by_name[d_sub]
+            St = sens[t_sub][0]
+            Sd, Gd, Wd = sens[d_sub]
+            hsl = d.problem.param_slots[f"headv:{key}"]
+            BA[PORT_DIM * k:PORT_DIM * (k + 1)] = _exchange(
+                port, wide(d, Sd[d.problem.maps.port_dvar[key]]),
+                wide(t, St[t.problem.maps.poi_v[key]]),
+                wide(t, St[t.problem.nvar + np.asarray(t.problem.maps.poi_row[key])]),
+                wide(d, Gd[:, hsl].T @ Sd + Wd[hsl].toarray()))
+        return BA
+
+    def spectral_radius(self, damping: float | None = None) -> float:
+        """Gauss-Jacobi contraction factor of the linearized exchange.
+
+        The block-Jacobi matrix of the converged system is bipartite: cells
+        read only boundary values and the exchange reads only cell states.
+        So its spectral radius is ``sqrt(rho(BA))``, ``BA`` being the
+        16p x 16p :meth:`epoch_map` of the p torn ports.  With damping
+        ``g`` every eigenvalue ``t`` of ``BA`` gives the rates ``l`` solving
+        ``l^2 - (1-g) l - g t = 0``.
+        ``damping=1`` (the default exchange) rates the raw iteration; values
+        below one rate the relaxed update actually configured.
+        """
+        gamma = self.damping if damping is None else damping
+        theta = np.linalg.eigvals(self.epoch_map()).astype(complex)
         root = np.sqrt((1.0 - gamma) ** 2 + 4.0 * gamma * theta)
         rates = np.abs(np.concatenate([1.0 - gamma + root, 1.0 - gamma - root]))
         return float(np.max(rates, initial=0.0) / 2.0)

@@ -422,21 +422,18 @@ def solve_centralized(nets, couplings, *, source_kind="current", norm="l2",
                         wall_time=wall)
 
 
-def solve_subproblem(problem, external: dict | None = None,
-                     opts: SolverOptions | None = None,
+def solve_subproblem(problem, opts: SolverOptions | None = None,
                      warm: KktState | None = None,
                      capped: bool = False,
                      trace: list | None = None) -> tuple[KktState, str]:
     """Solve one subproblem with its exchange parameters held fixed.
 
-    ``external`` maps parameter-slot names (``draw:...``, ``headv:...``,
-    ``price:...``) to value arrays; they stay constant for the whole solve.
-    With ``capped`` the Newton budget is the distributed-mode inner cap.
+    The parameters are whatever ``problem.params`` holds (the coordinator
+    sets them from the boundary vector); they stay constant for the whole
+    solve.  With ``capped`` the Newton budget is the distributed-mode inner
+    cap.
     """
     opts = opts or SolverOptions()
-    if external:
-        for name, values in external.items():
-            problem.set_params(name, values)
     budget = opts.inner_cap if capped else None
     return solve_nlp(problem, opts, warm=warm, newton_budget=budget, trace=trace)
 

@@ -367,9 +367,9 @@ def test_feasible_t_subproblem_with_oracle_boundary_draw():
     i1 /= 3.0 * spec.kappa
     prob = build_problem([tnet], [PortBuild(CouplingPort(spec), "t_draw")],
                          source_kind="current", norm="l2")
-    state, status = solve_subproblem(
-        prob, {f"draw:{spec.t_bus}:{spec.d_bus}": [i1.real, i1.imag],
-               f"vprice:{spec.t_bus}:{spec.d_bus}": [0.0, 0.0]})
+    prob.set_params(f"draw:{spec.t_bus}:{spec.d_bus}", [i1.real, i1.imag])
+    prob.set_params(f"vprice:{spec.t_bus}:{spec.d_bus}", [0.0, 0.0])
+    state, status = solve_subproblem(prob)
     assert status == "converged"
     assert prob.source_norm_objective(state.x) < 1e-8
     assert np.max(np.abs(prob.source_values(state.x))) < 1e-8
@@ -388,10 +388,10 @@ def test_overloaded_d_subproblem_positive_objective():
     key = f"{spec.t_bus}:{spec.d_bus}"
     head = np.array([1.0, 0.0])
     from gridweld.coupling import distribute_voltage_t_to_d
-    state, status = solve_subproblem(
-        prob, {f"headv:{key}": distribute_voltage_t_to_d(CouplingPort(spec),
-                                                         1.0, 0.0),
-               f"price:{key}": np.zeros(6)})
+    prob.set_params(f"headv:{key}",
+                    distribute_voltage_t_to_d(CouplingPort(spec), 1.0, 0.0))
+    prob.set_params(f"price:{key}", np.zeros(6))
+    state, status = solve_subproblem(prob)
     assert status == "converged"
     assert prob.source_norm_objective(state.x) > 1e-4
 

@@ -118,3 +118,15 @@ def test_one_factorization_site():
     src = ROOT / "src" / "gridweld"
     users = sorted(p.name for p in src.glob("*.py") if "splu" in p.read_text())
     assert users == ["pdip.py"]
+
+
+def test_exchange_written_once():
+    """The coupling maps enter ``gjn`` only inside ``_exchange``, so the
+    epoch loop and the epoch map apply one exchange, not two copies."""
+    tree = ast.parse((ROOT / "src" / "gridweld" / "gjn.py").read_text())
+    (exchange,) = [n for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef) and n.name == "_exchange"]
+    inside = {id(n) for n in ast.walk(exchange)}
+    uses = [n for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id in ("_AGG", "_DIST")]
+    assert uses and all(id(n) in inside for n in uses)
