@@ -76,11 +76,13 @@ class ConsensusAgent:
                 np.concatenate([maps.poi_v[port.key], maps.port_tvar[port.key]]),
                 np.eye(4))
         self.centers = {key: np.array([1.0, 0.0, 0.0, 0.0]) for key in self.copy_map}
-        # penalty Hessian pattern: constant, so built once; only rho scales it
-        blocks = list(self.copy_map.values())
-        self._pen_rows = [np.repeat(idx, len(idx)) for idx, _ in blocks]
-        self._pen_cols = [np.tile(idx, len(idx)) for idx, _ in blocks]
-        self._pen_blocks = [(C.T @ C).ravel() for _, C in blocks]
+        # the penalty Hessian is rho * P with P constant
+        self.P = sp.csr_matrix((base.nvar, base.nvar))
+        for cols, C in self.copy_map.values():
+            k = len(cols)
+            self.P += sp.csr_matrix(((C.T @ C).ravel(), (np.repeat(cols, k),
+                                                          np.tile(cols, k))),
+                                    shape=self.P.shape)
 
     def __getattr__(self, name):
         """Sizes, sources, x0, residuals, Jacobians: the cell problem's."""
@@ -101,12 +103,7 @@ class ConsensusAgent:
         return g
 
     def hess_lagrangian(self, x, lam, mu):
-        W = sp.coo_matrix(self.base.hess_lagrangian(x, lam, mu))
-        v = [W.data] + [self.rho * blk for blk in self._pen_blocks]
-        return sp.csr_matrix((np.concatenate(v),
-                              (np.concatenate([W.row] + self._pen_rows),
-                               np.concatenate([W.col] + self._pen_cols))),
-                             shape=(self.nvar, self.nvar))
+        return self.base.hess_lagrangian(x, lam, mu) + self.rho * self.P
 
     def local_copy(self, x, key):
         cols, C = self.copy_map[key]

@@ -110,40 +110,24 @@ def run(cfg: RunConfig) -> int:
     trace_path = (cfg.trace if cfg.trace is None or os.path.isabs(cfg.trace)
                   or os.sep in cfg.trace else os.path.join(cfg.out, cfg.trace))
 
+    kw = dict(source_kind=cfg.source, norm=cfg.norm, q_only=cfg.q_only, opts=opts)
     if cfg.mode == "compare":
         case_name = os.path.splitext(os.path.basename(cfg.case))[0]
-        rows = gjn.compare_modes(nets, couplings, partition,
-                                 source_kind=cfg.source, norm=cfg.norm,
-                                 q_only=cfg.q_only, opts=opts,
-                                 gauss_tol=cfg.tol_gauss, admm_tol=cfg.tol_gauss,
-                                 max_epochs=cfg.max_epochs, workers=cfg.workers)
+        rows = gjn.compare_modes(nets, couplings, partition, gauss_tol=cfg.tol_gauss,
+                                 admm_tol=cfg.tol_gauss, max_epochs=cfg.max_epochs,
+                                 workers=cfg.workers, **kw)
         print(gjn.format_comparison(rows, case_name))
         return 0 if rows[0]["objective"] is not None else 2
 
+    kw["trace_path"] = trace_path
     if cfg.mode == "central":
-        trace = [] if trace_path else None
-        rep = solve_centralized(nets, couplings, source_kind=cfg.source,
-                                norm=cfg.norm, q_only=cfg.q_only, opts=opts,
-                                trace=trace)
-        if trace_path and trace is not None:
-            import json
-            with open(trace_path, "w") as fh:
-                for r in trace:
-                    fh.write(json.dumps(
-                        {"type": "iter", "iteration": r.iteration, "eps": r.eps,
-                         "kkt": r.kkt, "alpha": r.alpha,
-                         "objective": r.objective, "delta": r.delta,
-                         "backtracks": r.backtracks}, sort_keys=True) + "\n")
+        rep = solve_centralized(nets, couplings, **kw)
     elif cfg.mode == "dpdip":
-        rep = gjn.run(nets, couplings, partition, source_kind=cfg.source,
-                      norm=cfg.norm, q_only=cfg.q_only, opts=opts,
-                      gauss_tol=cfg.tol_gauss, max_epochs=cfg.max_epochs,
-                      workers=cfg.workers, trace_path=trace_path)
+        rep = gjn.run(nets, couplings, partition, gauss_tol=cfg.tol_gauss,
+                      max_epochs=cfg.max_epochs, workers=cfg.workers, **kw)
     else:
-        rep = admm.admm_solve(nets, couplings, partition,
-                              source_kind=cfg.source, norm=cfg.norm,
-                              q_only=cfg.q_only, opts=opts, tol=cfg.tol_gauss,
-                              workers=cfg.workers, trace_path=trace_path)
+        rep = admm.admm_solve(nets, couplings, partition, tol=cfg.tol_gauss,
+                              workers=cfg.workers, **kw)
 
     write_report(rep, os.path.join(cfg.out, "report.json"))
     export_heatmap(rep, os.path.join(cfg.out, "heatmap.csv"))

@@ -291,20 +291,25 @@ def _select(src, rows, cols, keep, row0=0, col0=0):
 
 class _FixedCSR:
     """A CSR pattern fixed at build time from the entries ``vals[src] ->
-    (rows, cols)``; each call scatters new values into it, keeping every
-    entry (duplicates included), so the pattern depends on the build only."""
+    (rows, cols)``.  Each call sums new values into it with one
+    ``np.bincount``, duplicates in entry order, and keeps zero sums, so the
+    pattern depends on the build only."""
 
     def __init__(self, src, rows, cols, shape):
-        order = np.lexsort((cols, rows))
+        n_rows, n_cols = shape
+        pos, slot = np.unique(np.asarray(rows, dtype=np.int64) * n_cols + cols,
+                              return_inverse=True)
         # int32, the index type scipy picks at these sizes, spares its
-        # per-call scan of the index arrays
-        self.src, self.indices = src[order], cols[order].astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(rows, minlength=shape[0]))]).astype(np.int32)
+        # per-call scan of the index arrays and keeps the maps small
+        self.src, self.slot = src.astype(np.int32), slot.astype(np.int32)
+        self.indices = (pos % n_cols).astype(np.int32)
+        self.indptr = np.searchsorted(pos, np.arange(n_rows + 1) * n_cols).astype(np.int32)
         self.shape = shape
 
     def __call__(self, vals):
-        return sp.csr_matrix((vals[self.src], self.indices, self.indptr), shape=self.shape)
+        data = np.bincount(self.slot, vals[self.src], len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape,
+                             dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +322,8 @@ class CircuitProblem:
     Every row is evaluated over ``z = [x; params; 0]``: a linear part
     stamped on z columns plus the nonlinear element rows.  ``residual_*``,
     ``jac_*`` and ``hess_lagrangian`` read the x columns,
-    :meth:`param_derivatives` the parameter columns.  The sparsity
-    patterns are fixed after assembly.
+    :meth:`param_derivatives` the parameter columns.  Every matrix is a
+    :class:`_FixedCSR`, so its sparsity pattern is fixed by the build.
     """
 
     def __init__(self, builder: "_Builder"):
@@ -339,18 +344,21 @@ class CircuitProblem:
         self.params = np.zeros(b.n_param)
         self.maps = b.maps
 
-        # linear equality part [A | B] over z, split by column
-        rows, cols = (np.asarray(a, dtype=int) for a in (b.eq_rows, b.eq_cols))
-        vals = np.asarray(b.eq_vals, dtype=float)
-        on_x = cols < nx
-        self._A_eq = sp.csr_matrix((vals[on_x], (rows[on_x], cols[on_x])),
-                                   shape=(self.n_eq, nx))
-        self._B_eq = sp.csr_matrix((vals[~on_x], (rows[~on_x], cols[~on_x] - nx)),
-                                   shape=(self.n_eq, npar))
+        def on_p(c):
+            return (c >= nx) & (c < nx + npar)
+
+        # linear parts over z: the equalities' [A | B], the inequalities' A
+        rows, cols, vals = (np.concatenate(a) for a in zip(*b.eq_blocks))
+        src = np.arange(len(rows))
+        self._A_eq = _FixedCSR(*_select(src, rows, cols, cols < nx),
+                               (self.n_eq, nx))(vals)
+        self._B_eq = _FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
+                               (self.n_eq, npar))(vals)
         self._b_eq = np.zeros(self.n_eq)
         np.add.at(self._b_eq, b.eqc_rows, b.eqc_vals)
-        self._A_in = sp.csr_matrix(
-            (b.in_vals, (b.in_rows, b.in_cols)), shape=(self.n_in, nx))
+        rows, cols = (np.asarray(a, dtype=int) for a in (b.in_rows, b.in_cols))
+        self._A_in = _FixedCSR(np.arange(len(rows)), rows, cols,
+                               (self.n_in, nx))(np.asarray(b.in_vals, dtype=float))
         self._b_in = np.zeros(self.n_in)
         np.add.at(self._b_in, b.inc_rows, b.inc_vals)
 
@@ -365,31 +373,28 @@ class CircuitProblem:
         self._price_pairs = np.asarray(b.price_pairs, dtype=int).reshape(-1, 2)
         self._x0 = np.asarray(b.x0_vals)
 
-        def on_p(c):
-            return (c >= nx) & (c < nx + npar)
-
-        # Jacobian entries, split into x and parameter columns
-        def jac_entries(elems, n_rows, b_rows, b_cols):
-            """x entries, and the fixed parameter block that also holds the
-            linear entries at ``(b_rows, b_cols)`` (their values follow the
-            element values)."""
-            rows, cols = (np.concatenate([getattr(e, k) for e in elems])
-                          for k in ("jac_rows", "jac_cols"))
-            src = np.arange(len(rows) + len(b_rows))
-            src_p, rows_p, cols_p = _select(src, rows, cols, on_p(cols), col0=nx)
-            return (_select(src, rows, cols, cols < nx), _FixedCSR(
-                np.concatenate([src[len(rows):], src_p]), np.concatenate([b_rows, rows_p]),
-                np.concatenate([b_cols, cols_p]), (n_rows, npar)))
-        B = self._B_eq
-        self._jac_eq = jac_entries(self._eq, self.n_eq, np.repeat(
-            np.arange(self.n_eq), np.diff(B.indptr)), B.indices)
-        self._jac_in = jac_entries(self._in, self.n_in, *np.zeros((2, 0), int))
+        def jacobian(elems, linear):
+            """x and parameter blocks over the entries of the linear parts
+            (``(matrix, first z column)`` pairs, valued by their ``data``),
+            then the elements' (see :meth:`_jac_values`)."""
+            rows = [np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+                    for M, _ in linear]
+            rows = np.concatenate(rows + [e.jac_rows for e in elems])
+            cols = np.concatenate([M.indices + c0 for M, c0 in linear]
+                                  + [e.jac_cols for e in elems])
+            src, n_rows = np.arange(len(rows)), linear[0][0].shape[0]
+            return (_FixedCSR(*_select(src, rows, cols, cols < nx), (n_rows, nx)),
+                    _FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
+                              (n_rows, npar)))
+        self._jac_eq = jacobian(self._eq, [(self._A_eq, 0), (self._B_eq, nx)])
+        self._jac_in = jacobian(self._in, [(self._A_in, 0)])
+        self._eq_lin = np.concatenate([self._A_eq.data, self._B_eq.data])
 
         # Lagrangian Hessian pairs in emission order: the objective (L2
         # squares, then the bilinear price terms), then each element group.
         # A group emits its pairs, then the mirror images of its off-diagonal
         # pairs.  The order fixes how duplicate entries sum, and so the
-        # rounding of W; W drops exact zeros, the parameter blocks keep them.
+        # rounding of W.
         groups = [(self._src_idx, self._src_idx)] if self.norm == "l2" else []
         groups.append((self._price_pairs[:, 0], nx + self._price_pairs[:, 1]))
         self._obj_hess = np.ones(sum(len(i) for i, _ in groups))
@@ -405,7 +410,8 @@ class CircuitProblem:
         src, mirror = src[order], mirror[order]
         rows = np.where(mirror, pj[src], pi[src])
         cols = np.where(mirror, pi[src], pj[src])
-        self._hess_xx = _select(src, rows, cols, (rows < nx) & (cols < nx))
+        self._hess_xx = _FixedCSR(*_select(src, rows, cols, (rows < nx) & (cols < nx)),
+                                  (nx, nx))
         self._hess_xp = _FixedCSR(*_select(src, rows, cols, (rows < nx) & on_p(cols),
                                            col0=nx), (nx, npar))
         self._hess_pp = _FixedCSR(*_select(src, rows, cols, on_p(rows) & on_p(cols),
@@ -427,8 +433,8 @@ class CircuitProblem:
     def _z(self, x):
         return np.concatenate([x, self.params, [0.0]])
 
-    def _jac_values(self, elems, z):
-        return np.concatenate([e.jac_values(z) for e in elems])
+    def _jac_values(self, lin, elems, z):
+        return np.concatenate([lin] + [e.jac_values(z) for e in elems])
 
     def _hess_values(self, z, lam, mu):
         return np.concatenate([self._obj_hess]
@@ -440,11 +446,6 @@ class CircuitProblem:
         for e in elems:
             np.add.at(r, e.rows, e.values(z))
         return r
-
-    def _jacobian(self, A, elems, entries, x):
-        src, rows, cols = entries
-        vals = self._jac_values(elems, self._z(x))[src]
-        return A + sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
 
     def interior_ok(self, x) -> bool:
         """Voltage-magnitude guard for all current-injection denominators."""
@@ -491,23 +492,19 @@ class CircuitProblem:
         return self._residual(r, self._eq, x)
 
     def jac_eq(self, x) -> sp.csr_matrix:
-        return self._jacobian(self._A_eq, self._eq, self._jac_eq[0], x)
+        return self._jac_eq[0](self._jac_values(self._eq_lin, self._eq, self._z(x)))
 
     def residual_in(self, x) -> np.ndarray:
         return self._residual(self._A_in @ x + self._b_in, self._in, x)
 
     def jac_in(self, x) -> sp.csr_matrix:
-        return self._jacobian(self._A_in, self._in, self._jac_in[0], x)
+        return self._jac_in[0](self._jac_values(self._A_in.data, self._in, self._z(x)))
 
     # -- Lagrangian derivatives ------------------------------------------------
 
     def hess_lagrangian(self, x, lam, mu) -> sp.csr_matrix:
         """W = obj Hessian + sum lam_i H(eq_i) + sum mu_j H(in_j), exactly symmetric."""
-        src, rows, cols = self._hess_xx
-        v = self._hess_values(self._z(x), lam, mu)[src]
-        keep = v != 0.0
-        return sp.csr_matrix((v[keep], (rows[keep], cols[keep])),
-                             shape=(self.nvar, self.nvar))
+        return self._hess_xx(self._hess_values(self._z(x), lam, mu))
 
     def param_derivatives(self, x, lam, mu):
         """Parameter blocks of the KKT derivatives at ``(x, lam, mu)``.
@@ -525,9 +522,8 @@ class CircuitProblem:
 
     def _param_jacobians(self, z):
         """Parameter columns ``(Jc_p, Jg_p)`` of the two Jacobians at ``z``."""
-        return (self._jac_eq[1](np.concatenate([self._jac_values(self._eq, z),
-                                                self._B_eq.data])),
-                self._jac_in[1](self._jac_values(self._in, z)))
+        return (self._jac_eq[1](self._jac_values(self._eq_lin, self._eq, z)),
+                self._jac_in[1](self._jac_values(self._A_in.data, self._in, z)))
 
     def param_lagrangian_grad(self, x, lam, mu, name: str) -> np.ndarray:
         """Gradient of the Lagrangian with respect to one parameter block.
@@ -560,6 +556,31 @@ class IndexMaps:
     inj_var: dict = field(default_factory=dict)      # (net,bus,ph) -> (ir, ii)
 
 
+def _injection_table(net):
+    """``(bus, phase) -> [P_const, Q_const, has_any, pv_box or None]``,
+    summed over the loads in case order, then the generators."""
+    table = {(bus.id, ph): [0.0, 0.0, False, None]
+             for bus in net.buses for ph in bus.phases}
+    for ld in net.loads:
+        for ph in ld.p.keys() | ld.q.keys():
+            t = table.get((ld.bus, ph))
+            if t is not None:
+                t[0] += ld.p.get(ph, 0.0)
+                t[1] += ld.q.get(ph, 0.0)
+                t[2] = True
+    for g in net.generators:
+        for ph in net.bus(g.bus).phases:
+            t = table[(g.bus, ph)]
+            t[0] -= g.p.get(ph, 0.0)
+            t[2] = t[2] or ph in g.p or ph in g.q
+            if g.mode == "pq":
+                t[1] -= g.q.get(ph, 0.0)
+            else:
+                lo, hi = t[3] or (0.0, 0.0)
+                t[3] = (lo + g.q_min, hi + g.q_max)
+    return table
+
+
 class _Builder:
     def __init__(self, nets, ports, source_kind, norm, q_only):
         if norm not in ("l1", "l2"):
@@ -587,6 +608,7 @@ class _Builder:
         self.maps = IndexMaps()
         self.sources: list[InfeasibilitySource] = []
 
+        self.eq_blocks = []      # linear equality (rows, cols, vals) arrays
         self.eq_rows, self.eq_cols, self.eq_vals = [], [], []
         self.eqc_rows, self.eqc_vals = [], []
         self.in_rows, self.in_cols, self.in_vals = [], [], []
@@ -594,6 +616,7 @@ class _Builder:
         # nonlinear element specs (see the element types)
         self.inj, self.pv, self.adm, self.vmag, self.flows = [], [], [], [], []
         self.epi_idx: list[int] = []
+        self.injection = {n.name: _injection_table(n) for n in self.net_list}
         self.price_pairs: list[tuple[int, int]] = []
 
         # torn feeder heads (net, bus) -> port build: their voltages are not
@@ -640,6 +663,21 @@ class _Builder:
             self.eq_cols.append(col)
             self.eq_vals.append(val)
 
+    def _branch_current(self, nm, br):
+        """Each phase's from-end current ``Y (V_from - V_to)`` over z columns.
+
+        Returns ``(cols, c_r, c_i)``: the ``4k`` columns ``(fu, fv, tu, tv)``
+        of each of the branch's ``k`` phases, and the ``(k, 4k)``
+        coefficients of the real and imaginary parts of the current.
+        """
+        v = self.maps.v_slot
+        cols = np.array([(*v[(nm, br.from_bus, ph)], *v[(nm, br.to_bus, ph)])
+                         for ph in br.phases]).ravel()
+        g, b = np.array(br.g), np.array(br.b)
+        c_r, c_i = np.array([[g, -b, -g, b], [b, g, -b, -g]]).transpose(
+            0, 2, 3, 1).reshape(2, len(br.phases), len(cols))
+        return cols, c_r, c_i
+
     # -- assembly ------------------------------------------------------------
 
     def _build(self):
@@ -656,6 +694,8 @@ class _Builder:
             self._rows_network(net)
         self._rows_ports()
         self._rows_inequalities()
+        self.eq_blocks.append((np.array(self.eq_rows, dtype=int),    # the scalar stamps
+                               np.array(self.eq_cols, dtype=int), np.array(self.eq_vals)))
 
     def _alloc_voltages(self, net):
         for bus in net.buses:
@@ -668,32 +708,11 @@ class _Builder:
                 iv = self._new_var(f"vi:{bus.id}:{ph}", np.sin(_FLAT[ph]))
                 self.maps.v_slot[(net.name, bus.id, ph)] = (iu, iv)
 
-    def _net_injection(self, net, bus, ph):
-        """(P_const, Q_const, has_any, pv_box or None) at one (bus, phase)."""
-        p = q = 0.0
-        has = False
-        for ld in net.loads:
-            if ld.bus == bus.id:
-                p += ld.p.get(ph, 0.0)
-                q += ld.q.get(ph, 0.0)
-                has = has or ph in ld.p or ph in ld.q
-        box = None
-        for g in net.generators:
-            if g.bus != bus.id:
-                continue
-            p -= g.p.get(ph, 0.0)
-            has = has or ph in g.p or ph in g.q
-            if g.mode == "pq":
-                q -= g.q.get(ph, 0.0)
-            else:
-                lo, hi = box if box else (0.0, 0.0)
-                box = (lo + g.q_min, hi + g.q_max)
-        return p, q, has, box
 
     def _alloc_injections(self, net):
         for bus in net.buses:
             for ph in bus.phases:
-                p, q, has, box = self._net_injection(net, bus, ph)
+                has, box = self.injection[net.name][(bus.id, ph)][2:]
                 if not has and box is None and bus.kind != "pv":
                     continue
                 ir = self._new_var(f"ir:{bus.id}:{ph}", 0.0)
@@ -709,7 +728,7 @@ class _Builder:
                         self._new_var(f"isi:{bus.id}:{ph}", 0.0)))
             elif bus.kind == "pv":
                 for ph in bus.phases:
-                    p, q, has, box = self._net_injection(net, bus, ph)
+                    q, box = self.injection[net.name][(bus.id, ph)][1::2]
                     if box is None:
                         raise ValueError(
                             f"pv bus '{bus.id}' phase {ph}: needs a pv-mode generator")
@@ -796,31 +815,27 @@ class _Builder:
                 rr = self._new_eq(f"kclr:{bus.id}:{ph}")
                 ri = self._new_eq(f"kcli:{bus.id}:{ph}")
                 self.maps.kcl_row[(nm, bus.id, ph)] = (rr, ri)
+        # the from-end current leaves the from bus and enters the to bus;
+        # entries run over (bus, real/imaginary row, phase, column)
+        rows, cols, vals = [], [], []
         for br in net.branches:
-            for oi, ph_i in enumerate(br.phases):
-                rfr, rfi = self.maps.kcl_row[(nm, br.from_bus, ph_i)]
-                rtr, rti = self.maps.kcl_row[(nm, br.to_bus, ph_i)]
-                for oj, ph_j in enumerate(br.phases):
-                    g, b = br.g[oi][oj], br.b[oi][oj]
-                    fu, fv = self.maps.v_slot[(nm, br.from_bus, ph_j)]
-                    tu, tv = self.maps.v_slot[(nm, br.to_bus, ph_j)]
-                    for row, sgn in ((rfr, 1.0), (rtr, -1.0)):
-                        self._stamp_eq(row, fu, sgn * g)
-                        self._stamp_eq(row, fv, -sgn * b)
-                        self._stamp_eq(row, tu, -sgn * g)
-                        self._stamp_eq(row, tv, sgn * b)
-                    for row, sgn in ((rfi, 1.0), (rti, -1.0)):
-                        self._stamp_eq(row, fv, sgn * g)
-                        self._stamp_eq(row, fu, sgn * b)
-                        self._stamp_eq(row, tv, -sgn * g)
-                        self._stamp_eq(row, tu, -sgn * b)
+            bcols, c_r, c_i = self._branch_current(nm, br)
+            kcl = np.array([[self.maps.kcl_row[(nm, bus, ph)] for ph in br.phases]
+                            for bus in (br.from_bus, br.to_bus)])
+            rows.append(np.repeat(kcl.transpose(0, 2, 1).ravel(), len(bcols)))
+            cols.append(np.tile(bcols, 4 * len(br.phases)))
+            vals.append(np.array([c_r, c_i, -c_r, -c_i]).ravel())
+        if vals:
+            rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+            keep = vals != 0.0
+            self.eq_blocks.append((rows[keep], cols[keep], vals[keep]))
 
         for bus in net.buses:
             for ph in bus.phases:
                 rr, ri = self.maps.kcl_row[(nm, bus.id, ph)]
                 iu, iv = self.maps.v_slot[(nm, bus.id, ph)]
                 inj = self.maps.inj_var.get((nm, bus.id, ph))
-                p, q, has, box = self._net_injection(net, bus, ph)
+                p, q = self.injection[nm][(bus.id, ph)][:2]
                 if inj is not None:
                     # balance picks up the device current ...
                     self._stamp_eq(rr, inj[0], 1.0)
@@ -943,27 +958,16 @@ class _Builder:
             for bidx, br in enumerate(net.branches):
                 if br.flow_limit is None:
                     continue
-                for oi in range(len(br.phases)):
-                    row = self._new_in(
-                        f"flow:{bidx}:{br.from_bus}-{br.to_bus}:{br.phases[oi]}")
-                    slots, c_r, c_i = [], [], []
-                    for oj, ph_j in enumerate(br.phases):
-                        g, b = br.g[oi][oj], br.b[oi][oj]
-                        fu, fv = self.maps.v_slot[(nm, br.from_bus, ph_j)]
-                        tu, tv = self.maps.v_slot[(nm, br.to_bus, ph_j)]
-                        slots += [fu, fv, tu, tv]
-                        c_r += [g, -b, -g, b]
-                        c_i += [b, g, -b, -g]
-                    self.flows.append((np.array([row]), np.ones(1),
-                                       np.array([-br.flow_limit ** 2]),
-                                       np.array([slots]), np.array([c_r]),
-                                       np.array([c_i])))
+                k = len(br.phases)
+                rows = np.array([self._new_in(f"flow:{bidx}:{br.from_bus}-{br.to_bus}:{ph}")
+                                 for ph in br.phases])
+                cols, c_r, c_i = self._branch_current(nm, br)
+                self.flows.append((rows, np.ones(k), np.full(k, -br.flow_limit ** 2),
+                                   np.tile(cols, (k, 1)), c_r, c_i))
             for (onet, obus, ph), qvar in self.maps.pv_qvar.items():
                 if onet != nm:
                     continue
-                bus = net.bus(obus)
-                p, q, has, box = self._net_injection(net, bus, ph)
-                lo, hi = box
+                q, (lo, hi) = self.injection[nm][(obus, ph)][1::2]
                 if np.isfinite(hi):          # q_net >= q_load - q_max
                     row = self._new_in(f"qlo:{obus}:{ph}")
                     self.in_rows.append(row)

@@ -55,6 +55,12 @@ def test_jacobian_sparsity_pattern_stable_across_states(rng, kind):
     x2 = interior_point(prob, rng)
     assert _same_pattern(prob.jac_eq(x1), prob.jac_eq(x2))
     assert _same_pattern(prob.jac_in(x1), prob.jac_in(x2))
+    # the flat start with zero multipliers, where many entries are zero
+    x0, lam0, mu0 = prob.x0(), np.zeros(prob.n_eq), np.zeros(prob.n_in)
+    assert _same_pattern(prob.jac_eq(x0), prob.jac_eq(x1))
+    assert _same_pattern(prob.jac_in(x0), prob.jac_in(x1))
+    W1 = prob.hess_lagrangian(x1, rng.standard_normal(prob.n_eq), rng.random(prob.n_in))
+    assert _same_pattern(prob.hess_lagrangian(x0, lam0, mu0), W1)
     # parameter columns, with head loads and a capped head branch on them
     cell, _ = head_cell("case_micro_flowcap", kind)
     x1 = interior_point(cell, rng, scale=0.02)
@@ -130,3 +136,21 @@ def test_exchange_written_once():
     uses = [n for n in ast.walk(tree)
             if isinstance(n, ast.Name) and n.id in ("_AGG", "_DIST")]
     assert uses and all(id(n) in inside for n in uses)
+
+
+def test_circuit_matrices_built_one_way():
+    """In ``ecf``, sparse matrices are made only by ``_FixedCSR.__call__``
+    and ``CircuitProblem.__init__``, so every circuit matrix has a pattern
+    fixed at build time."""
+    tree = ast.parse((ROOT / "src" / "gridweld" / "ecf.py").read_text())
+    allowed = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if (cls.name, getattr(fn, "name", None)) in (
+                        ("_FixedCSR", "__call__"), ("CircuitProblem", "__init__")):
+                    allowed |= {id(n) for n in ast.walk(fn)}
+    makers = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute)
+              and isinstance(n.func.value, ast.Name) and n.func.value.id == "sp"]
+    assert makers and all(id(n) in allowed for n in makers)
