@@ -10,34 +10,18 @@ phasor, tied to the head voltages by the balanced-expansion rows of a
 cell's NLP with the scaled quadratic penalty through the interior-point
 core; the z-update is the plain consensus average and the dual update is
 first order, with residual-balancing adaptation of the penalty weight.
+The iterations run on :class:`gridweld.gjn.Coordinator`'s epoch loop.
 """
 
 from __future__ import annotations
-
-import contextlib
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 
-from . import pdip
 from .coupling import _AGG
 from .ecf import build_problem, partition_cells
-from .netmodel import default_partition
-from .report import build_report
-
-
-@dataclass
-class AdmmState:
-    """Consensus values and scaled duals, indexed by torn-port position."""
-    rho: float
-    z: np.ndarray                                 # (p, 4)
-    u: np.ndarray                                 # (p, 2, 4): T side, D side
-    primal_residual: float = np.inf
-    dual_residual: float = np.inf
+from .gjn import Coordinator, Subproblem
 
 
 class ConsensusAgent:
@@ -51,8 +35,7 @@ class ConsensusAgent:
     derivatives; every other value is the cell problem's own.
     """
 
-    def __init__(self, name, base, head_ports, free_ports):
-        self.name = name
+    def __init__(self, base, head_ports, free_ports):
         self.base = base
         self.copy_map: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.rho = 1.0
@@ -111,14 +94,86 @@ class ConsensusAgent:
 
 
 def build_agents(nets, couplings, partition, *, source_kind, norm, q_only):
+    """One cell per partition subproblem, its problem a :class:`ConsensusAgent`,
+    plus the torn ports as :func:`gridweld.ecf.partition_cells` lists them."""
     cells, torn = partition_cells(nets, couplings, partition, "t_free", "d_phasor")
-    agents = [ConsensusAgent(cell.name,
-                             build_problem(cell.nets, cell.port_builds,
-                                           source_kind=source_kind, norm=norm,
-                                           q_only=q_only),
-                             cell.ports_d, cell.ports_t)
-              for cell in cells]
-    return agents, [(key, t_cell, d_cell) for key, _, t_cell, d_cell in torn]
+    subs = [Subproblem(cell.name, cell.nets,
+                       ConsensusAgent(build_problem(cell.nets, cell.port_builds,
+                                                    source_kind=source_kind,
+                                                    norm=norm, q_only=q_only),
+                                      cell.ports_d, cell.ports_t),
+                       np.empty(0, dtype=int))
+            for cell in cells]
+    return subs, torn
+
+
+class Consensus(Coordinator):
+    """Consensus ADMM on the coordinator's epoch loop: an epoch is one
+    x-update of every cell, then the z- and dual updates.  ``boundary`` holds
+    z (p x 4) and ``u`` the scaled duals (p x 2 x 4: T side, D side), by
+    torn-port position; ``r`` and ``s`` are the primal and dual residuals."""
+    mode = "admm"
+    out_of_budget = "budget-exhausted"
+
+    def __init__(self, nets, couplings, partition=None, *, source_kind="current",
+                 norm="l2", q_only=False, opts=None, rho=10.0, tol=1e-6,
+                 max_iterations=2000, adapt=True, workers=1, trace_path=None):
+        super().__init__(nets, couplings, partition, source_kind=source_kind,
+                         norm=norm, q_only=q_only, opts=opts, gauss_tol=tol,
+                         max_epochs=max_iterations, workers=workers,
+                         trace_path=trace_path)
+        self.rho, self.adapt = rho, adapt
+        self.u = np.zeros((len(self.torn), 2, 4))
+        self.r = self.s = np.inf if self.torn else 0.0
+
+    def _cells(self, source_kind, norm, q_only):
+        subs, torn = build_agents(self.nets, self.couplings, self.partition,
+                                  source_kind=source_kind, norm=norm,
+                                  q_only=q_only)
+        return subs, torn, np.tile([1.0, 0.0, 0.0, 0.0], (len(torn), 1))
+
+    def _load(self, sub):
+        """The agent's penalty centers z - u of its copies, and rho."""
+        for k, (key, _, *sides) in enumerate(self.torn):
+            for side, name in enumerate(sides):
+                if name == sub.name:
+                    sub.problem.centers[key] = self.boundary[k] - self.u[k, side]
+        sub.problem.rho = self.rho
+
+    def _update(self):
+        """Consensus average and first-order dual step; returns max(r, s)."""
+        if not self.torn:
+            return float("nan")
+        y = np.array([[self.by_name[name].problem.local_copy(
+            self.by_name[name].state.x, key) for name in sides]
+            for key, _, *sides in self.torn])
+        z_old, u = self.boundary, self.u
+        self.boundary = 0.5 * (y[:, 0] + u[:, 0] + y[:, 1] + u[:, 1])
+        self.u += y - self.boundary[:, None]
+        self.r = float(np.max(np.abs(y - self.boundary[:, None])))
+        self.s = self.rho * float(np.max(np.abs(self.boundary - z_old)))
+        return max(self.r, self.s)
+
+    def _trace(self, rec):
+        """No line for an epoch without a consensus update."""
+        if np.isnan(rec.metric):
+            return None
+        return {"type": "admm", "iteration": rec.epoch, "r": self.r,
+                "s": self.s, "rho": self.rho}
+
+    def _after_epoch(self, epoch):
+        """Residual balancing of rho every fifth iteration; never a stop."""
+        if self.adapt and epoch % 5 == 0:
+            if self.r > 10.0 * self.s:
+                self.rho *= 2.0
+                self.u /= 2.0
+            elif self.s > 10.0 * self.r:
+                self.rho /= 2.0
+                self.u *= 2.0
+
+    def _diagnostics(self):
+        return {"rho": self.rho, "primal_residual": self.r,
+                "dual_residual": self.s}
 
 
 def admm_solve(nets, couplings, partition=None, *, source_kind="current",
@@ -130,87 +185,7 @@ def admm_solve(nets, couplings, partition=None, *, source_kind="current",
     outer iteration.  A run that exhausts the budget reports status
     'budget-exhausted' (rendered as an em-dash in comparison tables).
     """
-    import json
-    nets = list(nets)
-    partition = partition or default_partition(nets, couplings)
-    opts = opts or pdip.SolverOptions()
-    agents, torn = build_agents(nets, couplings, partition,
-                                source_kind=source_kind, norm=norm,
-                                q_only=q_only)
-    by_name = {a.name: a for a in agents}
-    adm = AdmmState(rho=rho, z=np.tile([1.0, 0.0, 0.0, 0.0], (len(torn), 1)),
-                    u=np.zeros((len(torn), 2, 4)))
-    states: dict[str, pdip.KktState | None] = {a.name: None for a in agents}
-    statuses = {a.name: "pending" for a in agents}
-    budget = opts.inner_cap if torn else None
-
-    def x_update(agent):
-        for k, (key, *sides) in enumerate(torn):
-            for side, name in enumerate(sides):
-                if name == agent.name:
-                    agent.centers[key] = adm.z[k] - adm.u[k, side]
-        agent.rho = adm.rho
-        state, status, _ = pdip.solve_warm_or_cold(
-            lambda warm: pdip.solve_nlp(agent, opts, warm=warm,
-                                        newton_budget=budget),
-            states[agent.name], f"agent '{agent.name}'")
-        return agent.name, state, status
-
-    status = "budget-exhausted"
-    iters = 0
-    t0 = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        trace_fh = (stack.enter_context(open(trace_path, "w"))
-                    if trace_path else None)
-        pool = (stack.enter_context(ThreadPoolExecutor(workers))
-                if workers > 1 and len(agents) > 1 else None)
-        for it in range(1, max_iterations + 1):
-            iters = it
-            results = (list(pool.map(x_update, agents)) if pool
-                       else [x_update(a) for a in agents])
-            for name, state, st in results:
-                statuses[name] = st
-                if state is not None:
-                    states[name] = state
-            if any(state is None for _, state, _ in results):
-                status = "failed"
-                break
-            if not torn:
-                status = ("converged"
-                          if all(s == "converged" for s in statuses.values())
-                          else "failed")
-                break
-            y = np.array([[by_name[name].local_copy(states[name].x, key)
-                           for name in sides] for key, *sides in torn])
-            z_old, u = adm.z, adm.u
-            adm.z = 0.5 * (y[:, 0] + u[:, 0] + y[:, 1] + u[:, 1])
-            adm.u += y - adm.z[:, None]
-            r = float(np.max(np.abs(y - adm.z[:, None])))
-            s = adm.rho * float(np.max(np.abs(adm.z - z_old)))
-            adm.primal_residual, adm.dual_residual = r, s
-            if trace_fh:
-                trace_fh.write(json.dumps(
-                    {"type": "admm", "iteration": it, "r": r, "s": s,
-                     "rho": adm.rho}, sort_keys=True) + "\n")
-            if max(r, s) <= tol and all(st == "converged"
-                                        for st in statuses.values()):
-                status = "converged"
-                break
-            if adapt and it % 5 == 0:
-                if r > 10.0 * s:
-                    adm.rho *= 2.0
-                    adm.u /= 2.0
-                elif s > 10.0 * r:
-                    adm.rho /= 2.0
-                    adm.u *= 2.0
-    wall = time.perf_counter() - t0
-
-    diagnostics = {"rho": adm.rho, "primal_residual": adm.primal_residual
-                   if torn else 0.0,
-                   "dual_residual": adm.dual_residual if torn else 0.0}
-    return build_report([(a, states[a.name]) for a in agents], status,
-                        mode="admm", nets=nets, epochs=iters,
-                        inner_iterations=sum(st.iterations
-                                             for st in states.values()
-                                             if st is not None),
-                        diagnostics=diagnostics, wall_time=wall)
+    return Consensus(nets, couplings, partition, source_kind=source_kind,
+                     norm=norm, q_only=q_only, opts=opts, rho=rho, tol=tol,
+                     max_iterations=max_iterations, adapt=adapt,
+                     workers=workers, trace_path=trace_path).run()

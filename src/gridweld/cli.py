@@ -63,7 +63,9 @@ def build_parser() -> _Parser:
                     help="reactive-only power sources (compensation studies)")
     sv.add_argument("--tol-kkt", type=float, default=1e-8)
     sv.add_argument("--tol-gauss", type=float, default=1e-6)
-    sv.add_argument("--max-epochs", type=int, default=200)
+    sv.add_argument("--max-epochs", type=int, default=200,
+                    help="epoch budget of dpdip and of compare's D-PDIP row; "
+                         "ADMM keeps its 2000-iteration budget")
     sv.add_argument("--inner-cap", type=int, default=50)
     sv.add_argument("--workers", type=int, default=1)
     sv.add_argument("--trace", nargs="?", const="trace.jsonl", default=None,

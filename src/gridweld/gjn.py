@@ -130,7 +130,12 @@ def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
 
 
 class Coordinator:
-    """Owns the epoch loop; subproblem solves may run on worker threads."""
+    """Owns the epoch loop of both distributed modes; subproblem solves may
+    run on worker threads.  The Gauss-Jacobi exchange sits in the methods
+    :class:`gridweld.admm.Consensus` replaces: ``_cells``, ``_load``,
+    ``_update``, ``_trace``, ``_after_epoch`` and ``_diagnostics``."""
+    mode = "dpdip"
+    out_of_budget = "epoch-budget-exhausted"
 
     def __init__(self, nets, couplings, partition=None, *, source_kind="current",
                  norm="l2", q_only=False, opts=None, gauss_tol=1e-6,
@@ -144,17 +149,22 @@ class Coordinator:
         self.damping = damping
         self.workers = max(1, workers)
         self.trace_path = trace_path
-        self.subs, self.torn = build_subproblems(
-            self.nets, self.couplings, self.partition, source_kind=source_kind,
-            norm=norm, q_only=q_only)
+        self.subs, self.torn, self.boundary = self._cells(source_kind, norm, q_only)
         self.by_name = {s.name: s for s in self.subs}
-        # flat start: zero draws and prices, balanced 1 pu head voltages
-        self.boundary = np.zeros(PORT_DIM * len(self.torn))
-        for k, (_, port, _, _) in enumerate(self.torn):
-            head = PORT_DIM * k + PORT_LAYOUT["headv"]
-            self.boundary[head:head + 6] = distribute_voltage_t_to_d(port, 1.0, 0.0)
         self.readings = np.zeros((len(self.torn), 10))   # see gauss_boundary_update
         self.epochs: list[EpochRecord] = []
+
+    def _cells(self, source_kind, norm, q_only):
+        """The cells, the torn ports and the flat-start boundary: zero draws
+        and prices, balanced 1 pu head voltages."""
+        subs, torn = build_subproblems(self.nets, self.couplings, self.partition,
+                                       source_kind=source_kind, norm=norm,
+                                       q_only=q_only)
+        boundary = np.zeros(PORT_DIM * len(torn))
+        for k, (_, port, _, _) in enumerate(torn):
+            head = PORT_DIM * k + PORT_LAYOUT["headv"]
+            boundary[head:head + 6] = distribute_voltage_t_to_d(port, 1.0, 0.0)
+        return subs, torn, boundary
 
     def payload(self, key: str) -> dict:
         """What crossed torn port ``key`` in the last exchange."""
@@ -169,12 +179,29 @@ class Coordinator:
 
     # -- one epoch ------------------------------------------------------------
 
-    def _solve_one(self, sub: Subproblem):
+    def _load(self, sub: Subproblem):
+        """Set what ``sub`` reads before its solve: its boundary parameters."""
         sub.problem.params[:] = self.boundary[sub.cols]
-        state, status, used = pdip.solve_warm_or_cold(
-            lambda warm: pdip.solve_subproblem(
-                sub.problem, self.opts, warm=warm, capped=bool(self.torn)),
-            sub.state, f"subproblem '{sub.name}'")
+
+    def _solve_one(self, sub: Subproblem):
+        """Solve a cell warm, restarted cold (from ``x0``) once if that fails;
+        a :class:`pdip.SolveFailure` reads as ``(None, 'failed')``.  ``used``
+        counts the Newton steps of the last attempt."""
+        self._load(sub)
+        label = f"subproblem '{sub.name}'"
+        for warm in (sub.state, None):
+            # solve_nlp advances a warm state's step count in place
+            start = warm.iterations if warm is not None else 0
+            try:
+                state, status = pdip.solve_subproblem(
+                    sub.problem, self.opts, warm=warm, capped=bool(self.torn))
+            except pdip.SolveFailure as exc:
+                log.error("%s: %s", label, exc)
+                state, status = None, "failed"
+            if status != "failed" or warm is None:
+                break
+            log.warning("%s: warm start failed, restarting cold", label)
+        used = state.iterations - start if state is not None else 0
         return sub.name, state, status, used
 
     def run_epoch(self, epoch: int, pool=None) -> EpochRecord:
@@ -191,22 +218,37 @@ class Coordinator:
             sub.status = status
             sub.inner_iterations += used
             inner[name] = (status, used)
-        if all(sub.state is not None for sub in self.subs):
-            self.boundary, metric, self.readings = gauss_boundary_update(
-                self.torn, self.boundary, self.by_name, self.damping)
-        else:
-            metric = float("nan")
+        metric = (self._update() if all(s.state is not None for s in self.subs)
+                  else float("nan"))
         rec = EpochRecord(epoch=epoch, metric=metric,
                           boundary_after=self.boundary.tolist(),
                           inner=inner)
         self.epochs.append(rec)
         return rec
 
+    def _update(self) -> float:
+        """The Gauss-Jacobi exchange on the cells' states; returns its metric."""
+        self.boundary, metric, self.readings = gauss_boundary_update(
+            self.torn, self.boundary, self.by_name, self.damping)
+        return metric
+
+    def _trace(self, rec: EpochRecord) -> dict | None:
+        return {"type": "epoch", "epoch": rec.epoch, "metric": rec.metric,
+                "inner": {k: {"status": v[0], "iterations": v[1]}
+                          for k, v in rec.inner.items()},
+                "ports": {key: self.payload(key) for key, _, _, _ in self.torn}}
+
+    def _after_epoch(self, epoch: int) -> str | None:
+        """A stop status after an epoch that neither failed nor converged."""
+        if _diverging([r.metric for r in self.epochs]):
+            log.error("boundary exchange diverging; stopping")
+            return "diverged"
+
     # -- full run ----------------------------------------------------------------
 
     def run(self):
         t0 = time.perf_counter()
-        status = "epoch-budget-exhausted"
+        status = self.out_of_budget
         with contextlib.ExitStack() as stack:
             trace_fh = (stack.enter_context(open(self.trace_path, "w"))
                         if self.trace_path else None)
@@ -214,40 +256,35 @@ class Coordinator:
                     if self.workers > 1 and len(self.subs) > 1 else None)
             for epoch in range(1, self.max_epochs + 1):
                 rec = self.run_epoch(epoch, pool)
-                if trace_fh:
-                    trace_fh.write(json.dumps(
-                        {"type": "epoch", "epoch": epoch, "metric": rec.metric,
-                         "inner": {k: {"status": v[0], "iterations": v[1]}
-                                   for k, v in rec.inner.items()},
-                         "ports": {key: self.payload(key)
-                                   for key, _, _, _ in self.torn}},
-                        sort_keys=True) + "\n")
-                all_inner = all(s.status == "converged" for s in self.subs)
+                line = self._trace(rec) if trace_fh else None
+                if line is not None:
+                    trace_fh.write(json.dumps(line, sort_keys=True) + "\n")
                 if any(s.status == "failed" for s in self.subs):
                     status = "failed"
                     break
-                if (not self.torn or rec.metric <= self.gauss_tol) and all_inner:
+                if ((not self.torn or rec.metric <= self.gauss_tol)
+                        and all(s.status == "converged" for s in self.subs)):
                     status = "converged"
                     break
-                if _diverging([r.metric for r in self.epochs]):
-                    log.error("boundary exchange diverging; stopping")
-                    status = "diverged"
+                stop = self._after_epoch(epoch)
+                if stop:
+                    status = stop
                     break
         wall = time.perf_counter() - t0
         return self._report(status, wall)
 
     def _report(self, status, wall):
-        diagnostics = {
-            "gauss_metric": self.epochs[-1].metric if self.epochs else 0.0,
-            "ext_int_ratio": {s.name: s.problem.n_param / s.problem.nvar
-                              for s in self.subs},
-        }
         return build_report([(s.problem, s.state) for s in self.subs], status,
-                            mode="dpdip", nets=self.nets,
+                            mode=self.mode, nets=self.nets,
                             epochs=len(self.epochs),
                             inner_iterations=sum(s.inner_iterations
                                                  for s in self.subs),
-                            diagnostics=diagnostics, wall_time=wall)
+                            diagnostics=self._diagnostics(), wall_time=wall)
+
+    def _diagnostics(self) -> dict:
+        return {"gauss_metric": self.epochs[-1].metric if self.epochs else 0.0,
+                "ext_int_ratio": {s.name: s.problem.n_param / s.problem.nvar
+                                  for s in self.subs}}
 
     # -- diagnostics ----------------------------------------------------------------
 

@@ -13,6 +13,7 @@ read-only, so they are safe to share across worker threads.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -355,6 +356,12 @@ def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
 
     coupled = {all_ids[c.d_bus] for c in couplings}
     for net in nets:
+        for b in (b for b in net.buses if b.kind == "pv"):
+            pv = [g for g in net.generators if g.bus == b.id and g.mode == "pv"]
+            _require(pv, f"network '{net.name}' pv bus '{b.id}': needs a pv-mode generator")
+            lo, hi = sum(g.q_min for g in pv), sum(g.q_max for g in pv)
+            _require(lo < hi or not math.isfinite(lo + hi), f"network '{net.name}' pv bus "
+                     f"'{b.id}': reactive box must have q_min < q_max")
         if net.side == "transmission":
             net.power_base_va = base_mva * 1e6
         else:

@@ -449,27 +449,3 @@ def solve_subproblem(problem, opts: SolverOptions | None = None,
     opts = opts or SolverOptions()
     budget = opts.inner_cap if capped else None
     return solve_nlp(problem, opts, warm=warm, newton_budget=budget)
-
-
-def solve_warm_or_cold(solve, warm: KktState | None, label: str):
-    """``solve(warm) -> (state, status)``, restarted cold once if it fails.
-
-    A jump in the exchange parameters can strand a warm start; a cold start
-    from ``x0`` drops its history.  A :class:`SolveFailure` is logged under
-    ``label`` and reads as ``(None, 'failed')``.  Returns ``(state, status,
-    steps)``, ``steps`` being the Newton steps of the last attempt.
-    """
-    def attempt(w):
-        start = w.iterations if w is not None else 0   # solve_nlp resumes w
-        try:
-            state, status = solve(w)
-        except SolveFailure as exc:
-            log.error("%s: %s", label, exc)
-            return None, "failed", 0
-        return state, status, state.iterations - start
-
-    result = attempt(warm)
-    if result[1] == "failed" and warm is not None:
-        log.warning("%s: warm start failed, restarting cold", label)
-        result = attempt(None)
-    return result

@@ -122,9 +122,10 @@ def test_budget_exhaustion_reported_as_dash_in_comparison():
 
 def _failing_warm_solves(monkeypatch, fail_cold):
     """Make the first warm x-update raise; with ``fail_cold`` every later
-    call raises too.  Returns the list of calls as (warm given, raised)."""
+    call raises too.  Returns the list of calls as (warm given, raised) and
+    the Newton steps of each solve that returned."""
     original = pdip.solve_nlp
-    calls = []
+    calls, steps = [], []
 
     def flaky(problem, opts=None, warm=None, **kw):
         failed_before = any(r for _, r in calls)
@@ -133,13 +134,16 @@ def _failing_warm_solves(monkeypatch, fail_cold):
         calls.append((warm is not None, raised))
         if raised:
             raise pdip.SolveFailure("forced")
-        return original(problem, opts, warm=warm, **kw)
+        start = warm.iterations if warm is not None else 0
+        state, status = original(problem, opts, warm=warm, **kw)
+        steps.append(state.iterations - start)
+        return state, status
     monkeypatch.setattr(pdip, "solve_nlp", flaky)
-    return calls
+    return calls, steps
 
 
 def test_failed_warm_x_update_restarts_cold(monkeypatch):
-    calls = _failing_warm_solves(monkeypatch, fail_cold=False)
+    calls, steps = _failing_warm_solves(monkeypatch, fail_cold=False)
     nets, coups = load("case_micro_td")
     rep = admm.admm_solve(nets, coups, source_kind="current", norm="l2",
                           tol=1e-6)
@@ -147,6 +151,8 @@ def test_failed_warm_x_update_restarts_cold(monkeypatch):
     assert calls[first + 1] == (False, False)      # the cold restart
     assert rep.status == "converged"
     assert rep.objective < 1e-8
+    # the x-updates before the cold restart still count
+    assert rep.inner_iterations == sum(steps)
 
 
 def test_failed_cold_restart_ends_run_with_report(monkeypatch):

@@ -44,6 +44,25 @@ def test_invalid_combination_trace_with_compare(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param({"mode": "pq"}, id="pv-bus-without-pv-generator"),
+    pytest.param({"q_min": 0.5, "q_max": 0.5}, id="pv-generator-empty-q-box")])
+def test_malformed_pv_bus_exits_one(tmp_path, capsys, edit):
+    """A pv bus needs a pv-mode generator with q_min < q_max; the case
+    check says so, not a traceback from the problem build."""
+    with open(case_path("case_micro_td")) as fh:
+        raw = json.load(fh)
+    (gen,) = [g for n in raw["networks"] for g in n.get("generators", [])
+              if g.get("mode") == "pv"]
+    gen.update(edit)
+    bad = tmp_path / "case.json"
+    bad.write_text(json.dumps(raw))
+    code = run_cli(["--case", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "pv bus 't2'" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--tol-kkt", "-1"),
                                          ("--tol-gauss", "0"),
                                          ("--max-epochs", "0"),
@@ -123,12 +142,14 @@ def test_central_trace_records_solver_iterations(tmp_path):
         assert row["alpha"] <= 0.5 ** row["backtracks"]
 
 
-def test_byte_identical_reports_across_worker_counts(tmp_path):
+@pytest.mark.parametrize("mode, case", [("dpdip", "case_twofeeder_stressed"),
+                                        ("admm", "case_twofeeder_td")])
+def test_byte_identical_reports_across_worker_counts(tmp_path, mode, case):
     blobs = []
     for i, workers in enumerate((1, 2, 8)):
         out = tmp_path / f"w{workers}"
-        code = run_cli(["--case", case_path("case_twofeeder_stressed"),
-                        "--mode", "dpdip", "--partition",
+        code = run_cli(["--case", case_path(case),
+                        "--mode", mode, "--partition",
                         partition_path("twofeeder"), "--workers", str(workers),
                         "--out", str(out)])
         assert code == 0

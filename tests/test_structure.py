@@ -138,6 +138,19 @@ def test_exchange_written_once():
     assert uses and all(id(n) in inside for n in uses)
 
 
+def test_epoch_loop_written_once():
+    """Both distributed modes run on ``gjn.Coordinator``'s epoch loop: only
+    ``gjn`` builds a thread pool, and ``admm`` neither solves a cell nor
+    builds a report itself."""
+    src = ROOT / "src" / "gridweld"
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if "ThreadPoolExecutor" in p.read_text()] == ["gjn.py"]
+    tree = ast.parse((src / "admm.py").read_text())
+    called = {getattr(n.func, "attr", getattr(n.func, "id", None))
+              for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert not called & {"solve_nlp", "solve_subproblem", "build_report"}
+
+
 def test_circuit_matrices_built_one_way():
     """In ``ecf``, sparse matrices are made only by ``_FixedCSR.__call__``
     and ``CircuitProblem.__init__``, so every circuit matrix has a pattern
