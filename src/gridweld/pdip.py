@@ -19,15 +19,24 @@ row gives ``dmu = (r_m - mu * (Jg dx)) / g``, and substituting it leaves
     [ Jc                                 0    ] [dlam] = - [ r_c                ]
 
 which is factored by sparse LU; ``dmu`` is then recovered from ``dx``.  The
-column order of that factorization (SuperLU's COLAMD) is taken on a
-problem's first factorization and kept for the problem, weakly referenced;
-every later step, epoch and exchange sensitivity of the problem factors the
-matrix with its columns in that order and no reordering.  The order comes
-from the sparsest pattern the matrix has: a first step starts from zero
-equality multipliers, so W's constraint entries are exact zeros that drop
-out of ``W + Jg^T diag(mu/s) Jg`` (``ladder_f4`` L1 power: 94,136 entries
-at the first step, 105,856 later).  Later matrices fill about as little in
-that order as in a fresh COLAMD one (21-feeder ladder, central L1: 1.27M
+condensed matrix has a CSC pattern built once per problem from the fixed
+patterns of W, Jc and Jg, and kept for the problem, weakly referenced:
+each step fills it with one ``np.bincount`` (see :class:`_KktPattern`),
+and the transposed products ``Jc^T lam``, ``Jg^T mu`` and ``Jg^T (1/s)``
+are bincounts too, so a step does no sparse algebra.  The fill stores
+what scipy's sparse sums would: a sum with a Jg term or ``delta`` drops
+Hessian entries that come to exactly zero.  Stored zeros would change
+SuperLU's elimination postorder, and with it every step's trailing digits.
+The pattern's columns are in the order of the problem's first
+factorization (SuperLU's COLAMD on the natural-order matrix); every later
+step, epoch and exchange sensitivity of the problem factors the matrix in
+that order with no reordering, and a step whose W, Jc or Jg pattern
+differs rebuilds the pattern in that order.  The order comes from the
+sparsest pattern the matrix has: a first step starts from zero equality
+multipliers, so W's constraint entries are exact zeros that drop out of
+``W + Jg^T diag(mu/s) Jg`` (``ladder_f4`` L1 power: 94,136 entries at the
+first step, 105,856 later).  Later matrices fill about as little in that
+order as in a fresh COLAMD one (21-feeder ladder, central L1: 1.27M
 against 1.35M LU entries with power sources, 1.15M against 1.14M with
 current ones).  Steps have fraction-to-boundary caps and an Armijo
 backtracking line search on an L1-penalty merit function.  One loop picks
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,8 +67,8 @@ MAX_BACKTRACKS = 40
 DELTA_FIRST = 1e-8         # first nonzero regularization delta on W
 DELTA_MAX = 1e4
 
-# problem -> column order of its condensed KKT matrix (see NewtonSystem.solve)
-_COLUMN_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# problem -> the pattern of its condensed KKT matrix (see NewtonSystem)
+_PATTERNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -145,21 +154,21 @@ class _Point:
     def Jc(self):
         if not self.c.size:
             return sp.csr_matrix((0, self.problem.nvar))
-        return self.problem.jac_eq(self.x)
+        return self.problem.jac_eq(self.x).tocsr()
 
     @cached_property
     def Jg(self):
         if not self.g.size:
             return sp.csr_matrix((0, self.problem.nvar))
-        return self.problem.jac_in(self.x)
+        return self.problem.jac_in(self.x).tocsr()
 
     def residuals(self, state: KktState):
         """(r_x, r_c, g, r_m) of the perturbed KKT conditions at ``state``."""
         r_x = self.grad
         if self.c.size:
-            r_x = r_x + self.Jc.T @ state.lam
+            r_x = r_x + _transpose_times(self.Jc, state.lam)
         if self.g.size:
-            r_x = r_x + self.Jg.T @ state.mu
+            r_x = r_x + _transpose_times(self.Jg, state.mu)
         r_m = -state.mu * self.g - state.eps if self.g.size else np.zeros(0)
         return r_x, self.c, self.g, r_m
 
@@ -193,15 +202,158 @@ def assemble_kkt(problem, state: KktState,
         g_max=float(np.max(g)) if g.size else -np.inf)
 
 
+class _KktPattern:
+    """The CSC pattern of the condensed matrix ``[[H, Jc^T], [Jc, 0]]``,
+    ``H = W + Jg^T diag(d) Jg + delta*I``, for one set of W, Jc and Jg
+    patterns, with its columns in ``order`` (None: natural order).
+
+    A Hessian slot is an entry of W or of a pair of Jg entries in one row;
+    only this block is deduplicated, and the Jc entries go by per-column
+    counts.  The diagonal entries that neither gives are inserted when
+    ``delta`` is not 0.  :meth:`fill` sums each slot in the order scipy's
+    ``Jg.T @ (diag(d) @ Jg)``, then ``W + P``, then ``+ delta*I`` do: the
+    pair products ``Jg[r,i] * (d[r] * Jg[r,j])`` of slot ``(i, j)`` by
+    ascending Jg row ``r``, then W, then ``delta``.  The source index arrays
+    are held, not copied, to tell a pattern change.
+    """
+
+    def __init__(self, W, Jc, Jg, order=None):
+        n, me = W.shape[0], Jc.shape[0]
+        self.sources = tuple(a for M in (W, Jc, Jg) for a in (M.indptr, M.indices))
+        self.shape = (n + me,) * 2
+        # the pairs (a, b) of Jg entries in one row, by ascending row
+        k = np.diff(Jg.indptr).astype(np.int64)
+        sq = k * k
+        first = np.repeat(Jg.indptr[:-1], sq)
+        t = np.arange(int(sq.sum())) - np.repeat(np.cumsum(sq) - sq, sq)
+        width = np.repeat(k, sq)
+        self.pair_a = (first + t // width).astype(np.int32)
+        self.pair_b = (first + t % width).astype(np.int32)
+        del first, t, width
+        # Hessian slots of W and the pairs, column-major
+        keys = np.concatenate([
+            W.indices.astype(np.int64) * n + np.repeat(np.arange(n), np.diff(W.indptr)),
+            Jg.indices[self.pair_b].astype(np.int64) * n + Jg.indices[self.pair_a]])
+        hkeys, slot = np.unique(keys, return_inverse=True)
+        del keys
+        h_count = np.bincount(hkeys // n, minlength=n)
+        j_count = np.bincount(Jc.indices, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(h_count + j_count),
+                                      len(hkeys) + Jc.nnz + Jc.indptr[1:]]).astype(np.int32)
+        # a column's Hessian slots come first, shifted by the Jc entries of
+        # the columns before; then its Jc entries, by ascending row
+        j_before = np.cumsum(j_count) - j_count
+        h_pos = (np.arange(len(hkeys)) + np.repeat(j_before, h_count)).astype(np.int32)
+        self.indices = np.empty(self.indptr[-1], dtype=np.int32)
+        self.indices[h_pos] = hkeys % n
+        # the diagonal: a slot, or where column i's missing entry would go
+        diag = np.arange(n, dtype=np.int64) * (n + 1)
+        rank = np.searchsorted(hkeys, diag)
+        held = np.append(hkeys, -1)[rank] == diag
+        self.diag_pos = h_pos[rank[held]]
+        # each missing entry: its row (= natural column), its column in
+        # ``order`` and its insertion point, by position
+        self.diag_row = self.diag_col = np.flatnonzero(~held).astype(np.int32)
+        self.diag_at = (rank[~held] + j_before[~held]).astype(np.int32)
+        self.w_pos, self.pair_pos = np.split(h_pos[slot], [W.nnz])
+        del h_pos, hkeys, slot, rank, held
+        by_col = np.argsort(Jc.indices, kind="stable")
+        self.jc_pos = np.empty(2 * Jc.nnz, dtype=np.int32)
+        self.jc_pos[by_col] = (np.arange(Jc.nnz) - np.repeat(j_before, j_count)
+                               + np.repeat(self.indptr[:n] + h_count, j_count))
+        self.jc_pos[Jc.nnz:] = self.indptr[n] + np.arange(Jc.nnz)
+        self.indices[self.jc_pos[:Jc.nnz]] = n + np.repeat(np.arange(me), np.diff(Jc.indptr))
+        self.indices[self.jc_pos[Jc.nnz:]] = Jc.indices
+        self.order = None
+        if order is not None:
+            self.reorder(order)
+
+    def fits(self, W, Jc, Jg) -> bool:
+        """Whether W, Jc and Jg have the patterns this was built from."""
+        arrays = (a for M in (W, Jc, Jg) for a in (M.indptr, M.indices))
+        return all(a is b or np.array_equal(a, b) for a, b in zip(arrays, self.sources))
+
+    def reorder(self, order):
+        """Put the natural-order columns in ``order`` (column ``k`` is
+        natural column ``order[k]``) by moving each position, rows kept.
+        The slot maps are rewritten in place; ``indices`` and ``indptr``,
+        which matrices share, are new arrays."""
+        counts = np.diff(self.indptr)
+        indptr = np.concatenate([[0], np.cumsum(counts[order])]).astype(np.int32)
+        start = np.empty(len(order), dtype=np.int64)
+        start[order] = indptr[:-1]
+        shift = start - self.indptr[:-1]
+        moved = (np.arange(len(self.indices)) + np.repeat(shift, counts)).astype(np.int32)
+        for pos in (self.w_pos, self.pair_pos, self.diag_pos, self.jc_pos):
+            pos[:] = moved[pos]
+        indices = np.empty_like(self.indices)
+        indices[moved] = self.indices
+        # a missing diagonal entry keeps its offset in its column
+        at = self.diag_at + shift[self.diag_row]
+        by_at = np.argsort(at)
+        column = np.empty(len(order), dtype=np.int32)
+        column[order] = np.arange(len(order))
+        self.diag_row = self.diag_row[by_at]
+        self.diag_at = at[by_at].astype(np.int32)
+        self.diag_col = column[self.diag_row]
+        self.indices, self.indptr, self.order = indices, indptr, order
+
+    def fill(self, W, Jc, Jg, d, delta) -> sp.csc_matrix:
+        """The matrix with ``diag(d)`` (None: no Jg term) and ``delta``.
+
+        It stores what scipy's sums would: where a sum was taken (a Jg term
+        or ``delta``), no Hessian entry that comes to exactly 0; otherwise
+        W's entries as they are.  Jc zeros are kept."""
+        nnz = len(self.indices)
+        if d is None:
+            data = np.zeros(nnz)
+            data[self.w_pos] = W.data
+        else:
+            products = Jg.data[self.pair_a]
+            products *= (np.repeat(d, np.diff(Jg.indptr)) * Jg.data)[self.pair_b]
+            data = np.bincount(self.pair_pos, products, nnz)
+            del products
+            data[self.w_pos] += W.data
+        jc_pos = self.jc_pos
+        data[jc_pos[:Jc.nnz]] = Jc.data
+        data[jc_pos[Jc.nnz:]] = Jc.data
+        indices, indptr = self.indices, self.indptr
+        if delta:
+            data[self.diag_pos] += delta
+            at = self.diag_at
+            data = np.insert(data, at, delta)
+            indices = np.insert(indices, at, self.diag_row)
+            indptr = indptr + np.searchsorted(self.diag_col, np.arange(len(indptr))
+                                              ).astype(np.int32)
+            jc_pos = jc_pos + np.searchsorted(at, jc_pos, side="right").astype(np.int32)
+        if d is not None or delta:
+            zero = data == 0.0
+            if zero.any():
+                zero[jc_pos] = False
+                dropped = np.flatnonzero(zero)
+                if len(dropped):
+                    indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
+                    data, indices = data[~zero], indices[~zero]
+        return sp.csc_matrix((data, indices, indptr), shape=self.shape)
+
+
 @dataclass
 class NewtonSystem:
     """One linearized perturbed-KKT system, solved in condensed form.
 
     :meth:`matrix` is the condensed matrix
-    ``[[W + Jg^T diag(mu/s) Jg + delta*I, Jc^T], [Jc, 0]]`` with ``s = -g``;
-    :meth:`solve` solves the unreduced three-block system through it.  The
-    column order of the factorization is kept for ``problem`` (when given)
-    from its first factorization on.
+    ``[[W + Jg^T diag(mu/s) Jg + delta*I, Jc^T], [Jc, 0]]`` with ``s = -g``,
+    filled into the problem's :class:`_KktPattern` with its columns in the
+    problem's kept order; :meth:`solve` solves the unreduced three-block
+    system through it.  The pattern is built on a problem's first matrix
+    and kept for the problem, weakly referenced, with the column order of
+    its first factorization (COLAMD on the natural-order matrix); a step
+    whose W, Jc or Jg pattern differs from the kept one rebuilds it in the
+    kept order.  The matrix stores the entries scipy's sparse sums would:
+    where a Jg term or ``delta`` is summed in, no Hessian entry that comes
+    to exactly zero, and otherwise W's entries, zeros included.  Stored
+    zeros change SuperLU's elimination postorder, and with it the trailing
+    digits of every step.
     """
     W: sp.csr_matrix
     Jc: sp.csr_matrix
@@ -213,6 +365,7 @@ class NewtonSystem:
     me: int
     mi: int
     problem: object = None
+    pattern: _KktPattern | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, problem, state: KktState,
@@ -226,15 +379,18 @@ class NewtonSystem:
                    mi=g.size, problem=problem)
 
     def matrix(self, delta: float = 0.0) -> sp.csc_matrix:
-        """The condensed KKT matrix, ``delta*I`` added to its Hessian block."""
-        H = self.W
-        if self.mi:
-            H = H + self.Jg.T @ (sp.diags(self.mu / -self.g) @ self.Jg)
-        if delta:
-            H = H + delta * sp.identity(self.n, format="csr")
-        if not self.me:
-            return H.tocsc()
-        return sp.bmat([[H, self.Jc.T], [self.Jc, None]], format="csc")
+        """The condensed KKT matrix, ``delta*I`` added to its Hessian block,
+        with its columns in ``self.pattern.order``."""
+        if self.pattern is None:
+            kept = _PATTERNS.get(self.problem) if self.problem is not None else None
+            if kept is None or not kept.fits(self.W, self.Jc, self.Jg):
+                kept = _KktPattern(self.W, self.Jc, self.Jg,
+                                   None if kept is None else kept.order)
+                if self.problem is not None:
+                    _PATTERNS[self.problem] = kept
+            self.pattern = kept
+        d = self.mu / -self.g if self.mi else None
+        return self.pattern.fill(self.W, self.Jc, self.Jg, d, delta)
 
     def solve(self, b_x, b_c, b_m, delta: float = 0.0):
         """(dx, dlam, dmu) with the unreduced matrix times them equal to
@@ -243,21 +399,35 @@ class NewtonSystem:
         singular."""
         inv_s = 1.0 / -self.g
         if self.mi:
-            b_x = b_x - self.Jg.T @ _scale_rows(inv_s, b_m)
+            b_x = b_x - _transpose_times(self.Jg, _scale_rows(inv_s, b_m))
         K = self.matrix(delta)
         rhs = np.concatenate([b_x, b_c])
-        order = _COLUMN_ORDERS.get(self.problem) if self.problem is not None else None
-        if order is None:
+        pattern = self.pattern
+        if pattern.order is None:
             lu = spla.splu(K)
-            if self.problem is not None:
-                _COLUMN_ORDERS[self.problem] = np.argsort(lu.perm_c)
             v = lu.solve(rhs)
+            order = np.argsort(lu.perm_c)
+            del K, lu
+            pattern.reorder(order)
         else:
             v = np.empty_like(rhs)
-            v[order] = spla.splu(K[:, order], permc_spec="NATURAL").solve(rhs)
+            v[pattern.order] = spla.splu(K, permc_spec="NATURAL").solve(rhs)
         dx, dlam = v[:self.n], v[self.n:]
         dmu = _scale_rows(inv_s, b_m + _scale_rows(self.mu, self.Jg @ dx))
         return dx, dlam, dmu
+
+
+def _transpose_times(J: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+    """``J.T @ y`` for a 1-D or 2-D ``y``, summed per entry in ascending row
+    order as scipy sums it, without a transposed matrix."""
+    rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+    if y.ndim == 1:
+        return np.bincount(J.indices, J.data * y[rows], J.shape[1])
+    terms = J.data[:, None] * y[rows]
+    out = np.empty((J.shape[1], y.shape[1]))
+    for k in range(y.shape[1]):
+        out[:, k] = np.bincount(J.indices, terms[:, k], J.shape[1])
+    return out
 
 
 def _scale_rows(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -323,7 +493,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         # merit slope along dx: grad_barrier @ dx - nu * |c|_1
         grad_barrier = point.grad
         if system.mi:
-            grad_barrier = grad_barrier + state.eps * (system.Jg.T @ (1.0 / (-system.g)))
+            grad_barrier = grad_barrier + state.eps * _transpose_times(system.Jg, 1.0 / (-system.g))
         flat = 1e-10 * (1.0 + abs(point.f))
         delta = 0.0
         while True:

@@ -202,9 +202,143 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
     specs.clear()
     first, second = newton_step(system), newton_step(system)
     assert specs == [None, "NATURAL"]
-    assert pdip._COLUMN_ORDERS[fresh].size == fresh.nvar + fresh.n_eq
+    assert pdip._PATTERNS[fresh].order.size == fresh.nvar + fresh.n_eq
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def test_changed_hessian_pattern_keeps_the_column_order(monkeypatch, rng):
+    """A consensus agent's W is ``W_cell + rho * P``, a sum that drops the
+    zeros of the flat start, so its pattern differs between the first and
+    later x-updates.  The pattern is rebuilt in the kept column order: one
+    COLAMD call for the problem, and a step the dense oracle confirms."""
+    import scipy.sparse.linalg as spla
+    import gridweld.pdip as pdip
+    original, specs = spla.splu, []
+
+    def recorded(A, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return original(A, *args, **kwargs)
+    monkeypatch.setattr(spla, "splu", recorded)
+    agent = _consensus_agent("D")
+    flat, (x, lam, mu) = _states(agent, rng)
+    flat = NewtonSystem.build(agent, flat)
+    later = NewtonSystem.build(agent, KktState(x=x, lam=lam, mu=mu, eps=1e-3))
+    assert later.W.nnz > flat.W.nnz
+    assert newton_step(flat) is not None
+    kept = pdip._PATTERNS[agent]
+    for delta in (0.0, 1e-8):
+        step = newton_step(later, delta)
+        v = np.concatenate(step)
+        Y = _dense_unreduced(later, delta)
+        assert np.max(np.abs(Y @ v - later.rhs)) < 1e-9 * np.max(np.abs(later.rhs))
+    assert specs == [None, "NATURAL", "NATURAL"]
+    rebuilt = pdip._PATTERNS[agent]
+    assert rebuilt is not kept and rebuilt.order is kept.order
+
+
+def _dense_unreduced(system, delta):
+    """The unreduced Newton matrix of a system, dense."""
+    n, me, mi = system.n, system.me, system.mi
+    Y = np.zeros((n + me + mi,) * 2)
+    Y[:n, :n] = system.W.toarray() + delta * np.eye(n)
+    Jc, Jg = system.Jc.toarray(), system.Jg.toarray()
+    Y[:n, n:n + me] = Jc.T
+    Y[:n, n + me:] = Jg.T
+    Y[n:n + me, :n] = Jc
+    Y[n + me:, :n] = -system.mu[:, None] * Jg
+    Y[n + me:, n + me:] = -np.diag(system.g)
+    return Y
+
+
+def _consensus_agent(name):
+    from gridweld import admm
+    from gridweld.netmodel import load_partition
+    from conftest import partition_path
+    nets, coups = load("case_micro_td")
+    part = load_partition(partition_path("micro_default"), nets, coups)
+    subs, _ = admm.build_agents(nets, coups, part, source_kind="current",
+                                norm="l2", q_only=False)
+    return next(s.problem for s in subs if s.name == name)
+
+
+def _states(prob, rng):
+    """The flat start with zero multipliers, and a random interior state."""
+    from conftest import interior_point
+    x0 = prob.x0()
+    flat = KktState(x=x0, lam=np.zeros(prob.n_eq),
+                    mu=0.1 / -prob.residual_in(x0), eps=0.1)
+    x = interior_point(prob, rng, scale=0.02)
+    return flat, (x, rng.standard_normal(prob.n_eq),
+                  np.abs(rng.standard_normal(prob.n_in)) + 0.01)
+
+
+def _sparse_algebra_kkt(system, delta):
+    """The condensed matrix as scipy's sparse algebra builds it."""
+    H = system.W
+    if system.mi:
+        H = H + system.Jg.T @ (sp.diags(system.mu / -system.g) @ system.Jg)
+    if delta:
+        H = H + delta * sp.identity(system.n, format="csr")
+    if not system.me:
+        return H.tocsc()
+    return sp.bmat([[H, system.Jc.T], [system.Jc, None]], format="csc")
+
+
+def _assert_fill_matches_sparse_algebra(system, delta):
+    K = system.matrix(delta)
+    order = system.pattern.order
+    if order is not None:
+        K = K[:, np.argsort(order)]
+    want = _sparse_algebra_kkt(system, delta)
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, a), getattr(want, a)), a
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-8])
+@pytest.mark.parametrize("which", ["micro_td L1 power", "feeder210_stressed L1",
+                                   "consensus agent"])
+def test_fill_matches_sparse_algebra_bit_for_bit(rng, which, delta):
+    """The scatter into the fixed pattern stores the entries, and sums them
+    in the order, that ``W + Jg^T diag(mu/s) Jg``, ``+ delta*I`` and
+    ``sp.bmat`` do: the flat start's zero multipliers leave exact zeros in W
+    that the sums drop.  Checked in natural order and in the kept one."""
+    if which == "consensus agent":
+        prob = _consensus_agent("D")
+    else:
+        case, kind = {"micro_td L1 power": ("case_micro_td", "power"),
+                      "feeder210_stressed L1": ("case_feeder210_stressed",
+                                                "current")}[which]
+        prob = centralized_problem(case, source_kind=kind, norm="l1")[2]
+    flat, (x, lam, mu) = _states(prob, rng)
+    system = NewtonSystem.build(prob, flat)
+    _assert_fill_matches_sparse_algebra(system, delta)
+    assert system.pattern.order is None
+    assert newton_step(system, delta) is not None
+    assert system.pattern.order is not None
+    for state in (flat, KktState(x=x, lam=lam, mu=mu, eps=1e-3)):
+        _assert_fill_matches_sparse_algebra(NewtonSystem.build(prob, state), delta)
+
+
+@pytest.mark.parametrize("me, mi", [(0, 0), (5, 0), (0, 6)])
+@pytest.mark.parametrize("delta", [0.0, 1e-8])
+def test_fill_of_random_system_matches_sparse_algebra(rng, me, mi, delta):
+    system, _ = _random_system(rng, me, mi)
+    _assert_fill_matches_sparse_algebra(system, delta)
+
+
+@pytest.mark.parametrize("case", ["case_micro_td", "case_feeder210_stressed",
+                                  "case_twofeeder_stressed"])
+def test_transpose_product_matches_scipy_bit_for_bit(rng, case):
+    from conftest import interior_point
+    from gridweld.pdip import _transpose_times
+    prob = centralized_problem(case, norm="l1")[2]
+    x = interior_point(prob, rng, scale=0.02)
+    for J in (prob.jac_eq(x), prob.jac_in(x)):
+        y = rng.standard_normal(J.shape[0])
+        assert np.array_equal(_transpose_times(J, y), J.T @ y)
+        Y = rng.standard_normal((J.shape[0], 3))
+        assert np.array_equal(_transpose_times(J, Y), J.T @ Y)
 
 
 def test_non_descent_direction_retries_with_larger_delta():

@@ -126,6 +126,23 @@ def test_one_factorization_site():
     assert users == ["pdip.py"]
 
 
+def test_newton_system_does_no_sparse_algebra():
+    """``pdip._Point`` and ``pdip.NewtonSystem`` fill the KKT matrix into its
+    fixed pattern and take transposed products by ``np.bincount``: they
+    call none of ``sp.bmat``, ``sp.diags`` or ``sp.identity`` and take no
+    ``.T``, so no per-step sparse algebra creeps back."""
+    tree = ast.parse((ROOT / "src" / "gridweld" / "pdip.py").read_text())
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef)
+               and n.name in ("_Point", "NewtonSystem")]
+    assert len(classes) == 2
+    nodes = [n for cls in classes for n in ast.walk(cls)]
+    calls = {n.func.attr for n in nodes if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute)
+             and isinstance(n.func.value, ast.Name) and n.func.value.id == "sp"}
+    assert not calls & {"bmat", "diags", "identity"}
+    assert not [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "T"]
+
+
 def test_exchange_written_once():
     """The coupling maps enter ``gjn`` only inside ``_exchange``, so the
     epoch loop and the epoch map apply one exchange, not two copies."""
