@@ -132,17 +132,21 @@ def _random_system(rng, me, mi, n=12, k=None):
     system = NewtonSystem(W=sp.csr_matrix(W), Jc=sp.csr_matrix(Jc),
                           Jg=sp.csr_matrix(Jg), g=g, mu=mu, rhs=rhs,
                           n=n, me=me, mi=mi)
+    return system, lambda delta: _dense_unreduced(system, delta)
 
-    def dense(delta):
-        Y = np.zeros((n + me + mi,) * 2)
-        Y[:n, :n] = W + delta * np.eye(n)
-        Y[:n, n:n + me] = Jc.T
-        Y[:n, n + me:] = Jg.T
-        Y[n:n + me, :n] = Jc
-        Y[n + me:, :n] = -mu[:, None] * Jg
-        Y[n + me:, n + me:] = -np.diag(g)
-        return Y
-    return system, dense
+
+def _dense_unreduced(system, delta):
+    """The unreduced Newton matrix of a system, dense."""
+    n, me, mi = system.n, system.me, system.mi
+    Y = np.zeros((n + me + mi,) * 2)
+    Y[:n, :n] = system.W.toarray() + delta * np.eye(n)
+    Jc, Jg = system.Jc.toarray(), system.Jg.toarray()
+    Y[:n, n:n + me] = Jc.T
+    Y[:n, n + me:] = Jg.T
+    Y[n:n + me, :n] = Jc
+    Y[n + me:, :n] = -system.mu[:, None] * Jg
+    Y[n + me:, n + me:] = -np.diag(system.g)
+    return Y
 
 
 BLOCKS = pytest.mark.parametrize("me, mi", [(5, 6), (0, 6), (5, 0), (0, 0)])
@@ -222,10 +226,10 @@ def test_changed_hessian_pattern_keeps_the_column_order(monkeypatch, rng):
     monkeypatch.setattr(spla, "splu", recorded)
     agent = _consensus_agent("D")
     flat, (x, lam, mu) = _states(agent, rng)
-    flat = NewtonSystem.build(agent, flat)
+    first = NewtonSystem.build(agent, flat)
     later = NewtonSystem.build(agent, KktState(x=x, lam=lam, mu=mu, eps=1e-3))
-    assert later.W.nnz > flat.W.nnz
-    assert newton_step(flat) is not None
+    assert later.W.nnz > first.W.nnz
+    assert newton_step(first) is not None
     kept = pdip._PATTERNS[agent]
     for delta in (0.0, 1e-8):
         step = newton_step(later, delta)
@@ -235,20 +239,6 @@ def test_changed_hessian_pattern_keeps_the_column_order(monkeypatch, rng):
     assert specs == [None, "NATURAL", "NATURAL"]
     rebuilt = pdip._PATTERNS[agent]
     assert rebuilt is not kept and rebuilt.order is kept.order
-
-
-def _dense_unreduced(system, delta):
-    """The unreduced Newton matrix of a system, dense."""
-    n, me, mi = system.n, system.me, system.mi
-    Y = np.zeros((n + me + mi,) * 2)
-    Y[:n, :n] = system.W.toarray() + delta * np.eye(n)
-    Jc, Jg = system.Jc.toarray(), system.Jg.toarray()
-    Y[:n, n:n + me] = Jc.T
-    Y[:n, n + me:] = Jg.T
-    Y[n:n + me, :n] = Jc
-    Y[n + me:, :n] = -system.mu[:, None] * Jg
-    Y[n + me:, n + me:] = -np.diag(system.g)
-    return Y
 
 
 def _consensus_agent(name):
