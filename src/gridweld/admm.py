@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from .coupling import _AGG
-from .ecf import build_problem, partition_cells
+from .ecf import _FixedCSR, build_problem, partition_cells
 from .gjn import Coordinator, Subproblem
 
 
@@ -32,7 +32,9 @@ class ConsensusAgent:
     ordinary variables: ``head_ports`` copy the head phasor and the
     aggregated port current, ``free_ports`` the POI voltage and the free
     port current.  The agent adds the penalty to the objective and its
-    derivatives; every other value is the cell problem's own.
+    derivatives; every other value is the cell problem's own.  Its Hessian
+    ``W + rho * P`` lies on one pattern, the union of the cell's W pattern
+    and the constant penalty pattern ``P``, fixed here.
     """
 
     def __init__(self, base, head_ports, free_ports):
@@ -60,12 +62,19 @@ class ConsensusAgent:
                 np.eye(4))
         self.centers = {key: np.array([1.0, 0.0, 0.0, 0.0]) for key in self.copy_map}
         # the penalty Hessian is rho * P with P constant
-        self.P = sp.csr_matrix((base.nvar, base.nvar))
+        P = sp.csr_matrix((base.nvar, base.nvar))
         for cols, C in self.copy_map.values():
             k = len(cols)
-            self.P += sp.csr_matrix(((C.T @ C).ravel(), (np.repeat(cols, k),
-                                                          np.tile(cols, k))),
-                                    shape=self.P.shape)
+            P += sp.csr_matrix(((C.T @ C).ravel(), (np.repeat(cols, k),
+                                                     np.tile(cols, k))),
+                               shape=P.shape)
+        # W's entries, then P's, summed into their union from 0.0: the sum
+        # of each shared entry is W + rho * P as scipy's sum would give it
+        W = base.hess_lagrangian(base.x0(), np.zeros(base.n_eq), np.zeros(base.n_in))
+        rows = np.concatenate([W.rows, np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))])
+        cols = np.concatenate([W.indices, P.indices])
+        self._hess = _FixedCSR(np.arange(len(rows)), rows, cols, P.shape)
+        self._p_data = P.data
 
     def __getattr__(self, name):
         """Sizes, sources, x0, residuals, Jacobians: the cell problem's."""
@@ -86,7 +95,8 @@ class ConsensusAgent:
         return g
 
     def hess_lagrangian(self, x, lam, mu):
-        return self.base.hess_lagrangian(x, lam, mu) + self.rho * self.P
+        W = self.base.hess_lagrangian(x, lam, mu)
+        return self._hess(np.concatenate([W.data, self.rho * self._p_data]))
 
     def local_copy(self, x, key):
         cols, C = self.copy_map[key]

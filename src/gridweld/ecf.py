@@ -289,27 +289,92 @@ def _select(src, rows, cols, keep, row0=0, col0=0):
     return src[keep], rows[keep] - row0, cols[keep] - col0
 
 
+class FixedMatrix:
+    """A sparse matrix on a CSR pattern fixed at build time: its ``data``,
+    plus the pattern's ``indices``, ``indptr`` and ``rows`` (the row of each
+    entry), int32 arrays that every matrix of the pattern shares.
+
+    ``A @ x`` and :meth:`transpose_times` take a 1-D or 2-D operand (a
+    column per product) and are bincounts over the stored entries: each
+    output entry is summed in entry order from 0.0, as scipy's CSR and
+    transposed products sum it, so both agree with scipy's bit for bit.
+    :meth:`tocsr` (sharing the arrays) and :meth:`toarray` give scipy and
+    dense forms for tests and diagnostics; the solver never needs them.
+    """
+    __slots__ = ("data", "indices", "indptr", "rows", "shape")
+
+    def __init__(self, data, indices, indptr, rows, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.rows, self.shape = rows, shape
+
+    @classmethod
+    def of(cls, M) -> "FixedMatrix":
+        """``M`` itself, or the entries of another matrix as scipy's CSR
+        form of it stores them."""
+        if isinstance(M, cls):
+            return M
+        M = sp.csr_matrix(M)
+        rows = np.repeat(np.arange(M.shape[0], dtype=np.int32), np.diff(M.indptr))
+        return cls(M.data, M.indices, M.indptr, rows, M.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def __matmul__(self, x) -> np.ndarray:
+        return _sum_products(self.rows, self.data, x[self.indices], self.shape[0])
+
+    def transpose_times(self, y) -> np.ndarray:
+        """``A.T @ y`` without a transposed matrix."""
+        return _sum_products(self.indices, self.data, y[self.rows], self.shape[1])
+
+    def tocsr(self) -> sp.csr_matrix:
+        """A scipy CSR matrix sharing this matrix's arrays."""
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+    def toarray(self) -> np.ndarray:
+        return self.tocsr().toarray()
+
+
+def _sum_products(bins, data, vals, n):
+    """``out[b] = sum of data[k] * vals[k] over the entries k in bin b``, in
+    entry order from 0.0; ``vals`` 1-D, or 2-D with a column per product."""
+    if vals.ndim == 1:
+        return np.bincount(bins, data * vals, n)
+    terms = data[:, None] * vals
+    out = np.empty((n, vals.shape[1]))
+    for k in range(vals.shape[1]):
+        out[:, k] = np.bincount(bins, terms[:, k], n)
+    return out
+
+
 class _FixedCSR:
     """A CSR pattern fixed at build time from the entries ``vals[src] ->
     (rows, cols)``.  Each call sums new values into it with one
     ``np.bincount``, duplicates in entry order, and keeps zero sums, so the
-    pattern depends on the build only."""
+    pattern depends on the build only; it returns a :class:`FixedMatrix`."""
 
     def __init__(self, src, rows, cols, shape):
         n_rows, n_cols = shape
         pos, slot = np.unique(np.asarray(rows, dtype=np.int64) * n_cols + cols,
                               return_inverse=True)
-        # int32, the index type scipy picks at these sizes, spares its
-        # per-call scan of the index arrays and keeps the maps small
+        # int32, the index type scipy picks at these sizes, keeps the maps
+        # small and lets scipy take the index arrays without a scan
         self.src, self.slot = src.astype(np.int32), slot.astype(np.int32)
-        self.indices = (pos % n_cols).astype(np.int32)
+        self.rows, self.indices = (a.astype(np.int32) for a in np.divmod(pos, n_cols))
         self.indptr = np.searchsorted(pos, np.arange(n_rows + 1) * n_cols).astype(np.int32)
         self.shape = shape
 
-    def __call__(self, vals):
+    def __call__(self, vals) -> FixedMatrix:
         data = np.bincount(self.slot, vals[self.src], len(self.indices))
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape,
-                             dtype=float)
+        return FixedMatrix(data, self.indices, self.indptr, self.rows, self.shape)
+
+
+def _empty(shape) -> FixedMatrix:
+    """A matrix of ``shape`` with no entries."""
+    none = np.zeros(0, dtype=np.int32)
+    return FixedMatrix(np.zeros(0), none, np.zeros(shape[0] + 1, dtype=np.int32),
+                       none, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +388,9 @@ class CircuitProblem:
     stamped on z columns plus the nonlinear element rows.  ``residual_*``,
     ``jac_*`` and ``hess_lagrangian`` read the x columns,
     :meth:`param_derivatives` the parameter columns.  Every matrix is a
-    :class:`_FixedCSR`, so its sparsity pattern is fixed by the build.
+    :class:`FixedMatrix` on a :class:`_FixedCSR` pattern, so its sparsity
+    pattern is fixed by the build.  A problem without exchange parameters
+    builds no parameter-column pattern.
     """
 
     def __init__(self, builder: "_Builder"):
@@ -352,8 +419,8 @@ class CircuitProblem:
         src = np.arange(len(rows))
         self._A_eq = _FixedCSR(*_select(src, rows, cols, cols < nx),
                                (self.n_eq, nx))(vals)
-        self._B_eq = _FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
-                               (self.n_eq, npar))(vals)
+        self._B_eq = (_FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
+                                (self.n_eq, npar))(vals) if npar else None)
         self._b_eq = np.zeros(self.n_eq)
         np.add.at(self._b_eq, b.eqc_rows, b.eqc_vals)
         rows, cols = (np.asarray(a, dtype=int) for a in (b.in_rows, b.in_cols))
@@ -374,21 +441,22 @@ class CircuitProblem:
         self._x0 = np.asarray(b.x0_vals)
 
         def jacobian(elems, linear):
-            """x and parameter blocks over the entries of the linear parts
-            (``(matrix, first z column)`` pairs, valued by their ``data``),
-            then the elements' (see :meth:`_jac_values`)."""
-            rows = [np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-                    for M, _ in linear]
-            rows = np.concatenate(rows + [e.jac_rows for e in elems])
+            """x and parameter blocks (None without parameters) over the
+            entries of the linear parts (``(matrix, first z column)``
+            pairs, valued by their ``data``), then the elements' (see
+            :meth:`_jac_values`)."""
+            rows = np.concatenate([M.rows for M, _ in linear]
+                                  + [e.jac_rows for e in elems])
             cols = np.concatenate([M.indices + c0 for M, c0 in linear]
                                   + [e.jac_cols for e in elems])
             src, n_rows = np.arange(len(rows)), linear[0][0].shape[0]
             return (_FixedCSR(*_select(src, rows, cols, cols < nx), (n_rows, nx)),
                     _FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
-                              (n_rows, npar)))
-        self._jac_eq = jacobian(self._eq, [(self._A_eq, 0), (self._B_eq, nx)])
+                              (n_rows, npar)) if npar else None)
+        eq_linear = [(self._A_eq, 0)] + ([(self._B_eq, nx)] if npar else [])
+        self._jac_eq = jacobian(self._eq, eq_linear)
         self._jac_in = jacobian(self._in, [(self._A_in, 0)])
-        self._eq_lin = np.concatenate([self._A_eq.data, self._B_eq.data])
+        self._eq_lin = np.concatenate([M.data for M, _ in eq_linear])
 
         # Lagrangian Hessian pairs in emission order: the objective (L2
         # squares, then the bilinear price terms), then each element group.
@@ -412,10 +480,11 @@ class CircuitProblem:
         cols = np.where(mirror, pi[src], pj[src])
         self._hess_xx = _FixedCSR(*_select(src, rows, cols, (rows < nx) & (cols < nx)),
                                   (nx, nx))
-        self._hess_xp = _FixedCSR(*_select(src, rows, cols, (rows < nx) & on_p(cols),
-                                           col0=nx), (nx, npar))
-        self._hess_pp = _FixedCSR(*_select(src, rows, cols, on_p(rows) & on_p(cols),
-                                           nx, nx), (npar, npar))
+        if npar:
+            self._hess_xp = _FixedCSR(*_select(src, rows, cols, (rows < nx) & on_p(cols),
+                                               col0=nx), (nx, npar))
+            self._hess_pp = _FixedCSR(*_select(src, rows, cols, on_p(rows) & on_p(cols),
+                                               nx, nx), (npar, npar))
 
     # -- parameter handling ------------------------------------------------
 
@@ -491,34 +560,40 @@ class CircuitProblem:
             r += self._B_eq @ self.params
         return self._residual(r, self._eq, x)
 
-    def jac_eq(self, x) -> sp.csr_matrix:
+    def jac_eq(self, x) -> FixedMatrix:
         return self._jac_eq[0](self._jac_values(self._eq_lin, self._eq, self._z(x)))
 
     def residual_in(self, x) -> np.ndarray:
         return self._residual(self._A_in @ x + self._b_in, self._in, x)
 
-    def jac_in(self, x) -> sp.csr_matrix:
+    def jac_in(self, x) -> FixedMatrix:
         return self._jac_in[0](self._jac_values(self._A_in.data, self._in, self._z(x)))
 
     # -- Lagrangian derivatives ------------------------------------------------
 
-    def hess_lagrangian(self, x, lam, mu) -> sp.csr_matrix:
+    def hess_lagrangian(self, x, lam, mu) -> FixedMatrix:
         """W = obj Hessian + sum lam_i H(eq_i) + sum mu_j H(in_j), exactly symmetric."""
         return self._hess_xx(self._hess_values(self._z(x), lam, mu))
 
     def param_derivatives(self, x, lam, mu):
         """Parameter blocks of the KKT derivatives at ``(x, lam, mu)``.
 
-        Returns ``(W_xp, W_pp, Jc_p, Jg_p)``: the mixed and the pure
-        parameter blocks of the Lagrangian Hessian and the parameter columns
-        of the equality and inequality Jacobians.  Every pattern is fixed by
-        the build (no entry is dropped for being zero), so ``W_xp`` or
-        ``W_pp`` has an entry in a parameter's column exactly when that
-        parameter prices the objective or enters a row nonlinearly.
+        Returns ``(W_xp, W_pp, Jc_p, Jg_p)`` as scipy CSR matrices: the
+        mixed and the pure parameter blocks of the Lagrangian Hessian and
+        the parameter columns of the equality and inequality Jacobians.
+        Every pattern is fixed by the build (no entry is dropped for being
+        zero), so ``W_xp`` or ``W_pp`` has an entry in a parameter's column
+        exactly when that parameter prices the objective or enters a row
+        nonlinearly.  Without parameters every block is empty.
         """
-        z = self._z(x)
-        h = self._hess_values(z, lam, mu)
-        return (self._hess_xp(h), self._hess_pp(h), *self._param_jacobians(z))
+        if not self.n_param:
+            blocks = (_empty((self.nvar, 0)), _empty((0, 0)),
+                      _empty((self.n_eq, 0)), _empty((self.n_in, 0)))
+        else:
+            z = self._z(x)
+            h = self._hess_values(z, lam, mu)
+            blocks = (self._hess_xp(h), self._hess_pp(h), *self._param_jacobians(z))
+        return tuple(M.tocsr() for M in blocks)
 
     def _param_jacobians(self, z):
         """Parameter columns ``(Jc_p, Jg_p)`` of the two Jacobians at ``z``."""
@@ -533,7 +608,7 @@ class CircuitProblem:
         coordinator to price boundary quantities on the other side.
         """
         Jc_p, Jg_p = self._param_jacobians(self._z(x))
-        grad = Jc_p.T @ lam + Jg_p.T @ mu
+        grad = Jc_p.transpose_times(lam) + Jg_p.transpose_times(mu)
         np.add.at(grad, self._price_pairs[:, 1], x[self._price_pairs[:, 0]])
         return grad[self.param_slots[name]]
 

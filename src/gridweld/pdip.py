@@ -18,14 +18,17 @@ row gives ``dmu = (r_m - mu * (Jg dx)) / g``, and substituting it leaves
     [ W + Jg^T diag(mu/s) Jg + delta*I   Jc^T ] [dx  ]     [ r_x - Jg^T (r_m/s) ]
     [ Jc                                 0    ] [dlam] = - [ r_c                ]
 
-which is factored by sparse LU; ``dmu`` is then recovered from ``dx``.  The
-condensed matrix has a CSC pattern built once per problem from the fixed
-patterns of W, Jc and Jg, and kept for the problem, weakly referenced:
-each step fills it with one ``np.bincount`` (see :class:`_KktPattern`),
-and the transposed products ``Jc^T lam``, ``Jg^T mu`` and ``Jg^T (1/s)``
-are bincounts too, so a step does no sparse algebra.  The fill stores
-what scipy's sparse sums would: a sum with a Jg term or ``delta`` drops
-Hessian entries that come to exactly zero.  Stored zeros would change
+which is factored by sparse LU; ``dmu`` is then recovered from ``dx``.
+W, Jc and Jg are :class:`~gridweld.ecf.FixedMatrix` arrays on patterns
+fixed by the problem's build (a problem that returns scipy matrices has
+them wrapped).  The condensed matrix has a CSC pattern built once per
+problem from those patterns, and kept for the problem, weakly referenced:
+each step fills it with one ``np.bincount`` (see :class:`_KktPattern`).
+The products ``Jc^T lam``, ``Jg^T mu``, ``Jg^T (1/s)`` and ``Jg dx`` are
+bincounts over the stored entries, so a step does no sparse algebra and
+makes one scipy object, the CSC matrix it factors.  The fill stores no
+Hessian entry that comes to exactly zero, as scipy's sparse sums with a
+Jg term, ``delta`` or a consensus penalty did.  Stored zeros would change
 SuperLU's elimination postorder, and with it every step's trailing digits.
 The pattern's columns are in the order of the problem's first
 factorization (SuperLU's COLAMD on the natural-order matrix); every later
@@ -43,10 +46,14 @@ backtracking line search on an L1-penalty merit function.  One loop picks
 ``delta``: 0, then 1e-8 growing tenfold to 1e4, moving on while the factor
 is singular or not finite or the step is no descent direction of the merit;
 past 1e4 the solve fails.  Each iterate's ``f``, ``c``, ``g``, gradient and
-Jacobians are evaluated once and every use reads them from there: on small
-cells the Jacobian builds are the main per-step cost besides the KKT matrix
-and its factorization, so a step builds each Jacobian once rather than once
-for each use.
+Jacobians are evaluated once and every use reads them from there, and the
+stationarity residual is computed once per multiplier pair.  A returned
+state keeps the constraint evaluation of its last point (``c``, ``g``,
+``Jc``, ``Jg``): a warm start from it reuses that evaluation while the
+state's ``x`` is the same object and the problem's ``params`` are equal
+to those it was made under, so a state's arrays must never be written in
+place.  ``f`` and its gradient are evaluated anew at every start, since
+ADMM's penalty centers and weight change them between calls.
 """
 
 from __future__ import annotations
@@ -59,6 +66,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .ecf import FixedMatrix
 
 log = logging.getLogger("gridweld.pdip")
 
@@ -95,6 +104,9 @@ class KktState:
     mu: np.ndarray
     eps: float
     iterations: int = 0
+    # (x, params, {"c", "g", "Jc", "Jg" evaluated at x}) of the last point
+    # of the solve that returned this state; see _Point.at
+    constraints: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -124,6 +136,7 @@ class IterRecord:
     merit: float
     delta: float          # regularization on W that gave the accepted step
     backtracks: int       # step halvings before acceptance
+    accept: str           # "armijo", "dual_only" or "kkt_contraction"
 
 
 class SolveFailure(RuntimeError):
@@ -134,50 +147,80 @@ class _Point:
     """Every x-dependent value the iteration reads at one ``x``.
 
     ``f``, ``c`` and ``g`` are evaluated at once (every line-search trial
-    needs them), the gradient and Jacobians on first use.  A point is never
-    kept beyond the call that made it, since exchange parameters change
-    between calls, and its arrays are never written in place.
+    needs them), the gradient and Jacobians on first use; ``kept`` gives
+    some of them already evaluated (see :meth:`at`).  Its arrays are never
+    written in place.
     """
 
-    def __init__(self, problem, x):
+    def __init__(self, problem, x, kept=None):
         self.problem, self.x = problem, x
         self.f = problem.objective(x)
-        self.c = problem.residual_eq(x)
-        self.g = problem.residual_in(x)
+        if kept:
+            self.__dict__.update(kept)
+        else:
+            self.c = problem.residual_eq(x)
+            self.g = problem.residual_in(x)
         self.c_norm = float(np.sum(np.abs(self.c)))
+        self.g_max = float(self.g.max()) if self.g.size else -np.inf
+        self._r_x = (None, None, None)     # (lam, mu, r_x) of the last residuals
+
+    @classmethod
+    def at(cls, problem, state: KktState) -> "_Point":
+        """The point at ``state.x``, reusing the constraint evaluation the
+        state kept if it was made at this ``x`` object under equal
+        ``problem.params``."""
+        kept = state.constraints
+        if (kept is not None and kept[0] is state.x
+                and np.array_equal(kept[1], _params(problem))):
+            return cls(problem, state.x, kept[2])
+        return cls(problem, state.x)
+
+    def keep(self, state: KktState):
+        """Let ``state`` carry this point's constraint evaluation."""
+        state.constraints = (self.x, _params(self.problem),
+                             {k: self.__dict__[k] for k in ("c", "g", "Jc", "Jg")
+                              if k in self.__dict__})
 
     @cached_property
     def grad(self) -> np.ndarray:
         return self.problem.grad_objective(self.x)
 
     @cached_property
-    def Jc(self):
-        if not self.c.size:
-            return sp.csr_matrix((0, self.problem.nvar))
-        return self.problem.jac_eq(self.x).tocsr()
+    def c_max(self) -> float:
+        return float(np.abs(self.c).max()) if self.c.size else 0.0
 
     @cached_property
-    def Jg(self):
-        if not self.g.size:
-            return sp.csr_matrix((0, self.problem.nvar))
-        return self.problem.jac_in(self.x).tocsr()
+    def log_barrier(self) -> float:
+        """``sum(log(-g))``, the barrier term of the merit without ``-eps``."""
+        return float(np.sum(np.log(-self.g)))
+
+    @cached_property
+    def Jc(self) -> FixedMatrix:
+        return FixedMatrix.of(self.problem.jac_eq(self.x))
+
+    @cached_property
+    def Jg(self) -> FixedMatrix:
+        return FixedMatrix.of(self.problem.jac_in(self.x))
 
     def residuals(self, state: KktState):
-        """(r_x, r_c, g, r_m) of the perturbed KKT conditions at ``state``."""
-        r_x = self.grad
-        if self.c.size:
-            r_x = r_x + _transpose_times(self.Jc, state.lam)
-        if self.g.size:
-            r_x = r_x + _transpose_times(self.Jg, state.mu)
+        """(r_x, r_c, g, r_m) of the perturbed KKT conditions at ``state``.
+        ``r_x`` is computed once for each pair of multiplier arrays."""
+        lam, mu, r_x = self._r_x
+        if lam is not state.lam or mu is not state.mu:
+            r_x = self.grad
+            if self.c.size:
+                r_x = r_x + self.Jc.transpose_times(state.lam)
+            if self.g.size:
+                r_x = r_x + self.Jg.transpose_times(state.mu)
+            self._r_x = (state.lam, state.mu, r_x)
         r_m = -state.mu * self.g - state.eps if self.g.size else np.zeros(0)
         return r_x, self.c, self.g, r_m
 
     def merit(self, eps: float, nu: float) -> float:
         """L1-penalty barrier merit; infinite off the strict interior."""
-        g = self.g
-        if g.size and np.max(g) >= 0.0:
+        if self.g_max >= 0.0:
             return np.inf
-        barrier = -eps * float(np.sum(np.log(-g))) if g.size else 0.0
+        barrier = -eps * self.log_barrier if self.g.size else 0.0
         return self.f + barrier + nu * self.c_norm
 
 
@@ -189,17 +232,17 @@ def assemble_kkt(problem, state: KktState,
     Rejects non-interior points: every inequality must hold strictly so the
     barrier is well defined.
     """
-    point = point or _Point(problem, state.x)
+    point = point or _Point.at(problem, state)
     r_x, c, g, r_m = point.residuals(state)
-    if g.size and np.max(g) >= 0.0:
-        raise SolveFailure(f"non-interior point: max g = {np.max(g):.3e}")
+    if point.g_max >= 0.0:
+        raise SolveFailure(f"non-interior point: max g = {point.g_max:.3e}")
     return KktResiduals(
-        stationarity=float(np.max(np.abs(r_x))) if r_x.size else 0.0,
-        feasibility=float(np.max(np.abs(c))) if c.size else 0.0,
-        complementarity=float(np.max(np.abs(r_m))) if r_m.size else 0.0,
-        complementarity_raw=float(np.max(np.abs(state.mu * g))) if g.size else 0.0,
-        mu_min=float(np.min(state.mu)) if g.size else 0.0,
-        g_max=float(np.max(g)) if g.size else -np.inf)
+        stationarity=float(np.abs(r_x).max()) if r_x.size else 0.0,
+        feasibility=point.c_max,
+        complementarity=float(np.abs(r_m).max()) if r_m.size else 0.0,
+        complementarity_raw=float(np.abs(state.mu * g).max()) if g.size else 0.0,
+        mu_min=float(state.mu.min()) if g.size else 0.0,
+        g_max=point.g_max)
 
 
 class _KktPattern:
@@ -213,8 +256,9 @@ class _KktPattern:
     ``delta`` is not 0.  :meth:`fill` sums each slot in the order scipy's
     ``Jg.T @ (diag(d) @ Jg)``, then ``W + P``, then ``+ delta*I`` do: the
     pair products ``Jg[r,i] * (d[r] * Jg[r,j])`` of slot ``(i, j)`` by
-    ascending Jg row ``r``, then W, then ``delta``.  The source index arrays
-    are held, not copied, to tell a pattern change.
+    ascending Jg row ``r``, then W, then ``delta``.  W, Jc and Jg are
+    :class:`~gridweld.ecf.FixedMatrix` arrays; their index arrays are held,
+    not copied, to tell a pattern change.
     """
 
     def __init__(self, W, Jc, Jg, order=None):
@@ -232,7 +276,7 @@ class _KktPattern:
         del first, t, width
         # Hessian slots of W and the pairs, column-major
         keys = np.concatenate([
-            W.indices.astype(np.int64) * n + np.repeat(np.arange(n), np.diff(W.indptr)),
+            W.indices.astype(np.int64) * n + W.rows,
             Jg.indices[self.pair_b].astype(np.int64) * n + Jg.indices[self.pair_a]])
         hkeys, slot = np.unique(keys, return_inverse=True)
         del keys
@@ -262,7 +306,7 @@ class _KktPattern:
         self.jc_pos[by_col] = (np.arange(Jc.nnz) - np.repeat(j_before, j_count)
                                + np.repeat(self.indptr[:n] + h_count, j_count))
         self.jc_pos[Jc.nnz:] = self.indptr[n] + np.arange(Jc.nnz)
-        self.indices[self.jc_pos[:Jc.nnz]] = n + np.repeat(np.arange(me), np.diff(Jc.indptr))
+        self.indices[self.jc_pos[:Jc.nnz]] = n + Jc.rows
         self.indices[self.jc_pos[Jc.nnz:]] = Jc.indices
         self.order = None
         if order is not None:
@@ -301,16 +345,16 @@ class _KktPattern:
     def fill(self, W, Jc, Jg, d, delta) -> sp.csc_matrix:
         """The matrix with ``diag(d)`` (None: no Jg term) and ``delta``.
 
-        It stores what scipy's sums would: where a sum was taken (a Jg term
-        or ``delta``), no Hessian entry that comes to exactly 0; otherwise
-        W's entries as they are.  Jc zeros are kept."""
+        It stores no Hessian entry that comes to exactly 0, as scipy's sums
+        with a Jg term, ``delta`` or a consensus penalty would not; Jc
+        zeros are kept."""
         nnz = len(self.indices)
         if d is None:
             data = np.zeros(nnz)
             data[self.w_pos] = W.data
         else:
             products = Jg.data[self.pair_a]
-            products *= (np.repeat(d, np.diff(Jg.indptr)) * Jg.data)[self.pair_b]
+            products *= (d[Jg.rows] * Jg.data)[self.pair_b]
             data = np.bincount(self.pair_pos, products, nnz)
             del products
             data[self.w_pos] += W.data
@@ -326,14 +370,13 @@ class _KktPattern:
             indptr = indptr + np.searchsorted(self.diag_col, np.arange(len(indptr))
                                               ).astype(np.int32)
             jc_pos = jc_pos + np.searchsorted(at, jc_pos, side="right").astype(np.int32)
-        if d is not None or delta:
-            zero = data == 0.0
-            if zero.any():
-                zero[jc_pos] = False
-                dropped = np.flatnonzero(zero)
-                if len(dropped):
-                    indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
-                    data, indices = data[~zero], indices[~zero]
+        zero = data == 0.0
+        if zero.any():
+            zero[jc_pos] = False
+            dropped = np.flatnonzero(zero)
+            if len(dropped):
+                indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
+                data, indices = data[~zero], indices[~zero]
         return sp.csc_matrix((data, indices, indptr), shape=self.shape)
 
 
@@ -349,15 +392,15 @@ class NewtonSystem:
     and kept for the problem, weakly referenced, with the column order of
     its first factorization (COLAMD on the natural-order matrix); a step
     whose W, Jc or Jg pattern differs from the kept one rebuilds it in the
-    kept order.  The matrix stores the entries scipy's sparse sums would:
-    where a Jg term or ``delta`` is summed in, no Hessian entry that comes
-    to exactly zero, and otherwise W's entries, zeros included.  Stored
-    zeros change SuperLU's elimination postorder, and with it the trailing
-    digits of every step.
+    kept order.  The matrix stores no Hessian entry that comes to exactly
+    zero.  Stored zeros change SuperLU's elimination postorder, and with it
+    the trailing digits of every step.  W, Jc and Jg are
+    :class:`~gridweld.ecf.FixedMatrix` arrays (scipy matrices are wrapped);
+    ``Jg_dx`` is ``Jg @ dx`` of the last 1-D or 2-D solve.
     """
-    W: sp.csr_matrix
-    Jc: sp.csr_matrix
-    Jg: sp.csr_matrix
+    W: FixedMatrix
+    Jc: FixedMatrix
+    Jg: FixedMatrix
     g: np.ndarray
     mu: np.ndarray
     rhs: np.ndarray       # -(r_x, r_c, r_m) stacked
@@ -366,17 +409,20 @@ class NewtonSystem:
     mi: int
     problem: object = None
     pattern: _KktPattern | None = field(default=None, init=False, repr=False)
+    Jg_dx: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.W, self.Jc, self.Jg = map(FixedMatrix.of, (self.W, self.Jc, self.Jg))
 
     @classmethod
     def build(cls, problem, state: KktState,
               point: _Point | None = None) -> "NewtonSystem":
-        point = point or _Point(problem, state.x)
+        point = point or _Point.at(problem, state)
         r_x, c, g, r_m = point.residuals(state)
         W = problem.hess_lagrangian(state.x, state.lam, state.mu)
         rhs = -np.concatenate([r_x, c, r_m])
-        return cls(W=W.tocsr(), Jc=point.Jc.tocsr(), Jg=point.Jg.tocsr(),
-                   g=g, mu=state.mu, rhs=rhs, n=problem.nvar, me=c.size,
-                   mi=g.size, problem=problem)
+        return cls(W=W, Jc=point.Jc, Jg=point.Jg, g=g, mu=state.mu, rhs=rhs,
+                   n=problem.nvar, me=c.size, mi=g.size, problem=problem)
 
     def matrix(self, delta: float = 0.0) -> sp.csc_matrix:
         """The condensed KKT matrix, ``delta*I`` added to its Hessian block,
@@ -399,7 +445,7 @@ class NewtonSystem:
         singular."""
         inv_s = 1.0 / -self.g
         if self.mi:
-            b_x = b_x - _transpose_times(self.Jg, _scale_rows(inv_s, b_m))
+            b_x = b_x - self.Jg.transpose_times(_scale_rows(inv_s, b_m))
         K = self.matrix(delta)
         rhs = np.concatenate([b_x, b_c])
         pattern = self.pattern
@@ -413,21 +459,14 @@ class NewtonSystem:
             v = np.empty_like(rhs)
             v[pattern.order] = spla.splu(K, permc_spec="NATURAL").solve(rhs)
         dx, dlam = v[:self.n], v[self.n:]
-        dmu = _scale_rows(inv_s, b_m + _scale_rows(self.mu, self.Jg @ dx))
+        self.Jg_dx = self.Jg @ dx
+        dmu = _scale_rows(inv_s, b_m + _scale_rows(self.mu, self.Jg_dx))
         return dx, dlam, dmu
 
 
-def _transpose_times(J: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
-    """``J.T @ y`` for a 1-D or 2-D ``y``, summed per entry in ascending row
-    order as scipy sums it, without a transposed matrix."""
-    rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
-    if y.ndim == 1:
-        return np.bincount(J.indices, J.data * y[rows], J.shape[1])
-    terms = J.data[:, None] * y[rows]
-    out = np.empty((J.shape[1], y.shape[1]))
-    for k in range(y.shape[1]):
-        out[:, k] = np.bincount(J.indices, terms[:, k], J.shape[1])
-    return out
+def _params(problem) -> np.ndarray:
+    """A copy of the problem's exchange parameters (empty without any)."""
+    return np.array(getattr(problem, "params", ()), dtype=float)
 
 
 def _scale_rows(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -446,7 +485,7 @@ def newton_step(system: NewtonSystem, delta: float = 0.0):
         step = system.solve(rhs[:n], rhs[n:n + me], rhs[n + me:], delta)
     except RuntimeError:
         return None
-    return step if all(np.all(np.isfinite(v)) for v in step) else None
+    return step if all(np.isfinite(v).all() for v in step) else None
 
 
 def solve_nlp(problem, opts: SolverOptions | None = None,
@@ -461,13 +500,13 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
     opts = opts or SolverOptions()
     budget = newton_budget if newton_budget is not None else opts.max_iterations
 
-    point = _Point(problem, problem.x0() if warm is None else warm.x)
+    point = _Point(problem, problem.x0()) if warm is None else _Point.at(problem, warm)
     state = warm
     if state is None:
         g = point.g
-        if g.size and np.max(g) >= 0.0:
+        if point.g_max >= 0.0:
             raise SolveFailure(f"initial point not strictly interior: "
-                               f"max g = {np.max(g):.3e}")
+                               f"max g = {point.g_max:.3e}")
         eps = opts.barrier_initial if g.size else opts.barrier_floor
         mu = eps / (-g) if g.size else np.zeros(0)
         state = KktState(x=point.x, lam=np.zeros(problem.n_eq), mu=mu, eps=eps)
@@ -476,11 +515,9 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
     for it in range(budget + 1):
         res = assemble_kkt(problem, state, point)
         if res.converged(opts) and state.eps <= opts.barrier_floor * (1 + 1e-9):
-            state.iterations += it
-            return state, "converged"
+            return _finish(state, point, it, "converged")
         if it == budget:
-            state.iterations += it
-            return state, "iteration-capped"
+            return _finish(state, point, it, "iteration-capped")
         # barrier update once the current perturbed system is solved well enough
         current = max(res.stationarity, res.feasibility, res.complementarity)
         while (state.eps > opts.barrier_floor
@@ -493,48 +530,47 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         # merit slope along dx: grad_barrier @ dx - nu * |c|_1
         grad_barrier = point.grad
         if system.mi:
-            grad_barrier = grad_barrier + state.eps * _transpose_times(system.Jg, 1.0 / (-system.g))
+            grad_barrier = grad_barrier + state.eps * system.Jg.transpose_times(1.0 / (-system.g))
         flat = 1e-10 * (1.0 + abs(point.f))
         delta = 0.0
         while True:
             step = newton_step(system, delta)
             if step is not None:
                 dx, dlam, dmu = step
-                nu = max(nu, 1.1 * float(np.max(np.abs(state.lam + dlam), initial=0.0)) + 0.1)
+                nu = max(nu, 1.1 * float(np.abs(state.lam + dlam).max(initial=0.0)) + 0.1)
                 dphi = float(grad_barrier @ dx) - nu * point.c_norm
                 if dphi <= flat:
                     break
             # singular or non-finite factor, or no descent: regularize W more
             delta = DELTA_FIRST if delta == 0.0 else delta * 10.0
             if delta > DELTA_MAX:
-                state.iterations += it
-                return state, "failed"
+                return _finish(state, point, it, "failed")
         alpha_max = alpha_mu = 1.0
         if system.mi:
             s = -system.g
-            ds = -(system.Jg @ dx)
+            ds = -system.Jg_dx
             shrink = ds < 0.0
             if shrink.any():
-                alpha_max = min(1.0, float(np.min(
-                    TAU_BOUNDARY * s[shrink] / (-ds[shrink]))))
+                alpha_max = min(1.0, float(
+                    (TAU_BOUNDARY * s[shrink] / (-ds[shrink])).min()))
             dmu_neg = dmu < 0.0
             if dmu_neg.any():
-                alpha_mu = min(1.0, float(np.min(
-                    TAU_BOUNDARY * state.mu[dmu_neg] / (-dmu[dmu_neg]))))
+                alpha_mu = min(1.0, float(
+                    (TAU_BOUNDARY * state.mu[dmu_neg] / (-dmu[dmu_neg])).min()))
 
         phi0 = point.merit(state.eps, nu)
         kkt0 = max(res.stationarity, res.feasibility, res.complementarity)
-        dual_only = float(np.max(np.abs(dx), initial=0.0)) <= \
-            1e-12 * (1.0 + float(np.max(np.abs(state.x))))
+        dual_only = float(np.abs(dx).max(initial=0.0)) <= \
+            1e-12 * (1.0 + float(np.abs(state.x).max()))
         alpha = alpha_max
-        accepted = False
+        accepted = None
         for backtracks in range(MAX_BACKTRACKS):
             x_new = state.x + alpha * dx
             if problem.interior_ok(x_new):
                 trial = _Point(problem, x_new)
                 phi = trial.merit(state.eps, nu)
                 if dual_only or phi <= phi0 + 1e-4 * alpha * dphi:
-                    accepted = True
+                    accepted = "dual_only" if dual_only else "armijo"
                     break
                 if np.isfinite(phi):
                     # merit is flat near a solution when the step is mostly in
@@ -547,24 +583,34 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
                     tres = assemble_kkt(problem, tstate, trial)
                     if max(tres.stationarity, tres.feasibility,
                            tres.complementarity) <= 0.9 * kkt0:
-                        accepted = True
-                        alpha_mu = min(alpha_mu, alpha)
+                        accepted = "kkt_contraction"
                         break
             alpha *= 0.5
-        if not accepted:
-            state.iterations += it
-            return state, "failed"
+        if accepted is None:
+            return _finish(state, point, it, "failed")
 
         point = trial
         state.x = x_new
-        state.lam = state.lam + alpha * dlam
-        if system.mi:
-            state.mu = np.maximum(state.mu + alpha_mu * dmu, 1e-300)
+        if accepted == "kkt_contraction":
+            # the trial state's multipliers, whose residuals trial holds
+            state.lam, state.mu = tstate.lam, tstate.mu
+        else:
+            state.lam = state.lam + alpha * dlam
+            if system.mi:
+                state.mu = np.maximum(state.mu + alpha_mu * dmu, 1e-300)
         if trace is not None:
             trace.append(IterRecord(iteration=it, eps=state.eps,
                                     kkt=kkt0, alpha=alpha,
                                     objective=point.f, merit=phi,
-                                    delta=delta, backtracks=backtracks))
+                                    delta=delta, backtracks=backtracks,
+                                    accept=accepted))
+
+
+def _finish(state: KktState, point: _Point, steps: int, status: str):
+    """Count a solve's steps and keep its last point's constraint evaluation."""
+    state.iterations += steps
+    point.keep(state)
+    return state, status
 
 
 def solve_centralized(nets, couplings, *, source_kind="current", norm="l2",

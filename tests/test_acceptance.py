@@ -154,8 +154,8 @@ def test_c06_derivative_correctness(rng):
             Wv = prob.hess_lagrangian(x, lam, mu) @ v
 
             def grad_lag(z):
-                g = prob.grad_objective(z) + prob.jac_eq(z).T @ lam
-                return g + prob.jac_in(z).T @ mu
+                g = prob.grad_objective(z) + prob.jac_eq(z).transpose_times(lam)
+                return g + prob.jac_in(z).transpose_times(mu)
             h = 1e-6
             Wv_fd = (grad_lag(x + h * v) - grad_lag(x - h * v)) / (2 * h)
             assert np.max(np.abs(Wv - Wv_fd)) <= \

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridweld import build_problem
 from gridweld.netmodel import case_from_dict
@@ -104,9 +107,9 @@ def test_hessian_matches_fd_of_gradient(kind, norm, rng):
         mu = np.abs(rng.standard_normal(prob.n_in))
 
         def grad_lag(z):
-            g = prob.grad_objective(z) + prob.jac_eq(z).T @ lam
+            g = prob.grad_objective(z) + prob.jac_eq(z).transpose_times(lam)
             if prob.n_in:
-                g = g + prob.jac_in(z).T @ mu
+                g = g + prob.jac_in(z).transpose_times(mu)
             return g
         W = prob.hess_lagrangian(x, lam, mu).toarray()
         Wfd = fd_jacobian(grad_lag, x)
@@ -120,7 +123,7 @@ def test_hessian_exactly_symmetric(rng):
         x = interior_point(prob, rng)
         lam = rng.standard_normal(prob.n_eq)
         mu = np.abs(rng.standard_normal(prob.n_in))
-        W = prob.hess_lagrangian(x, lam, mu)
+        W = prob.hess_lagrangian(x, lam, mu).tocsr()
         assert (W != W.T).nnz == 0
 
 
@@ -177,7 +180,7 @@ def test_assembled_rows_vanish_at_oracle_power_flow_point():
         x[ir], x[ii] = inj.real, inj.imag
     # free balance currents: slack and port injections from their rows
     r = prob.residual_eq(x)
-    A = prob.jac_eq(x)
+    A = prob.jac_eq(x).tocsr()
     free = []
     for key, (ir, ii) in prob.maps.inj_var.items():
         if key[2].endswith("!slack"):
@@ -191,3 +194,33 @@ def test_assembled_rows_vanish_at_oracle_power_flow_point():
                               rcond=None)[0]
     res = prob.residual_eq(x)
     assert np.max(np.abs(res)) < 1e-10
+
+
+@st.composite
+def _matrix_and_operands(draw):
+    """A sparse matrix (empty rows and zero-size shapes included) with a
+    1-D and a 2-D operand for ``A @ x`` and for ``A.T @ y``."""
+    m, n, k = (draw(st.integers(0, hi)) for hi in (6, 6, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
+    dense[rng.random(m) < 0.3] = 0.0
+    A = sp.csr_matrix(dense)
+    if A.nnz and draw(st.booleans()):       # a stored zero
+        A.data[0] = 0.0
+    return A, [rng.standard_normal(s) for s in (n, (n, k), m, (m, k))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_matrix_and_operands())
+def test_fixed_matrix_products_match_scipy_bit_for_bit(case):
+    from gridweld.ecf import FixedMatrix
+    A, (x, X, y, Y) = case
+    M = FixedMatrix.of(A)
+    for v in (x, X):
+        got = M @ v
+        assert got.shape == (A @ v).shape and np.array_equal(got, A @ v)
+    for v in (y, Y):
+        got = M.transpose_times(v)
+        assert got.shape == (A.T @ v).shape and np.array_equal(got, A.T @ v)
+    assert np.array_equal(M.toarray(), A.toarray())

@@ -64,8 +64,8 @@ def test_parameterized_flow_rows_match_fd(rng):
         Wv = prob.hess_lagrangian(x, lam, mu) @ v
 
         def grad_lag(z):
-            return (prob.grad_objective(z) + prob.jac_eq(z).T @ lam
-                    + prob.jac_in(z).T @ mu)
+            return (prob.grad_objective(z) + prob.jac_eq(z).transpose_times(lam)
+                    + prob.jac_in(z).transpose_times(mu))
         h = 1e-6
         Wv_fd = (grad_lag(x + h * v) - grad_lag(x - h * v)) / (2 * h)
         assert np.max(np.abs(Wv - Wv_fd)) < 2e-5 * max(1.0, np.max(np.abs(Wv)))
@@ -96,8 +96,8 @@ def test_head_sensitivity_gradient_matches_fd(seed):
             return at
 
         def grad_x():
-            return (prob.grad_objective(x) + prob.jac_eq(x).T @ lam
-                    + prob.jac_in(x).T @ mu)
+            return (prob.grad_objective(x) + prob.jac_eq(x).transpose_times(lam)
+                    + prob.jac_in(x).transpose_times(mu))
 
         def grad_p():
             return np.concatenate([prob.param_lagrangian_grad(x, lam, mu, name)

@@ -212,10 +212,10 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
 
 
 def test_changed_hessian_pattern_keeps_the_column_order(monkeypatch, rng):
-    """A consensus agent's W is ``W_cell + rho * P``, a sum that drops the
-    zeros of the flat start, so its pattern differs between the first and
-    later x-updates.  The pattern is rebuilt in the kept column order: one
-    COLAMD call for the problem, and a step the dense oracle confirms."""
+    """A step whose W pattern differs from the kept one rebuilds the KKT
+    pattern in the kept column order: one COLAMD call for the problem, and
+    a step the dense oracle confirms.  The toy's W gains its off-diagonal
+    entries after the first step."""
     import scipy.sparse.linalg as spla
     import gridweld.pdip as pdip
     original, specs = spla.splu, []
@@ -224,21 +224,53 @@ def test_changed_hessian_pattern_keeps_the_column_order(monkeypatch, rng):
         specs.append(kwargs.get("permc_spec"))
         return original(A, *args, **kwargs)
     monkeypatch.setattr(spla, "splu", recorded)
-    agent = _consensus_agent("D")
-    flat, (x, lam, mu) = _states(agent, rng)
-    first = NewtonSystem.build(agent, flat)
-    later = NewtonSystem.build(agent, KktState(x=x, lam=lam, mu=mu, eps=1e-3))
+    n = 6
+    A = rng.standard_normal((n, n))
+    dense = A @ A.T + n * np.eye(n)
+    Jg = rng.standard_normal((2, n))
+    Jg[:, :3] = 0.0
+
+    def hess(x, lam, mu):
+        return sp.csr_matrix(np.diag(np.diag(dense)) if x[0] == 0.0 else dense)
+    prob = ToyProblem(n, lambda x: 0.0, lambda x: np.zeros(n), hess,
+                      g=lambda x: Jg @ x - 1.0, jg=lambda x: sp.csr_matrix(Jg))
+    x1 = np.full(n, 0.01)
+    states = [KktState(x=x, lam=np.zeros(0), mu=np.ones(2), eps=1e-3)
+              for x in (prob.x0(), x1)]
+    first, later = (NewtonSystem.build(prob, st) for st in states)
     assert later.W.nnz > first.W.nnz
     assert newton_step(first) is not None
-    kept = pdip._PATTERNS[agent]
+    kept = pdip._PATTERNS[prob]
     for delta in (0.0, 1e-8):
         step = newton_step(later, delta)
         v = np.concatenate(step)
         Y = _dense_unreduced(later, delta)
         assert np.max(np.abs(Y @ v - later.rhs)) < 1e-9 * np.max(np.abs(later.rhs))
     assert specs == [None, "NATURAL", "NATURAL"]
-    rebuilt = pdip._PATTERNS[agent]
+    rebuilt = pdip._PATTERNS[prob]
     assert rebuilt is not kept and rebuilt.order is kept.order
+
+
+def test_consensus_agent_keeps_one_kkt_pattern(monkeypatch):
+    """A consensus agent's Hessian ``W + rho * P`` lies on one fixed union
+    pattern, so its KKT pattern is built once across all its x-updates."""
+    from gridweld import admm
+    from gridweld.netmodel import load_partition
+    from conftest import partition_path
+    import gridweld.pdip as pdip
+    built = []
+    original = pdip._KktPattern.__init__
+
+    def counted(self, W, Jc, Jg, order=None):
+        built.append(order is None)
+        original(self, W, Jc, Jg, order)
+    monkeypatch.setattr(pdip._KktPattern, "__init__", counted)
+    nets, coups = load("case_micro_td")
+    part = load_partition(partition_path("micro_default"), nets, coups)
+    run = admm.Consensus(nets, coups, part)
+    rep = run.run()
+    assert rep.converged and len(run.epochs) > 2
+    assert built == [True] * len(run.subs)
 
 
 def _consensus_agent(name):
@@ -264,15 +296,19 @@ def _states(prob, rng):
 
 
 def _sparse_algebra_kkt(system, delta):
-    """The condensed matrix as scipy's sparse algebra builds it."""
-    H = system.W
+    """The condensed matrix as scipy's sparse algebra builds it, with no
+    stored zero in the Hessian block (a sum drops them)."""
+    H, Jc, Jg = (M.tocsr() for M in (system.W, system.Jc, system.Jg))
     if system.mi:
-        H = H + system.Jg.T @ (sp.diags(system.mu / -system.g) @ system.Jg)
+        H = H + Jg.T @ (sp.diags(system.mu / -system.g) @ Jg)
     if delta:
         H = H + delta * sp.identity(system.n, format="csr")
+    if not system.mi and not delta:
+        H = H.copy()
+        H.eliminate_zeros()
     if not system.me:
         return H.tocsc()
-    return sp.bmat([[H, system.Jc.T], [system.Jc, None]], format="csc")
+    return sp.bmat([[H, Jc.T], [Jc, None]], format="csc")
 
 
 def _assert_fill_matches_sparse_algebra(system, delta):
@@ -317,18 +353,35 @@ def test_fill_of_random_system_matches_sparse_algebra(rng, me, mi, delta):
     _assert_fill_matches_sparse_algebra(system, delta)
 
 
+def test_fill_stores_no_hessian_zero_without_a_sum(rng):
+    """With no Jg term and no ``delta`` the fill still leaves out W's stored
+    zeros, as the scipy sum of a consensus agent's ``W + rho * P`` did;
+    stored Jc zeros stay."""
+    system, _ = _random_system(rng, 3, 0)
+    W, Jc = system.W.tocsr(), system.Jc.tocsr()
+    W.data[::4] = 0.0
+    Jc.data[::5] = 0.0
+    system = NewtonSystem(W=W, Jc=Jc, Jg=system.Jg, g=system.g, mu=system.mu,
+                          rhs=system.rhs, n=system.n, me=3, mi=0)
+    K = system.matrix()
+    assert K.nnz == W.nnz - len(W.data[::4]) + 2 * Jc.nnz
+    _assert_fill_matches_sparse_algebra(system, 0.0)
+
+
 @pytest.mark.parametrize("case", ["case_micro_td", "case_feeder210_stressed",
                                   "case_twofeeder_stressed"])
 def test_transpose_product_matches_scipy_bit_for_bit(rng, case):
     from conftest import interior_point
-    from gridweld.pdip import _transpose_times
     prob = centralized_problem(case, norm="l1")[2]
     x = interior_point(prob, rng, scale=0.02)
     for J in (prob.jac_eq(x), prob.jac_in(x)):
+        A = J.tocsr()
         y = rng.standard_normal(J.shape[0])
-        assert np.array_equal(_transpose_times(J, y), J.T @ y)
+        assert np.array_equal(J.transpose_times(y), A.T @ y)
         Y = rng.standard_normal((J.shape[0], 3))
-        assert np.array_equal(_transpose_times(J, Y), J.T @ Y)
+        assert np.array_equal(J.transpose_times(Y), A.T @ Y)
+        v = rng.standard_normal(J.shape[1])
+        assert np.array_equal(J @ v, A @ v)
 
 
 def test_non_descent_direction_retries_with_larger_delta():
@@ -386,7 +439,7 @@ def _oracle_state(prob, nets, pf):
         x[ir], x[ii] = inj.real, inj.imag
     # solve the remaining linear rows for the free balance currents
     r = prob.residual_eq(x)
-    A = prob.jac_eq(x)
+    A = prob.jac_eq(x).tocsr()
     free = [i for key, pair in prob.maps.inj_var.items()
             if key[2].endswith("!slack") for i in pair]
     for key in prob.maps.port_tvar:
@@ -581,3 +634,95 @@ def test_l1_gives_strictly_fewer_nonzero_buses_than_l2():
 def test_solver_options_validated():
     with pytest.raises(ValueError):
         SolverOptions(kkt_tolerance=-1.0)
+
+
+@pytest.mark.parametrize("mode", ["central", "admm"])
+def test_one_scipy_matrix_per_newton_step(monkeypatch, mode):
+    """Inside ``solve_nlp`` the only scipy sparse matrix a solve makes is
+    the CSC matrix each factorization is handed, and a solve that takes no
+    step makes none."""
+    import scipy.sparse._base as spbase
+    import scipy.sparse.linalg as spla
+    import gridweld.pdip as pdip
+    made = {"sparse": 0, "splu": 0}
+    calls = []
+    init, splu, solve = spbase._spbase.__init__, spla.splu, pdip.solve_nlp
+
+    def counted_init(self, *args, **kwargs):
+        made["sparse"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_splu(*args, **kwargs):
+        made["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counted_solve(problem, opts=None, warm=None, **kwargs):
+        before = dict(made), warm.iterations if warm is not None else 0
+        state, status = solve(problem, opts, warm, **kwargs)
+        calls.append((made["sparse"] - before[0]["sparse"],
+                      made["splu"] - before[0]["splu"], state.iterations - before[1]))
+        return state, status
+    monkeypatch.setattr(spbase._spbase, "__init__", counted_init)
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(pdip, "solve_nlp", counted_solve)
+    nets, coups = load("case_micro_td_stressed")
+    if mode == "central":
+        rep = solve_centralized(nets, coups, source_kind="current", norm="l2")
+    else:
+        from gridweld.admm import admm_solve
+        rep = admm_solve(nets, coups, source_kind="current", norm="l2")
+    assert rep.converged and calls
+    for sparse, factors, steps in calls:
+        assert sparse == factors <= steps
+
+
+def test_central_trace_records_a_kkt_contraction_acceptance():
+    """Every step records how it was accepted; the central current L2 solve
+    of ``case_micro_td_stressed`` takes one step on plain KKT-residual
+    contraction, the rest on the Armijo test."""
+    nets, coups, prob = centralized_problem("case_micro_td_stressed")
+    trace = []
+    state, status = solve_nlp(prob, trace=trace)
+    assert status == "converged" and len(trace) == state.iterations
+    accepts = [r.accept for r in trace]
+    assert set(accepts) <= {"armijo", "dual_only", "kkt_contraction"}
+    assert "kkt_contraction" in accepts and "armijo" in accepts
+
+
+def test_warm_start_reuses_the_kept_constraint_evaluation(monkeypatch):
+    """A warm start from a returned state at the same ``x`` object and equal
+    ``params`` evaluates no constraint or Jacobian at its first point, and
+    ends bit for bit where a fresh evaluation would; changed ``params``
+    evaluate them again."""
+    from conftest import head_cell
+    from gridweld.ecf import CircuitProblem
+    calls = []
+    for name in ("residual_eq", "residual_in", "jac_eq", "jac_in"):
+        original = getattr(CircuitProblem, name)
+
+        def counted(self, x, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, x)
+        monkeypatch.setattr(CircuitProblem, name, counted)
+    prob, key = head_cell("case_micro_td")
+    state, status = solve_nlp(prob)
+    assert status == "converged"
+    calls.clear()
+    again, status = solve_nlp(prob, warm=state)
+    assert status == "converged" and again is state and calls == []
+    # new multipliers at the same x: steps again, from the kept evaluation
+    x, lam, mu = state.x, 1.5 * state.lam, 0.5 * state.mu
+    state.lam, state.mu, state.eps = lam, mu, 1e-4
+    fresh = KktState(x=x.copy(), lam=lam, mu=mu, eps=1e-4)
+    counts = []
+    for warm in (state, fresh):
+        calls.clear()
+        solve_nlp(prob, warm=warm)
+        counts.append(calls.count("jac_eq"))
+    assert state.iterations > 0 and counts[0] == counts[1] - 1
+    for a in ("x", "lam", "mu"):
+        assert np.array_equal(getattr(state, a), getattr(fresh, a))
+    calls.clear()
+    prob.params[0] += 1e-3
+    solve_nlp(prob, warm=state)
+    assert "jac_eq" in calls and "residual_eq" in calls

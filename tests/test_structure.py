@@ -127,20 +127,30 @@ def test_one_factorization_site():
 
 
 def test_newton_system_does_no_sparse_algebra():
-    """``pdip._Point`` and ``pdip.NewtonSystem`` fill the KKT matrix into its
-    fixed pattern and take transposed products by ``np.bincount``: they
-    call none of ``sp.bmat``, ``sp.diags`` or ``sp.identity`` and take no
-    ``.T``, so no per-step sparse algebra creeps back."""
+    """``pdip._Point`` and ``pdip.NewtonSystem`` work on fixed-pattern
+    arrays: they fill the KKT matrix into its fixed pattern and take every
+    product by ``np.bincount``.  They call nothing of ``scipy.sparse``, take
+    no ``.T`` and make no scipy copy (``tocsr``, ``tocsc``, ``toarray``);
+    the one scipy matrix in ``pdip`` is made by ``_KktPattern.fill``, so no
+    per-step sparse algebra creeps back."""
     tree = ast.parse((ROOT / "src" / "gridweld" / "pdip.py").read_text())
     classes = [n for n in tree.body if isinstance(n, ast.ClassDef)
                and n.name in ("_Point", "NewtonSystem")]
     assert len(classes) == 2
     nodes = [n for cls in classes for n in ast.walk(cls)]
-    calls = {n.func.attr for n in nodes if isinstance(n, ast.Call)
-             and isinstance(n.func, ast.Attribute)
-             and isinstance(n.func.value, ast.Name) and n.func.value.id == "sp"}
-    assert not calls & {"bmat", "diags", "identity"}
-    assert not [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "T"]
+    assert not [n for n in nodes if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and isinstance(n.func.value, ast.Name) and n.func.value.id == "sp"]
+    assert not [n for n in nodes if isinstance(n, ast.Attribute)
+                and n.attr in ("T", "tocsr", "tocsc", "toarray")]
+    (fill,) = [fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and cls.name == "_KktPattern" for fn in cls.body
+               if getattr(fn, "name", None) == "fill"]
+    inside = {id(n) for n in ast.walk(fill)}
+    makers = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute)
+              and isinstance(n.func.value, ast.Name) and n.func.value.id == "sp"]
+    assert len(makers) == 1 and id(makers[0]) in inside
 
 
 def test_exchange_written_once():
@@ -168,19 +178,32 @@ def test_epoch_loop_written_once():
     assert not called & {"solve_nlp", "solve_subproblem", "build_report"}
 
 
-def test_circuit_matrices_built_one_way():
-    """In ``ecf``, sparse matrices are made only by ``_FixedCSR.__call__``
-    and ``CircuitProblem.__init__``, so every circuit matrix has a pattern
-    fixed at build time."""
+def test_circuit_matrices_built_one_way(rng):
+    """In ``ecf``, every circuit matrix is a ``FixedMatrix`` on a pattern
+    fixed at build time: only ``_FixedCSR.__call__`` and ``_empty`` make
+    one, and scipy matrices are made only inside ``FixedMatrix`` (its
+    copies and its wrapping of a foreign matrix)."""
     tree = ast.parse((ROOT / "src" / "gridweld" / "ecf.py").read_text())
-    allowed = set()
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            for fn in cls.body:
-                if (cls.name, getattr(fn, "name", None)) in (
-                        ("_FixedCSR", "__call__"), ("CircuitProblem", "__init__")):
-                    allowed |= {id(n) for n in ast.walk(fn)}
+    fixed, allowed = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "FixedMatrix":
+            allowed |= {id(n) for n in ast.walk(node)}
+        if getattr(node, "name", None) == "_empty":
+            fixed |= {id(n) for n in ast.walk(node)}
+        if isinstance(node, ast.ClassDef) and node.name == "_FixedCSR":
+            for fn in node.body:
+                if getattr(fn, "name", None) == "__call__":
+                    fixed |= {id(n) for n in ast.walk(fn)}
     makers = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
               and isinstance(n.func, ast.Attribute)
               and isinstance(n.func.value, ast.Name) and n.func.value.id == "sp"]
     assert makers and all(id(n) in allowed for n in makers)
+    made = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "FixedMatrix"]
+    assert made and all(id(n) in fixed for n in made)
+    from gridweld.ecf import FixedMatrix
+    nets, coups, prob = centralized_problem("case_micro_td")
+    x = interior_point(prob, rng)
+    lam, mu = rng.standard_normal(prob.n_eq), rng.random(prob.n_in)
+    for M in (prob.jac_eq(x), prob.jac_in(x), prob.hess_lagrangian(x, lam, mu)):
+        assert isinstance(M, FixedMatrix)
