@@ -11,7 +11,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from . import admm, gjn
 from .netmodel import CaseError, load_case, load_partition
@@ -22,23 +21,6 @@ log = logging.getLogger("gridweld.cli")
 
 MODES = ("central", "dpdip", "admm", "compare")
 SOURCES = ("current", "power", "admittance")
-
-
-@dataclass
-class RunConfig:
-    case: str
-    partition: str | None
-    mode: str
-    norm: str
-    source: str
-    q_only: bool
-    tol_kkt: float
-    tol_gauss: float
-    max_epochs: int
-    inner_cap: int
-    workers: int
-    trace: str | None
-    out: str
 
 
 class _ArgumentError(Exception):
@@ -74,7 +56,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config(ns) -> RunConfig:
+def _config(ns: argparse.Namespace) -> argparse.Namespace:
+    """``ns`` of the ``solve`` subcommand, once its flags are consistent."""
     if ns.q_only and ns.source != "power":
         raise _ArgumentError("--q-only is only valid with --source power")
     if ns.trace is not None and ns.mode == "compare":
@@ -82,14 +65,11 @@ def _config(ns) -> RunConfig:
     for flag in ("tol_kkt", "tol_gauss", "max_epochs", "inner_cap", "workers"):
         if not getattr(ns, flag) > 0:
             raise _ArgumentError(f"--{flag.replace('_', '-')} must be positive")
-    return RunConfig(case=ns.case, partition=ns.partition, mode=ns.mode,
-                     norm=ns.norm, source=ns.source, q_only=ns.q_only,
-                     tol_kkt=ns.tol_kkt, tol_gauss=ns.tol_gauss,
-                     max_epochs=ns.max_epochs, inner_cap=ns.inner_cap,
-                     workers=ns.workers, trace=ns.trace, out=ns.out)
+    return ns
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
+    """One ``solve`` run of the parsed and checked flags; the exit code."""
     if not os.path.exists(cfg.case):
         print(f"error: case file not found: {cfg.case}", file=sys.stderr)
         return 1

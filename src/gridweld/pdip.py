@@ -20,21 +20,21 @@ row gives ``dmu = (r_m - mu * (Jg dx)) / g``, and substituting it leaves
 
 which is factored by sparse LU; ``dmu`` is then recovered from ``dx``.
 W, Jc and Jg are :class:`~gridweld.ecf.FixedMatrix` arrays on patterns
-fixed by the problem's build (a problem that returns scipy matrices has
-them wrapped).  The condensed matrix has a CSC pattern built once per
-problem from those patterns, and kept for the problem, weakly referenced:
-each step fills it with one ``np.bincount`` (see :class:`_KktPattern`).
-The products ``Jc^T lam``, ``Jg^T mu``, ``Jg^T (1/s)`` and ``Jg dx`` are
-bincounts over the stored entries, so a step does no sparse algebra and
-makes one scipy object, the CSC matrix it factors.  The fill stores no
-Hessian entry that comes to exactly zero, as scipy's sparse sums with a
-Jg term, ``delta`` or a consensus penalty did.  Stored zeros would change
-SuperLU's elimination postorder, and with it every step's trailing digits.
-The pattern's columns are in the order of the problem's first
-factorization (SuperLU's COLAMD on the natural-order matrix); every later
-step, epoch and exchange sensitivity of the problem factors the matrix in
-that order with no reordering, and a step whose W, Jc or Jg pattern
-differs rebuilds the pattern in that order.  The order comes from the
+fixed by the problem's build.  A problem has one CSC pattern of the
+condensed matrix for ``delta = 0`` and one, holding the full diagonal, for
+any other ``delta``; each is built on the problem's first matrix of its
+kind and kept for the problem, weakly referenced, and a step whose W, Jc
+or Jg pattern differs raises ``ValueError`` (see :class:`NewtonSystem`).
+A step fills its pattern with one ``np.bincount``; the products
+``Jc^T lam``, ``Jg^T mu``, ``Jg^T (1/s)`` and ``Jg dx`` are bincounts over
+the stored entries, so a step does no sparse algebra and makes one scipy
+object, the CSC matrix it factors.  The fill stores no Hessian entry that
+comes to exactly zero, as scipy's sparse sums with a Jg term, ``delta`` or
+a consensus penalty did: stored zeros would change SuperLU's elimination
+postorder, and with it every step's trailing digits.  A problem's
+patterns have their columns in the order of its first factorization
+(SuperLU's COLAMD on the natural-order matrix); every later step, epoch
+and exchange sensitivity factors in that order.  The order comes from the
 sparsest pattern the matrix has: a first step starts from zero equality
 multipliers, so W's constraint entries are exact zeros that drop out of
 ``W + Jg^T diag(mu/s) Jg`` (``ladder_f4`` L1 power: 94,136 entries at the
@@ -73,26 +73,25 @@ log = logging.getLogger("gridweld.pdip")
 
 TAU_BOUNDARY = 0.995       # fraction-to-boundary
 MAX_BACKTRACKS = 40
+MAX_ITERATIONS = 500       # Newton budget of an uncapped solve
+BARRIER_INITIAL = 0.1      # eps at a cold start
+BARRIER_DECREASE = 0.1     # eps factor per barrier update
+BARRIER_PROGRESS = 10.0    # decrease eps once residual <= this * eps
 DELTA_FIRST = 1e-8         # first nonzero regularization delta on W
 DELTA_MAX = 1e4
 
-# problem -> the pattern of its condensed KKT matrix (see NewtonSystem)
+# problem -> {delta != 0: its condensed KKT pattern for that kind of delta}
 _PATTERNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
 class SolverOptions:
     kkt_tolerance: float = 1e-8
-    max_iterations: int = 500
-    barrier_initial: float = 0.1
-    barrier_decrease: float = 0.1
     barrier_floor: float = 1e-9
     inner_cap: int = 50                # per-epoch Newton cap in distributed mode
-    barrier_progress: float = 10.0     # decrease eps once residual <= this * eps
 
     def __post_init__(self):
-        for name in ("kkt_tolerance", "max_iterations", "barrier_initial",
-                     "barrier_decrease", "barrier_floor", "inner_cap"):
+        for name in ("kkt_tolerance", "barrier_floor", "inner_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -196,11 +195,11 @@ class _Point:
 
     @cached_property
     def Jc(self) -> FixedMatrix:
-        return FixedMatrix.of(self.problem.jac_eq(self.x))
+        return self.problem.jac_eq(self.x)
 
     @cached_property
     def Jg(self) -> FixedMatrix:
-        return FixedMatrix.of(self.problem.jac_in(self.x))
+        return self.problem.jac_in(self.x)
 
     def residuals(self, state: KktState):
         """(r_x, r_c, g, r_m) of the perturbed KKT conditions at ``state``.
@@ -248,12 +247,13 @@ def assemble_kkt(problem, state: KktState,
 class _KktPattern:
     """The CSC pattern of the condensed matrix ``[[H, Jc^T], [Jc, 0]]``,
     ``H = W + Jg^T diag(d) Jg + delta*I``, for one set of W, Jc and Jg
-    patterns, with its columns in ``order`` (None: natural order).
+    patterns and one kind of ``delta``, with its columns in ``order`` (None:
+    natural order).  With ``diagonal`` it holds every diagonal entry of H
+    and takes ``delta``; without, ``delta`` is 0.
 
-    A Hessian slot is an entry of W or of a pair of Jg entries in one row;
-    only this block is deduplicated, and the Jc entries go by per-column
-    counts.  The diagonal entries that neither gives are inserted when
-    ``delta`` is not 0.  :meth:`fill` sums each slot in the order scipy's
+    A Hessian slot is an entry of W, of a pair of Jg entries in one row or
+    of the diagonal; only this block is deduplicated, and the Jc entries go
+    by per-column counts.  :meth:`fill` sums each slot in the order scipy's
     ``Jg.T @ (diag(d) @ Jg)``, then ``W + P``, then ``+ delta*I`` do: the
     pair products ``Jg[r,i] * (d[r] * Jg[r,j])`` of slot ``(i, j)`` by
     ascending Jg row ``r``, then W, then ``delta``.  W, Jc and Jg are
@@ -261,7 +261,7 @@ class _KktPattern:
     not copied, to tell a pattern change.
     """
 
-    def __init__(self, W, Jc, Jg, order=None):
+    def __init__(self, W, Jc, Jg, diagonal, order=None):
         n, me = W.shape[0], Jc.shape[0]
         self.sources = tuple(a for M in (W, Jc, Jg) for a in (M.indptr, M.indices))
         self.shape = (n + me,) * 2
@@ -274,10 +274,11 @@ class _KktPattern:
         self.pair_a = (first + t // width).astype(np.int32)
         self.pair_b = (first + t % width).astype(np.int32)
         del first, t, width
-        # Hessian slots of W and the pairs, column-major
+        # Hessian slots of W, the pairs and the diagonal, column-major
         keys = np.concatenate([
             W.indices.astype(np.int64) * n + W.rows,
-            Jg.indices[self.pair_b].astype(np.int64) * n + Jg.indices[self.pair_a]])
+            Jg.indices[self.pair_b].astype(np.int64) * n + Jg.indices[self.pair_a],
+            np.arange(n if diagonal else 0, dtype=np.int64) * (n + 1)])
         hkeys, slot = np.unique(keys, return_inverse=True)
         del keys
         h_count = np.bincount(hkeys // n, minlength=n)
@@ -290,17 +291,9 @@ class _KktPattern:
         h_pos = (np.arange(len(hkeys)) + np.repeat(j_before, h_count)).astype(np.int32)
         self.indices = np.empty(self.indptr[-1], dtype=np.int32)
         self.indices[h_pos] = hkeys % n
-        # the diagonal: a slot, or where column i's missing entry would go
-        diag = np.arange(n, dtype=np.int64) * (n + 1)
-        rank = np.searchsorted(hkeys, diag)
-        held = np.append(hkeys, -1)[rank] == diag
-        self.diag_pos = h_pos[rank[held]]
-        # each missing entry: its row (= natural column), its column in
-        # ``order`` and its insertion point, by position
-        self.diag_row = self.diag_col = np.flatnonzero(~held).astype(np.int32)
-        self.diag_at = (rank[~held] + j_before[~held]).astype(np.int32)
-        self.w_pos, self.pair_pos = np.split(h_pos[slot], [W.nnz])
-        del h_pos, hkeys, slot, rank, held
+        self.w_pos, self.pair_pos, self.diag_pos = np.split(
+            h_pos[slot], [W.nnz, W.nnz + len(self.pair_a)])
+        del h_pos, hkeys, slot
         by_col = np.argsort(Jc.indices, kind="stable")
         self.jc_pos = np.empty(2 * Jc.nnz, dtype=np.int32)
         self.jc_pos[by_col] = (np.arange(Jc.nnz) - np.repeat(j_before, j_count)
@@ -332,47 +325,28 @@ class _KktPattern:
             pos[:] = moved[pos]
         indices = np.empty_like(self.indices)
         indices[moved] = self.indices
-        # a missing diagonal entry keeps its offset in its column
-        at = self.diag_at + shift[self.diag_row]
-        by_at = np.argsort(at)
-        column = np.empty(len(order), dtype=np.int32)
-        column[order] = np.arange(len(order))
-        self.diag_row = self.diag_row[by_at]
-        self.diag_at = at[by_at].astype(np.int32)
-        self.diag_col = column[self.diag_row]
         self.indices, self.indptr, self.order = indices, indptr, order
 
     def fill(self, W, Jc, Jg, d, delta) -> sp.csc_matrix:
-        """The matrix with ``diag(d)`` (None: no Jg term) and ``delta``.
+        """The matrix with ``diag(d)`` and ``delta``.
 
         It stores no Hessian entry that comes to exactly 0, as scipy's sums
         with a Jg term, ``delta`` or a consensus penalty would not; Jc
         zeros are kept."""
         nnz = len(self.indices)
-        if d is None:
-            data = np.zeros(nnz)
-            data[self.w_pos] = W.data
-        else:
-            products = Jg.data[self.pair_a]
-            products *= (d[Jg.rows] * Jg.data)[self.pair_b]
-            data = np.bincount(self.pair_pos, products, nnz)
-            del products
-            data[self.w_pos] += W.data
-        jc_pos = self.jc_pos
-        data[jc_pos[:Jc.nnz]] = Jc.data
-        data[jc_pos[Jc.nnz:]] = Jc.data
+        products = Jg.data[self.pair_a]
+        products *= (d[Jg.rows] * Jg.data)[self.pair_b]
+        # float also with no pairs, where bincount gives integer zeros
+        data = np.bincount(self.pair_pos, products, nnz).astype(float, copy=False)
+        del products
+        data[self.w_pos] += W.data
+        data[self.diag_pos] += delta
+        data[self.jc_pos[:Jc.nnz]] = Jc.data
+        data[self.jc_pos[Jc.nnz:]] = Jc.data
         indices, indptr = self.indices, self.indptr
-        if delta:
-            data[self.diag_pos] += delta
-            at = self.diag_at
-            data = np.insert(data, at, delta)
-            indices = np.insert(indices, at, self.diag_row)
-            indptr = indptr + np.searchsorted(self.diag_col, np.arange(len(indptr))
-                                              ).astype(np.int32)
-            jc_pos = jc_pos + np.searchsorted(at, jc_pos, side="right").astype(np.int32)
         zero = data == 0.0
         if zero.any():
-            zero[jc_pos] = False
+            zero[self.jc_pos] = False
             dropped = np.flatnonzero(zero)
             if len(dropped):
                 indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
@@ -382,21 +356,21 @@ class _KktPattern:
 
 @dataclass
 class NewtonSystem:
-    """One linearized perturbed-KKT system, solved in condensed form.
+    """One linearized perturbed-KKT system of ``problem``, solved in
+    condensed form.
 
     :meth:`matrix` is the condensed matrix
     ``[[W + Jg^T diag(mu/s) Jg + delta*I, Jc^T], [Jc, 0]]`` with ``s = -g``,
-    filled into the problem's :class:`_KktPattern` with its columns in the
-    problem's kept order; :meth:`solve` solves the unreduced three-block
-    system through it.  The pattern is built on a problem's first matrix
-    and kept for the problem, weakly referenced, with the column order of
-    its first factorization (COLAMD on the natural-order matrix); a step
-    whose W, Jc or Jg pattern differs from the kept one rebuilds it in the
-    kept order.  The matrix stores no Hessian entry that comes to exactly
-    zero.  Stored zeros change SuperLU's elimination postorder, and with it
-    the trailing digits of every step.  W, Jc and Jg are
-    :class:`~gridweld.ecf.FixedMatrix` arrays (scipy matrices are wrapped);
-    ``Jg_dx`` is ``Jg @ dx`` of the last 1-D or 2-D solve.
+    filled into the problem's :class:`_KktPattern` for ``delta`` (one for 0,
+    one holding the diagonal for any other value); :meth:`solve` solves the
+    unreduced three-block system through it.  Each pattern is built on the
+    problem's first matrix of its kind and kept for the problem, weakly
+    referenced; a system whose W, Jc or Jg pattern differs from the kept
+    one raises ``ValueError``.  A problem's patterns share the column order
+    of its first factorization (COLAMD on the natural-order matrix).  W, Jc
+    and Jg are :class:`~gridweld.ecf.FixedMatrix` arrays; ``pattern`` is
+    that of the last matrix, ``Jg_dx`` is ``Jg @ dx`` of the last 1-D or
+    2-D solve.
     """
     W: FixedMatrix
     Jc: FixedMatrix
@@ -404,15 +378,21 @@ class NewtonSystem:
     g: np.ndarray
     mu: np.ndarray
     rhs: np.ndarray       # -(r_x, r_c, r_m) stacked
-    n: int
-    me: int
-    mi: int
-    problem: object = None
+    problem: object       # the key of the kept patterns
     pattern: _KktPattern | None = field(default=None, init=False, repr=False)
     Jg_dx: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self.W, self.Jc, self.Jg = map(FixedMatrix.of, (self.W, self.Jc, self.Jg))
+    @property
+    def n(self) -> int:
+        return self.W.shape[0]
+
+    @property
+    def me(self) -> int:
+        return self.Jc.shape[0]
+
+    @property
+    def mi(self) -> int:
+        return self.g.size
 
     @classmethod
     def build(cls, problem, state: KktState,
@@ -422,21 +402,24 @@ class NewtonSystem:
         W = problem.hess_lagrangian(state.x, state.lam, state.mu)
         rhs = -np.concatenate([r_x, c, r_m])
         return cls(W=W, Jc=point.Jc, Jg=point.Jg, g=g, mu=state.mu, rhs=rhs,
-                   n=problem.nvar, me=c.size, mi=g.size, problem=problem)
+                   problem=problem)
 
     def matrix(self, delta: float = 0.0) -> sp.csc_matrix:
         """The condensed KKT matrix, ``delta*I`` added to its Hessian block,
         with its columns in ``self.pattern.order``."""
-        if self.pattern is None:
-            kept = _PATTERNS.get(self.problem) if self.problem is not None else None
-            if kept is None or not kept.fits(self.W, self.Jc, self.Jg):
-                kept = _KktPattern(self.W, self.Jc, self.Jg,
-                                   None if kept is None else kept.order)
-                if self.problem is not None:
-                    _PATTERNS[self.problem] = kept
-            self.pattern = kept
-        d = self.mu / -self.g if self.mi else None
-        return self.pattern.fill(self.W, self.Jc, self.Jg, d, delta)
+        kept = _PATTERNS.setdefault(self.problem, {})
+        # a problem's patterns share their sources and their column order
+        first = next(iter(kept.values()), None)
+        if first is not None and not first.fits(self.W, self.Jc, self.Jg):
+            raise ValueError("W, Jc or Jg has a pattern other than the "
+                             "problem's kept one")
+        pattern = kept.get(bool(delta))
+        if pattern is None:
+            pattern = kept[bool(delta)] = _KktPattern(
+                self.W, self.Jc, self.Jg, bool(delta),
+                None if first is None else first.order)
+        self.pattern = pattern
+        return pattern.fill(self.W, self.Jc, self.Jg, self.mu / -self.g, delta)
 
     def solve(self, b_x, b_c, b_m, delta: float = 0.0):
         """(dx, dlam, dmu) with the unreduced matrix times them equal to
@@ -448,16 +431,17 @@ class NewtonSystem:
             b_x = b_x - self.Jg.transpose_times(_scale_rows(inv_s, b_m))
         K = self.matrix(delta)
         rhs = np.concatenate([b_x, b_c])
-        pattern = self.pattern
-        if pattern.order is None:
+        order = self.pattern.order
+        if order is None:
             lu = spla.splu(K)
             v = lu.solve(rhs)
             order = np.argsort(lu.perm_c)
             del K, lu
-            pattern.reorder(order)
+            for pattern in _PATTERNS[self.problem].values():
+                pattern.reorder(order)
         else:
             v = np.empty_like(rhs)
-            v[pattern.order] = spla.splu(K, permc_spec="NATURAL").solve(rhs)
+            v[order] = spla.splu(K, permc_spec="NATURAL").solve(rhs)
         dx, dlam = v[:self.n], v[self.n:]
         self.Jg_dx = self.Jg @ dx
         dmu = _scale_rows(inv_s, b_m + _scale_rows(self.mu, self.Jg_dx))
@@ -498,7 +482,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
     ``trace`` (a list) collects one :class:`IterRecord` per accepted step.
     """
     opts = opts or SolverOptions()
-    budget = newton_budget if newton_budget is not None else opts.max_iterations
+    budget = newton_budget if newton_budget is not None else MAX_ITERATIONS
 
     point = _Point(problem, problem.x0()) if warm is None else _Point.at(problem, warm)
     state = warm
@@ -507,7 +491,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         if point.g_max >= 0.0:
             raise SolveFailure(f"initial point not strictly interior: "
                                f"max g = {point.g_max:.3e}")
-        eps = opts.barrier_initial if g.size else opts.barrier_floor
+        eps = BARRIER_INITIAL if g.size else opts.barrier_floor
         mu = eps / (-g) if g.size else np.zeros(0)
         state = KktState(x=point.x, lam=np.zeros(problem.n_eq), mu=mu, eps=eps)
 
@@ -521,8 +505,8 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         # barrier update once the current perturbed system is solved well enough
         current = max(res.stationarity, res.feasibility, res.complementarity)
         while (state.eps > opts.barrier_floor
-               and current <= opts.barrier_progress * state.eps):
-            state.eps = max(opts.barrier_floor, opts.barrier_decrease * state.eps)
+               and current <= BARRIER_PROGRESS * state.eps):
+            state.eps = max(opts.barrier_floor, BARRIER_DECREASE * state.eps)
             res = assemble_kkt(problem, state, point)
             current = max(res.stationarity, res.feasibility, res.complementarity)
 

@@ -47,8 +47,14 @@ def head_cell(name: str, kind="current"):
 
 
 def interior_point(problem, rng, scale=0.05):
-    """Random strictly-interior perturbation of the flat start."""
-    for _ in range(200):
+    """Random strictly-interior perturbation of the flat start.
+
+    The draw bound is sized for the sparsest cell drawn from: on the
+    ``case_micro_flowcap`` head cell at scale 0.02, 3.5% of draws are
+    interior (4000 measured), so 2000 draws all miss with probability
+    about 1e-31.  A draw that succeeds takes the same ``rng`` values
+    whatever the bound."""
+    for _ in range(2000):
         x = problem.x0() + scale * rng.standard_normal(problem.nvar)
         g = problem.residual_in(x)
         if problem.interior_ok(x) and (g.size == 0 or np.max(g) < -1e-6):

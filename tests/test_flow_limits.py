@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridweld import admm, gjn, load_case
@@ -73,6 +73,7 @@ def test_parameterized_flow_rows_match_fd(rng):
 
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=557)          # its power-source draw needs more than 200 tries
 def test_head_sensitivity_gradient_matches_fd(seed):
     """The parameter blocks of ``param_derivatives`` and the boundary
     feedback dL/dp against central differences in the parameters, for every

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from gridweld.coupling import CouplingPort
-from gridweld.ecf import PortBuild, build_problem
+from gridweld.ecf import FixedMatrix, PortBuild, build_problem
 from gridweld.pdip import (KktState, NewtonSystem, SolveFailure, SolverOptions,
                            assemble_kkt, newton_step, solve_centralized,
                            solve_nlp, solve_subproblem)
@@ -14,7 +14,8 @@ from oracles import (brute_force_two_bus, net_demand, net_ybus,
 
 
 class ToyProblem:
-    """Tiny dense NLP wrapper for exercising the solver in isolation."""
+    """Tiny dense NLP wrapper for exercising the solver in isolation; its
+    matrices are given as scipy matrices and returned as FixedMatrix."""
 
     def __init__(self, n, f, grad, hess, c=None, jc=None, g=None, jg=None,
                  x_start=None):
@@ -42,16 +43,16 @@ class ToyProblem:
         return self._c(x)
 
     def jac_eq(self, x):
-        return self._jc(x)
+        return FixedMatrix.of(self._jc(x))
 
     def residual_in(self, x):
         return self._g(x)
 
     def jac_in(self, x):
-        return self._jg(x)
+        return FixedMatrix.of(self._jg(x))
 
     def hess_lagrangian(self, x, lam, mu):
-        return self._hess(x, lam, mu)
+        return FixedMatrix.of(self._hess(x, lam, mu))
 
     def interior_ok(self, x):
         return True
@@ -117,6 +118,10 @@ def test_toy_qp_kkt_residual_contracts_fast():
     assert tail[-1] < 0.2 * tail[0]
 
 
+class _Owner:
+    """The problem a hand-built system's KKT patterns are kept for."""
+
+
 def _random_system(rng, me, mi, n=12, k=None):
     """A random Newton system and its unreduced dense matrix, built here
     from W, Jc, Jg, g and mu independently of ``NewtonSystem.matrix``;
@@ -129,9 +134,9 @@ def _random_system(rng, me, mi, n=12, k=None):
     mu = np.abs(rng.standard_normal(mi)) + 0.1
     shape = (n + me + mi,) if k is None else (n + me + mi, k)
     rhs = rng.standard_normal(shape)
-    system = NewtonSystem(W=sp.csr_matrix(W), Jc=sp.csr_matrix(Jc),
-                          Jg=sp.csr_matrix(Jg), g=g, mu=mu, rhs=rhs,
-                          n=n, me=me, mi=mi)
+    system = NewtonSystem(W=FixedMatrix.of(W), Jc=FixedMatrix.of(Jc),
+                          Jg=FixedMatrix.of(Jg), g=g, mu=mu, rhs=rhs,
+                          problem=_Owner())
     return system, lambda delta: _dense_unreduced(system, delta)
 
 
@@ -206,24 +211,19 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
     specs.clear()
     first, second = newton_step(system), newton_step(system)
     assert specs == [None, "NATURAL"]
-    assert pdip._PATTERNS[fresh].order.size == fresh.nvar + fresh.n_eq
+    assert list(pdip._PATTERNS[fresh]) == [False]
+    assert pdip._PATTERNS[fresh][False].order.size == fresh.nvar + fresh.n_eq
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
 
-def test_changed_hessian_pattern_keeps_the_column_order(monkeypatch, rng):
-    """A step whose W pattern differs from the kept one rebuilds the KKT
-    pattern in the kept column order: one COLAMD call for the problem, and
-    a step the dense oracle confirms.  The toy's W gains its off-diagonal
-    entries after the first step."""
-    import scipy.sparse.linalg as spla
+def test_changed_hessian_pattern_raises(rng):
+    """A system whose W pattern differs from the problem's kept KKT pattern
+    raises ``ValueError``, for ``delta`` 0 and not, and leaves the kept
+    pattern as it was: the same object with its column order and arrays,
+    and no pattern built for the other kind of ``delta``.  The toy's W
+    gains its off-diagonal entries after the first step."""
     import gridweld.pdip as pdip
-    original, specs = spla.splu, []
-
-    def recorded(A, *args, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
-        return original(A, *args, **kwargs)
-    monkeypatch.setattr(spla, "splu", recorded)
     n = 6
     A = rng.standard_normal((n, n))
     dense = A @ A.T + n * np.eye(n)
@@ -240,15 +240,60 @@ def test_changed_hessian_pattern_keeps_the_column_order(monkeypatch, rng):
     first, later = (NewtonSystem.build(prob, st) for st in states)
     assert later.W.nnz > first.W.nnz
     assert newton_step(first) is not None
-    kept = pdip._PATTERNS[prob]
+    kept = pdip._PATTERNS[prob][False]
+    order, indices, indptr = kept.order, kept.indices.copy(), kept.indptr.copy()
     for delta in (0.0, 1e-8):
-        step = newton_step(later, delta)
-        v = np.concatenate(step)
-        Y = _dense_unreduced(later, delta)
-        assert np.max(np.abs(Y @ v - later.rhs)) < 1e-9 * np.max(np.abs(later.rhs))
-    assert specs == [None, "NATURAL", "NATURAL"]
-    rebuilt = pdip._PATTERNS[prob]
-    assert rebuilt is not kept and rebuilt.order is kept.order
+        with pytest.raises(ValueError, match="pattern"):
+            newton_step(later, delta)
+    assert pdip._PATTERNS[prob] == {False: kept} and kept.order is order
+    assert np.array_equal(kept.indices, indices)
+    assert np.array_equal(kept.indptr, indptr)
+    assert newton_step(first) is not None
+
+
+def test_first_nonzero_delta_builds_the_diagonal_pattern_in_the_kept_order(
+        monkeypatch, rng):
+    """The problem's first fill with ``delta != 0`` builds its second KKT
+    pattern, which holds the full diagonal, once and in the kept column
+    order: one COLAMD call for the problem, later steps of either kind build
+    nothing, and the ``delta = 0`` pattern does not change."""
+    import scipy.sparse.linalg as spla
+    import gridweld.pdip as pdip
+    original, specs, built = spla.splu, [], []
+
+    def recorded(A, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return original(A, *args, **kwargs)
+    init = pdip._KktPattern.__init__
+
+    def counted(self, W, Jc, Jg, diagonal, order=None):
+        built.append((diagonal, order is None))
+        init(self, W, Jc, Jg, diagonal, order)
+    monkeypatch.setattr(spla, "splu", recorded)
+    monkeypatch.setattr(pdip._KktPattern, "__init__", counted)
+    prob = centralized_problem("case_micro_td", source_kind="power", norm="l1")[2]
+    flat, (x, lam, mu) = _states(prob, rng)
+    system = NewtonSystem.build(prob, flat)
+    assert newton_step(system) is not None
+    plain = pdip._PATTERNS[prob][False]
+    arrays = {a: getattr(plain, a).copy() for a in
+              ("indices", "indptr", "w_pos", "pair_pos", "diag_pos", "jc_pos")}
+    assert len(plain.diag_pos) == 0
+    assert newton_step(system, 1e-8) is not None
+    later = NewtonSystem.build(prob, KktState(x=x, lam=lam, mu=mu, eps=1e-3))
+    for delta in (1e-6, 0.0, 1e-4):
+        assert newton_step(later, delta) is not None
+    assert specs == [None] + ["NATURAL"] * 4
+    assert built == [(False, True), (True, False)]
+    shifted = pdip._PATTERNS[prob][True]
+    assert pdip._PATTERNS[prob] == {False: plain, True: shifted}
+    assert shifted.order is plain.order
+    assert len(shifted.diag_pos) == prob.nvar
+    assert np.array_equal(np.sort(shifted.indices[shifted.diag_pos]),
+                          np.arange(prob.nvar))
+    for a, want in arrays.items():
+        assert np.array_equal(getattr(plain, a), want), a
+    _assert_fill_matches_sparse_algebra(later, 1e-4)
 
 
 def test_consensus_agent_keeps_one_kkt_pattern(monkeypatch):
@@ -261,16 +306,16 @@ def test_consensus_agent_keeps_one_kkt_pattern(monkeypatch):
     built = []
     original = pdip._KktPattern.__init__
 
-    def counted(self, W, Jc, Jg, order=None):
-        built.append(order is None)
-        original(self, W, Jc, Jg, order)
+    def counted(self, W, Jc, Jg, diagonal, order=None):
+        built.append((diagonal, order is None))
+        original(self, W, Jc, Jg, diagonal, order)
     monkeypatch.setattr(pdip._KktPattern, "__init__", counted)
     nets, coups = load("case_micro_td")
     part = load_partition(partition_path("micro_default"), nets, coups)
     run = admm.Consensus(nets, coups, part)
     rep = run.run()
     assert rep.converged and len(run.epochs) > 2
-    assert built == [True] * len(run.subs)
+    assert built == [(False, True)] * len(run.subs)
 
 
 def _consensus_agent(name):
@@ -361,8 +406,9 @@ def test_fill_stores_no_hessian_zero_without_a_sum(rng):
     W, Jc = system.W.tocsr(), system.Jc.tocsr()
     W.data[::4] = 0.0
     Jc.data[::5] = 0.0
-    system = NewtonSystem(W=W, Jc=Jc, Jg=system.Jg, g=system.g, mu=system.mu,
-                          rhs=system.rhs, n=system.n, me=3, mi=0)
+    system = NewtonSystem(W=FixedMatrix.of(W), Jc=FixedMatrix.of(Jc),
+                          Jg=system.Jg, g=system.g, mu=system.mu,
+                          rhs=system.rhs, problem=_Owner())
     K = system.matrix()
     assert K.nnz == W.nnz - len(W.data[::4]) + 2 * Jc.nnz
     _assert_fill_matches_sparse_algebra(system, 0.0)
@@ -417,6 +463,10 @@ def test_singular_kkt_matrix_retries_with_larger_delta(monkeypatch):
     assert status == "converged"
     assert state.x == pytest.approx([1.0, 0.0], abs=1e-7)
     assert any(singular)
+    # the first factor that worked had delta != 0: its COLAMD order is the
+    # one order of both patterns
+    kept = pdip._PATTERNS[prob]
+    assert kept[True].order is kept[False].order is not None
 
 
 def _oracle_state(prob, nets, pf):

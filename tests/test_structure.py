@@ -132,7 +132,10 @@ def test_newton_system_does_no_sparse_algebra():
     product by ``np.bincount``.  They call nothing of ``scipy.sparse``, take
     no ``.T`` and make no scipy copy (``tocsr``, ``tocsc``, ``toarray``);
     the one scipy matrix in ``pdip`` is made by ``_KktPattern.fill``, so no
-    per-step sparse algebra creeps back."""
+    per-step sparse algebra creeps back.  ``_KktPattern`` and
+    ``NewtonSystem`` neither insert into a filled matrix (``np.insert``) nor
+    wrap one (``FixedMatrix.of``): each kind of ``delta`` has its own fixed
+    pattern, and problems return fixed-pattern arrays."""
     tree = ast.parse((ROOT / "src" / "gridweld" / "pdip.py").read_text())
     classes = [n for n in tree.body if isinstance(n, ast.ClassDef)
                and n.name in ("_Point", "NewtonSystem")]
@@ -151,6 +154,11 @@ def test_newton_system_does_no_sparse_algebra():
               and isinstance(n.func, ast.Attribute)
               and isinstance(n.func.value, ast.Name) and n.func.value.id == "sp"]
     assert len(makers) == 1 and id(makers[0]) in inside
+    fixed = [n for cls in tree.body if isinstance(cls, ast.ClassDef)
+             and cls.name in ("_KktPattern", "NewtonSystem") for n in ast.walk(cls)]
+    assert not [n for n in fixed if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name)
+                and (n.value.id, n.attr) in {("np", "insert"), ("FixedMatrix", "of")}]
 
 
 def test_exchange_written_once():
