@@ -169,7 +169,8 @@ class Consensus(Coordinator):
         if np.isnan(rec.metric):
             return None
         return {"type": "admm", "iteration": rec.epoch, "r": self.r,
-                "s": self.s, "rho": self.rho}
+                "s": self.s, "rho": self.rho,
+                "delta_steps": sum(v["delta_steps"] for v in rec.solves.values())}
 
     def _after_epoch(self, epoch):
         """Residual balancing of rho every fifth iteration; never a stop."""

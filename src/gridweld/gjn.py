@@ -24,7 +24,7 @@ import logging
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +64,8 @@ class EpochRecord:
     metric: float
     boundary_after: list[float]
     inner: dict[str, tuple[str, int]]
+    # cell -> {"delta_steps", "cold_restart"}; only with a trace path
+    solves: dict[str, dict] = field(default_factory=dict)
 
 
 def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
@@ -186,15 +188,19 @@ class Coordinator:
     def _solve_one(self, sub: Subproblem):
         """Solve a cell warm, restarted cold (from ``x0``) once if that fails;
         a :class:`pdip.SolveFailure` reads as ``(None, 'failed')``.  ``used``
-        counts the Newton steps of the last attempt."""
+        counts the Newton steps of the last attempt.  With a trace path,
+        ``solve`` gives that attempt's accepted steps with ``delta != 0``
+        and whether it was a cold restart; without, it is None."""
         self._load(sub)
         label = f"subproblem '{sub.name}'"
         for warm in (sub.state, None):
             # solve_nlp advances a warm state's step count in place
             start = warm.iterations if warm is not None else 0
+            steps = [] if self.trace_path else None
             try:
                 state, status = pdip.solve_subproblem(
-                    sub.problem, self.opts, warm=warm, capped=bool(self.torn))
+                    sub.problem, self.opts, warm=warm, capped=bool(self.torn),
+                    trace=steps)
             except pdip.SolveFailure as exc:
                 log.error("%s: %s", label, exc)
                 state, status = None, "failed"
@@ -202,7 +208,10 @@ class Coordinator:
                 break
             log.warning("%s: warm start failed, restarting cold", label)
         used = state.iterations - start if state is not None else 0
-        return sub.name, state, status, used
+        solve = None if steps is None else {
+            "delta_steps": sum(r.delta != 0.0 for r in steps),
+            "cold_restart": warm is None and sub.state is not None}
+        return sub.name, state, status, used, solve
 
     def run_epoch(self, epoch: int, pool=None) -> EpochRecord:
         """One epoch; with ``pool`` (an executor) the cells solve on it."""
@@ -210,19 +219,21 @@ class Coordinator:
             results = [self._solve_one(s) for s in self.subs]
         else:
             results = list(pool.map(self._solve_one, self.subs))
-        inner = {}
-        for name, state, status, used in sorted(results, key=lambda r: r[0]):
+        inner, solves = {}, {}
+        for name, state, status, used, solve in sorted(results, key=lambda r: r[0]):
             sub = self.by_name[name]
             if state is not None:
                 sub.state = state
             sub.status = status
             sub.inner_iterations += used
             inner[name] = (status, used)
+            if solve is not None:
+                solves[name] = solve
         metric = (self._update() if all(s.state is not None for s in self.subs)
                   else float("nan"))
         rec = EpochRecord(epoch=epoch, metric=metric,
                           boundary_after=self.boundary.tolist(),
-                          inner=inner)
+                          inner=inner, solves=solves)
         self.epochs.append(rec)
         return rec
 
@@ -234,7 +245,8 @@ class Coordinator:
 
     def _trace(self, rec: EpochRecord) -> dict | None:
         return {"type": "epoch", "epoch": rec.epoch, "metric": rec.metric,
-                "inner": {k: {"status": v[0], "iterations": v[1]}
+                "inner": {k: {"status": v[0], "iterations": v[1],
+                              **rec.solves.get(k, {})}
                           for k, v in rec.inner.items()},
                 "ports": {key: self.payload(key) for key, _, _, _ in self.torn}}
 

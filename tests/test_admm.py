@@ -106,7 +106,9 @@ def test_primal_residual_trends_down_on_mild_case(tmp_path):
     means = [np.mean(r[i:i + window]) for i in range(0, len(r) - window)]
     drops = sum(1 for a, b in zip(means, means[1:]) if b <= a + 1e-12)
     assert drops >= 0.7 * (len(means) - 1)
-    assert {"r", "s", "rho"} <= set(rows[-1])
+    assert {"r", "s", "rho", "delta_steps"} <= set(rows[-1])
+    assert all(isinstance(row["delta_steps"], int) and row["delta_steps"] >= 0
+               for row in rows)
 
 
 def test_budget_exhaustion_reported_as_dash_in_comparison():

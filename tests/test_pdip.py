@@ -184,13 +184,15 @@ def test_block_solve_with_many_right_hand_sides_matches_dense_oracle(rng, me, mi
 
 def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
     """One COLAMD ordering per problem, on its first factorization; every
-    later factorization, warm solves included, reuses it unpermuted."""
+    later factorization, warm solves included, reuses it unpermuted.  Every
+    factorization takes ``pdip``'s panel size and relaxation."""
     import scipy.sparse.linalg as spla
     import gridweld.pdip as pdip
-    original, specs = spla.splu, []
+    original, specs, settings = spla.splu, [], []
 
     def recorded(A, *args, **kwargs):
         specs.append(kwargs.get("permc_spec"))
+        settings.append((kwargs.get("panel_size"), kwargs.get("relax")))
         return original(A, *args, **kwargs)
     monkeypatch.setattr(spla, "splu", recorded)
     nets, coups, prob = centralized_problem("case_feeder210_stressed")
@@ -200,6 +202,8 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
     assert status == "converged"
     assert len(specs) >= state.iterations > 5
     assert specs[0] is None and specs[1:] == ["NATURAL"] * (len(specs) - 1)
+    assert (pdip.SPLU_PANEL_SIZE, pdip.SPLU_RELAX) == (1, 1)
+    assert settings == [(pdip.SPLU_PANEL_SIZE, pdip.SPLU_RELAX)] * len(specs)
 
     # on a new problem: the first factor is a fresh COLAMD one, the second
     # reuses its order on the same matrix, with a bit-identical step
@@ -209,8 +213,10 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
     system = NewtonSystem.build(fresh, KktState(x=x0, lam=np.zeros(fresh.n_eq),
                                                 mu=0.1 / -g, eps=0.1))
     specs.clear()
+    settings.clear()
     first, second = newton_step(system), newton_step(system)
     assert specs == [None, "NATURAL"]
+    assert settings == [(pdip.SPLU_PANEL_SIZE, pdip.SPLU_RELAX)] * 2
     assert list(pdip._PATTERNS[fresh]) == [False]
     assert pdip._PATTERNS[fresh][False].order.size == fresh.nvar + fresh.n_eq
     for a, b in zip(first, second):
