@@ -41,7 +41,29 @@ multipliers, so W's constraint entries are exact zeros that drop out of
 first step, 105,856 later).  Later matrices fill about as little in that
 order as in a fresh COLAMD one (21-feeder ladder, central L1: 1.27M
 against 1.35M LU entries with power sources, 1.15M against 1.14M with
-current ones).  Steps have fraction-to-boundary caps and an Armijo
+current ones).  Every factorization passes ``panel_size=SPLU_PANEL_SIZE``
+and ``relax=SPLU_RELAX``, both 1: one-column panels and no relaxed
+supernodes.  SuperLU's panels and relaxed supernodes (Demmel, Eisenstat,
+Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999) pay off on factors
+with dense supernodes; this factor fills 2.3-2.7x, and SuperLU's defaults
+run it at 0.18-0.22 GFlop/s (16 Mflop in 70-90 ms for the 21-feeder ladder's
+central L1 matrix), so its cost is bookkeeping.  Median ``splu`` time, one
+BLAS thread, on matrices captured from runs (ranges over repeated
+interleaved measurements):
+
+    matrix                         columns   defaults      panel 1      panel 1, relax 1
+    dpdip 4-feeder ladder cell, L1   2,652   4.5-4.8 ms    -21%         -22 to -25%
+    central 4-feeder ladder, L2      8,848   16-19 ms      -15 to -25%  -20 to -26%
+    central 21-feeder ladder, L1    56,120   68-87 ms      -17 to -30%  -11 to -32%
+    central 86-feeder ladder, L1   229,800   300-430 ms    -27 to -30%  -29 to -31%
+    3,033 later matrices of a      12-2,218  0.99-1.20 s   -12 to -32%  -26 to -37%
+    ``compare`` round, summed
+
+The panel width is what matters: ``relax=1`` alone gains nothing on the
+later 21- and 86-feeder matrices (0 to +7%).  Without relaxation SuperLU
+stores fewer explicit zeros (21-feeder: 1,157,445 -> 1,136,017 L+U
+entries; 86-feeder: 4,720,646 -> 4,632,838), and residuals on a random
+right-hand side stay the same size.  Steps have fraction-to-boundary caps and an Armijo
 backtracking line search on an L1-penalty merit function.  One loop picks
 ``delta``: 0, then 1e-8 growing tenfold to 1e4, moving on while the factor
 is singular or not finite or the step is no descent direction of the merit;
