@@ -414,20 +414,17 @@ class CircuitProblem:
         def on_p(c):
             return (c >= nx) & (c < nx + npar)
 
-        # linear parts over z: the equalities' [A | B], the inequalities' A
-        rows, cols, vals = (np.concatenate(a) for a in zip(*b.eq_blocks))
+        # linear parts over z: the equalities' [A | B] (the branch blocks,
+        # then the scalar stamps), the inequalities' A, and their constants
+        (eq_stamps, self._b_eq), (in_stamps, self._b_in) = b.table("eq"), b.table("in")
+        rows, cols, vals = (np.concatenate(a) for a in zip(*b.eq_blocks, eq_stamps))
         src = np.arange(len(rows))
         self._A_eq = _FixedCSR(*_select(src, rows, cols, cols < nx),
                                (self.n_eq, nx))(vals)
         self._B_eq = (_FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
                                 (self.n_eq, npar))(vals) if npar else None)
-        self._b_eq = np.zeros(self.n_eq)
-        np.add.at(self._b_eq, b.eqc_rows, b.eqc_vals)
-        rows, cols = (np.asarray(a, dtype=int) for a in (b.in_rows, b.in_cols))
-        self._A_in = _FixedCSR(np.arange(len(rows)), rows, cols,
-                               (self.n_in, nx))(np.asarray(b.in_vals, dtype=float))
-        self._b_in = np.zeros(self.n_in)
-        np.add.at(self._b_in, b.inc_rows, b.inc_vals)
+        rows, cols, vals = in_stamps
+        self._A_in = _FixedCSR(np.arange(len(rows)), rows, cols, (self.n_in, nx))(vals)
 
         self._inj = _Injection(b.inj)
         self._eq = [self._inj] + (
@@ -542,16 +539,6 @@ class CircuitProblem:
         np.add.at(g, self._price_pairs[:, 0], self.params[self._price_pairs[:, 1]])
         return g
 
-    def source_values(self, x) -> np.ndarray:
-        return x[self._src_idx] if len(self._src_idx) else np.zeros(0)
-
-    def source_norm_objective(self, x) -> float:
-        """Reported objective: the source norm itself (no auxiliaries)."""
-        s = self.source_values(x)
-        if self.norm == "l2":
-            return 0.5 * float(s @ s)
-        return float(np.abs(s).sum())
-
     # -- constraints ---------------------------------------------------------
 
     def residual_eq(self, x) -> np.ndarray:
@@ -578,22 +565,21 @@ class CircuitProblem:
     def param_derivatives(self, x, lam, mu):
         """Parameter blocks of the KKT derivatives at ``(x, lam, mu)``.
 
-        Returns ``(W_xp, W_pp, Jc_p, Jg_p)`` as scipy CSR matrices: the
-        mixed and the pure parameter blocks of the Lagrangian Hessian and
-        the parameter columns of the equality and inequality Jacobians.
-        Every pattern is fixed by the build (no entry is dropped for being
-        zero), so ``W_xp`` or ``W_pp`` has an entry in a parameter's column
-        exactly when that parameter prices the objective or enters a row
-        nonlinearly.  Without parameters every block is empty.
+        Returns ``(W_xp, W_pp, Jc_p, Jg_p)`` as :class:`FixedMatrix`, like
+        every other evaluator: the mixed and the pure parameter blocks of
+        the Lagrangian Hessian and the parameter columns of the equality
+        and inequality Jacobians.  Every pattern is fixed by the build (no
+        entry is dropped for being zero), so ``W_xp`` or ``W_pp`` has an
+        entry in a parameter's column exactly when that parameter prices
+        the objective or enters a row nonlinearly.  Without parameters
+        every block is empty.
         """
         if not self.n_param:
-            blocks = (_empty((self.nvar, 0)), _empty((0, 0)),
-                      _empty((self.n_eq, 0)), _empty((self.n_in, 0)))
-        else:
-            z = self._z(x)
-            h = self._hess_values(z, lam, mu)
-            blocks = (self._hess_xp(h), self._hess_pp(h), *self._param_jacobians(z))
-        return tuple(M.tocsr() for M in blocks)
+            return (_empty((self.nvar, 0)), _empty((0, 0)),
+                    _empty((self.n_eq, 0)), _empty((self.n_in, 0)))
+        z = self._z(x)
+        h = self._hess_values(z, lam, mu)
+        return (self._hess_xp(h), self._hess_pp(h), *self._param_jacobians(z))
 
     def _param_jacobians(self, z):
         """Parameter columns ``(Jc_p, Jg_p)`` of the two Jacobians at ``z``."""
@@ -683,32 +669,28 @@ class _Builder:
         self.maps = IndexMaps()
         self.sources: list[InfeasibilitySource] = []
 
-        self.eq_blocks = []      # linear equality (rows, cols, vals) arrays
-        self.eq_rows, self.eq_cols, self.eq_vals = [], [], []
-        self.eqc_rows, self.eqc_vals = [], []
-        self.in_rows, self.in_cols, self.in_vals = [], [], []
-        self.inc_rows, self.inc_vals = [], []
+        self.eq_blocks = []      # vectorized linear equality (rows, cols, vals)
+        # per kind of row, "eq" or "in": the scalar linear entries as flat
+        # (row, z column, value) triples and the constants as flat (row,
+        # value) pairs, in stamp order
+        self.linear = {"eq": [], "in": []}
+        self.const = {"eq": [], "in": []}
         # nonlinear element specs (see the element types)
         self.inj, self.pv, self.adm, self.vmag, self.flows = [], [], [], [], []
         self.epi_idx: list[int] = []
         self.injection = {n.name: _injection_table(n) for n in self.net_list}
         self.price_pairs: list[tuple[int, int]] = []
 
+        self._net_of_bus = {b.id: n.name for n in self.net_list for b in n.buses}
         # torn feeder heads (net, bus) -> port build: their voltages are not
         # bounded, and those of a 'd_head' port are exchange parameters
-        self._heads = {(self._net_of_bus(pb.port.spec.d_bus), pb.port.spec.d_bus): pb
+        self._heads = {(self._net_of_bus[pb.port.spec.d_bus], pb.port.spec.d_bus): pb
                        for pb in self.ports if pb.mode in ("d_head", "d_phasor")}
         self._head_param_buses = {nb: pb.key for nb, pb in self._heads.items()
                                   if pb.mode == "d_head"}
         self._build()
 
     # -- small allocation helpers -------------------------------------------
-
-    def _net_of_bus(self, bus_id):
-        for net in self.net_list:
-            if net.has_bus(bus_id):
-                return net.name
-        raise KeyError(bus_id)
 
     def _new_var(self, label, x0):
         self.var_label.append(label)
@@ -731,12 +713,23 @@ class _Builder:
         self.n_param += count
         return self.param_slots[name]
 
-    def _stamp_eq(self, row, col, val):
-        """Stamp a linear coefficient on a z column (variable or parameter)."""
+    def _stamp(self, kind, row, col, val, const=None):
+        """Stamp a linear coefficient of a ``kind`` ("eq" or "in") row on a z
+        column (variable or parameter), and the row's constant if given."""
         if val != 0.0:
-            self.eq_rows.append(row)
-            self.eq_cols.append(col)
-            self.eq_vals.append(val)
+            self.linear[kind] += (row, col, val)
+        if const is not None:
+            self.const[kind] += (row, const)
+
+    def table(self, kind):
+        """The scalar stamps of ``kind`` as ``(rows, cols, vals)`` arrays and
+        the rows' constants as a dense vector."""
+        n = self.n_eq if kind == "eq" else self.n_in
+        rows, cols, vals = np.array(self.linear[kind], dtype=float).reshape(-1, 3).T
+        c_rows, c_vals = np.array(self.const[kind], dtype=float).reshape(-1, 2).T
+        const = np.zeros(n)
+        np.add.at(const, c_rows.astype(int), c_vals)
+        return (rows.astype(int), cols.astype(int), vals), const
 
     def _branch_current(self, nm, br):
         """Each phase's from-end current ``Y (V_from - V_to)`` over z columns.
@@ -769,8 +762,6 @@ class _Builder:
             self._rows_network(net)
         self._rows_ports()
         self._rows_inequalities()
-        self.eq_blocks.append((np.array(self.eq_rows, dtype=int),    # the scalar stamps
-                               np.array(self.eq_cols, dtype=int), np.array(self.eq_vals)))
 
     def _alloc_voltages(self, net):
         for bus in net.buses:
@@ -803,16 +794,10 @@ class _Builder:
                         self._new_var(f"isi:{bus.id}:{ph}", 0.0)))
             elif bus.kind == "pv":
                 for ph in bus.phases:
+                    # load_case checks the box: a pv-mode generator, q_min < q_max
                     q, box = self.injection[net.name][(bus.id, ph)][1::2]
-                    if box is None:
-                        raise ValueError(
-                            f"pv bus '{bus.id}' phase {ph}: needs a pv-mode generator")
-                    qg0 = 0.0
-                    if np.isfinite(box[0]) and np.isfinite(box[1]):
-                        if box[0] >= box[1]:
-                            raise ValueError(
-                                f"pv bus '{bus.id}': reactive box must have q_min < q_max")
-                        qg0 = 0.5 * (box[0] + box[1])
+                    qg0 = (0.5 * (box[0] + box[1])
+                           if np.isfinite(box[0]) and np.isfinite(box[1]) else 0.0)
                     self.maps.pv_qvar[(net.name, bus.id, ph)] = self._new_var(
                         f"q:{bus.id}:{ph}", q - qg0)
 
@@ -820,7 +805,7 @@ class _Builder:
         for pb in self.ports:
             spec = pb.port.spec
             if pb.mode in ("internal", "t_free", "t_draw"):
-                tnet = self._net_of_bus(spec.t_bus)
+                tnet = self._net_of_bus[spec.t_bus]
                 self.maps.poi_v[pb.key] = list(
                     self.maps.v_slot[(tnet, spec.t_bus, "1")])
             if pb.mode in ("internal", "t_free"):
@@ -913,13 +898,13 @@ class _Builder:
                 p, q = self.injection[nm][(bus.id, ph)][:2]
                 if inj is not None:
                     # balance picks up the device current ...
-                    self._stamp_eq(rr, inj[0], 1.0)
-                    self._stamp_eq(ri, inj[1], 1.0)
+                    self._stamp("eq", rr, inj[0], 1.0)
+                    self._stamp("eq", ri, inj[1], 1.0)
                     # ... defined by the constant-power relation
                     dr = self._new_eq(f"defr:{bus.id}:{ph}")
                     di = self._new_eq(f"defi:{bus.id}:{ph}")
-                    self._stamp_eq(dr, inj[0], 1.0)
-                    self._stamp_eq(di, inj[1], 1.0)
+                    self._stamp("eq", dr, inj[0], 1.0)
+                    self._stamp("eq", di, inj[1], 1.0)
                     qvar = self.maps.pv_qvar.get((nm, bus.id, ph))
                     x0r, x0i = np.cos(_FLAT[ph]), np.sin(_FLAT[ph])   # flat start
                     # a PV bus's net reactive demand is a variable
@@ -934,43 +919,29 @@ class _Builder:
                     self.x0_vals[inj[1]] = (p * x0i - q0 * x0r) / d0
                 if bus.kind == "slack":
                     isr, isi = self.maps.inj_var[(nm, bus.id, ph + "!slack")]
-                    self._stamp_eq(rr, isr, 1.0)
-                    self._stamp_eq(ri, isi, 1.0)
+                    self._stamp("eq", rr, isr, 1.0)
+                    self._stamp("eq", ri, isi, 1.0)
                     for part, (slot, target) in zip(
                             "ri", ((iu, bus.v_set), (iv, 0.0))):
                         row = self._new_eq(f"slack{part}:{bus.id}:{ph}")
-                        self._stamp_eq(row, slot, 1.0)
-                        self.eqc_rows.append(row)
-                        self.eqc_vals.append(-target)
+                        self._stamp("eq", row, slot, 1.0, -target)
                 elif bus.kind == "pv":
                     row = self._new_eq(f"pvmag:{bus.id}:{ph}")
                     self.pv.append((row, iu, iv, 1.0, -bus.v_set ** 2))
 
-        if self.source_kind == "current":
-            for src in self.sources:
-                if src.net != nm:
-                    continue
-                rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
-                self._stamp_eq(rr, src.var_index[0], -1.0)
-                self._stamp_eq(ri, src.var_index[1], -1.0)
-        elif self.source_kind == "power":
-            for src in self.sources:
-                if src.net != nm:
-                    continue
-                rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
-                iu, iv = self.maps.v_slot[(nm, src.bus, src.phase)]
-                if self.q_only:
-                    ip, iq = self.zero, src.var_index[0]
-                else:
-                    ip, iq = src.var_index
+        for src in self.sources:
+            if src.net != nm:
+                continue
+            rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
+            iu, iv = self.maps.v_slot[(nm, src.bus, src.phase)]
+            if self.source_kind == "current":
+                self._stamp("eq", rr, src.var_index[0], -1.0)
+                self._stamp("eq", ri, src.var_index[1], -1.0)
+            elif self.source_kind == "power":
+                ip, iq = (self.zero, *src.var_index) if self.q_only else src.var_index
                 self.inj += [(rr, iu, iv, ip, iq, 0.0, 1.0, 0.0),
                              (ri, iu, iv, iq, ip, 0.0, -1.0, 0.0)]
-        elif self.source_kind == "admittance":
-            for src in self.sources:
-                if src.net != nm:
-                    continue
-                rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
-                iu, iv = self.maps.v_slot[(nm, src.bus, src.phase)]
+            else:
                 self.adm.append((rr, ri, iu, iv, *src.var_index))
 
     def _rows_ports(self):
@@ -978,7 +949,7 @@ class _Builder:
             spec = pb.port.spec
             kappa = pb.port.kappa
             if pb.mode in ("internal", "t_free", "t_draw"):
-                tnet = self._net_of_bus(spec.t_bus)
+                tnet = self._net_of_bus[spec.t_bus]
                 rr, ri = self.maps.kcl_row[(tnet, spec.t_bus, "1")]
                 self.maps.poi_row[pb.key] = [rr, ri]
                 if pb.mode == "t_draw":      # the draw is an exchange parameter
@@ -986,35 +957,35 @@ class _Builder:
                     it = (col, col + 1)
                 else:
                     it = self.maps.port_tvar[pb.key]
-                self._stamp_eq(rr, it[0], 1.0)
-                self._stamp_eq(ri, it[1], 1.0)
+                self._stamp("eq", rr, it[0], 1.0)
+                self._stamp("eq", ri, it[1], 1.0)
             if pb.mode in ("internal", "d_head", "d_phasor"):
-                dnet = self._net_of_bus(spec.d_bus)
+                dnet = self._net_of_bus[spec.d_bus]
                 idv = self.maps.port_dvar[pb.key]
                 for k, ph in enumerate("abc"):
                     rr, ri = self.maps.kcl_row[(dnet, spec.d_bus, ph)]
-                    self._stamp_eq(rr, idv[2 * k], -1.0)
-                    self._stamp_eq(ri, idv[2 * k + 1], -1.0)
+                    self._stamp("eq", rr, idv[2 * k], -1.0)
+                    self._stamp("eq", ri, idv[2 * k + 1], -1.0)
             if pb.mode == "internal":
                 it = self.maps.port_tvar[pb.key]
                 idv = self.maps.port_dvar[pb.key]
                 for r, part in enumerate("ri"):
                     row = self._new_eq(f"c1{part}:{pb.key}")
-                    self._stamp_eq(row, it[r], 1.0)
+                    self._stamp("eq", row, it[r], 1.0)
                     for cidx in range(6):
-                        self._stamp_eq(row, idv[cidx], -_AGG[r, cidx] / (3 * kappa))
+                        self._stamp("eq", row, idv[cidx], -_AGG[r, cidx] / (3 * kappa))
             if pb.mode in ("internal", "d_phasor"):
                 # the head voltages are the balanced expansion of the POI
                 # voltage, or of a 'd_phasor' port's local phasor
-                dnet = self._net_of_bus(spec.d_bus)
+                dnet = self._net_of_bus[spec.d_bus]
                 tu, tv = self.maps.poi_v[pb.key]
                 for k, ph in enumerate("abc"):
                     du, dv = self.maps.v_slot[(dnet, spec.d_bus, ph)]
                     for c, slot in ((0, du), (1, dv)):
                         row = self._new_eq(f"c2{'ri'[c]}:{pb.key}:{ph}")
-                        self._stamp_eq(row, slot, 1.0)
-                        self._stamp_eq(row, tu, -_DIST[2 * k + c, 0])
-                        self._stamp_eq(row, tv, -_DIST[2 * k + c, 1])
+                        self._stamp("eq", row, slot, 1.0)
+                        self._stamp("eq", row, tu, -_DIST[2 * k + c, 0])
+                        self._stamp("eq", row, tv, -_DIST[2 * k + c, 1])
 
     # -- inequality rows --------------------------------------------------------
 
@@ -1044,35 +1015,19 @@ class _Builder:
                     continue
                 q, (lo, hi) = self.injection[nm][(obus, ph)][1::2]
                 if np.isfinite(hi):          # q_net >= q_load - q_max
-                    row = self._new_in(f"qlo:{obus}:{ph}")
-                    self.in_rows.append(row)
-                    self.in_cols.append(qvar)
-                    self.in_vals.append(-1.0)
-                    self.inc_rows.append(row)
-                    self.inc_vals.append(q - hi)
+                    self._stamp("in", self._new_in(f"qlo:{obus}:{ph}"), qvar, -1.0, q - hi)
                 if np.isfinite(lo):          # q_net <= q_load - q_min
-                    row = self._new_in(f"qhi:{obus}:{ph}")
-                    self.in_rows.append(row)
-                    self.in_cols.append(qvar)
-                    self.in_vals.append(1.0)
-                    self.inc_rows.append(row)
-                    self.inc_vals.append(-(q - lo))
+                    self._stamp("in", self._new_in(f"qhi:{obus}:{ph}"), qvar, 1.0, -(q - lo))
         if self.norm == "l1":
+            # the epigraph rows s - t <= 0, -s - t <= 0 and -t <= 0 of each
+            # source component, stamped in bulk
             flat = [vi for s in self.sources for vi in s.var_index]
             for svar, tvar in zip(flat, self.epi_idx):
-                tag = self.var_label[svar]
-                row = self._new_in(f"epi+:{tag}")   # s - t <= 0
-                self.in_rows += [row, row]
-                self.in_cols += [svar, tvar]
-                self.in_vals += [1.0, -1.0]
-                row = self._new_in(f"epi-:{tag}")   # -s - t <= 0
-                self.in_rows += [row, row]
-                self.in_cols += [svar, tvar]
-                self.in_vals += [-1.0, -1.0]
-                row = self._new_in(f"epi0:{tag}")   # -t <= 0
-                self.in_rows.append(row)
-                self.in_cols.append(tvar)
-                self.in_vals.append(-1.0)
+                tag, r = self.var_label[svar], self.n_in
+                self.in_label += [f"epi+:{tag}", f"epi-:{tag}", f"epi0:{tag}"]
+                self.n_in += 3
+                self.linear["in"] += (r, svar, 1.0, r, tvar, -1.0, r + 1, svar, -1.0,
+                                      r + 1, tvar, -1.0, r + 2, tvar, -1.0)
 
 
 def build_problem(nets, ports=(), *, source_kind="current", norm="l2",

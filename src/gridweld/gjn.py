@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import pdip
 from .coupling import _AGG, _DIST, distribute_voltage_t_to_d
@@ -306,10 +305,13 @@ class Coordinator:
         Evaluated at the cells' states with the current boundary as their
         parameters.  Each cell contributes the sensitivity of its KKT point
         to its parameters: one :meth:`pdip.NewtonSystem.solve` with a
-        right-hand-side column per parameter (every parameter block from
-        ``param_derivatives``), which factors the cell's condensed KKT matrix
-        once, in the column order the cell's Newton steps use, and recovers
-        the inequality multipliers' block from ``dx`` as a Newton step does.
+        right-hand-side column per parameter (dense copies of the
+        ``FixedMatrix`` blocks from ``param_derivatives``), which factors
+        the cell's condensed KKT matrix once, in the column order the cell's
+        Newton steps use, and recovers the inequality multipliers' block
+        from ``dx`` as a Newton step does.  The derivative of the feeder's
+        head gradient along it (the v-price rows) is three
+        ``transpose_times`` plus ``W_pp``, so the map does no scipy algebra.
         The sensitivity stays in the cell's own parameter columns; only the
         rows :func:`_exchange` reads are widened to the whole boundary before
         the exchange maps them onto the new boundary values.  The map is
@@ -331,12 +333,13 @@ class Coordinator:
             # implicit-function sensitivity of the cell's KKT point: the Newton
             # system with the boundary parameters' derivatives of its rows
             # (stationarity, equalities, complementarity -mu * g) moved right
-            S = np.vstack(pdip.NewtonSystem.build(prob, st).solve(
-                -W_xp.toarray(), -Jc_p.toarray(),
-                (sp.diags(st.mu) @ Jg_p).toarray()))
+            dx, dlam, dmu = pdip.NewtonSystem.build(prob, st).solve(
+                -W_xp.toarray(), -Jc_p.toarray(), st.mu[:, None] * Jg_p.toarray())
             # and the derivative of the parameter gradient of the Lagrangian (the
             # v-price source) along it: d(grad_p L) = G^T d(x, lam, mu) + W_pp dp
-            sens[sub.name] = (S, sp.vstack([W_xp, Jc_p, Jg_p]).tocsc(), W_pp)
+            sens[sub.name] = (np.vstack([dx, dlam, dmu]),
+                              W_xp.transpose_times(dx) + Jc_p.transpose_times(dlam)
+                              + Jg_p.transpose_times(dmu) + W_pp.toarray())
 
         def wide(sub, rows):
             out = np.zeros((rows.shape[0], self.boundary.size))
@@ -347,13 +350,13 @@ class Coordinator:
         for k, (key, port, t_sub, d_sub) in enumerate(self.torn):
             t, d = self.by_name[t_sub], self.by_name[d_sub]
             St = sens[t_sub][0]
-            Sd, Gd, Wd = sens[d_sub]
+            Sd, dgrad = sens[d_sub]
             hsl = d.problem.param_slots[f"headv:{key}"]
             BA[PORT_DIM * k:PORT_DIM * (k + 1)] = _exchange(
                 port, wide(d, Sd[d.problem.maps.port_dvar[key]]),
                 wide(t, St[t.problem.maps.poi_v[key]]),
                 wide(t, St[t.problem.nvar + np.asarray(t.problem.maps.poi_row[key])]),
-                wide(d, Gd[:, hsl].T @ Sd + Wd[hsl].toarray()))
+                wide(d, dgrad[hsl]))
         return BA
 
     def spectral_radius(self, damping: float | None = None) -> float:

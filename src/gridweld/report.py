@@ -7,6 +7,7 @@ byte-identical reports certify reproducible runs.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 
@@ -166,24 +167,20 @@ def localize_weak_nodes(report: SolveReport, threshold=NONZERO_THRESHOLD):
 def export_heatmap(report: SolveReport, path):
     """Plot-ready CSV: one row per (bus, phase) with magnitude and coords."""
     nodes = sorted(report.per_node, key=lambda e: (e.net, e.bus, e.phase))
-    with open(path, "w") as fh:
-        fh.write("bus,phase,x,y,magnitude\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["bus", "phase", "x", "y", "magnitude"])
         for e in nodes:
             x = "" if e.x is None else repr(float(e.x))
             y = "" if e.y is None else repr(float(e.y))
-            fh.write(f"{e.bus},{e.phase},{x},{y},{e.magnitude!r}\n")
+            out.writerow([e.bus, e.phase, x, y, repr(e.magnitude)])
 
 
 def parse_heatmap(path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        for line in fh:
-            bus, ph, x, y, mag = line.rstrip("\n").split(",")
-            rows.append((bus, ph,
-                         None if x == "" else float(x),
-                         None if y == "" else float(y), float(mag)))
-    return rows
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [(bus, ph, None if x == "" else float(x), None if y == "" else float(y),
+             float(mag)) for bus, ph, x, y, mag in rows]
 
 
 def write_report(report: SolveReport, path):

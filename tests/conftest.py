@@ -46,6 +46,12 @@ def head_cell(name: str, kind="current"):
     return prob, port.key
 
 
+def source_values(problem, x):
+    """The infeasibility source components of ``problem`` at ``x``, in
+    source order."""
+    return x[[i for src in problem.sources for i in src.var_index]]
+
+
 def interior_point(problem, rng, scale=0.05):
     """Random strictly-interior perturbation of the flat start.
 

@@ -76,6 +76,25 @@ def test_heatmap_row_count_and_round_trip(tmp_path, stressed_report):
             assert x == pytest.approx(e.x, abs=1e-12)
 
 
+def test_heatmap_round_trips_a_bus_id_with_a_comma_and_a_quote(tmp_path):
+    """A case may name a bus with any string: the CSV quotes such an id."""
+    from gridweld.report import NodeEntry, SolveReport
+    nodes = [NodeEntry(net="d", bus='d2,"x', phase="a", components={"ir": 0.25},
+                       magnitude=0.25, x=1.5, y=-2.0),
+             NodeEntry(net="d", bus="d3", phase="b", components={},
+                       magnitude=0.0)]
+    rep = SolveReport(status="converged", mode="central", norm="l2",
+                      source_kind="current", q_only=False, objective=0.03125,
+                      per_node=nodes, totals={"magnitude": 0.25},
+                      nonzero_count=1, threshold=1e-6, kkt={}, epochs=1,
+                      inner_iterations=0)
+    path = tmp_path / "h.csv"
+    export_heatmap(rep, path)
+    assert path.read_text().splitlines()[1] == '"d2,""x",a,1.5,-2.0,0.25'
+    assert parse_heatmap(path) == [('d2,"x', "a", 1.5, -2.0, 0.25),
+                                   ("d3", "b", None, None, 0.0)]
+
+
 def test_heatmap_header_only_for_empty_report(tmp_path):
     from gridweld.report import SolveReport
     rep = SolveReport(status="converged", mode="central", norm="l2",

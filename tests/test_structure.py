@@ -190,7 +190,9 @@ def test_circuit_matrices_built_one_way(rng):
     """In ``ecf``, every circuit matrix is a ``FixedMatrix`` on a pattern
     fixed at build time: only ``_FixedCSR.__call__`` and ``_empty`` make
     one, and scipy matrices are made only inside ``FixedMatrix`` (its
-    copies and its wrapping of a foreign matrix)."""
+    copies and its wrapping of a foreign matrix).  Every evaluator hands
+    one out, the parameter blocks included, so ``gjn``'s epoch map needs
+    nothing of ``scipy.sparse``."""
     tree = ast.parse((ROOT / "src" / "gridweld" / "ecf.py").read_text())
     fixed, allowed = set(), set()
     for node in tree.body:
@@ -215,3 +217,14 @@ def test_circuit_matrices_built_one_way(rng):
     lam, mu = rng.standard_normal(prob.n_eq), rng.random(prob.n_in)
     for M in (prob.jac_eq(x), prob.jac_in(x), prob.hess_lagrangian(x, lam, mu)):
         assert isinstance(M, FixedMatrix)
+    cell, _ = head_cell("case_micro_td")
+    x = interior_point(cell, rng)
+    blocks = cell.param_derivatives(x, rng.standard_normal(cell.n_eq),
+                                    rng.random(cell.n_in))
+    assert len(blocks) == 4 and all(isinstance(M, FixedMatrix) for M in blocks)
+    tree = ast.parse((ROOT / "src" / "gridweld" / "gjn.py").read_text())
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for a in n.names]
+    imported += [f"{n.module}.{a.name}" for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.module for a in n.names]
+    assert imported and not [m for m in imported if m.startswith("scipy.sparse")]
