@@ -151,9 +151,10 @@ class Consensus(Coordinator):
         sub.problem.rho = self.rho
 
     def _update(self):
-        """Consensus average and first-order dual step; returns max(r, s)."""
+        """Consensus average and first-order dual step; returns max(r, s)
+        and no step kind."""
         if not self.torn:
-            return float("nan")
+            return float("nan"), None
         y = np.array([[self.by_name[name].problem.local_copy(
             self.by_name[name].state.x, key) for name in sides]
             for key, _, *sides in self.torn])
@@ -162,7 +163,7 @@ class Consensus(Coordinator):
         self.u += y - self.boundary[:, None]
         self.r = float(np.max(np.abs(y - self.boundary[:, None])))
         self.s = self.rho * float(np.max(np.abs(self.boundary - z_old)))
-        return max(self.r, self.s)
+        return max(self.r, self.s), None
 
     def _trace(self, rec):
         """No line for an epoch without a consensus update."""

@@ -668,6 +668,7 @@ class _Builder:
         self.x0_vals: list[float] = []
         self.maps = IndexMaps()
         self.sources: list[InfeasibilitySource] = []
+        self.sources_by_net: dict[str, list[InfeasibilitySource]] = {}
 
         self.eq_blocks = []      # vectorized linear equality (rows, cols, vals)
         # per kind of row, "eq" or "in": the scalar linear entries as flat
@@ -835,6 +836,7 @@ class _Builder:
                     src = InfeasibilitySource(net.name, bus.id, ph,
                                               self.source_kind, comps, idx)
                     self.sources.append(src)
+                    self.sources_by_net.setdefault(net.name, []).append(src)
         if self.norm == "l1":
             for src in self.sources:
                 for c, vi in zip(src.components, src.var_index):
@@ -929,9 +931,7 @@ class _Builder:
                     row = self._new_eq(f"pvmag:{bus.id}:{ph}")
                     self.pv.append((row, iu, iv, 1.0, -bus.v_set ** 2))
 
-        for src in self.sources:
-            if src.net != nm:
-                continue
+        for src in self.sources_by_net.get(nm, ()):
             rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
             iu, iv = self.maps.v_slot[(nm, src.bus, src.phase)]
             if self.source_kind == "current":

@@ -1,12 +1,19 @@
 """Distributed Gauss-Jacobi-Newton coordinator.
 
 Each epoch solves every subproblem's perturbed KKT system in parallel with
-its boundary values frozen, then performs one Jacobi exchange across the
-coupling ports: distribution port currents aggregate into transmission-side
-draws, the transmission POI voltage distributes onto feeder heads, and the
-POI balance duals distribute into distribution-side port-current prices.
-The exchange reads only the epoch's finished snapshots, so the trajectory
-is identical for any worker count.
+its boundary values frozen (Gauss-Jacobi), then evaluates the exchange
+across the coupling ports: distribution port currents aggregate into
+transmission-side draws, the transmission POI voltage distributes onto
+feeder heads, and the POI balance duals distribute into distribution-side
+port-current prices.  The boundary then takes a Newton step on the fixed
+point of that exchange, ``b + (I - BA)^-1 (F(b) - b)`` with ``BA`` the
+:meth:`Coordinator.epoch_map` (the cells' sensitivities at their epoch-end
+states), once every cell converged and the exchange metric did not grow
+but has not met the tolerance; otherwise it takes the plain exchange,
+relaxed by ``damping``.  So the
+boundary converges in a few epochs also where the plain exchange is slow
+or not a contraction.  Everything reads only the epoch's finished
+snapshots, so the trajectory is identical for any worker count.
 
 The payload that crosses subproblem boundaries is restricted to per-port
 boundary primal/dual values; internal states never leave their owner.
@@ -63,8 +70,10 @@ class EpochRecord:
     metric: float
     boundary_after: list[float]
     inner: dict[str, tuple[str, int]]
-    # cell -> {"delta_steps", "cold_restart"}; only with a trace path
+    # cell -> {"delta_steps", "cold_restart", "recentered"}; only with a
+    # trace path
     solves: dict[str, dict] = field(default_factory=dict)
+    step: str | None = None      # "newton" or "plain"; None without an update
 
 
 def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
@@ -132,8 +141,8 @@ def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
 
 class Coordinator:
     """Owns the epoch loop of both distributed modes; subproblem solves may
-    run on worker threads.  The Gauss-Jacobi exchange sits in the methods
-    :class:`gridweld.admm.Consensus` replaces: ``_cells``, ``_load``,
+    run on worker threads.  The Gauss-Jacobi-Newton exchange sits in the
+    methods :class:`gridweld.admm.Consensus` replaces: ``_cells``, ``_load``,
     ``_update``, ``_trace``, ``_after_epoch`` and ``_diagnostics``."""
     mode = "dpdip"
     out_of_budget = "epoch-budget-exhausted"
@@ -188,8 +197,9 @@ class Coordinator:
         """Solve a cell warm, restarted cold (from ``x0``) once if that fails;
         a :class:`pdip.SolveFailure` reads as ``(None, 'failed')``.  ``used``
         counts the Newton steps of the last attempt.  With a trace path,
-        ``solve`` gives that attempt's accepted steps with ``delta != 0``
-        and whether it was a cold restart; without, it is None."""
+        ``solve`` gives that attempt's accepted steps with ``delta != 0``,
+        whether it was a cold restart and its re-centerings (within a solve
+        ``eps`` rises only by one); without, it is None."""
         self._load(sub)
         label = f"subproblem '{sub.name}'"
         for warm in (sub.state, None):
@@ -209,7 +219,8 @@ class Coordinator:
         used = state.iterations - start if state is not None else 0
         solve = None if steps is None else {
             "delta_steps": sum(r.delta != 0.0 for r in steps),
-            "cold_restart": warm is None and sub.state is not None}
+            "cold_restart": warm is None and sub.state is not None,
+            "recentered": sum(b.eps > a.eps for a, b in zip(steps, steps[1:]))}
         return sub.name, state, status, used, solve
 
     def run_epoch(self, epoch: int, pool=None) -> EpochRecord:
@@ -228,22 +239,53 @@ class Coordinator:
             inner[name] = (status, used)
             if solve is not None:
                 solves[name] = solve
-        metric = (self._update() if all(s.state is not None for s in self.subs)
-                  else float("nan"))
+        metric, step = (self._update() if all(s.state is not None for s in self.subs)
+                        else (float("nan"), None))
         rec = EpochRecord(epoch=epoch, metric=metric,
                           boundary_after=self.boundary.tolist(),
-                          inner=inner, solves=solves)
+                          inner=inner, solves=solves, step=step)
         self.epochs.append(rec)
         return rec
 
-    def _update(self) -> float:
-        """The Gauss-Jacobi exchange on the cells' states; returns its metric."""
-        self.boundary, metric, self.readings = gauss_boundary_update(
+    def _update(self) -> tuple[float, str]:
+        """The boundary update on the cells' states; returns the exchange
+        metric and the kind of step taken.
+
+        With ``F`` the exchange and ``BA`` its :meth:`epoch_map` at this
+        epoch's states and ``b``, the relaxed exchange is
+        ``G(b) = (1 - damping) b + damping F(b)``, and the Newton step on
+        ``G(b) = b``, ``b + (damping (I - BA))^-1 (G(b) - b)``, is
+        ``b + (I - BA)^-1 (F(b) - b)`` for any ``damping``.  It is taken
+        when every cell's kept solve converged and the metric did not grow
+        from the last epoch; otherwise, or when ``I - BA`` is singular or
+        the step is not finite, ``G(b)`` is.  An epoch whose metric met
+        ``gauss_tol`` with every cell converged ends the run, so it takes
+        ``G(b)`` and builds no ``BA``.
+        """
+        new, metric, self.readings = gauss_boundary_update(
             self.torn, self.boundary, self.by_name, self.damping)
-        return metric
+        step = "plain"
+        last = self.epochs[-1].metric if self.epochs else np.inf
+        if (self.gauss_tol < metric <= last
+                and all(s.status == "converged" for s in self.subs)):
+            try:
+                move = np.linalg.solve(
+                    self.damping * (np.eye(self.boundary.size) - self.epoch_map()),
+                    new - self.boundary)
+            except (np.linalg.LinAlgError, RuntimeError) as exc:
+                log.warning("boundary Newton step failed (%s); plain step", exc)
+            else:
+                if np.isfinite(move).all():
+                    new, step = self.boundary + move, "newton"
+        self.boundary = new
+        return metric, step
 
     def _trace(self, rec: EpochRecord) -> dict | None:
+        """The epoch's line; ``last_metric``, the metric of the epoch before
+        (None for the first), is what the step kind was chosen against."""
+        last = self.epochs[-2].metric if len(self.epochs) > 1 else None
         return {"type": "epoch", "epoch": rec.epoch, "metric": rec.metric,
+                "step": rec.step, "last_metric": last,
                 "inner": {k: {"status": v[0], "iterations": v[1],
                               **rec.solves.get(k, {})}
                           for k, v in rec.inner.items()},
@@ -368,8 +410,9 @@ class Coordinator:
         16p x 16p :meth:`epoch_map` of the p torn ports.  With damping
         ``g`` every eigenvalue ``t`` of ``BA`` gives the rates ``l`` solving
         ``l^2 - (1-g) l - g t = 0``.
-        ``damping=1`` (the default exchange) rates the raw iteration; values
-        below one rate the relaxed update actually configured.
+        ``damping=1`` rates the raw Jacobi iteration; values below one rate
+        the relaxed one.  They rate the plain exchange, which the boundary
+        takes only where a Newton step is not taken (:meth:`_update`).
         """
         gamma = self.damping if damping is None else damping
         theta = np.linalg.eigvals(self.epoch_map()).astype(complex)

@@ -5,8 +5,13 @@ exposing the :class:`~gridweld.ecf.CircuitProblem` evaluation surface
 (``objective/grad_objective``, ``residual_eq/jac_eq``,
 ``residual_in/jac_in``, ``hess_lagrangian``, ``interior_ok``, ``x0``).
 Complementarity is relaxed to ``mu * (-g) = eps`` and the perturbation is
-driven to a floor on a monotone schedule.  Each step solves the Newton
-system of the perturbed conditions
+driven to a floor on a monotone schedule.  Beside it, a blocked iteration
+re-centers: after ``RECENTER_STEPS`` accepted steps in a row shorter than
+``RECENTER_ALPHA``, ``eps`` rises to ``min(RECENTER_CAP, RECENTER_FACTOR *
+r)``, ``r`` the KKT residual, and the schedule brings it down again.  This
+unjams a warm start that sits at the floor near its bounds when its
+parameters move; convergence still requires the floor.  Each step solves
+the Newton system of the perturbed conditions
 
     [ W + delta*I  Jc^T   Jg^T   ] [dx  ]     [ r_x ]
     [ Jc           0      0      ] [dlam] = - [ r_c ]
@@ -99,6 +104,20 @@ MAX_ITERATIONS = 500       # Newton budget of an uncapped solve
 BARRIER_INITIAL = 0.1      # eps at a cold start
 BARRIER_DECREASE = 0.1     # eps factor per barrier update
 BARRIER_PROGRESS = 10.0    # decrease eps once residual <= this * eps
+# Re-centering a blocked iteration: after RECENTER_STEPS accepted steps in a
+# row shorter than RECENTER_ALPHA, eps rises to min(RECENTER_CAP,
+# RECENTER_FACTOR * r), r the KKT residual; it never falls here.  A warm
+# start at the 1e-9 floor whose parameters moved otherwise crawls along its
+# bounds: in epoch 2 of dpdip L1 on the 4-feeder ladder (current sources,
+# seed 1) every feeder cell takes steps of 7e-7 to 0.15 for its whole
+# 50-step budget, its KKT residual staying at 1.8-3.0.  The cap keeps the
+# re-centered point in the optimum's basin: at 0.1, admittance dpdip L1 on
+# feeder210_stressed ended at another KKT point (objective 2.34509 and 36
+# weak nodes against central's 2.34462 and 33); at 1e-2 it matches central.
+RECENTER_STEPS = 3
+RECENTER_ALPHA = 0.05
+RECENTER_FACTOR = 0.1
+RECENTER_CAP = 1e-2
 DELTA_FIRST = 1e-8         # first nonzero regularization delta on W
 DELTA_MAX = 1e4
 # SuperLU's panel width and relaxed-supernode size, for every factorization.
@@ -511,6 +530,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
     Returns (state, status) with status in {'converged', 'iteration-capped',
     'failed'}.  ``warm`` resumes from a previous state, keeping its barrier;
     ``trace`` (a list) collects one :class:`IterRecord` per accepted step.
+    Within a solve ``eps`` rises only by a re-centering (module docstring).
     """
     opts = opts or SolverOptions()
     budget = newton_budget if newton_budget is not None else MAX_ITERATIONS
@@ -527,6 +547,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         state = KktState(x=point.x, lam=np.zeros(problem.n_eq), mu=mu, eps=eps)
 
     nu = 1.0
+    blocked = 0           # accepted steps in a row shorter than RECENTER_ALPHA
     for it in range(budget + 1):
         res = assemble_kkt(problem, state, point)
         if res.converged(opts) and state.eps <= opts.barrier_floor * (1 + 1e-9):
@@ -540,6 +561,12 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             state.eps = max(opts.barrier_floor, BARRIER_DECREASE * state.eps)
             res = assemble_kkt(problem, state, point)
             current = max(res.stationarity, res.feasibility, res.complementarity)
+        if blocked >= RECENTER_STEPS:
+            blocked = 0
+            raised = min(RECENTER_CAP, RECENTER_FACTOR * current)
+            if raised > state.eps:
+                state.eps = raised
+                res = assemble_kkt(problem, state, point)
 
         system = NewtonSystem.build(problem, state, point)
         # merit slope along dx: grad_barrier @ dx - nu * |c|_1
@@ -604,6 +631,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         if accepted is None:
             return _finish(state, point, it, "failed")
 
+        blocked = blocked + 1 if alpha < RECENTER_ALPHA else 0
         point = trial
         state.x = x_new
         if accepted == "kkt_contraction":

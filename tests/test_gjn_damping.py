@@ -3,8 +3,8 @@
 Admittance-kind sources scale with the local voltage squared, so on a
 deeply overloaded feeder the cells' best responses overshoot and the raw
 Jacobi exchange is not a contraction.  The diagnostic must flag the raw
-radius at/above one, and a relaxed exchange must restore convergence to the
-monolithic optimum.
+radius at/above one; the Newton step on the boundary converges to the
+monolithic optimum with or without relaxation.
 """
 
 import pytest
@@ -26,12 +26,16 @@ def admittance_setup():
     return cen, co, rep
 
 
-def test_raw_exchange_fails_without_damping():
+def test_raw_exchange_converges_without_damping(admittance_setup):
+    """The Jacobi map stays non-contractive here (see the radius test), yet
+    the undamped run converges: its exchange takes Newton steps."""
+    cen = admittance_setup[0]
     nets, coups = load("case_micro_td_stressed")
     co = gjn.Coordinator(nets, coups, source_kind="admittance", norm="l2",
                          max_epochs=60)
     rep = co.run()
-    assert rep.status in ("diverged", "epoch-budget-exhausted")
+    assert rep.status == "converged"
+    assert abs(rep.objective - cen.objective) < 1e-6
 
 
 def test_damped_exchange_recovers_centralized_optimum(admittance_setup):
