@@ -32,11 +32,24 @@ bounds, branch-flow limits) and bilinear admittance sources.  Each type
 gives its values, Jacobian entries and Hessian entries over z with index
 arrays fixed at build time; the x columns feed the solver and the
 parameter columns feed :meth:`CircuitProblem.param_derivatives`.
+
+The builder works in array passes, one per network and kind of row: each
+network's branch currents, its KCL, injection, slack and PV rows, its
+sources, its voltage bounds, and the L1 epigraph rows emit their entries as
+arrays through one stamp (``_Builder._stamp``).  Entry order is part of the
+result: a fixed pattern sums duplicate entries in the order they are
+emitted, constants are added in that order, and Hessian pairs sum in spec
+order, so each pass emits in the order of the case (branches grouped by
+phase count go back to branch order) and a float sum of three or more terms
+rounds as it always has.  Labels are formatted when first read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +63,18 @@ DELTA_V = 1e-4
 SOURCE_KINDS = ("current", "power", "admittance")
 #: flat-start voltage angle per phase
 _FLAT = {"a": 0.0, "b": -2 * np.pi / 3, "c": 2 * np.pi / 3, "1": 0.0}
+_PHASE_CODE = {ph: i for i, ph in enumerate(_FLAT)}
+_KIND_CODE = {"slack": 0, "pv": 1, "pq": 2}
+_NONE = np.zeros(0, dtype=int)
+_PORT_CURRENTS = tuple(f"id{ph}{c}" for ph in "abc" for c in "ri")
+#: a branch's from-end current over its columns (fu, fv, tu, tv): the real
+#: part takes (G, -B, -G, B), the imaginary part (B, G, -B, -G), given as
+#: which of (G, B) and a sign
+_CURRENT_OF = np.array([[0, 1, 0, 1], [1, 0, 1, 0]])
+_CURRENT_SIGN = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+#: the flat-start voltage ``(cos, sin)`` per phase code, from one scalar
+#: ``np.cos``/``np.sin`` call each (a vectorized one may round differently)
+_FLAT_X0 = np.array([(np.cos(a), np.sin(a)) for a in _FLAT.values()])
 _SOURCE_COMPONENTS = {"current": ("ir", "ii"), "power": ("p", "q"),
                       "admittance": ("g", "b")}
 
@@ -151,12 +176,12 @@ class _Injection:
 
     ``(u, v)`` is a bus voltage; ``a = a0 + sa*z[ia]`` and ``b = b0 + z[ib]``
     are the active and reactive power of a constant-power device or of a
-    power-kind source.  One spec per row: ``(row, iu, iv, ia, ib, a0, sa,
-    b0)``.
+    power-kind source.  One spec per row, ``(row, iu, iv, ia, ib, a0, sa,
+    b0)``, given as a list of ``(m, 8)`` arrays.
     """
 
     def __init__(self, specs):
-        s = np.array(specs, dtype=float).reshape(-1, 8)
+        s = np.concatenate([np.zeros((0, 8))] + specs)
         self.rows, iu, iv, ia, ib = s[:, :5].T.astype(int)
         self.iu, self.iv, self.ia, self.ib = iu, iv, ia, ib
         self.a0, self.sa, self.b0 = s[:, 5:].T
@@ -249,10 +274,11 @@ class _SquaredMagnitude:
 class _Admittance:
     """Row pairs ``-(G u - B v)`` and ``-(G v + B u)``: an admittance-kind
     source ``(G, B) = (z[ig], z[ib])`` drawing current at ``(u, v)``.  One
-    spec per source: ``(row_r, row_i, iu, iv, ig, ib)``."""
+    spec per source, ``(row_r, row_i, iu, iv, ig, ib)``, given as a list of
+    ``(m, 6)`` arrays."""
 
     def __init__(self, specs):
-        rr, ri, iu, iv, ig, ib = np.array(specs, dtype=int).reshape(-1, 6).T
+        rr, ri, iu, iv, ig, ib = np.concatenate([np.zeros((0, 6))] + specs).T.astype(int)
         self.row_r, self.row_i, self.iu, self.iv, self.ig, self.ib = rr, ri, iu, iv, ig, ib
         self.rows = np.concatenate([rr, ri])
         self.jac_rows = np.concatenate([rr, rr, ri, ri, rr, ri, rr, ri])
@@ -276,8 +302,9 @@ class _Admittance:
 
 
 def _voltage_block(specs):
-    """``|V|^2`` rows ``(row, iu, iv, sign, const)`` as one squared-magnitude block."""
-    s = np.array(specs, dtype=float).reshape(-1, 5)
+    """``|V|^2`` rows ``(row, iu, iv, sign, const)``, given as a list of
+    ``(m, 5)`` arrays, as one squared-magnitude block."""
+    s = np.concatenate([np.zeros((0, 5))] + specs)
     m = len(s)
     return (s[:, 0].astype(int), s[:, 3], s[:, 4], s[:, 1:3].astype(int),
             np.zeros((m, 2)) + (1.0, 0.0), np.zeros((m, 2)) + (0.0, 1.0))
@@ -285,7 +312,7 @@ def _voltage_block(specs):
 
 def _select(src, rows, cols, keep, row0=0, col0=0):
     """The ``keep`` entries of a fixed scatter ``vals[src] -> (rows, cols)``."""
-    keep = np.flatnonzero(keep)
+    keep = keep.nonzero()[0]
     return src[keep], rows[keep] - row0, cols[keep] - col0
 
 
@@ -356,13 +383,25 @@ class _FixedCSR:
 
     def __init__(self, src, rows, cols, shape):
         n_rows, n_cols = shape
-        pos, slot = np.unique(np.asarray(rows, dtype=np.int64) * n_cols + cols,
-                              return_inverse=True)
+        # the distinct positions in order and each entry's slot among them:
+        # np.unique(key, return_inverse=True) without its per-call overhead;
+        # a stable sort, as entries come in sorted runs (any sort gives the
+        # same pattern and slots)
+        key = np.asarray(rows, dtype=np.int64) * n_cols + cols
+        order = key.argsort(kind="stable")
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        pos = key[new]
         # int32, the index type scipy picks at these sizes, keeps the maps
         # small and lets scipy take the index arrays without a scan
-        self.src, self.slot = src.astype(np.int32), slot.astype(np.int32)
-        self.rows, self.indices = (a.astype(np.int32) for a in np.divmod(pos, n_cols))
-        self.indptr = np.searchsorted(pos, np.arange(n_rows + 1) * n_cols).astype(np.int32)
+        self.slot = np.empty(len(key), dtype=np.int32)
+        self.slot[order] = new.cumsum() - 1
+        self.src = src.astype(np.int32)
+        rows = pos // n_cols
+        self.rows, self.indices = rows.astype(np.int32), (pos - rows * n_cols).astype(np.int32)
+        self.indptr = rows.searchsorted(np.arange(n_rows + 1)).astype(np.int32)
         self.shape = shape
 
     def __call__(self, vals) -> FixedMatrix:
@@ -403,9 +442,7 @@ class CircuitProblem:
         self.source_kind = b.source_kind
         self.q_only = b.q_only
         self.sources: list[InfeasibilitySource] = b.sources
-        self.var_label = b.var_label
-        self.eq_label = b.eq_label
-        self.in_label = b.in_label
+        self._label_recipes, self._label_lists = b.labels, {}
         self.param_slots: dict[str, slice] = b.param_slots
         self.n_param = npar = b.n_param
         self.params = np.zeros(b.n_param)
@@ -414,10 +451,9 @@ class CircuitProblem:
         def on_p(c):
             return (c >= nx) & (c < nx + npar)
 
-        # linear parts over z: the equalities' [A | B] (the branch blocks,
-        # then the scalar stamps), the inequalities' A, and their constants
-        (eq_stamps, self._b_eq), (in_stamps, self._b_in) = b.table("eq"), b.table("in")
-        rows, cols, vals = (np.concatenate(a) for a in zip(*b.eq_blocks, eq_stamps))
+        # linear parts over z: the equalities' [A | B], the inequalities' A,
+        # and their constants
+        ((rows, cols, vals), self._b_eq), (in_stamps, self._b_in) = b.table("eq"), b.table("in")
         src = np.arange(len(rows))
         self._A_eq = _FixedCSR(*_select(src, rows, cols, cols < nx),
                                (self.n_eq, nx))(vals)
@@ -431,11 +467,10 @@ class CircuitProblem:
             [_SquaredMagnitude([_voltage_block(b.pv)])] if b.pv else []) + (
             [_Admittance(b.adm)] if b.adm else [])
         self._in = [_SquaredMagnitude([_voltage_block(b.vmag)] + b.flows)]
-        self._src_idx = np.array([i for s in self.sources for i in s.var_index],
-                                 dtype=int)
-        self._epi_idx = np.asarray(b.epi_idx, dtype=int)
+        self._src_idx = b.src_idx
+        self._epi_idx = b.epi_idx
         self._price_pairs = np.asarray(b.price_pairs, dtype=int).reshape(-1, 2)
-        self._x0 = np.asarray(b.x0_vals)
+        self._x0 = np.concatenate(b.x0)
 
         def jacobian(elems, linear):
             """x and parameter blocks (None without parameters) over the
@@ -482,6 +517,31 @@ class CircuitProblem:
                                                col0=nx), (nx, npar))
             self._hess_pp = _FixedCSR(*_select(src, rows, cols, on_p(rows) & on_p(cols),
                                                nx, nx), (npar, npar))
+
+    # -- labels ----------------------------------------------------------------
+
+    def _labels(self, what):
+        got = self._label_lists.get(what)
+        if got is None:
+            got = self._label_lists[what] = [
+                lbl for recipe in self._label_recipes[what] for lbl in recipe()]
+        return got
+
+    @property
+    def var_label(self) -> list[str]:
+        """One label per variable, e.g. ``vr:bus:phase``, formatted when
+        first read."""
+        return self._labels("var")
+
+    @property
+    def eq_label(self) -> list[str]:
+        """One label per equality row, formatted when first read."""
+        return self._labels("eq")
+
+    @property
+    def in_label(self) -> list[str]:
+        """One label per inequality row, formatted when first read."""
+        return self._labels("in")
 
     # -- parameter handling ------------------------------------------------
 
@@ -617,32 +677,157 @@ class IndexMaps:
     inj_var: dict = field(default_factory=dict)      # (net,bus,ph) -> (ir, ii)
 
 
-def _injection_table(net):
-    """``(bus, phase) -> [P_const, Q_const, has_any, pv_box or None]``,
-    summed over the loads in case order, then the generators."""
-    table = {(bus.id, ph): [0.0, 0.0, False, None]
-             for bus in net.buses for ph in bus.phases}
-    for ld in net.loads:
-        for ph in ld.p.keys() | ld.q.keys():
-            t = table.get((ld.bus, ph))
-            if t is not None:
-                t[0] += ld.p.get(ph, 0.0)
-                t[1] += ld.q.get(ph, 0.0)
-                t[2] = True
-    for g in net.generators:
-        for ph in net.bus(g.bus).phases:
-            t = table[(g.bus, ph)]
-            t[0] -= g.p.get(ph, 0.0)
-            t[2] = t[2] or ph in g.p or ph in g.q
-            if g.mode == "pq":
-                t[1] -= g.q.get(ph, 0.0)
-            else:
-                lo, hi = t[3] or (0.0, 0.0)
-                t[3] = (lo + g.q_min, hi + g.q_max)
-    return table
+def _filled(vals, n):
+    """``vals`` as a float array, one value repeated ``n`` times."""
+    vals = np.asarray(vals, dtype=float)
+    return np.full(n, vals) if vals.ndim == 0 else vals
+
+
+def _interleaved(*specs):
+    """Spec rows from specs given as lists of equal-length columns: the
+    first row of each spec in turn, then the second row of each, ..."""
+    width = len(specs[0])
+    cols = np.concatenate([c for spec in specs for c in spec], dtype=float)
+    return cols.reshape(len(specs), width, -1).transpose(2, 0, 1).reshape(-1, width)
+
+
+# Label recipes are partials of the functions below, so that a problem
+# holding them still pickles.
+
+
+def _node_labels(prefixes, nodes):
+    """``prefix:bus:phase`` for each ``(bus, phase)`` node, each of the
+    prefixes in turn (also ``prefix:port:phase`` for ``(port, phase)``)."""
+    return [f"{p}:{b}:{ph}" for b, ph in nodes for p in prefixes]
+
+
+def _tagged_labels(entries):
+    """``tag:bus:phase`` for each ``(tag, bus, phase, ...)`` entry."""
+    return [f"{tag}:{b}:{ph}" for tag, b, ph, *_ in entries]
+
+
+def _port_labels(names, key):
+    """``name:port`` for each name."""
+    return [f"{name}:{key}" for name in names]
+
+
+def _own_row_labels(pairs, is_inj, is_slack, is_pv):
+    """The labels of each node's own equality rows, in node order."""
+    out = []
+    for (b, ph), i, s, v in zip(pairs, is_inj, is_slack, is_pv):
+        if i:
+            out += (f"defr:{b}:{ph}", f"defi:{b}:{ph}")
+        if s:
+            out += (f"slackr:{b}:{ph}", f"slacki:{b}:{ph}")
+        elif v:
+            out.append(f"pvmag:{b}:{ph}")
+    return out
+
+
+def _flow_labels(limited):
+    """``flow:index:from-to:phase`` for each ``(index, branch)``, per phase."""
+    return [f"flow:{i}:{br.from_bus}-{br.to_bus}:{ph}" for i, br in limited for ph in br.phases]
+
+
+def _joined(recipes):
+    """The labels of each recipe in turn."""
+    return [lbl for recipe in recipes for lbl in recipe()]
+
+
+def _epigraph_var_labels(sources):
+    """``t:`` and the label of each source component (a recipe)."""
+    return [f"t:{lbl}" for lbl in sources()]
+
+
+def _epigraph_row_labels(sources):
+    """The three epigraph rows of each source component (a recipe)."""
+    return [f"epi{c}:{lbl}" for lbl in sources() for c in "+-0"]
+
+
+def _index_pairs(start, count):
+    """``(start, start + 1), (start + 2, start + 3), ...``, ``count`` pairs
+    of Python ints: the index-map values of two-wide blocks."""
+    return zip(range(start, start + 2 * count, 2), range(start + 1, start + 2 * count, 2))
+
+
+class _Nodes:
+    """One network's phase nodes in ``Network.phase_nodes`` order, with the
+    per-node arrays the builder's passes read: phase codes, bus-kind masks,
+    the constant injections and pv boxes summed over the loads (in case
+    order) and then the generators, and the z columns of each node's
+    voltage, filled in as the builder allocates them.  The ``n_*`` counts
+    let a pass skip what a network does not have."""
+
+    def __init__(self, net, heads, head_params):
+        nm = self.name = net.name
+        self.net = net
+        self.buses = [b for b in net.buses for _ in b.phases]
+        self.pairs = [(b.id, ph) for b in net.buses for ph in b.phases]
+        self.keys = [(nm, b, ph) for b, ph in self.pairs]
+        n = self.n = len(self.pairs)
+        self.index = dict(zip(self.pairs, range(n)))
+        attrs = np.array([(_PHASE_CODE[ph], _KIND_CODE[b.kind], b.infeasibility_eligible,
+                           (nm, b.id) in heads, (nm, b.id) in head_params)
+                          for b in net.buses for ph in b.phases], dtype=int).reshape(n, 5)
+        self.phase = attrs[:, 0]
+        self.slack, self.pv = attrs[:, 1] == _KIND_CODE["slack"], attrs[:, 1] == _KIND_CODE["pv"]
+        self.eligible, self.head, self.param = attrs[:, 2:].T == 1
+        p, q, has, lo, hi = [0.0] * n, [0.0] * n, [False] * n, [0.0] * n, [0.0] * n
+        for ld in net.loads:
+            for ph in ld.p.keys() | ld.q.keys():
+                i = self.index.get((ld.bus, ph))
+                if i is not None:
+                    p[i] += ld.p.get(ph, 0.0)
+                    q[i] += ld.q.get(ph, 0.0)
+                    has[i] = True
+        pv_nodes = []
+        for g in net.generators:
+            for ph in net.bus(g.bus).phases:
+                i = self.index[(g.bus, ph)]
+                p[i] -= g.p.get(ph, 0.0)
+                has[i] = has[i] or ph in g.p or ph in g.q
+                if g.mode == "pq":
+                    q[i] -= g.q.get(ph, 0.0)
+                else:                   # load_case puts these on pv buses only
+                    lo[i] += g.q_min
+                    hi[i] += g.q_max
+                    pv_nodes.append(i)
+        # a pv node's net reactive demand starts at q - qg0, qg0 the middle
+        # of a finite box (load_case checks the box: q_min < q_max)
+        q0 = list(q)
+        for i in pv_nodes:
+            q0[i] = q[i] - (0.5 * (lo[i] + hi[i])
+                            if math.isfinite(lo[i]) and math.isfinite(hi[i]) else 0.0)
+        self.p, self.q, self.q0 = np.array([p, q, q0]).reshape(3, n)
+        self.lo, self.hi = lo, hi
+        # a node carries an injection current if a device sits on it or it
+        # is a pv node (whose net reactive demand is a variable)
+        self.inj = np.array(has, dtype=bool) | self.pv
+        self.n_inj, self.n_slack, self.n_pv, self.n_param = (
+            int(np.count_nonzero(m)) for m in (self.inj, self.slack, self.pv, self.param))
+        #: the slack and pv nodes, in node order
+        self.slack_pv = (attrs[:, 1] < _KIND_CODE["pq"]).nonzero()[0].tolist()
+        self.uv = np.zeros((2, n), dtype=int)
+        self.iu, self.iv = self.uv
+        self.ir = self.isr = self.qvar = self.src_nodes = _NONE
+        self.src = _NONE.reshape(0, 0)
+
+    def pick(self, mask, items):
+        """The entries of the per-node list ``items`` where ``mask`` holds."""
+        return list(compress(items, mask.tolist()))
 
 
 class _Builder:
+    """Allocates one problem's variables and rows and stamps its entries,
+    in array passes over each network's phase nodes and branches.
+
+    Variables and rows come in blocks (:meth:`_new_vars`,
+    :meth:`_new_rows`), each with a label recipe that
+    :class:`CircuitProblem` formats when its labels are first read.  Every
+    linear entry goes through :meth:`_stamp` as arrays, and each nonlinear
+    element type gets its specs as arrays of rows.
+    """
+
     def __init__(self, nets, ports, source_kind, norm, q_only):
         if norm not in ("l1", "l2"):
             raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
@@ -651,7 +836,6 @@ class _Builder:
         if q_only and source_kind != "power":
             raise ValueError("q_only is only meaningful with power-kind sources")
         self.nets = {n.name: n for n in nets}
-        self.net_list = list(nets)
         self.ports: list[PortBuild] = ports
         self.source_kind = source_kind
         self.norm = norm
@@ -661,199 +845,227 @@ class _Builder:
         self.n_eq = 0
         self.n_in = 0
         self.n_param = 0
-        self.var_label: list[str] = []
-        self.eq_label: list[str] = []
-        self.in_label: list[str] = []
+        self.x0: list[np.ndarray] = []
+        # label recipes of the variables and of each kind of row, in
+        # allocation order
+        self.labels = {"var": [], "eq": [], "in": []}
         self.param_slots: dict[str, slice] = {}
-        self.x0_vals: list[float] = []
         self.maps = IndexMaps()
         self.sources: list[InfeasibilitySource] = []
-        self.sources_by_net: dict[str, list[InfeasibilitySource]] = {}
-
-        self.eq_blocks = []      # vectorized linear equality (rows, cols, vals)
-        # per kind of row, "eq" or "in": the scalar linear entries as flat
-        # (row, z column, value) triples and the constants as flat (row,
-        # value) pairs, in stamp order
+        # per kind of row, "eq" or "in": the linear entries as (rows, z
+        # columns, values) arrays and the constants as (rows, values)
+        # arrays, in stamp order
         self.linear = {"eq": [], "in": []}
         self.const = {"eq": [], "in": []}
-        # nonlinear element specs (see the element types)
+        # nonlinear element specs, in chunks (see the element types)
         self.inj, self.pv, self.adm, self.vmag, self.flows = [], [], [], [], []
-        self.epi_idx: list[int] = []
-        self.injection = {n.name: _injection_table(n) for n in self.net_list}
+        self.src_idx = self.epi_idx = _NONE
         self.price_pairs: list[tuple[int, int]] = []
 
-        self._net_of_bus = {b.id: n.name for n in self.net_list for b in n.buses}
+        self._net_of_bus = {b.id: n.name for n in nets for b in n.buses}
         # torn feeder heads (net, bus) -> port build: their voltages are not
         # bounded, and those of a 'd_head' port are exchange parameters
         self._heads = {(self._net_of_bus[pb.port.spec.d_bus], pb.port.spec.d_bus): pb
                        for pb in self.ports if pb.mode in ("d_head", "d_phasor")}
         self._head_param_buses = {nb: pb.key for nb, pb in self._heads.items()
                                   if pb.mode == "d_head"}
+        self._nodes = [_Nodes(n, self._heads, self._head_param_buses) for n in nets]
         self._build()
 
-    # -- small allocation helpers -------------------------------------------
+    # -- allocation and the one stamp -----------------------------------------
 
-    def _new_var(self, label, x0):
-        self.var_label.append(label)
-        self.x0_vals.append(x0)
-        self.nvar += 1
-        return self.nvar - 1
+    def _new_vars(self, count, x0, labels):
+        """``count`` new variables starting at ``x0`` (an array or one
+        value) with the label recipe ``labels``; returns the first index."""
+        self.x0.append(_filled(x0, count))
+        self.labels["var"].append(labels)
+        self.nvar += count
+        return self.nvar - count
 
-    def _new_eq(self, label=""):
-        self.eq_label.append(label)
-        self.n_eq += 1
-        return self.n_eq - 1
-
-    def _new_in(self, label=""):
-        self.in_label.append(label)
-        self.n_in += 1
-        return self.n_in - 1
+    def _new_rows(self, kind, count, labels):
+        """``count`` new ``kind`` ("eq" or "in") rows with the label recipe
+        ``labels``; returns the first index."""
+        self.labels[kind].append(labels)
+        if kind == "eq":
+            self.n_eq += count
+            return self.n_eq - count
+        self.n_in += count
+        return self.n_in - count
 
     def _new_params(self, name, count):
         self.param_slots[name] = slice(self.n_param, self.n_param + count)
         self.n_param += count
         return self.param_slots[name]
 
-    def _stamp(self, kind, row, col, val, const=None):
-        """Stamp a linear coefficient of a ``kind`` ("eq" or "in") row on a z
-        column (variable or parameter), and the row's constant if given."""
-        if val != 0.0:
-            self.linear[kind] += (row, col, val)
+    def _stamp(self, kind, rows, cols, vals, const=None):
+        """Stamp the linear coefficients ``vals`` (an array or one value) of
+        ``kind`` ("eq" or "in") rows on z columns (variables or
+        parameters), and the rows' constants ``const`` if given."""
+        rows = np.asarray(rows, dtype=int)
+        self.linear[kind].append((rows, np.asarray(cols, dtype=int), _filled(vals, len(rows))))
         if const is not None:
-            self.const[kind] += (row, const)
+            self.const[kind].append((rows, np.asarray(const, dtype=float)))
 
     def table(self, kind):
-        """The scalar stamps of ``kind`` as ``(rows, cols, vals)`` arrays and
-        the rows' constants as a dense vector."""
-        n = self.n_eq if kind == "eq" else self.n_in
-        rows, cols, vals = np.array(self.linear[kind], dtype=float).reshape(-1, 3).T
-        c_rows, c_vals = np.array(self.const[kind], dtype=float).reshape(-1, 2).T
-        const = np.zeros(n)
-        np.add.at(const, c_rows.astype(int), c_vals)
-        return (rows.astype(int), cols.astype(int), vals), const
+        """The nonzero linear entries of ``kind`` as ``(rows, cols, vals)``
+        arrays in stamp order, and the rows' constants as a dense vector."""
+        none = np.zeros(0, dtype=int)
+        rows, cols, vals = (np.concatenate(a) for a in
+                            zip((none, none, np.zeros(0)), *self.linear[kind]))
+        c_rows, c_vals = (np.concatenate(a) for a in zip((none, np.zeros(0)),
+                                                          *self.const[kind]))
+        const = np.zeros(self.n_eq if kind == "eq" else self.n_in)
+        np.add.at(const, c_rows, c_vals)
+        keep = vals != 0.0
+        return (rows[keep], cols[keep], vals[keep]), const
 
-    def _branch_current(self, nm, br):
-        """Each phase's from-end current ``Y (V_from - V_to)`` over z columns.
+    def _branch_currents(self, nd, branches):
+        """Each phase's from-end current ``Y (V_from - V_to)`` over z columns,
+        for the branches grouped by phase count ``k``.
 
-        Returns ``(cols, c_r, c_i)``: the ``4k`` columns ``(fu, fv, tu, tv)``
-        of each of the branch's ``k`` phases, and the ``(k, 4k)``
-        coefficients of the real and imaginary parts of the current.
+        Yields per group ``(idx, ends, cols, c)``: the group's positions in
+        ``branches``, the ``(nb, k, 2)`` from and to nodes of its phases,
+        the ``(nb, 4k)`` columns ``(fu, fv, tu, tv)`` of each phase, and the
+        ``(nb, 2, k, 4k)`` coefficients of the real and imaginary parts of
+        the current.
         """
-        v = self.maps.v_slot
-        cols = np.array([(*v[(nm, br.from_bus, ph)], *v[(nm, br.to_bus, ph)])
-                         for ph in br.phases]).ravel()
-        g, b = np.array(br.g), np.array(br.b)
-        c_r, c_i = np.array([[g, -b, -g, b], [b, g, -b, -g]]).transpose(
-            0, 2, 3, 1).reshape(2, len(br.phases), len(cols))
-        return cols, c_r, c_i
+        groups: dict[int, list[int]] = {}
+        for i, br in enumerate(branches):
+            groups.setdefault(len(br.phases), []).append(i)
+        at = nd.index
+        for k, idx in groups.items():
+            brs = [branches[i] for i in idx]
+            nb = len(idx)
+            ends = np.array([(at[(br.from_bus, ph)], at[(br.to_bus, ph)])
+                             for br in brs for ph in br.phases], dtype=int).reshape(nb, k, 2)
+            cols = nd.uv[:, ends].transpose(1, 2, 3, 0).reshape(nb, 4 * k)
+            gb = np.array([(br.g, br.b) for br in brs])
+            c = (gb[:, _CURRENT_OF] * _CURRENT_SIGN[:, :, None, None]).transpose(
+                0, 1, 3, 4, 2).reshape(nb, 2, k, 4 * k)
+            yield idx, ends, cols, c
 
     # -- assembly ------------------------------------------------------------
 
     def _build(self):
-        for net in self.net_list:
-            self._alloc_voltages(net)
-        for net in self.net_list:
-            self._alloc_injections(net)
-        for net in self.net_list:
-            self._alloc_slack_and_pv(net)
+        for nd in self._nodes:
+            self._alloc_voltages(nd)
+        for nd in self._nodes:
+            self._alloc_injections(nd)
+        for nd in self._nodes:
+            self._alloc_slack_and_pv(nd)
         self._alloc_ports()
         self._alloc_sources()
         self._alloc_params()
-        for net in self.net_list:
-            self._rows_network(net)
+        for nd in self._nodes:
+            self._rows_network(nd)
         self._rows_ports()
-        self._rows_inequalities()
+        for nd in self._nodes:
+            self._rows_inequalities(nd)
+        if self.norm == "l1" and len(self.src_idx):
+            self._rows_epigraph()
 
-    def _alloc_voltages(self, net):
-        for bus in net.buses:
-            if (net.name, bus.id) in self._head_param_buses:
-                continue            # exchange parameters (_alloc_params)
-            for ph in bus.phases:
-                # flat start: unit magnitude everywhere (balanced
-                # rotations on feeders), so branch flows begin at zero
-                iu = self._new_var(f"vr:{bus.id}:{ph}", np.cos(_FLAT[ph]))
-                iv = self._new_var(f"vi:{bus.id}:{ph}", np.sin(_FLAT[ph]))
-                self.maps.v_slot[(net.name, bus.id, ph)] = (iu, iv)
+    def _alloc_voltages(self, nd):
+        own = ~nd.param                 # the rest are exchange parameters
+        pairs, keys = nd.pick(own, nd.pairs), nd.pick(own, nd.keys)
+        m = len(pairs)
+        # flat start: unit magnitude everywhere (balanced rotations on
+        # feeders), so branch flows begin at zero
+        start = self._new_vars(2 * m, _FLAT_X0[nd.phase[own]].ravel(),
+                               partial(_node_labels, ("vr", "vi"), pairs))
+        nd.iu[own] = np.arange(start, start + 2 * m, 2)
+        nd.iv[own] = nd.iu[own] + 1
+        self.maps.v_slot.update(zip(keys, _index_pairs(start, m)))
 
+    def _alloc_injections(self, nd):
+        if not nd.n_inj:
+            return
+        inj, m = nd.inj, nd.n_inj
+        xr, xi = _FLAT_X0[nd.phase[inj]].T
+        p, q0 = nd.p[inj], nd.q0[inj]
+        # start injection currents consistent with the flat voltages
+        d0 = xr * xr + xi * xi
+        x0 = np.array([(p * xr + q0 * xi) / d0, (p * xi - q0 * xr) / d0]).T.ravel()
+        start = self._new_vars(2 * m, x0,
+                               partial(_node_labels, ("ir", "ii"), nd.pick(inj, nd.pairs)))
+        nd.ir = np.arange(start, start + 2 * m, 2)
+        self.maps.inj_var.update(zip(nd.pick(inj, nd.keys), _index_pairs(start, m)))
 
-    def _alloc_injections(self, net):
-        for bus in net.buses:
-            for ph in bus.phases:
-                has, box = self.injection[net.name][(bus.id, ph)][2:]
-                if not has and box is None and bus.kind != "pv":
-                    continue
-                ir = self._new_var(f"ir:{bus.id}:{ph}", 0.0)
-                ii = self._new_var(f"ii:{bus.id}:{ph}", 0.0)
-                self.maps.inj_var[(net.name, bus.id, ph)] = (ir, ii)
-
-    def _alloc_slack_and_pv(self, net):
-        for bus in net.buses:
-            if bus.kind == "slack":
-                for ph in bus.phases:
-                    self.maps.inj_var.setdefault((net.name, bus.id, ph + "!slack"), (
-                        self._new_var(f"isr:{bus.id}:{ph}", 0.0),
-                        self._new_var(f"isi:{bus.id}:{ph}", 0.0)))
-            elif bus.kind == "pv":
-                for ph in bus.phases:
-                    # load_case checks the box: a pv-mode generator, q_min < q_max
-                    q, box = self.injection[net.name][(bus.id, ph)][1::2]
-                    qg0 = (0.5 * (box[0] + box[1])
-                           if np.isfinite(box[0]) and np.isfinite(box[1]) else 0.0)
-                    self.maps.pv_qvar[(net.name, bus.id, ph)] = self._new_var(
-                        f"q:{bus.id}:{ph}", q - qg0)
+    def _alloc_slack_and_pv(self, nd):
+        """Two source currents per slack node and one net reactive demand
+        per pv node, in node order (a network has few of either)."""
+        if not nd.slack_pv:
+            return
+        x0, labels, isr, qvar = [], [], [], []
+        for i in nd.slack_pv:
+            (b, ph), col = nd.pairs[i], self.nvar + len(x0)
+            if nd.slack[i]:
+                isr.append(col)
+                x0 += (0.0, 0.0)
+                labels += (("isr", b, ph), ("isi", b, ph))
+            else:
+                qvar.append(col)
+                x0.append(nd.q0[i])
+                labels.append(("q", b, ph))
+        self._new_vars(len(x0), x0, partial(_tagged_labels, labels))
+        nd.isr, nd.qvar = np.array(isr, dtype=int), np.array(qvar, dtype=int)
+        self.maps.inj_var.update(((nm, b, ph + "!slack"), (c, c + 1)) for (nm, b, ph), c
+                                 in zip(nd.pick(nd.slack, nd.keys), isr))
+        self.maps.pv_qvar.update(zip(nd.pick(nd.pv, nd.keys), qvar))
 
     def _alloc_ports(self):
         for pb in self.ports:
-            spec = pb.port.spec
+            spec, key = pb.port.spec, pb.key
             if pb.mode in ("internal", "t_free", "t_draw"):
                 tnet = self._net_of_bus[spec.t_bus]
-                self.maps.poi_v[pb.key] = list(
-                    self.maps.v_slot[(tnet, spec.t_bus, "1")])
+                self.maps.poi_v[key] = list(self.maps.v_slot[(tnet, spec.t_bus, "1")])
             if pb.mode in ("internal", "t_free"):
-                self.maps.port_tvar[pb.key] = [self._new_var(f"itr:{pb.key}", 0.0),
-                                               self._new_var(f"iti:{pb.key}", 0.0)]
+                start = self._new_vars(2, 0.0, partial(_port_labels, ("itr", "iti"), key))
+                self.maps.port_tvar[key] = [start, start + 1]
             if pb.mode == "d_phasor":      # flat start: the unit phasor
-                self.maps.poi_v[pb.key] = [self._new_var(f"vpr:{pb.key}", 1.0),
-                                           self._new_var(f"vpi:{pb.key}", 0.0)]
+                start = self._new_vars(2, (1.0, 0.0), partial(_port_labels, ("vpr", "vpi"), key))
+                self.maps.poi_v[key] = [start, start + 1]
             if pb.mode in ("internal", "d_head", "d_phasor"):
-                self.maps.port_dvar[pb.key] = [
-                    self._new_var(f"id{ph}{c}:{pb.key}", 0.0)
-                    for ph in "abc" for c in ("r", "i")]
+                start = self._new_vars(6, 0.0, partial(_port_labels, _PORT_CURRENTS, key))
+                self.maps.port_dvar[key] = list(range(start, start + 6))
 
     def _alloc_sources(self):
         if self.source_kind is None:
             return
-        comps = _SOURCE_COMPONENTS[self.source_kind]
-        if self.q_only:
-            comps = ("q",)
-        for net in self.net_list:
-            for bus in net.buses:
-                if not bus.infeasibility_eligible:
-                    continue
-                for ph in bus.phases:
-                    idx = tuple(self._new_var(f"s{c}:{bus.id}:{ph}", 0.0)
-                                for c in comps)
-                    src = InfeasibilitySource(net.name, bus.id, ph,
-                                              self.source_kind, comps, idx)
-                    self.sources.append(src)
-                    self.sources_by_net.setdefault(net.name, []).append(src)
+        comps = ("q",) if self.q_only else _SOURCE_COMPONENTS[self.source_kind]
+        k = len(comps)
+        recipes = []
+        for nd in self._nodes:
+            nd.src_nodes = nd.eligible.nonzero()[0]
+            pairs = nd.pick(nd.eligible, nd.pairs)
+            recipes.append(partial(_node_labels, tuple(f"s{c}" for c in comps), pairs))
+            start = self._new_vars(k * len(pairs), 0.0, recipes[-1])
+            nd.src = start + np.arange(k * len(pairs)).reshape(-1, k)
+            self.sources += [InfeasibilitySource(nd.name, b, ph, self.source_kind, comps,
+                                                 tuple(range(s, s + k)))
+                             for (b, ph), s in zip(pairs, range(start, self.nvar, k))]
+        self.src_idx = np.concatenate([nd.src.ravel() for nd in self._nodes])
+        self._src_labels = partial(_joined, recipes)
         if self.norm == "l1":
-            for src in self.sources:
-                for c, vi in zip(src.components, src.var_index):
-                    self.epi_idx.append(self._new_var(f"t:{self.var_label[vi]}", 0.1))
+            n = len(self.src_idx)
+            self.epi_idx = self._new_vars(
+                n, 0.1, partial(_epigraph_var_labels, self._src_labels)) + np.arange(n)
 
     def _alloc_params(self):
         """Exchange parameters, after every variable: parameter j is z column
         nvar + j, and column nvar + n_param holds the constant zero."""
-        for net in self.net_list:
-            for bus in net.buses:
-                key = self._head_param_buses.get((net.name, bus.id))
+        for nd in self._nodes:
+            if not nd.n_param:
+                continue
+            for bus in nd.net.buses:
+                key = self._head_param_buses.get((nd.name, bus.id))
                 if key is None:
                     continue
                 base = self.nvar + self._new_params(f"headv:{key}", 6).start
                 for ph in bus.phases:
                     off = base + 2 * "abc".index(ph)
-                    self.maps.v_slot[(net.name, bus.id, ph)] = (off, off + 1)
+                    self.maps.v_slot[(nd.name, bus.id, ph)] = (off, off + 1)
+                    i = nd.index[(bus.id, ph)]
+                    nd.iu[i], nd.iv[i] = off, off + 1
         for pb in self.ports:
             if pb.mode == "t_draw":
                 self._new_params(f"draw:{pb.key}", 2)
@@ -870,164 +1082,197 @@ class _Builder:
 
     # -- equality rows ---------------------------------------------------------
 
-    def _rows_network(self, net):
-        nm = net.name
-        for bus in net.buses:
-            for ph in bus.phases:
-                rr = self._new_eq(f"kclr:{bus.id}:{ph}")
-                ri = self._new_eq(f"kcli:{bus.id}:{ph}")
-                self.maps.kcl_row[(nm, bus.id, ph)] = (rr, ri)
-        # the from-end current leaves the from bus and enters the to bus;
-        # entries run over (bus, real/imaginary row, phase, column)
-        rows, cols, vals = [], [], []
-        for br in net.branches:
-            bcols, c_r, c_i = self._branch_current(nm, br)
-            kcl = np.array([[self.maps.kcl_row[(nm, bus, ph)] for ph in br.phases]
-                            for bus in (br.from_bus, br.to_bus)])
-            rows.append(np.repeat(kcl.transpose(0, 2, 1).ravel(), len(bcols)))
-            cols.append(np.tile(bcols, 4 * len(br.phases)))
-            vals.append(np.array([c_r, c_i, -c_r, -c_i]).ravel())
-        if vals:
-            rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-            keep = vals != 0.0
-            self.eq_blocks.append((rows[keep], cols[keep], vals[keep]))
+    def _rows_network(self, nd):
+        n, inj, slack, pv = nd.n, nd.inj, nd.slack, nd.pv
+        r0 = self._new_rows("eq", 2 * n, partial(_node_labels, ("kclr", "kcli"), nd.pairs))
+        nd.kcl = np.arange(r0, r0 + 2 * n).reshape(n, 2).T
+        nd.rr, nd.ri = nd.kcl
+        self.maps.kcl_row.update(zip(nd.keys, _index_pairs(r0, n)))
+        self._stamp_branches(nd)
 
-        for bus in net.buses:
-            for ph in bus.phases:
-                rr, ri = self.maps.kcl_row[(nm, bus.id, ph)]
-                iu, iv = self.maps.v_slot[(nm, bus.id, ph)]
-                inj = self.maps.inj_var.get((nm, bus.id, ph))
-                p, q = self.injection[nm][(bus.id, ph)][:2]
-                if inj is not None:
-                    # balance picks up the device current ...
-                    self._stamp("eq", rr, inj[0], 1.0)
-                    self._stamp("eq", ri, inj[1], 1.0)
-                    # ... defined by the constant-power relation
-                    dr = self._new_eq(f"defr:{bus.id}:{ph}")
-                    di = self._new_eq(f"defi:{bus.id}:{ph}")
-                    self._stamp("eq", dr, inj[0], 1.0)
-                    self._stamp("eq", di, inj[1], 1.0)
-                    qvar = self.maps.pv_qvar.get((nm, bus.id, ph))
-                    x0r, x0i = np.cos(_FLAT[ph]), np.sin(_FLAT[ph])   # flat start
-                    # a PV bus's net reactive demand is a variable
-                    qcol, qr, qi = ((self.zero, q, -q) if qvar is None
-                                    else (qvar, 0.0, 0.0))
-                    self.inj += [(dr, iu, iv, self.zero, qcol, p, 1.0, qr),
-                                 (di, iu, iv, qcol, self.zero, qi, -1.0, p)]
-                    # start injection currents consistent with the flat voltages
-                    d0 = x0r * x0r + x0i * x0i
-                    q0 = q if qvar is None else self.x0_vals[qvar]
-                    self.x0_vals[inj[0]] = (p * x0r + q0 * x0i) / d0
-                    self.x0_vals[inj[1]] = (p * x0i - q0 * x0r) / d0
-                if bus.kind == "slack":
-                    isr, isi = self.maps.inj_var[(nm, bus.id, ph + "!slack")]
-                    self._stamp("eq", rr, isr, 1.0)
-                    self._stamp("eq", ri, isi, 1.0)
-                    for part, (slot, target) in zip(
-                            "ri", ((iu, bus.v_set), (iv, 0.0))):
-                        row = self._new_eq(f"slack{part}:{bus.id}:{ph}")
-                        self._stamp("eq", row, slot, 1.0, -target)
-                elif bus.kind == "pv":
-                    row = self._new_eq(f"pvmag:{bus.id}:{ph}")
-                    self.pv.append((row, iu, iv, 1.0, -bus.v_set ** 2))
+        # each node's own rows, in node order: the device-current
+        # definitions, then the slack pins or the pv magnitude pin
+        is_inj, is_slack = inj.tolist(), slack.tolist()
+        count = 2 * inj + 2 * slack + pv
+        first = self._new_rows("eq", 2 * (nd.n_inj + nd.n_slack) + nd.n_pv, partial(
+            _own_row_labels, nd.pairs, is_inj, is_slack, pv.tolist())) + count.cumsum() - count
+        zero = self.zero
+        if nd.n_inj:
+            m, ir, dr = nd.n_inj, nd.ir, first[inj]
+            # the balance picks up the device current, defined by the
+            # constant-power relation
+            self._stamp("eq", np.concatenate([nd.kcl[:, inj].ravel(), dr, dr + 1]),
+                        np.concatenate([ir, ir + 1, ir, ir + 1]), 1.0)
+            p, q, qcol = nd.p[inj], nd.q[inj], np.full(m, zero)
+            qr, qi = q, -q
+            if nd.n_pv:                 # a pv node's net reactive demand is a variable
+                on_pv = pv[inj]
+                qcol[on_pv] = nd.qvar
+                qr, qi = np.where(on_pv, 0.0, qr), np.where(on_pv, 0.0, qi)
+            iu, iv, z, one = nd.iu[inj], nd.iv[inj], np.full(m, zero), np.ones(m)
+            self.inj.append(_interleaved([dr, iu, iv, z, qcol, p, one, qr],
+                                         [dr + 1, iu, iv, qcol, z, qi, -one, p]))
+        if nd.slack_pv:
+            # the slack sources in the balance and the slack and pv pins
+            kcl, pins, pin_const, pv_pins = [], [], [], []
+            isr = iter(nd.isr.tolist())
+            for i in nd.slack_pv:
+                bus, row = nd.buses[i], int(first[i]) + 2 * is_inj[i]
+                iu, iv = int(nd.iu[i]), int(nd.iv[i])
+                if is_slack[i]:
+                    col = next(isr)
+                    kcl += ((int(nd.rr[i]), col), (int(nd.ri[i]), col + 1))
+                    pins += ((row, iu), (row + 1, iv))
+                    pin_const += (-bus.v_set, 0.0)
+                else:
+                    pv_pins.append((row, iu, iv, 1.0, -bus.v_set ** 2))
+            for entries, const in ((kcl, None), (pins, pin_const)):
+                if entries:
+                    rows, cols = zip(*entries)
+                    self._stamp("eq", rows, cols, 1.0, const)
+            if pv_pins:
+                self.pv.append(np.array(pv_pins))
 
-        for src in self.sources_by_net.get(nm, ()):
-            rr, ri = self.maps.kcl_row[(nm, src.bus, src.phase)]
-            iu, iv = self.maps.v_slot[(nm, src.bus, src.phase)]
-            if self.source_kind == "current":
-                self._stamp("eq", rr, src.var_index[0], -1.0)
-                self._stamp("eq", ri, src.var_index[1], -1.0)
-            elif self.source_kind == "power":
-                ip, iq = (self.zero, *src.var_index) if self.q_only else src.var_index
-                self.inj += [(rr, iu, iv, ip, iq, 0.0, 1.0, 0.0),
-                             (ri, iu, iv, iq, ip, 0.0, -1.0, 0.0)]
-            else:
-                self.adm.append((rr, ri, iu, iv, *src.var_index))
+        k = nd.src_nodes
+        if not len(k):
+            return
+        rr, ri, iu, iv, s = nd.rr[k], nd.ri[k], nd.iu[k], nd.iv[k], nd.src
+        if self.source_kind == "current":
+            self._stamp("eq", np.concatenate([rr, ri]), np.concatenate([s[:, 0], s[:, 1]]), -1.0)
+        elif self.source_kind == "power":
+            ip, iq = (np.full(len(k), zero), s[:, 0]) if self.q_only else (s[:, 0], s[:, 1])
+            z, one = np.zeros(len(k)), np.ones(len(k))
+            self.inj.append(_interleaved([rr, iu, iv, ip, iq, z, one, z],
+                                         [ri, iu, iv, iq, ip, z, -one, z]))
+        else:
+            self.adm.append(_interleaved([rr, ri, iu, iv, s[:, 0], s[:, 1]]))
+
+    def _stamp_branches(self, nd):
+        """The from-end current of each branch leaves the KCL rows of its
+        from bus and enters those of its to bus.  Entries run over (branch,
+        bus, real/imaginary row, phase, column) in branch order, since
+        entries on one slot (a bus's own voltage in its KCL rows) are
+        summed in stamp order."""
+        parts = []
+        for idx, ends, cols, c in self._branch_currents(nd, nd.net.branches):
+            nb, _, k, width = c.shape
+            kcl = nd.kcl[:, ends].transpose(1, 3, 0, 2).reshape(nb, 4 * k)
+            parts.append((idx, kcl.repeat(width, 1).ravel(),
+                          cols[:, None].repeat(4 * k, 1).ravel(),
+                          np.concatenate([c, -c], 1).ravel()))
+        if len(parts) == 1:
+            self._stamp("eq", *parts[0][1:])
+        elif parts:                     # the groups back in branch order
+            key = np.concatenate([np.repeat(idx, len(rows) // len(idx))
+                                  for idx, rows, _, _ in parts])
+            order = key.argsort(kind="stable")
+            rows, cols, vals = (np.concatenate([part[j] for part in parts])[order]
+                                for j in (1, 2, 3))
+            self._stamp("eq", rows, cols, vals)
 
     def _rows_ports(self):
+        rows, cols, vals = [], [], []
+
+        def stamp(row, col, val):
+            rows.append(row)
+            cols.append(col)
+            vals.append(val)
         for pb in self.ports:
-            spec = pb.port.spec
+            spec, key = pb.port.spec, pb.key
             kappa = pb.port.kappa
             if pb.mode in ("internal", "t_free", "t_draw"):
                 tnet = self._net_of_bus[spec.t_bus]
                 rr, ri = self.maps.kcl_row[(tnet, spec.t_bus, "1")]
-                self.maps.poi_row[pb.key] = [rr, ri]
+                self.maps.poi_row[key] = [rr, ri]
                 if pb.mode == "t_draw":      # the draw is an exchange parameter
-                    col = self.nvar + self.param_slots[f"draw:{pb.key}"].start
+                    col = self.nvar + self.param_slots[f"draw:{key}"].start
                     it = (col, col + 1)
                 else:
-                    it = self.maps.port_tvar[pb.key]
-                self._stamp("eq", rr, it[0], 1.0)
-                self._stamp("eq", ri, it[1], 1.0)
+                    it = self.maps.port_tvar[key]
+                stamp(rr, it[0], 1.0)
+                stamp(ri, it[1], 1.0)
             if pb.mode in ("internal", "d_head", "d_phasor"):
                 dnet = self._net_of_bus[spec.d_bus]
-                idv = self.maps.port_dvar[pb.key]
+                idv = self.maps.port_dvar[key]
                 for k, ph in enumerate("abc"):
                     rr, ri = self.maps.kcl_row[(dnet, spec.d_bus, ph)]
-                    self._stamp("eq", rr, idv[2 * k], -1.0)
-                    self._stamp("eq", ri, idv[2 * k + 1], -1.0)
+                    stamp(rr, idv[2 * k], -1.0)
+                    stamp(ri, idv[2 * k + 1], -1.0)
             if pb.mode == "internal":
-                it = self.maps.port_tvar[pb.key]
-                idv = self.maps.port_dvar[pb.key]
-                for r, part in enumerate("ri"):
-                    row = self._new_eq(f"c1{part}:{pb.key}")
-                    self._stamp("eq", row, it[r], 1.0)
+                it = self.maps.port_tvar[key]
+                idv = self.maps.port_dvar[key]
+                first = self._new_rows("eq", 2, partial(_port_labels, ("c1r", "c1i"), key))
+                for r in range(2):
+                    stamp(first + r, it[r], 1.0)
                     for cidx in range(6):
-                        self._stamp("eq", row, idv[cidx], -_AGG[r, cidx] / (3 * kappa))
+                        stamp(first + r, idv[cidx], -_AGG[r, cidx] / (3 * kappa))
             if pb.mode in ("internal", "d_phasor"):
                 # the head voltages are the balanced expansion of the POI
                 # voltage, or of a 'd_phasor' port's local phasor
                 dnet = self._net_of_bus[spec.d_bus]
-                tu, tv = self.maps.poi_v[pb.key]
+                tu, tv = self.maps.poi_v[key]
+                row = self._new_rows("eq", 6, partial(
+                    _node_labels, ("c2r", "c2i"), [(key, ph) for ph in "abc"]))
                 for k, ph in enumerate("abc"):
-                    du, dv = self.maps.v_slot[(dnet, spec.d_bus, ph)]
-                    for c, slot in ((0, du), (1, dv)):
-                        row = self._new_eq(f"c2{'ri'[c]}:{pb.key}:{ph}")
-                        self._stamp("eq", row, slot, 1.0)
-                        self._stamp("eq", row, tu, -_DIST[2 * k + c, 0])
-                        self._stamp("eq", row, tv, -_DIST[2 * k + c, 1])
+                    for c, slot in enumerate(self.maps.v_slot[(dnet, spec.d_bus, ph)]):
+                        stamp(row, slot, 1.0)
+                        stamp(row, tu, -_DIST[2 * k + c, 0])
+                        stamp(row, tv, -_DIST[2 * k + c, 1])
+                        row += 1
+        self._stamp("eq", rows, cols, vals)
 
     # -- inequality rows --------------------------------------------------------
 
-    def _rows_inequalities(self):
-        for net in self.net_list:
-            nm = net.name
-            for bus in net.buses:
-                if bus.kind == "slack" or (nm, bus.id) in self._heads:
-                    continue
-                for ph in bus.phases:
-                    iu, iv = self.maps.v_slot[(nm, bus.id, ph)]
-                    row = self._new_in(f"vlo:{bus.id}:{ph}")
-                    self.vmag.append((row, iu, iv, -1.0, bus.v_min ** 2))
-                    row = self._new_in(f"vhi:{bus.id}:{ph}")
-                    self.vmag.append((row, iu, iv, 1.0, -bus.v_max ** 2))
-            for bidx, br in enumerate(net.branches):
-                if br.flow_limit is None:
-                    continue
-                k = len(br.phases)
-                rows = np.array([self._new_in(f"flow:{bidx}:{br.from_bus}-{br.to_bus}:{ph}")
-                                 for ph in br.phases])
-                cols, c_r, c_i = self._branch_current(nm, br)
-                self.flows.append((rows, np.ones(k), np.full(k, -br.flow_limit ** 2),
-                                   np.tile(cols, (k, 1)), c_r, c_i))
-            for (onet, obus, ph), qvar in self.maps.pv_qvar.items():
-                if onet != nm:
-                    continue
-                q, (lo, hi) = self.injection[nm][(obus, ph)][1::2]
-                if np.isfinite(hi):          # q_net >= q_load - q_max
-                    self._stamp("in", self._new_in(f"qlo:{obus}:{ph}"), qvar, -1.0, q - hi)
-                if np.isfinite(lo):          # q_net <= q_load - q_min
-                    self._stamp("in", self._new_in(f"qhi:{obus}:{ph}"), qvar, 1.0, -(q - lo))
-        if self.norm == "l1":
-            # the epigraph rows s - t <= 0, -s - t <= 0 and -t <= 0 of each
-            # source component, stamped in bulk
-            flat = [vi for s in self.sources for vi in s.var_index]
-            for svar, tvar in zip(flat, self.epi_idx):
-                tag, r = self.var_label[svar], self.n_in
-                self.in_label += [f"epi+:{tag}", f"epi-:{tag}", f"epi0:{tag}"]
-                self.n_in += 3
-                self.linear["in"] += (r, svar, 1.0, r, tvar, -1.0, r + 1, svar, -1.0,
-                                      r + 1, tvar, -1.0, r + 2, tvar, -1.0)
+    def _rows_inequalities(self, nd):
+        # magnitude bounds on every node but the slack and torn feeder heads
+        bounded = ~(nd.slack | nd.head)
+        pairs, buses = nd.pick(bounded, nd.pairs), nd.pick(bounded, nd.buses)
+        if pairs:
+            m = len(pairs)
+            row = self._new_rows("in", 2 * m, partial(_node_labels, ("vlo", "vhi"), pairs))
+            rows = np.arange(row, row + 2 * m, 2)
+            iu, iv, one = nd.iu[bounded], nd.iv[bounded], np.ones(m)
+            self.vmag.append(_interleaved(
+                [rows, iu, iv, -one, [b.v_min ** 2 for b in buses]],
+                [rows + 1, iu, iv, one, [-b.v_max ** 2 for b in buses]]))
+        limited = [(i, br) for i, br in enumerate(nd.net.branches) if br.flow_limit is not None]
+        if limited:
+            brs = [br for _, br in limited]
+            current = {}
+            for idx, _, cols, c in self._branch_currents(nd, brs):
+                current.update(zip(idx, zip(cols, c)))
+            row = self._new_rows("in", sum(len(br.phases) for br in brs),
+                                 partial(_flow_labels, limited))
+            for j, br in enumerate(brs):
+                (cols, (c_r, c_i)), k = current[j], len(br.phases)
+                self.flows.append((row + np.arange(k), np.ones(k),
+                                   np.full(k, -br.flow_limit ** 2), np.tile(cols, (k, 1)),
+                                   c_r, c_i))
+                row += k
+        if nd.n_pv:
+            # q_net >= q_load - q_max and q_net <= q_load - q_min, where finite
+            box = []                    # (label, bus, phase, q column, coefficient, constant)
+            for i, (b, ph), qvar in zip(nd.pv.nonzero()[0].tolist(), nd.pick(nd.pv, nd.pairs),
+                                        nd.qvar.tolist()):
+                q, lo, hi = nd.q[i], nd.lo[i], nd.hi[i]
+                if math.isfinite(hi):
+                    box.append(("qlo", b, ph, qvar, -1.0, q - hi))
+                if math.isfinite(lo):
+                    box.append(("qhi", b, ph, qvar, 1.0, -(q - lo)))
+            first = self._new_rows("in", len(box), partial(_tagged_labels, box))
+            if box:
+                _, _, _, cols, vals, const = zip(*box)
+                self._stamp("in", np.arange(first, first + len(box)), cols, vals, const)
+
+    def _rows_epigraph(self):
+        """The rows s - t <= 0, -s - t <= 0 and -t <= 0 of each source
+        component s and its epigraph auxiliary t (L1 objective)."""
+        s, t = self.src_idx, self.epi_idx
+        n = len(s)
+        row = self._new_rows("in", 3 * n, partial(_epigraph_row_labels, self._src_labels)) + \
+            3 * np.arange(n)
+        self._stamp("in", np.concatenate([row, row, row + 1, row + 1, row + 2]),
+                    np.concatenate([s, t, s, t, t]), np.repeat([1.0, -1.0, -1.0, -1.0, -1.0], n))
 
 
 def build_problem(nets, ports=(), *, source_kind="current", norm="l2",

@@ -8,6 +8,11 @@ transmission side on ``base_mva``, each distribution side on the
 ``(s_base, v_base)`` pair of its coupling.  Loader output is immutable in
 spirit: networks are plain dataclasses that downstream code treats as
 read-only, so they are safe to share across worker threads.
+
+Loading validates every field and raises :class:`CaseError` naming the
+first one at fault, a non-finite number included (JSON readers accept
+``NaN`` and ``Infinity``).  A message is formatted only when its check
+fails, since a large case runs tens of thousands of checks.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 TRANSMISSION_PHASE = "1"
@@ -27,22 +33,22 @@ class CaseError(ValueError):
     """Raised when a case or partition file violates the schema."""
 
 
-def _phase_tuple(raw, where: str) -> tuple[str, ...]:
+def _phase_tuple(raw, where) -> tuple[str, ...]:
     if isinstance(raw, str):
         items = list(raw)
     elif isinstance(raw, (list, tuple)):
         items = [str(p) for p in raw]
     else:
-        raise CaseError(f"{where}: 'phases' must be a string or list, got {raw!r}")
+        raise CaseError(f"{where()}: 'phases' must be a string or list, got {raw!r}")
     if not items:
-        raise CaseError(f"{where}: 'phases' must be non-empty")
+        raise CaseError(f"{where()}: 'phases' must be non-empty")
     if items == [TRANSMISSION_PHASE]:
         return (TRANSMISSION_PHASE,)
     bad = [p for p in items if p not in DIST_PHASES]
     if bad:
-        raise CaseError(f"{where}: unknown phase(s) {bad}; expected subset of 'abc' or '1'")
+        raise CaseError(f"{where()}: unknown phase(s) {bad}; expected subset of 'abc' or '1'")
     if len(set(items)) != len(items):
-        raise CaseError(f"{where}: repeated phase in {items}")
+        raise CaseError(f"{where()}: repeated phase in {items}")
     return tuple(p for p in DIST_PHASES if p in items)
 
 
@@ -150,105 +156,137 @@ class Partition:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# validation helpers: an element's location (``where``) is a function that
+# formats it, called only when a check fails
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise CaseError(msg)
+def _number(raw: dict, key: str, where, nan_only: bool = False) -> float:
+    """``raw[key]`` as a float.  JSON readers accept ``NaN`` and
+    ``Infinity``; any non-finite value is an error naming the field, or with
+    ``nan_only`` (for fields whose default is infinite) a NaN only."""
+    v = float(raw[key])
+    if v != v or not (nan_only or math.isfinite(v)):
+        raise CaseError(f"{where()}: '{key}' must be finite, got {v}")
+    return v
 
 
 def _validate_bus(raw: dict, net_name: str) -> Bus:
-    where = f"network '{net_name}' bus {raw.get('id', '<missing id>')!r}"
+    def where():
+        return f"network '{net_name}' bus {raw.get('id', '<missing id>')!r}"
     for key in ("id", "kind", "phases", "v_min", "v_max", "infeasibility_eligible"):
-        _require(key in raw, f"{where}: missing field '{key}'")
+        if key not in raw:
+            raise CaseError(f"{where()}: missing field '{key}'")
     kind = str(raw["kind"]).lower()
-    _require(kind in BUS_KINDS, f"{where}: kind must be one of {BUS_KINDS}, got {raw['kind']!r}")
+    if kind not in BUS_KINDS:
+        raise CaseError(f"{where()}: kind must be one of {BUS_KINDS}, got {raw['kind']!r}")
     phases = _phase_tuple(raw["phases"], where)
-    v_min, v_max = float(raw["v_min"]), float(raw["v_max"])
-    _require(0.0 < v_min < v_max, f"{where}: need 0 < v_min < v_max, got ({v_min}, {v_max})")
+    v_min, v_max = _number(raw, "v_min", where), _number(raw, "v_max", where)
+    if not 0.0 < v_min < v_max:
+        raise CaseError(f"{where()}: need 0 < v_min < v_max, got ({v_min}, {v_max})")
     v_set = raw.get("v_set")
     if kind == "pq":
-        _require(v_set is None, f"{where}: 'v_set' only valid on slack/pv buses")
+        if v_set is not None:
+            raise CaseError(f"{where()}: 'v_set' only valid on slack/pv buses")
+    elif v_set is None:
+        raise CaseError(f"{where()}: kind '{kind}' requires 'v_set'")
     else:
-        _require(v_set is not None, f"{where}: kind '{kind}' requires 'v_set'")
-        v_set = float(v_set)
-        _require(v_set > 0, f"{where}: 'v_set' must be positive")
+        v_set = _number(raw, "v_set", where)
+        if not v_set > 0:
+            raise CaseError(f"{where()}: 'v_set' must be positive")
     eligible = bool(raw["infeasibility_eligible"])
-    _require(not (kind == "slack" and eligible),
-             f"{where}: slack buses must have infeasibility_eligible = false")
+    if kind == "slack" and eligible:
+        raise CaseError(f"{where()}: slack buses must have infeasibility_eligible = false")
     return Bus(id=str(raw["id"]), kind=kind, phases=phases, v_set=v_set,
                v_min=v_min, v_max=v_max, infeasibility_eligible=eligible,
-               x=None if raw.get("x") is None else float(raw["x"]),
-               y=None if raw.get("y") is None else float(raw["y"]))
+               x=None if raw.get("x") is None else _number(raw, "x", where),
+               y=None if raw.get("y") is None else _number(raw, "y", where))
 
 
-def _validate_matrix(raw, n: int, where: str, name: str) -> tuple[tuple[float, ...], ...]:
-    _require(isinstance(raw, list) and len(raw) == n,
-             f"{where}: '{name}' must be a {n}x{n} matrix over the shared phase set")
+def _validate_matrix(raw, n: int, where, name: str) -> tuple[tuple[float, ...], ...]:
+    if not (isinstance(raw, list) and len(raw) == n):
+        raise CaseError(f"{where()}: '{name}' must be a {n}x{n} matrix over the shared "
+                        f"phase set")
     rows = []
     for r in raw:
-        _require(isinstance(r, list) and len(r) == n, f"{where}: '{name}' row length != {n}")
-        vals = tuple(float(v) for v in r)
-        _require(all(abs(v) < float("inf") and v == v for v in vals),
-                 f"{where}: '{name}' must be finite")
+        if not (isinstance(r, list) and len(r) == n):
+            raise CaseError(f"{where()}: '{name}' row length != {n}")
+        vals = tuple(map(float, r))
+        if not all(map(math.isfinite, vals)):
+            raise CaseError(f"{where()}: '{name}' must be finite")
         rows.append(vals)
     return tuple(rows)
 
 
 def _validate_branch(raw: dict, net: Network) -> Branch:
-    where = f"network '{net.name}' branch {raw.get('from', '?')}-{raw.get('to', '?')}"
+    def where():
+        return f"network '{net.name}' branch {raw.get('from', '?')}-{raw.get('to', '?')}"
     for key in ("from", "to", "G", "B"):
-        _require(key in raw, f"{where}: missing field '{key}'")
+        if key not in raw:
+            raise CaseError(f"{where()}: missing field '{key}'")
     f, t = str(raw["from"]), str(raw["to"])
     for bid in (f, t):
-        _require(net.has_bus(bid), f"{where}: references unknown bus id '{bid}'")
-    shared = tuple(p for p in net.bus(f).phases if p in net.bus(t).phases)
-    _require(len(shared) > 0, f"{where}: endpoints share no phase")
+        if not net.has_bus(bid):
+            raise CaseError(f"{where()}: references unknown bus id '{bid}'")
+    to_phases = net.bus(t).phases
+    shared = tuple(p for p in net.bus(f).phases if p in to_phases)
+    if not shared:
+        raise CaseError(f"{where()}: endpoints share no phase")
     g = _validate_matrix(raw["G"], len(shared), where, "G")
     b = _validate_matrix(raw["B"], len(shared), where, "B")
     lim = raw.get("flow_limit")
     if lim is not None:
-        lim = float(lim)
-        _require(lim > 0, f"{where}: 'flow_limit' must be positive")
+        lim = _number(raw, "flow_limit", where)
+        if not lim > 0:
+            raise CaseError(f"{where()}: 'flow_limit' must be positive")
     return Branch(from_bus=f, to_bus=t, phases=shared, g=g, b=b, flow_limit=lim)
 
 
-def _validate_phase_map(raw, bus: Bus, where: str, name: str) -> dict[str, float]:
+def _validate_phase_map(raw, bus: Bus, where, name: str) -> dict[str, float]:
     if raw is None:
         return {}
-    _require(isinstance(raw, dict), f"{where}: '{name}' must map phase -> value")
-    out = {}
-    for ph, val in raw.items():
-        _require(ph in bus.phases, f"{where}: phase '{ph}' not connected at bus '{bus.id}'")
-        out[ph] = float(val)
+    if not isinstance(raw, dict):
+        raise CaseError(f"{where()}: '{name}' must map phase -> value")
+    for ph in raw:
+        if ph not in bus.phases:
+            raise CaseError(f"{where()}: phase '{ph}' not connected at bus '{bus.id}'")
+    out = {ph: float(val) for ph, val in raw.items()}
+    if not all(map(math.isfinite, out.values())):
+        raise CaseError(f"{where()}: '{name}' must be finite, got {out}")
     return out
 
 
-def _validate_load(raw: dict, net: Network) -> Load:
-    where = f"network '{net.name}' load at {raw.get('bus', '?')!r}"
-    _require("bus" in raw, f"{where}: missing field 'bus'")
+def _device_bus(raw: dict, net: Network, where) -> Bus:
+    """The bus a load or generator names."""
+    if "bus" not in raw:
+        raise CaseError(f"{where()}: missing field 'bus'")
     bid = str(raw["bus"])
-    _require(net.has_bus(bid), f"{where}: references unknown bus id '{bid}'")
-    bus = net.bus(bid)
-    return Load(bus=bid, p=_validate_phase_map(raw.get("p"), bus, where, "p"),
+    if not net.has_bus(bid):
+        raise CaseError(f"{where()}: references unknown bus id '{bid}'")
+    return net.bus(bid)
+
+
+def _validate_load(raw: dict, net: Network) -> Load:
+    def where():
+        return f"network '{net.name}' load at {raw.get('bus', '?')!r}"
+    bus = _device_bus(raw, net, where)
+    return Load(bus=bus.id, p=_validate_phase_map(raw.get("p"), bus, where, "p"),
                 q=_validate_phase_map(raw.get("q"), bus, where, "q"))
 
 
 def _validate_generator(raw: dict, net: Network) -> Generator:
-    where = f"network '{net.name}' generator at {raw.get('bus', '?')!r}"
-    _require("bus" in raw, f"{where}: missing field 'bus'")
-    bid = str(raw["bus"])
-    _require(net.has_bus(bid), f"{where}: references unknown bus id '{bid}'")
-    bus = net.bus(bid)
+    def where():
+        return f"network '{net.name}' generator at {raw.get('bus', '?')!r}"
+    bus = _device_bus(raw, net, where)
     mode = str(raw.get("mode", "pq")).lower()
-    _require(mode in ("pq", "pv"), f"{where}: mode must be 'pq' or 'pv'")
-    if mode == "pv":
-        _require(bus.kind == "pv", f"{where}: pv-mode generator requires a pv bus")
-    q_min = float(raw.get("q_min", float("-inf")))
-    q_max = float(raw.get("q_max", float("inf")))
-    _require(q_min <= q_max, f"{where}: q_min must be <= q_max")
-    return Generator(bus=bid, mode=mode,
+    if mode not in ("pq", "pv"):
+        raise CaseError(f"{where()}: mode must be 'pq' or 'pv'")
+    if mode == "pv" and bus.kind != "pv":
+        raise CaseError(f"{where()}: pv-mode generator requires a pv bus")
+    q_min = _number(raw, "q_min", where, nan_only=True) if "q_min" in raw else -math.inf
+    q_max = _number(raw, "q_max", where, nan_only=True) if "q_max" in raw else math.inf
+    if not q_min <= q_max:
+        raise CaseError(f"{where()}: q_min must be <= q_max")
+    return Generator(bus=bus.id, mode=mode,
                      p=_validate_phase_map(raw.get("p"), bus, where, "p"),
                      q=_validate_phase_map(raw.get("q"), bus, where, "q"),
                      q_min=q_min, q_max=q_max)
@@ -268,40 +306,43 @@ def _check_connected(net: Network):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    missing = [b.id for b in net.buses if b.id not in seen]
-    _require(not missing, f"network '{net.name}' is disconnected; unreachable buses {missing}")
+    if len(seen) < len(net.buses):
+        missing = [b.id for b in net.buses if b.id not in seen]
+        raise CaseError(f"network '{net.name}' is disconnected; unreachable buses {missing}")
 
 
 def _validate_network(raw: dict, idx: int, base_mva: float) -> Network:
     side = str(raw.get("side", "")).lower()
-    _require(side in ("transmission", "distribution"),
-             f"network[{idx}]: 'side' must be transmission|distribution, got {raw.get('side')!r}")
+    if side not in ("transmission", "distribution"):
+        raise CaseError(f"network[{idx}]: 'side' must be transmission|distribution, "
+                        f"got {raw.get('side')!r}")
     name = str(raw.get("name", f"{side[0]}{idx}"))
     buses = [_validate_bus(b, name) for b in raw.get("buses", [])]
-    _require(buses, f"network '{name}': needs at least one bus")
-    ids = [b.id for b in buses]
-    dup = {i for i in ids if ids.count(i) > 1}
-    _require(not dup, f"network '{name}': duplicate bus ids {sorted(dup)}")
-    if side == "transmission":
-        for b in buses:
-            _require(b.phases == (TRANSMISSION_PHASE,),
-                     f"network '{name}' bus '{b.id}': transmission buses carry phase '1' only")
-    else:
-        for b in buses:
-            _require(TRANSMISSION_PHASE not in b.phases,
-                     f"network '{name}' bus '{b.id}': distribution buses carry phases from 'abc'")
+    if not buses:
+        raise CaseError(f"network '{name}': needs at least one bus")
     net = Network(name=name, side=side, buses=buses, branches=[], loads=[],
                   generators=[], base_mva=base_mva)
+    if len(net._by_id) < len(buses):
+        count = Counter(b.id for b in buses)
+        dup = sorted(i for i, c in count.items() if c > 1)
+        raise CaseError(f"network '{name}': duplicate bus ids {dup}")
+    for b in buses:
+        if side == "transmission" and b.phases != (TRANSMISSION_PHASE,):
+            raise CaseError(f"network '{name}' bus '{b.id}': transmission buses carry "
+                            f"phase '1' only")
+        if side == "distribution" and TRANSMISSION_PHASE in b.phases:
+            raise CaseError(f"network '{name}' bus '{b.id}': distribution buses carry "
+                            f"phases from 'abc'")
     net.branches = [_validate_branch(br, net) for br in raw.get("branches", [])]
     net.loads = [_validate_load(ld, net) for ld in raw.get("loads", [])]
     net.generators = [_validate_generator(g, net) for g in raw.get("generators", [])]
     n_slack = len(net.slack_buses)
-    if side == "transmission":
-        _require(n_slack == 1, f"network '{name}': transmission networks need exactly one "
-                               f"slack bus, found {n_slack}")
-    else:
-        _require(n_slack == 0, f"network '{name}': distribution networks take their reference "
-                               f"from the coupling node, not an internal slack")
+    if side == "transmission" and n_slack != 1:
+        raise CaseError(f"network '{name}': transmission networks need exactly one "
+                        f"slack bus, found {n_slack}")
+    if side == "distribution" and n_slack:
+        raise CaseError(f"network '{name}': distribution networks take their reference "
+                        f"from the coupling node, not an internal slack")
     _check_connected(net)
     return net
 
@@ -314,59 +355,79 @@ def load_case(path) -> tuple[list[Network], list[CouplingSpec]]:
 
 
 def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
-    _require("base_mva" in raw, "case: missing field 'base_mva'")
-    base_mva = float(raw["base_mva"])
-    _require(base_mva > 0, f"case: 'base_mva' must be positive, got {base_mva}")
+    if "base_mva" not in raw:
+        raise CaseError("case: missing field 'base_mva'")
+    base_mva = _number(raw, "base_mva", lambda: "case")
+    if not base_mva > 0:
+        raise CaseError(f"case: 'base_mva' must be positive, got {base_mva}")
     nets = [_validate_network(n, i, base_mva) for i, n in enumerate(raw.get("networks", []))]
-    _require(nets, "case: needs at least one network")
+    if not nets:
+        raise CaseError("case: needs at least one network")
     names = [n.name for n in nets]
-    _require(len(set(names)) == len(names), f"case: duplicate network names {names}")
+    if len(set(names)) != len(names):
+        raise CaseError(f"case: duplicate network names {names}")
     all_ids: dict[str, str] = {}
     for net in nets:
         for b in net.buses:
-            _require(b.id not in all_ids,
-                     f"bus id '{b.id}' appears in both '{all_ids.get(b.id)}' and '{net.name}'")
+            if b.id in all_ids:
+                raise CaseError(f"bus id '{b.id}' appears in both '{all_ids[b.id]}' and "
+                                f"'{net.name}'")
             all_ids[b.id] = net.name
     by_name = {n.name: n for n in nets}
 
     couplings = []
+    ported = set()
     for i, c in enumerate(raw.get("couplings", [])):
         where = f"coupling[{i}]"
         for key in ("t_bus", "d_bus", "s_base", "v_base"):
-            _require(key in c, f"{where}: missing field '{key}'")
+            if key not in c:
+                raise CaseError(f"{where}: missing field '{key}'")
         t_bus, d_bus = str(c["t_bus"]), str(c["d_bus"])
-        _require(t_bus in all_ids, f"{where}: references unknown bus id '{t_bus}'")
-        _require(d_bus in all_ids, f"{where}: references unknown bus id '{d_bus}'")
+        for bid in (t_bus, d_bus):
+            if bid not in all_ids:
+                raise CaseError(f"{where}: references unknown bus id '{bid}'")
         t_net, d_net = by_name[all_ids[t_bus]], by_name[all_ids[d_bus]]
-        _require(t_net.side == "transmission", f"{where}: 't_bus' must sit in a transmission network")
-        _require(d_net.side == "distribution", f"{where}: 'd_bus' must sit in a distribution network")
-        _require(d_net.bus(d_bus).phases == DIST_PHASES,
-                 f"{where}: coupling node '{d_bus}' must carry all three phases")
-        _require(d_net.bus(d_bus).kind == "pq",
-                 f"{where}: coupling node '{d_bus}' must be a pq bus (its "
-                 f"voltage is set by the transmission side)")
-        _require(all(c2.d_bus != d_bus for c2 in couplings),
-                 f"{where}: coupling node '{d_bus}' already has a port")
-        s_base, v_base = float(c["s_base"]), float(c["v_base"])
-        _require(s_base > 0 and v_base > 0, f"{where}: 's_base' and 'v_base' must be positive")
+        if t_net.side != "transmission":
+            raise CaseError(f"{where}: 't_bus' must sit in a transmission network")
+        if d_net.side != "distribution":
+            raise CaseError(f"{where}: 'd_bus' must sit in a distribution network")
+        if d_net.bus(d_bus).phases != DIST_PHASES:
+            raise CaseError(f"{where}: coupling node '{d_bus}' must carry all three phases")
+        if d_net.bus(d_bus).kind != "pq":
+            raise CaseError(f"{where}: coupling node '{d_bus}' must be a pq bus (its "
+                            f"voltage is set by the transmission side)")
+        if d_bus in ported:
+            raise CaseError(f"{where}: coupling node '{d_bus}' already has a port")
+        s_base = _number(c, "s_base", lambda: where)
+        v_base = _number(c, "v_base", lambda: where)
+        if not (s_base > 0 and v_base > 0):
+            raise CaseError(f"{where}: 's_base' and 'v_base' must be positive")
         spec = CouplingSpec(t_bus=t_bus, d_bus=d_bus, s_base=s_base, v_base=v_base)
         d_net.power_base_va = s_base
         d_net.voltage_base_v = v_base
+        ported.add(d_bus)
         couplings.append(spec)
 
     coupled = {all_ids[c.d_bus] for c in couplings}
     for net in nets:
+        pv_gens: dict[str, list[Generator]] = {}
+        for g in net.generators:
+            if g.mode == "pv":
+                pv_gens.setdefault(g.bus, []).append(g)
         for b in (b for b in net.buses if b.kind == "pv"):
-            pv = [g for g in net.generators if g.bus == b.id and g.mode == "pv"]
-            _require(pv, f"network '{net.name}' pv bus '{b.id}': needs a pv-mode generator")
+            pv = pv_gens.get(b.id)
+            if not pv:
+                raise CaseError(f"network '{net.name}' pv bus '{b.id}': needs a pv-mode "
+                                f"generator")
             lo, hi = sum(g.q_min for g in pv), sum(g.q_max for g in pv)
-            _require(lo < hi or not math.isfinite(lo + hi), f"network '{net.name}' pv bus "
-                     f"'{b.id}': reactive box must have q_min < q_max")
+            if not (lo < hi or not math.isfinite(lo + hi)):
+                raise CaseError(f"network '{net.name}' pv bus '{b.id}': reactive box must "
+                                f"have q_min < q_max")
         if net.side == "transmission":
             net.power_base_va = base_mva * 1e6
-        else:
-            _require(net.name in coupled,
-                     f"network '{net.name}': distribution network has no coupling node")
+        elif net.name not in coupled:
+            raise CaseError(f"network '{net.name}': distribution network has no coupling "
+                            f"node")
     return nets, couplings
 
 
@@ -466,22 +527,27 @@ def load_partition(path, nets: list[Network],
 
 def partition_from_dict(raw: dict, nets: list[Network],
                         couplings: list[CouplingSpec]) -> Partition:
-    _require("subproblems" in raw, "partition: missing field 'subproblems'")
+    if "subproblems" not in raw:
+        raise CaseError("partition: missing field 'subproblems'")
     known = {n.name for n in nets}
     assigned: dict[str, str] = {}
     subs = []
     for i, s in enumerate(raw["subproblems"]):
         name = str(s.get("name", f"sub{i}"))
         members = [str(m) for m in s.get("networks", [])]
-        _require(members, f"partition subproblem '{name}': empty network list")
+        if not members:
+            raise CaseError(f"partition subproblem '{name}': empty network list")
         for m in members:
-            _require(m in known, f"partition subproblem '{name}': unknown network '{m}'")
-            _require(m not in assigned,
-                     f"network '{m}' assigned to both '{assigned.get(m)}' and '{name}'")
+            if m not in known:
+                raise CaseError(f"partition subproblem '{name}': unknown network '{m}'")
+            if m in assigned:
+                raise CaseError(f"network '{m}' assigned to both '{assigned[m]}' and "
+                                f"'{name}'")
             assigned[m] = name
         subs.append(Subproblem(name=name, networks=members))
     missing = sorted(known - set(assigned))
-    _require(not missing, f"partition: networks {missing} not assigned to any subproblem")
+    if missing:
+        raise CaseError(f"partition: networks {missing} not assigned to any subproblem")
     return _finish_partition(subs, nets, couplings)
 
 

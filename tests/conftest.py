@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -44,6 +45,55 @@ def head_cell(name: str, kind="current"):
     prob.set_params(f"headv:{port.key}", distribute_voltage_t_to_d(port, 1.01, 0.02))
     prob.set_params(f"price:{port.key}", 0.1 * np.arange(6))
     return prob, port.key
+
+
+def problem_digest(problem, seed=0, rho=1.7, names=True):
+    """SHA-256 hex digest of everything a build fixes and every array the
+    problem evaluates.
+
+    It hashes the labels, the parameter slots, the sources and the index
+    maps (``repr``, so key order and Python-int values count), ``x0`` and
+    ``nonlinear_cols``, then, at ``x0 + 0.01 N(0, 1)`` with multipliers in
+    [0, 1) and parameters ``1 + 0.05 N(0, 1)`` drawn from ``seed``, both
+    residuals, both Jacobians, the Lagrangian Hessian and the four
+    parameter blocks (each matrix as data, indices, indptr and shape).  A
+    consensus agent (an object with a ``base`` problem) is evaluated at
+    penalty weight ``rho``, so its Hessian is ``W + rho P``.  Two builds
+    with the same digest give the same arrays bit for bit.  With ``names``
+    false, the bus and port names are left out: the labels, and the keys of
+    the index maps and parameter slots (their values stay, in key order).
+    """
+    base = getattr(problem, "base", problem)
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+
+    def put(*items):
+        for item in items:
+            if isinstance(item, np.ndarray):
+                h.update(repr((item.dtype.str, item.shape)).encode())
+                h.update(np.ascontiguousarray(item).tobytes())
+            elif hasattr(item, "indptr"):
+                put(item.data, item.indices, item.indptr, item.shape)
+            else:
+                h.update(repr(item).encode())
+
+    if names:
+        put(list(base.var_label), list(base.eq_label), list(base.in_label),
+            base.param_slots, base.sources, base.maps)
+    else:
+        put(list(base.param_slots.values()),
+            [(s.kind, s.components, s.var_index) for s in base.sources],
+            [list(m.values()) for m in vars(base.maps).values()])
+    put(base.x0(), base.nonlinear_cols)
+    x = base.x0() + 0.01 * rng.standard_normal(base.nvar)
+    lam, mu = rng.random(base.n_eq), rng.random(base.n_in)
+    base.params[:] = 1.0 + 0.05 * rng.standard_normal(base.n_param)
+    if base is not problem:
+        problem.rho = rho
+    put(problem.residual_eq(x), problem.residual_in(x), problem.jac_eq(x),
+        problem.jac_in(x), problem.hess_lagrangian(x, lam, mu),
+        *base.param_derivatives(x, lam, mu))
+    return h.hexdigest()
 
 
 def source_values(problem, x):

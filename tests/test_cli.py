@@ -63,6 +63,33 @@ def test_malformed_pv_bus_exits_one(tmp_path, capsys, edit):
     assert err.startswith("error: ") and "pv bus 't2'" in err
 
 
+def _net(raw, side):
+    return next(n for n in raw["networks"] if n["side"] == side)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda raw: _net(raw, "distribution")["loads"][0]["p"].update(a=float("nan")), "'p'"),
+    (lambda raw: _net(raw, "distribution")["buses"][1].update(v_max=float("inf")), "'v_max'"),
+    (lambda raw: _net(raw, "distribution")["branches"][0].update(flow_limit=float("inf")),
+     "'flow_limit'"),
+    (lambda raw: _net(raw, "distribution")["buses"][1].update(x=float("nan")), "'x'"),
+    (lambda raw: [g.update(q_max=float("nan")) for g in _net(raw, "transmission")["generators"]
+                  if g.get("mode") == "pv"], "'q_max'"),
+], ids=["load-p-nan", "v_max-inf", "flow_limit-inf", "x-nan", "q_max-nan"])
+def test_non_finite_number_exits_one_naming_the_field(tmp_path, capsys, edit, field):
+    """JSON readers accept NaN and Infinity; a case holding one is an input
+    error (exit 1), not a failed solve (exit 2) or a report with NaN in it."""
+    with open(case_path("case_micro_td")) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    bad = tmp_path / "case.json"
+    bad.write_text(json.dumps(raw))
+    code = run_cli(["--case", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be finite" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--tol-kkt", "-1"),
                                          ("--tol-gauss", "0"),
                                          ("--max-epochs", "0"),

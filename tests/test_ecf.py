@@ -1,13 +1,18 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridweld import build_problem
-from gridweld.netmodel import case_from_dict
+from gridweld import CouplingPort, PortBuild, build_problem
+from gridweld.ecf import CircuitProblem, _Builder
+from gridweld.netmodel import Branch, Bus, Network, case_from_dict
 
-from conftest import centralized_problem, interior_point
+from conftest import centralized_problem, interior_point, load
 from oracles import fd_jacobian, solve_power_flow
 from test_netmodel import minimal_two_bus
 
@@ -224,3 +229,60 @@ def test_fixed_matrix_products_match_scipy_bit_for_bit(case):
         got = M.transpose_times(v)
         assert got.shape == (A.T @ v).shape and np.array_equal(got, A.T @ v)
     assert np.array_equal(M.toarray(), A.toarray())
+
+
+# -- branch entries sum in branch order --------------------------------------
+
+
+def test_branch_entries_sum_in_branch_order():
+    """A bus's own-voltage entry in its KCL rows sums one term per incident
+    branch, in branch order.  Here single-phase laterals (+1 and -1) come
+    before and after a three-phase branch with a tiny self-conductance, so
+    summing the single-phase branches first would give the tiny term, not
+    the branch-order 0.0.  The reference is the per-branch loop."""
+    def bus(bid, phases):
+        return Bus(bid, "pq", phases, None, 0.9, 1.1, False)
+
+    def branch(f, t, phases, g):
+        k = len(phases)
+        return Branch(f, t, phases, tuple(tuple(g if i == j else 0.0 for j in range(k))
+                                          for i in range(k)), ((0.0,) * k,) * k)
+
+    abc = ("a", "b", "c")
+    net = Network("d", "distribution", [bus("x", abc), bus("p", abc), bus("l1", ("a",)),
+                                        bus("l2", ("a",))],
+                  [branch("x", "l1", ("a",), 1.0), branch("p", "x", abc, 1e-17),
+                   branch("x", "l2", ("a",), -1.0)], [], [], 100.0)
+    prob = build_problem([net], source_kind=None)
+    want: dict = {}
+    for br in net.branches:
+        for i, ph in enumerate(br.phases):
+            for end, sign in ((br.from_bus, 1.0), (br.to_bus, -1.0)):
+                row = prob.maps.kcl_row[("d", end, ph)][0]
+                for j, qh in enumerate(br.phases):
+                    for other, s in ((br.from_bus, 1.0), (br.to_bus, -1.0)):
+                        col = prob.maps.v_slot[("d", other, qh)][0]
+                        want[row, col] = want.get((row, col), 0.0) + sign * s * br.g[i][j]
+    J = prob.jac_eq(prob.x0()).toarray()
+    got = {rc: J[rc] for rc in want}
+    assert got == want
+    x_a = (prob.maps.kcl_row[("d", "x", "a")][0], prob.maps.v_slot[("d", "x", "a")][0])
+    assert got[x_a] == 0.0 != (1.0 + -1.0) + 1e-17
+
+
+def test_problem_pickles_and_does_not_keep_its_builder():
+    """Labels are formatted when first read, from recipes the problem keeps;
+    they pickle, give the labels the problem gives, and hold no reference
+    to the builder."""
+    nets, coups = load("case_micro_flowcap")
+    builder = _Builder(nets, [PortBuild(CouplingPort(c), "internal") for c in coups],
+                       "power", "l1", False)
+    prob, ref = CircuitProblem(builder), weakref.ref(builder)
+    del builder
+    gc.collect()
+    assert ref() is None
+    copy = pickle.loads(pickle.dumps(prob))
+    for name in ("var_label", "eq_label", "in_label"):
+        assert getattr(copy, name) == getattr(prob, name)
+    x = prob.x0()
+    assert np.array_equal(copy.residual_eq(x), prob.residual_eq(x))

@@ -46,9 +46,127 @@ def test_dangling_branch_reference_names_the_bus():
 
 def test_duplicate_bus_ids_rejected():
     case = minimal_two_bus()
-    case["networks"][0]["buses"].append(dict(case["networks"][0]["buses"][1]))
-    with pytest.raises(CaseError, match="duplicate"):
+    buses = case["networks"][0]["buses"]
+    buses += [dict(buses[1]), dict(buses[1]), dict(buses[0], kind="pq", v_set=None)]
+    with pytest.raises(CaseError, match=r"duplicate bus ids \['b1', 'b2'\]$"):
         case_from_dict(case)
+
+
+def _set(path, value):
+    """A mutation of ``minimal_two_bus()`` setting the field at ``path``
+    (keys and list positions from the case root); ``value`` None deletes
+    it."""
+    def mutate(case):
+        *parents, last = path
+        for key in parents:
+            case = case[key]
+        if value is None:
+            del case[last]
+        else:
+            case[last] = value
+    return mutate
+
+
+_NET = ("networks", 0)
+_BUS = (*_NET, "buses", 1)
+_BRANCH = (*_NET, "branches", 0)
+_LOAD = (*_NET, "loads", 0)
+_PV_GEN = {"bus": "b2", "mode": "pv", "p": {"1": 0.1}, "q_min": -0.5, "q_max": 0.5}
+
+
+def _distribution_branch(case):
+    """The branch's two buses on distribution phases that do not meet."""
+    net = case["networks"][0]
+    net["side"] = "distribution"
+    net["buses"][0].update(kind="pq", phases="a", v_set=None)
+    net["buses"][1]["phases"] = "b"
+    del net["buses"][0]["v_set"]
+
+
+def _with_generator(**fields):
+    def mutate(case):
+        case["networks"][0]["generators"].append({**_PV_GEN, **fields})
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set((*_BUS, "v_max"), None), "network 't0' bus 'b2': missing field 'v_max'"),
+    (_set((*_BUS, "kind"), "slackish"),
+     "network 't0' bus 'b2': kind must be one of \\('slack', 'pv', 'pq'\\), got 'slackish'"),
+    (_set((*_BUS, "phases"), 1), "network 't0' bus 'b2': 'phases' must be a string or list"),
+    (_set((*_BUS, "phases"), "ax"), "network 't0' bus 'b2': unknown phase\\(s\\) \\['x'\\]"),
+    (_set((*_NET, "buses", 0, "v_set"), -1.0), "network 't0' bus 'b1': 'v_set' must be positive"),
+    (_set((*_BRANCH, "B"), None), "network 't0' branch b1-b2: missing field 'B'"),
+    (_set((*_BRANCH, "G"), [[1.0], [0.0]]),
+     "network 't0' branch b1-b2: 'G' must be a 1x1 matrix over the shared phase set"),
+    (_set((*_BRANCH, "B"), [[]]), "network 't0' branch b1-b2: 'B' row length != 1"),
+    (_set((*_BRANCH, "G"), [[float("nan")]]), "network 't0' branch b1-b2: 'G' must be finite"),
+    (_distribution_branch, "network 't0' branch b1-b2: endpoints share no phase"),
+    (_set((*_BRANCH, "flow_limit"), 0.0),
+     "network 't0' branch b1-b2: 'flow_limit' must be positive"),
+    (_set((*_LOAD, "bus"), None), "network 't0' load at '\\?': missing field 'bus'"),
+    (_set((*_LOAD, "bus"), "b9"), "network 't0' load at 'b9': references unknown bus id 'b9'"),
+    (_set((*_LOAD, "p"), {"a": 0.2}),
+     "network 't0' load at 'b2': phase 'a' not connected at bus 'b2'"),
+    (_set((*_LOAD, "q"), [0.05]), "network 't0' load at 'b2': 'q' must map phase -> value"),
+    (_with_generator(), "network 't0' generator at 'b2': pv-mode generator requires a pv bus"),
+    (_with_generator(mode="pz"), "network 't0' generator at 'b2': mode must be 'pq' or 'pv'"),
+    (_with_generator(mode="pq", q_min=0.6),
+     "network 't0' generator at 'b2': q_min must be <= q_max"),
+    (_with_generator(mode="pq", p={"b": 0.1}),
+     "network 't0' generator at 'b2': phase 'b' not connected at bus 'b2'"),
+], ids=["bus-missing-field", "bus-kind", "bus-phases-type", "bus-phase-unknown",
+        "bus-v_set-positive", "branch-missing-field", "matrix-shape", "matrix-short-row",
+        "matrix-non-finite", "branch-no-shared-phase", "branch-flow-limit", "load-missing-bus",
+        "load-unknown-bus", "load-phase", "phase-map-type", "generator-pv-on-pq",
+        "generator-mode", "generator-q-box", "generator-phase"])
+def test_each_rejection_names_the_element_and_the_fault(mutate, message):
+    """Every message is formatted only when its check fails, so each one is
+    run here: one field of ``minimal_two_bus()`` changed at a time."""
+    case = minimal_two_bus()
+    mutate(case)
+    with pytest.raises(CaseError, match=f"^{message}"):
+        case_from_dict(case)
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("base_mva",), float("inf"), "base_mva"),
+    ((*_BUS, "v_min"), float("nan"), "v_min"),
+    ((*_BUS, "v_max"), float("inf"), "v_max"),
+    ((*_NET, "buses", 0, "v_set"), float("inf"), "v_set"),
+    ((*_BUS, "x"), float("nan"), "x"),
+    ((*_BUS, "y"), float("-inf"), "y"),
+    ((*_BRANCH, "flow_limit"), float("inf"), "flow_limit"),
+    ((*_LOAD, "p"), {"1": float("nan")}, "p"),
+    ((*_LOAD, "q"), {"1": float("inf")}, "q"),
+], ids=["base_mva", "v_min", "v_max", "v_set", "x", "y", "flow_limit", "load-p", "load-q"])
+def test_non_finite_numbers_rejected(path, value, field):
+    case = minimal_two_bus()
+    _set(path, value)(case)
+    with pytest.raises(CaseError, match=f"'{field}' must be finite"):
+        case_from_dict(case)
+
+
+def test_generator_box_may_be_infinite_but_not_nan():
+    """``q_min``/``q_max`` default to -inf/+inf, so only NaN is rejected."""
+    case = minimal_two_bus()
+    _with_generator(mode="pq", q_min=float("-inf"), q_max=float("inf"))(case)
+    (net,), _ = case_from_dict(case)
+    assert (net.generators[0].q_min, net.generators[0].q_max) == (float("-inf"), float("inf"))
+    for key in ("q_min", "q_max"):
+        case = minimal_two_bus()
+        _with_generator(mode="pq", **{key: float("nan")})(case)
+        with pytest.raises(CaseError, match=f"generator at 'b2': '{key}' must be finite, got nan"):
+            case_from_dict(case)
+
+
+def test_coupling_bases_must_be_finite():
+    nets, coups = load("case_micro_td")
+    for key in ("s_base", "v_base"):
+        case = case_to_dict(nets, coups)
+        case["couplings"][0][key] = float("inf")
+        with pytest.raises(CaseError, match=f"coupling\\[0\\]: '{key}' must be finite"):
+            case_from_dict(case)
 
 
 def test_nonpositive_base_rejected():

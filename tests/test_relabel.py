@@ -1,0 +1,70 @@
+"""Bus relabeling: renaming every bus changes no assembled array and no
+reported value, since bus ids are names and the case order fixes the
+layout."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridweld import CouplingPort, PortBuild, build_problem, gjn, pdip
+from gridweld.netmodel import case_from_dict, case_to_dict, load_partition
+
+from conftest import load, partition_path, problem_digest
+
+CASES = {"case_micro_td": "micro_default", "case_micro_flowcap": "micro_default",
+         "case_threefeeder_td": "threefeeder"}
+
+
+def _relabel(nets, coups, seed):
+    """The case with every bus id renamed through a seeded injective map,
+    in the networks and in the couplings; returns ``(nets, coups, names)``."""
+    raw = case_to_dict(nets, coups)
+    ids = [b["id"] for n in raw["networks"] for b in n["buses"]]
+    fresh = [f"n{k}" for k in range(len(ids))]
+    random.Random(seed).shuffle(fresh)
+    names = dict(zip(ids, fresh))
+    for n in raw["networks"]:
+        for b in n["buses"]:
+            b["id"] = names[b["id"]]
+        for br in n["branches"]:
+            br["from"], br["to"] = names[br["from"]], names[br["to"]]
+        for dev in n["loads"] + n["generators"]:
+            dev["bus"] = names[dev["bus"]]
+    for c in raw["couplings"]:
+        c["t_bus"], c["d_bus"] = names[c["t_bus"]], names[c["d_bus"]]
+    return (*case_from_dict(raw), names)
+
+
+def _problems(nets, coups, part, kind, norm):
+    subs, _ = gjn.build_subproblems(nets, coups, part, source_kind=kind, norm=norm)
+    ports = [PortBuild(CouplingPort(c), "internal") for c in coups]
+    return [build_problem(nets, ports, source_kind=kind, norm=norm)] + [s.problem for s in subs]
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=st.sampled_from(sorted(CASES)), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["current", "power", "admittance"]),
+       norm=st.sampled_from(["l1", "l2"]))
+def test_relabeling_buses_changes_no_array_and_no_reported_value(case, seed, kind, norm):
+    nets, coups = load(case)
+    renamed, rcoups, names = _relabel(nets, coups, seed)
+    part = load_partition(partition_path(CASES[case]), nets, coups)
+    rpart = load_partition(partition_path(CASES[case]), renamed, rcoups)
+    before = _problems(nets, coups, part, kind, norm)
+    after = _problems(renamed, rcoups, rpart, kind, norm)
+    assert [problem_digest(p, names=False) for p in before] == \
+        [problem_digest(p, names=False) for p in after]
+    for p, q in zip(before, after):
+        for field in ("v_slot", "kcl_row", "pv_qvar", "inj_var"):
+            assert {(nm, names[bus], ph): v for (nm, bus, ph), v
+                    in getattr(p.maps, field).items()} == getattr(q.maps, field)
+
+    def per_node(report, rename):
+        return {(e.net, rename(e.bus), e.phase): (e.components, e.magnitude, e.x, e.y)
+                for e in report.per_node}
+    opts = pdip.SolverOptions(kkt_tolerance=1e-8)
+    a = pdip.solve_centralized(nets, coups, source_kind=kind, norm=norm, opts=opts)
+    b = pdip.solve_centralized(renamed, rcoups, source_kind=kind, norm=norm, opts=opts)
+    assert (a.status, a.objective, a.nonzero_count) == (b.status, b.objective, b.nonzero_count)
+    assert per_node(a, names.get) == per_node(b, lambda bus: bus)
