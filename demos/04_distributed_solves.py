@@ -42,7 +42,8 @@ for key, _, _, _ in co.torn:
 
 print()
 print("Gauss-Jacobi contraction factor of the linearized exchange "
-      f"(must sit below 1): {co.spectral_radius():.4f}")
+      f"(rates the plain exchange; the Newton step also converges past 1): "
+      f"{co.spectral_radius():.4f}")
 
 print()
 print("three algorithms, one comparison table")

@@ -2,9 +2,11 @@
 
 Splitting the converged system matrix into its diagonal cell blocks M and
 off-diagonal coupling N, the plain Jacobi exchange contracts exactly when
-rho(M^-1 N) stays below one, and that number predicts its epoch count.
-The coordinator takes Newton steps on the boundary instead, which need no
-contraction and converge in a few epochs whatever the radius.
+rho(M^-1 N) stays below one, by about that factor per epoch.  The
+coordinator takes Newton steps on the boundary instead, which need no
+contraction, so the radius rates only the plain exchange it falls back
+to, not a run's epoch count: admittance sources on the stressed micro
+case converge undamped in 4 epochs at a raw radius of 1.026.
 
 Run from the repository root:  python3 demos/06_convergence_diagnostics.py
 """

@@ -346,14 +346,15 @@ class Coordinator:
 
         Evaluated at the cells' states with the current boundary as their
         parameters.  Each cell contributes the sensitivity of its KKT point
-        to its parameters: one :meth:`pdip.NewtonSystem.solve` with a
-        right-hand-side column per parameter (dense copies of the
-        ``FixedMatrix`` blocks from ``param_derivatives``), which factors
-        the cell's condensed KKT matrix once, in the column order the cell's
-        Newton steps use, and recovers the inequality multipliers' block
-        from ``dx`` as a Newton step does.  The derivative of the feeder's
-        head gradient along it (the v-price rows) is three
-        ``transpose_times`` plus ``W_pp``, so the map does no scipy algebra.
+        to its parameters: one :meth:`pdip.NewtonSystem.factor` of the
+        cell's condensed KKT matrix at ``delta = 0``, in the pattern and
+        column order the cell's Newton steps use, and one solve of that
+        factor with a right-hand-side column per parameter (dense copies of
+        the ``FixedMatrix`` blocks from ``param_derivatives``), which
+        recovers the inequality multipliers' block from ``dx`` as a Newton
+        step does.  The derivative of the feeder's head gradient along it
+        (the v-price rows) is three ``transpose_times`` plus ``W_pp``, so
+        the map does no scipy algebra.
         The sensitivity stays in the cell's own parameter columns; only the
         rows :func:`_exchange` reads are widened to the whole boundary before
         the exchange maps them onto the new boundary values.  The map is
@@ -375,7 +376,7 @@ class Coordinator:
             # implicit-function sensitivity of the cell's KKT point: the Newton
             # system with the boundary parameters' derivatives of its rows
             # (stationarity, equalities, complementarity -mu * g) moved right
-            dx, dlam, dmu = pdip.NewtonSystem.build(prob, st).solve(
+            dx, dlam, dmu, _ = pdip.NewtonSystem.build(prob, st).factor()(
                 -W_xp.toarray(), -Jc_p.toarray(), st.mu[:, None] * Jg_p.toarray())
             # and the derivative of the parameter gradient of the Lagrangian (the
             # v-price source) along it: d(grad_p L) = G^T d(x, lam, mu) + W_pp dp

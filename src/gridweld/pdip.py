@@ -23,27 +23,29 @@ row gives ``dmu = (r_m - mu * (Jg dx)) / g``, and substituting it leaves
     [ W + Jg^T diag(mu/s) Jg + delta*I   Jc^T ] [dx  ]     [ r_x - Jg^T (r_m/s) ]
     [ Jc                                 0    ] [dlam] = - [ r_c                ]
 
-which is factored by sparse LU; ``dmu`` is then recovered from ``dx``.
-W, Jc and Jg are :class:`~gridweld.ecf.FixedMatrix` arrays on patterns
-fixed by the problem's build.  A problem has one CSC pattern of the
-condensed matrix for ``delta = 0`` and one, holding the full diagonal, for
-any other ``delta``; each is built on the problem's first matrix of its
-kind and kept for the problem, weakly referenced, and a step whose W, Jc
-or Jg pattern differs raises ``ValueError`` (see :class:`NewtonSystem`).
-A step fills its pattern with one ``np.bincount``; the products
-``Jc^T lam``, ``Jg^T mu``, ``Jg^T (1/s)`` and ``Jg dx`` are bincounts over
-the stored entries, so a step does no sparse algebra and makes one scipy
-object, the CSC matrix it factors.  The fill stores no Hessian entry that
-comes to exactly zero, as scipy's sparse sums with a Jg term, ``delta`` or
-a consensus penalty did: stored zeros would change SuperLU's elimination
-postorder, and with it every step's trailing digits.  A problem's
-patterns have their columns in the order of its first factorization
-(SuperLU's COLAMD on the natural-order matrix); every later step, epoch
-and exchange sensitivity factors in that order.  The order comes from the
-sparsest pattern the matrix has: a first step starts from zero equality
-multipliers, so W's constraint entries are exact zeros that drop out of
-``W + Jg^T diag(mu/s) Jg`` (``ladder_f4`` L1 power: 94,136 entries at the
-first step, 105,856 later).  Later matrices fill about as little in that
+which is factored by sparse LU (:meth:`NewtonSystem.factor`, the one
+factorization site); ``dmu`` is then recovered from ``dx``.  W, Jc and Jg
+are :class:`~gridweld.ecf.FixedMatrix` arrays on patterns fixed by the
+problem's build.  A problem has one CSC pattern of the condensed matrix,
+which holds the full diagonal, so ``delta`` is only a value filled into
+it; the pattern is built on the problem's first matrix and kept for the
+problem, weakly referenced, and a step whose W, Jc or Jg pattern differs
+raises ``ValueError`` (see :class:`NewtonSystem`).  A step fills the
+pattern with one ``np.bincount``; the products ``Jc^T lam``, ``Jg^T mu``,
+``Jg^T (1/s)`` and ``Jg dx`` are bincounts over the stored entries, so a
+step does no sparse algebra and makes one scipy object, the CSC matrix it
+factors.  The fill stores no Hessian entry that comes to exactly zero, as
+scipy's sparse sums with a Jg term, ``delta`` or a consensus penalty did:
+stored zeros would change SuperLU's elimination postorder, and with it
+every step's trailing digits.  So at ``delta = 0`` a diagonal slot with
+no W or Jg entry drops out, and the matrix is the one a pattern without
+the diagonal would give.  The pattern has its columns in the order of the
+problem's first factorization (SuperLU's COLAMD on the natural-order
+matrix); every later step, epoch and exchange sensitivity factors in that
+order.  The order comes from the sparsest pattern the matrix has: a first
+step starts from zero equality multipliers, so W's constraint entries are
+exact zeros that drop out of ``W + Jg^T diag(mu/s) Jg`` (``ladder_f4`` L1
+power: 94,136 entries at the first step, 105,856 later).  Later matrices fill about as little in that
 order as in a fresh COLAMD one (21-feeder ladder, central L1: 1.27M
 against 1.35M LU entries with power sources, 1.15M against 1.14M with
 current ones).  Every factorization passes ``panel_size=SPLU_PANEL_SIZE``
@@ -129,7 +131,7 @@ DELTA_MAX = 1e4
 SPLU_PANEL_SIZE = 1
 SPLU_RELAX = 1
 
-# problem -> {delta != 0: its condensed KKT pattern for that kind of delta}
+# problem -> its condensed KKT pattern
 _PATTERNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -296,9 +298,9 @@ def assemble_kkt(problem, state: KktState,
 class _KktPattern:
     """The CSC pattern of the condensed matrix ``[[H, Jc^T], [Jc, 0]]``,
     ``H = W + Jg^T diag(d) Jg + delta*I``, for one set of W, Jc and Jg
-    patterns and one kind of ``delta``, with its columns in ``order`` (None:
-    natural order).  With ``diagonal`` it holds every diagonal entry of H
-    and takes ``delta``; without, ``delta`` is 0.
+    patterns, with its columns in natural order until :meth:`reorder`
+    (``order`` is None until then).  It holds every diagonal entry of H, so
+    any ``delta`` fills it.
 
     A Hessian slot is an entry of W, of a pair of Jg entries in one row or
     of the diagonal; only this block is deduplicated, and the Jc entries go
@@ -310,7 +312,7 @@ class _KktPattern:
     not copied, to tell a pattern change.
     """
 
-    def __init__(self, W, Jc, Jg, diagonal, order=None):
+    def __init__(self, W, Jc, Jg):
         n, me = W.shape[0], Jc.shape[0]
         self.sources = tuple(a for M in (W, Jc, Jg) for a in (M.indptr, M.indices))
         self.shape = (n + me,) * 2
@@ -327,7 +329,7 @@ class _KktPattern:
         keys = np.concatenate([
             W.indices.astype(np.int64) * n + W.rows,
             Jg.indices[self.pair_b].astype(np.int64) * n + Jg.indices[self.pair_a],
-            np.arange(n if diagonal else 0, dtype=np.int64) * (n + 1)])
+            np.arange(n, dtype=np.int64) * (n + 1)])
         hkeys, slot = np.unique(keys, return_inverse=True)
         del keys
         h_count = np.bincount(hkeys // n, minlength=n)
@@ -351,8 +353,9 @@ class _KktPattern:
         self.indices[self.jc_pos[:Jc.nnz]] = n + Jc.rows
         self.indices[self.jc_pos[Jc.nnz:]] = Jc.indices
         self.order = None
-        if order is not None:
-            self.reorder(order)
+        # the Hessian slots, of which the fill drops those that come to 0
+        self.hessian = np.ones(len(self.indices), dtype=bool)
+        self.hessian[self.jc_pos] = False
 
     def fits(self, W, Jc, Jg) -> bool:
         """Whether W, Jc and Jg have the patterns this was built from."""
@@ -362,8 +365,8 @@ class _KktPattern:
     def reorder(self, order):
         """Put the natural-order columns in ``order`` (column ``k`` is
         natural column ``order[k]``) by moving each position, rows kept.
-        The slot maps are rewritten in place; ``indices`` and ``indptr``,
-        which matrices share, are new arrays."""
+        The slot maps and ``hessian`` are rewritten in place; ``indices``
+        and ``indptr``, which matrices share, are new arrays."""
         counts = np.diff(self.indptr)
         indptr = np.concatenate([[0], np.cumsum(counts[order])]).astype(np.int32)
         start = np.empty(len(order), dtype=np.int64)
@@ -374,6 +377,7 @@ class _KktPattern:
             pos[:] = moved[pos]
         indices = np.empty_like(self.indices)
         indices[moved] = self.indices
+        self.hessian[moved] = self.hessian.copy()
         self.indices, self.indptr, self.order = indices, indptr, order
 
     def fill(self, W, Jc, Jg, d, delta) -> sp.csc_matrix:
@@ -389,37 +393,39 @@ class _KktPattern:
         data = np.bincount(self.pair_pos, products, nnz).astype(float, copy=False)
         del products
         data[self.w_pos] += W.data
-        data[self.diag_pos] += delta
+        if delta:       # at 0 a diagonal slot with nothing else drops out below
+            data[self.diag_pos] += delta
         data[self.jc_pos[:Jc.nnz]] = Jc.data
         data[self.jc_pos[Jc.nnz:]] = Jc.data
         indices, indptr = self.indices, self.indptr
         zero = data == 0.0
-        if zero.any():
-            zero[self.jc_pos] = False
-            dropped = np.flatnonzero(zero)
-            if len(dropped):
-                indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
-                data, indices = data[~zero], indices[~zero]
+        zero &= self.hessian
+        dropped = np.flatnonzero(zero)
+        if len(dropped):
+            indptr = (indptr - np.searchsorted(dropped, indptr)).astype(np.int32)
+            keep = ~zero
+            data, indices = data[keep], indices[keep]
         return sp.csc_matrix((data, indices, indptr), shape=self.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonSystem:
     """One linearized perturbed-KKT system of ``problem``, solved in
     condensed form.
 
     :meth:`matrix` is the condensed matrix
     ``[[W + Jg^T diag(mu/s) Jg + delta*I, Jc^T], [Jc, 0]]`` with ``s = -g``,
-    filled into the problem's :class:`_KktPattern` for ``delta`` (one for 0,
-    one holding the diagonal for any other value); :meth:`solve` solves the
-    unreduced three-block system through it.  Each pattern is built on the
-    problem's first matrix of its kind and kept for the problem, weakly
-    referenced; a system whose W, Jc or Jg pattern differs from the kept
-    one raises ``ValueError``.  A problem's patterns share the column order
-    of its first factorization (COLAMD on the natural-order matrix).  W, Jc
-    and Jg are :class:`~gridweld.ecf.FixedMatrix` arrays; ``pattern`` is
-    that of the last matrix, ``Jg_dx`` is ``Jg @ dx`` of the last 1-D or
-    2-D solve.
+    filled into the problem's one :class:`_KktPattern`, which holds the
+    diagonal, so ``delta`` is only a value.  The pattern is built on the
+    problem's first matrix and kept for the problem, weakly referenced; a
+    system whose W, Jc or Jg pattern differs from the kept one raises
+    ``ValueError``.  :meth:`factor` is the module's one factorization: it
+    factors the matrix for one ``delta`` and returns a solve of the
+    unreduced three-block system over 1-D or 2-D right-hand sides, so every
+    solve at a point reads one factor.  The problem's first factorization
+    fixes the pattern's column order (COLAMD on the natural-order matrix).
+    W, Jc and Jg are :class:`~gridweld.ecf.FixedMatrix` arrays.  A system is
+    not changed after it is built.
     """
     W: FixedMatrix
     Jc: FixedMatrix
@@ -427,9 +433,7 @@ class NewtonSystem:
     g: np.ndarray
     mu: np.ndarray
     rhs: np.ndarray       # -(r_x, r_c, r_m) stacked
-    problem: object       # the key of the kept patterns
-    pattern: _KktPattern | None = field(default=None, init=False, repr=False)
-    Jg_dx: np.ndarray | None = field(default=None, init=False, repr=False)
+    problem: object       # the key of the kept pattern
 
     @property
     def n(self) -> int:
@@ -455,47 +459,47 @@ class NewtonSystem:
 
     def matrix(self, delta: float = 0.0) -> sp.csc_matrix:
         """The condensed KKT matrix, ``delta*I`` added to its Hessian block,
-        with its columns in ``self.pattern.order``."""
-        kept = _PATTERNS.setdefault(self.problem, {})
-        # a problem's patterns share their sources and their column order
-        first = next(iter(kept.values()), None)
-        if first is not None and not first.fits(self.W, self.Jc, self.Jg):
+        with its columns in the kept pattern's order."""
+        pattern = _PATTERNS.get(self.problem)
+        if pattern is None:
+            pattern = _PATTERNS[self.problem] = _KktPattern(self.W, self.Jc, self.Jg)
+        elif not pattern.fits(self.W, self.Jc, self.Jg):
             raise ValueError("W, Jc or Jg has a pattern other than the "
                              "problem's kept one")
-        pattern = kept.get(bool(delta))
-        if pattern is None:
-            pattern = kept[bool(delta)] = _KktPattern(
-                self.W, self.Jc, self.Jg, bool(delta),
-                None if first is None else first.order)
-        self.pattern = pattern
         return pattern.fill(self.W, self.Jc, self.Jg, self.mu / -self.g, delta)
 
-    def solve(self, b_x, b_c, b_m, delta: float = 0.0):
-        """(dx, dlam, dmu) with the unreduced matrix times them equal to
-        ``(b_x, b_c, b_m)``; each block may be 1-D or 2-D (one column per
-        right-hand side).  Raises ``RuntimeError`` when the factor is
-        singular."""
-        inv_s = 1.0 / -self.g
-        if self.mi:
-            b_x = b_x - self.Jg.transpose_times(_scale_rows(inv_s, b_m))
+    def factor(self, delta: float = 0.0):
+        """Factor the condensed matrix with ``delta*I`` on W; return
+        ``solve(b_x, b_c, b_m) -> (dx, dlam, dmu, Jg_dx)``, the solution of
+        the unreduced system with right-hand side ``(b_x, b_c, b_m)`` and
+        ``Jg @ dx``.  Each block may be 1-D or 2-D (one column per
+        right-hand side).  The problem's first factorization takes COLAMD's
+        order and reorders the kept pattern to it; later ones keep that
+        order.  Raises ``RuntimeError`` when the matrix is singular."""
         K = self.matrix(delta)
-        rhs = np.concatenate([b_x, b_c])
-        order = self.pattern.order
+        pattern = _PATTERNS[self.problem]
+        order = pattern.order
+        lu = spla.splu(K, permc_spec="COLAMD" if order is None else "NATURAL",
+                       panel_size=SPLU_PANEL_SIZE, relax=SPLU_RELAX)
+        del K
         if order is None:
-            lu = spla.splu(K, panel_size=SPLU_PANEL_SIZE, relax=SPLU_RELAX)
-            v = lu.solve(rhs)
-            order = np.argsort(lu.perm_c)
-            del K, lu
-            for pattern in _PATTERNS[self.problem].values():
-                pattern.reorder(order)
-        else:
-            v = np.empty_like(rhs)
-            v[order] = spla.splu(K, permc_spec="NATURAL", panel_size=SPLU_PANEL_SIZE,
-                                 relax=SPLU_RELAX).solve(rhs)
-        dx, dlam = v[:self.n], v[self.n:]
-        self.Jg_dx = self.Jg @ dx
-        dmu = _scale_rows(inv_s, b_m + _scale_rows(self.mu, self.Jg_dx))
-        return dx, dlam, dmu
+            pattern.reorder(np.argsort(lu.perm_c))
+        inv_s = 1.0 / -self.g
+
+        def solve(b_x, b_c, b_m):
+            if self.mi:
+                b_x = b_x - self.Jg.transpose_times(_scale_rows(inv_s, b_m))
+            rhs = np.concatenate([b_x, b_c])
+            if order is None:       # the factor permutes its columns itself
+                v = lu.solve(rhs)
+            else:
+                v = np.empty_like(rhs)
+                v[order] = lu.solve(rhs)
+            dx, dlam = v[:self.n], v[self.n:]
+            Jg_dx = self.Jg @ dx
+            dmu = _scale_rows(inv_s, b_m + _scale_rows(self.mu, Jg_dx))
+            return dx, dlam, dmu, Jg_dx
+        return solve
 
 
 def _params(problem) -> np.ndarray:
@@ -511,12 +515,12 @@ def _scale_rows(w: np.ndarray, a: np.ndarray) -> np.ndarray:
 def newton_step(system: NewtonSystem, delta: float = 0.0):
     """One factorization and solve of the Newton system with ``delta*I`` on W.
 
-    Returns (dx, dlam, dmu), or None when the matrix is singular or the
-    solution is not finite.
+    Returns (dx, dlam, dmu, Jg_dx), or None when the matrix is singular or
+    the solution is not finite.
     """
     n, me, rhs = system.n, system.me, system.rhs
     try:
-        step = system.solve(rhs[:n], rhs[n:n + me], rhs[n + me:], delta)
+        step = system.factor(delta)(rhs[:n], rhs[n:n + me], rhs[n + me:])
     except RuntimeError:
         return None
     return step if all(np.isfinite(v).all() for v in step) else None
@@ -578,7 +582,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         while True:
             step = newton_step(system, delta)
             if step is not None:
-                dx, dlam, dmu = step
+                dx, dlam, dmu, Jg_dx = step
                 nu = max(nu, 1.1 * float(np.abs(state.lam + dlam).max(initial=0.0)) + 0.1)
                 dphi = float(grad_barrier @ dx) - nu * point.c_norm
                 if dphi <= flat:
@@ -590,7 +594,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         alpha_max = alpha_mu = 1.0
         if system.mi:
             s = -system.g
-            ds = -system.Jg_dx
+            ds = -Jg_dx
             shrink = ds < 0.0
             if shrink.any():
                 alpha_max = min(1.0, float(

@@ -100,8 +100,9 @@ def test_newton_step_unconstrained_quadratic_is_exact():
                       x_start=[3.0])
     state = KktState(x=prob.x0(), lam=np.zeros(0), mu=np.zeros(0), eps=1e-9)
     system = NewtonSystem.build(prob, state)
-    dx, dlam, dmu = newton_step(system)
+    dx, dlam, dmu, Jg_dx = newton_step(system)
     assert dx[0] == pytest.approx(-3.0, abs=1e-14)
+    assert Jg_dx.shape == (0,)
     state, status = solve_nlp(prob)
     assert status == "converged" and abs(state.x[0]) < 1e-10
 
@@ -161,8 +162,9 @@ BLOCKS = pytest.mark.parametrize("me, mi", [(5, 6), (0, 6), (5, 0), (0, 0)])
 @pytest.mark.parametrize("delta", [0.0, 1e-3])
 def test_newton_step_matches_dense_oracle(rng, me, mi, delta):
     system, dense = _random_system(rng, me, mi)
-    dx, dlam, dmu = newton_step(system, delta)
+    dx, dlam, dmu, Jg_dx = newton_step(system, delta)
     assert (dx.shape, dlam.shape, dmu.shape) == ((system.n,), (me,), (mi,))
+    assert np.array_equal(Jg_dx, system.Jg @ dx)
     v = np.concatenate([dx, dlam, dmu])
     Y = dense(delta)
     assert np.max(np.abs(Y @ v - system.rhs)) < 1e-10
@@ -174,12 +176,39 @@ def test_newton_step_matches_dense_oracle(rng, me, mi, delta):
 def test_block_solve_with_many_right_hand_sides_matches_dense_oracle(rng, me, mi):
     system, dense = _random_system(rng, me, mi, k=4)
     n, b = system.n, system.rhs
-    blocks = system.solve(b[:n], b[n:n + me], b[n + me:])
+    *blocks, Jg_dx = system.factor()(b[:n], b[n:n + me], b[n + me:])
     assert [x.shape for x in blocks] == [(n, 4), (me, 4), (mi, 4)]
+    assert np.array_equal(Jg_dx, system.Jg @ blocks[0])
     v = np.vstack(blocks)
     Y = dense(0.0)
     assert np.max(np.abs(Y @ v - b)) < 1e-10
     assert np.max(np.abs(v - np.linalg.solve(Y, b))) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:subproblem")
+def test_block_solve_equals_column_solves_bit_for_bit_on_real_cells():
+    """On both cells of a converged ``dpdip`` L1 run, one factor's solve of
+    the epoch map's right-hand sides (one column per boundary parameter)
+    as a 2-D block equals its 1-D solves of the columns one at a time, bit
+    for bit, in each of ``dx``, ``dlam``, ``dmu`` and ``Jg_dx``: several
+    solves can share a factor and give what separate solves give."""
+    from gridweld import gjn
+    from gridweld.netmodel import load_partition
+    from conftest import partition_path
+    nets, coups = load("case_feeder210_stressed")
+    part = load_partition(partition_path("feeder210"), nets, coups)
+    co = gjn.Coordinator(nets, coups, part, source_kind="current", norm="l1")
+    assert co.run().converged and len(co.subs) == 2
+    for sub in co.subs:
+        prob, st = sub.problem, sub.state
+        assert prob.n_param > 1 and prob.n_in > 0
+        W_xp, _, Jc_p, Jg_p = prob.param_derivatives(st.x, st.lam, st.mu)
+        b = (-W_xp.toarray(), -Jc_p.toarray(), st.mu[:, None] * Jg_p.toarray())
+        solve = NewtonSystem.build(prob, st).factor()
+        block = solve(*b)
+        for k in range(prob.n_param):
+            for whole, column in zip(block, solve(*(a[:, k] for a in b))):
+                assert np.array_equal(whole[:, k], column), (sub.name, k)
 
 
 def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
@@ -201,7 +230,7 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
     state, status = solve_nlp(prob, warm=state)
     assert status == "converged"
     assert len(specs) >= state.iterations > 5
-    assert specs[0] is None and specs[1:] == ["NATURAL"] * (len(specs) - 1)
+    assert specs == ["COLAMD"] + ["NATURAL"] * (len(specs) - 1)
     assert (pdip.SPLU_PANEL_SIZE, pdip.SPLU_RELAX) == (1, 1)
     assert settings == [(pdip.SPLU_PANEL_SIZE, pdip.SPLU_RELAX)] * len(specs)
 
@@ -215,10 +244,9 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
     specs.clear()
     settings.clear()
     first, second = newton_step(system), newton_step(system)
-    assert specs == [None, "NATURAL"]
+    assert specs == ["COLAMD", "NATURAL"]
     assert settings == [(pdip.SPLU_PANEL_SIZE, pdip.SPLU_RELAX)] * 2
-    assert list(pdip._PATTERNS[fresh]) == [False]
-    assert pdip._PATTERNS[fresh][False].order.size == fresh.nvar + fresh.n_eq
+    assert pdip._PATTERNS[fresh].order.size == fresh.nvar + fresh.n_eq
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
@@ -226,9 +254,8 @@ def test_column_order_taken_once_per_problem_and_reused(monkeypatch):
 def test_changed_hessian_pattern_raises(rng):
     """A system whose W pattern differs from the problem's kept KKT pattern
     raises ``ValueError``, for ``delta`` 0 and not, and leaves the kept
-    pattern as it was: the same object with its column order and arrays,
-    and no pattern built for the other kind of ``delta``.  The toy's W
-    gains its off-diagonal entries after the first step."""
+    pattern as it was: the same object with its column order and arrays.
+    The toy's W gains its off-diagonal entries after the first step."""
     import gridweld.pdip as pdip
     n = 6
     A = rng.standard_normal((n, n))
@@ -246,23 +273,24 @@ def test_changed_hessian_pattern_raises(rng):
     first, later = (NewtonSystem.build(prob, st) for st in states)
     assert later.W.nnz > first.W.nnz
     assert newton_step(first) is not None
-    kept = pdip._PATTERNS[prob][False]
+    kept = pdip._PATTERNS[prob]
     order, indices, indptr = kept.order, kept.indices.copy(), kept.indptr.copy()
     for delta in (0.0, 1e-8):
         with pytest.raises(ValueError, match="pattern"):
             newton_step(later, delta)
-    assert pdip._PATTERNS[prob] == {False: kept} and kept.order is order
+    assert pdip._PATTERNS[prob] is kept and kept.order is order
     assert np.array_equal(kept.indices, indices)
     assert np.array_equal(kept.indptr, indptr)
     assert newton_step(first) is not None
 
 
-def test_first_nonzero_delta_builds_the_diagonal_pattern_in_the_kept_order(
-        monkeypatch, rng):
-    """The problem's first fill with ``delta != 0`` builds its second KKT
-    pattern, which holds the full diagonal, once and in the kept column
-    order: one COLAMD call for the problem, later steps of either kind build
-    nothing, and the ``delta = 0`` pattern does not change."""
+def test_one_pattern_serves_every_delta_in_the_kept_order(monkeypatch, rng):
+    """A problem keeps one KKT pattern, built on its first matrix, which
+    holds the full diagonal: every ``delta`` fills it, one COLAMD call
+    orders it, and later steps of any ``delta`` build nothing and leave it
+    as the first factorization reordered it.  At ``delta = 0`` the fill
+    drops the diagonal slots with no W or Jg entry, so the first matrix is
+    the one scipy's sums give (``_assert_fill_matches_sparse_algebra``)."""
     import scipy.sparse.linalg as spla
     import gridweld.pdip as pdip
     original, specs, built = spla.splu, [], []
@@ -272,34 +300,34 @@ def test_first_nonzero_delta_builds_the_diagonal_pattern_in_the_kept_order(
         return original(A, *args, **kwargs)
     init = pdip._KktPattern.__init__
 
-    def counted(self, W, Jc, Jg, diagonal, order=None):
-        built.append((diagonal, order is None))
-        init(self, W, Jc, Jg, diagonal, order)
+    def counted(self, W, Jc, Jg):
+        built.append(W)
+        init(self, W, Jc, Jg)
     monkeypatch.setattr(spla, "splu", recorded)
     monkeypatch.setattr(pdip._KktPattern, "__init__", counted)
     prob = centralized_problem("case_micro_td", source_kind="power", norm="l1")[2]
     flat, (x, lam, mu) = _states(prob, rng)
     system = NewtonSystem.build(prob, flat)
+    _assert_fill_matches_sparse_algebra(system, 0.0)
     assert newton_step(system) is not None
-    plain = pdip._PATTERNS[prob][False]
-    arrays = {a: getattr(plain, a).copy() for a in
+    kept = pdip._PATTERNS[prob]
+    arrays = {a: getattr(kept, a).copy() for a in
               ("indices", "indptr", "w_pos", "pair_pos", "diag_pos", "jc_pos")}
-    assert len(plain.diag_pos) == 0
+    order = kept.order
+    assert len(kept.diag_pos) == prob.nvar
+    assert np.array_equal(np.sort(kept.indices[kept.diag_pos]),
+                          np.arange(prob.nvar))
     assert newton_step(system, 1e-8) is not None
     later = NewtonSystem.build(prob, KktState(x=x, lam=lam, mu=mu, eps=1e-3))
     for delta in (1e-6, 0.0, 1e-4):
         assert newton_step(later, delta) is not None
-    assert specs == [None] + ["NATURAL"] * 4
-    assert built == [(False, True), (True, False)]
-    shifted = pdip._PATTERNS[prob][True]
-    assert pdip._PATTERNS[prob] == {False: plain, True: shifted}
-    assert shifted.order is plain.order
-    assert len(shifted.diag_pos) == prob.nvar
-    assert np.array_equal(np.sort(shifted.indices[shifted.diag_pos]),
-                          np.arange(prob.nvar))
+    assert specs == ["COLAMD"] + ["NATURAL"] * 4
+    assert len(built) == 1
+    assert pdip._PATTERNS[prob] is kept and kept.order is order
     for a, want in arrays.items():
-        assert np.array_equal(getattr(plain, a), want), a
-    _assert_fill_matches_sparse_algebra(later, 1e-4)
+        assert np.array_equal(getattr(kept, a), want), a
+    for delta in (0.0, 1e-4):
+        _assert_fill_matches_sparse_algebra(later, delta)
 
 
 def test_consensus_agent_keeps_one_kkt_pattern(monkeypatch):
@@ -312,16 +340,16 @@ def test_consensus_agent_keeps_one_kkt_pattern(monkeypatch):
     built = []
     original = pdip._KktPattern.__init__
 
-    def counted(self, W, Jc, Jg, diagonal, order=None):
-        built.append((diagonal, order is None))
-        original(self, W, Jc, Jg, diagonal, order)
+    def counted(self, W, Jc, Jg):
+        built.append(W)
+        original(self, W, Jc, Jg)
     monkeypatch.setattr(pdip._KktPattern, "__init__", counted)
     nets, coups = load("case_micro_td")
     part = load_partition(partition_path("micro_default"), nets, coups)
     run = admm.Consensus(nets, coups, part)
     rep = run.run()
     assert rep.converged and len(run.epochs) > 2
-    assert built == [(False, True)] * len(run.subs)
+    assert len(built) == len(run.subs)
 
 
 def _consensus_agent(name):
@@ -363,8 +391,9 @@ def _sparse_algebra_kkt(system, delta):
 
 
 def _assert_fill_matches_sparse_algebra(system, delta):
+    import gridweld.pdip as pdip
     K = system.matrix(delta)
-    order = system.pattern.order
+    order = pdip._PATTERNS[system.problem].order
     if order is not None:
         K = K[:, np.argsort(order)]
     want = _sparse_algebra_kkt(system, delta)
@@ -380,6 +409,7 @@ def test_fill_matches_sparse_algebra_bit_for_bit(rng, which, delta):
     in the order, that ``W + Jg^T diag(mu/s) Jg``, ``+ delta*I`` and
     ``sp.bmat`` do: the flat start's zero multipliers leave exact zeros in W
     that the sums drop.  Checked in natural order and in the kept one."""
+    import gridweld.pdip as pdip
     if which == "consensus agent":
         prob = _consensus_agent("D")
     else:
@@ -390,9 +420,9 @@ def test_fill_matches_sparse_algebra_bit_for_bit(rng, which, delta):
     flat, (x, lam, mu) = _states(prob, rng)
     system = NewtonSystem.build(prob, flat)
     _assert_fill_matches_sparse_algebra(system, delta)
-    assert system.pattern.order is None
+    assert pdip._PATTERNS[prob].order is None
     assert newton_step(system, delta) is not None
-    assert system.pattern.order is not None
+    assert pdip._PATTERNS[prob].order is not None
     for state in (flat, KktState(x=x, lam=lam, mu=mu, eps=1e-3)):
         _assert_fill_matches_sparse_algebra(NewtonSystem.build(prob, state), delta)
 
@@ -453,12 +483,18 @@ def test_singular_kkt_matrix_retries_with_larger_delta(monkeypatch):
     # min x0 s.t. x0 >= 1; x1 appears nowhere, so its KKT column is zero
     import gridweld.pdip as pdip
     original, singular = pdip.newton_step, []
+    splu, specs = pdip.spla.splu, []
 
     def counted(system, delta=0.0):
         step = original(system, delta)
         singular.append(step is None)
         return step
+
+    def recorded(A, *args, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(A, *args, **kwargs)
     monkeypatch.setattr(pdip, "newton_step", counted)
+    monkeypatch.setattr(pdip.spla, "splu", recorded)
     prob = ToyProblem(
         2, lambda x: float(x[0]), lambda x: np.array([1.0, 0.0]),
         lambda x, lam, mu: sp.csr_matrix((2, 2)),
@@ -469,10 +505,12 @@ def test_singular_kkt_matrix_retries_with_larger_delta(monkeypatch):
     assert status == "converged"
     assert state.x == pytest.approx([1.0, 0.0], abs=1e-7)
     assert any(singular)
-    # the first factor that worked had delta != 0: its COLAMD order is the
-    # one order of both patterns
-    kept = pdip._PATTERNS[prob]
-    assert kept[True].order is kept[False].order is not None
+    # a singular factor leaves the pattern unordered; the first factor that
+    # worked, at delta != 0, took the one COLAMD order
+    first = singular.index(False)
+    assert first > 0
+    assert specs == ["COLAMD"] * (first + 1) + ["NATURAL"] * (len(specs) - first - 1)
+    assert pdip._PATTERNS[prob].order is not None
 
 
 def _oracle_state(prob, nets, pf):

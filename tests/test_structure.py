@@ -119,11 +119,37 @@ def test_convergence_diagnostics_demo_runs():
 
 
 def test_one_factorization_site():
-    """Every KKT factorization goes through ``pdip.NewtonSystem.solve``, so
-    one matrix form and one column-order cache serve every solver path."""
+    """Every KKT factorization goes through ``pdip.NewtonSystem.factor``, so
+    one matrix form and one kept pattern serve every solver path: ``pdip``
+    is the only module that names ``splu``, and it makes one ``spla.splu``
+    call, inside ``factor``.  A ``NewtonSystem`` is not written after it is
+    built: no method of it assigns to an attribute of ``self``."""
     src = ROOT / "src" / "gridweld"
     users = sorted(p.name for p in src.glob("*.py") if "splu" in p.read_text())
     assert users == ["pdip.py"]
+    tree = ast.parse((src / "pdip.py").read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr == "splu"]
+    assert len(calls) == 1
+    assert ast.unparse(calls[0].func) == "spla.splu"
+    (system,) = [n for n in tree.body
+                 if isinstance(n, ast.ClassDef) and n.name == "NewtonSystem"]
+    (factor,) = [n for n in system.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "factor"]
+    assert id(calls[0]) in {id(n) for n in ast.walk(factor)}
+
+    def on_self(t):
+        """Whether ``t`` is ``self.a``, or an item or attribute of it."""
+        while isinstance(t, (ast.Attribute, ast.Subscript)):
+            if isinstance(t.value, ast.Name) and t.value.id == "self":
+                return isinstance(t, ast.Attribute)
+            t = t.value
+        return False
+    targets = [n for n in ast.walk(system) if isinstance(n, (ast.Attribute, ast.Subscript))
+               and isinstance(n.ctx, (ast.Store, ast.Del))]
+    assert [ast.unparse(t) for t in targets if on_self(t)] == []
+    assert not [n for n in ast.walk(system) if isinstance(n, ast.Call)
+                and ast.unparse(n.func) in ("setattr", "object.__setattr__")]
 
 
 def test_newton_system_does_no_sparse_algebra():
@@ -134,8 +160,8 @@ def test_newton_system_does_no_sparse_algebra():
     the one scipy matrix in ``pdip`` is made by ``_KktPattern.fill``, so no
     per-step sparse algebra creeps back.  ``_KktPattern`` and
     ``NewtonSystem`` neither insert into a filled matrix (``np.insert``) nor
-    wrap one (``FixedMatrix.of``): each kind of ``delta`` has its own fixed
-    pattern, and problems return fixed-pattern arrays."""
+    wrap one (``FixedMatrix.of``): one fixed pattern holds the diagonal for
+    every ``delta``, and problems return fixed-pattern arrays."""
     tree = ast.parse((ROOT / "src" / "gridweld" / "pdip.py").read_text())
     classes = [n for n in tree.body if isinstance(n, ast.ClassDef)
                and n.name in ("_Point", "NewtonSystem")]
