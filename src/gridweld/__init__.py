@@ -3,8 +3,8 @@
 from .netmodel import (Branch, Bus, CaseError, CouplingSpec, Generator, Load,
                        Network, Partition, case_from_dict, case_to_dict,
                        default_partition, load_case, load_partition, save_case)
-from .coupling import (CouplingPort, aggregate_current_d_to_t,
-                       distribute_dual_t_to_d, distribute_voltage_t_to_d,
+from .coupling import (aggregate_current_d_to_t, distribute_dual_t_to_d,
+                       distribute_voltage_t_to_d, poi_voltage_price,
                        port_dual_prices, round_trip_check)
 from .ecf import CircuitProblem, InfeasibilitySource, PortBuild, build_problem
 from .pdip import (KktState, NewtonSystem, SolverOptions, assemble_kkt,

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 
-from .coupling import _AGG
+from .coupling import aggregate_current_d_to_t
 from .ecf import _FixedCSR, build_problem, partition_cells
 from .gjn import Coordinator, Subproblem
 
@@ -29,36 +29,37 @@ class ConsensusAgent:
 
     The cell builds its torn feeder heads as 'd_phasor' ports and its torn
     transmission sides as 't_free' ports, so every local copy is a set of
-    ordinary variables: ``head_ports`` copy the head phasor and the
-    aggregated port current, ``free_ports`` the POI voltage and the free
-    port current.  The agent adds the penalty to the objective and its
-    derivatives; every other value is the cell problem's own.  Its Hessian
+    ordinary variables: a 'd_phasor' port of ``port_builds`` copies the
+    head phasor and the aggregated port current, a 't_free' port the POI
+    voltage and the free port current.  The agent adds the penalty to the
+    objective and its derivatives; every other value is the cell problem's own.  Its Hessian
     ``W + rho * P`` lies on one pattern, the union of the cell's W pattern
     and the constant penalty pattern ``P``, fixed here.
     """
 
-    def __init__(self, base, head_ports, free_ports):
+    def __init__(self, base, port_builds):
         self.base = base
         self.copy_map: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.rho = 1.0
         maps = base.maps
-        for port in head_ports:
+        # head copies first, then free ones: the penalty sums in this order
+        for spec in [pb.spec for pb in port_builds if pb.mode == "d_phasor"]:
             # a head voltage that enters a row nonlinearly (a load, a flow
             # limit or a power- or admittance-kind source at the coupling
             # node) is rejected: without this check, L2 ADMM on
             # case_micro_flowcap had not finished after 10 minutes
             head = [c for (_, bus, _), slot in maps.v_slot.items()
-                    if bus == port.spec.d_bus for c in slot]
+                    if bus == spec.d_bus for c in slot]
             if np.isin(head, base.nonlinear_cols).any():
                 raise ValueError("feeder-head nonlinearities (loads, flow "
                                  "limits or sources at the coupling node) "
                                  "are not supported in consensus mode")
-            self.copy_map[port.key] = (
-                np.concatenate([maps.poi_v[port.key], maps.port_dvar[port.key]]),
-                block_diag(np.eye(2), _AGG / (3.0 * port.kappa)))
-        for port in free_ports:
-            self.copy_map[port.key] = (
-                np.concatenate([maps.poi_v[port.key], maps.port_tvar[port.key]]),
+            self.copy_map[spec.key] = (
+                np.concatenate([maps.poi_v[spec.key], maps.port_dvar[spec.key]]),
+                block_diag(np.eye(2), aggregate_current_d_to_t(spec, np.eye(6))))
+        for spec in [pb.spec for pb in port_builds if pb.mode == "t_free"]:
+            self.copy_map[spec.key] = (
+                np.concatenate([maps.poi_v[spec.key], maps.port_tvar[spec.key]]),
                 np.eye(4))
         self.centers = {key: np.array([1.0, 0.0, 0.0, 0.0]) for key in self.copy_map}
         # the penalty Hessian is rho * P with P constant
@@ -111,7 +112,7 @@ def build_agents(nets, couplings, partition, *, source_kind, norm, q_only):
                        ConsensusAgent(build_problem(cell.nets, cell.port_builds,
                                                     source_kind=source_kind,
                                                     norm=norm, q_only=q_only),
-                                      cell.ports_d, cell.ports_t),
+                                      cell.port_builds),
                        np.empty(0, dtype=int))
             for cell in cells]
     return subs, torn

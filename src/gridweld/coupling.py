@@ -8,12 +8,16 @@ the rotation and c carries the rotation itself when distributing a
 positive-sequence quantity.
 
 Ordering of six-vectors is always (a_R, a_I, b_R, b_I, c_R, c_I).
+
+This module is the one home of the port's linear maps; ``gjn``, ``ecf``
+and ``admm`` call the functions below.  Each takes the port's
+:class:`~gridweld.netmodel.CouplingSpec` and a value, or a 2-D block with a
+column per sensitivity; on an identity block a map gives its matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,31 +37,16 @@ _AGG = np.hstack([np.eye(2), ALPHA_BLOCK, ALPHA2_BLOCK])          # 2 x 6
 _DIST = np.vstack([np.eye(2), ALPHA2_BLOCK, ALPHA_BLOCK])         # 6 x 2
 
 
-@dataclass(frozen=True)
-class CouplingPort:
-    spec: CouplingSpec
-
-    @property
-    def kappa(self) -> float:
-        return self.spec.kappa
-
-    @property
-    def key(self) -> str:
-        """Port name used for parameter slots, index maps and exchange data."""
-        return f"{self.spec.t_bus}:{self.spec.d_bus}"
-
-
-def aggregate_current_d_to_t(port: CouplingPort, i_abc) -> tuple[float, float]:
+def aggregate_current_d_to_t(spec: CouplingSpec, i_abc) -> np.ndarray:
     """Positive-sequence current seen by the transmission side.
 
     ``i_abc`` is the six-vector of per-phase port currents; the result is
     ``(I_a + rot*I_b + rot^2*I_c) / (3 kappa)`` expanded to rectangular form.
     """
-    out = _AGG @ np.asarray(i_abc, dtype=float) / (3.0 * port.kappa)
-    return float(out[0]), float(out[1])
+    return _AGG @ np.asarray(i_abc, dtype=float) / (3.0 * spec.kappa)
 
 
-def distribute_voltage_t_to_d(port: CouplingPort, v_r: float, v_i: float):
+def distribute_voltage_t_to_d(spec: CouplingSpec, v_r, v_i):
     """Balanced three-phase voltages from the transmission POI voltage.
 
     Output is in distribution per-unit: the nominal-voltage scaling of the
@@ -67,7 +56,14 @@ def distribute_voltage_t_to_d(port: CouplingPort, v_r: float, v_i: float):
     return _DIST @ np.array([v_r, v_i])
 
 
-def distribute_dual_t_to_d(port: CouplingPort, lam_r: float, lam_i: float):
+def poi_voltage_price(spec: CouplingSpec, head_grad):
+    """POI-voltage price from a gradient in the six head voltages: the
+    adjoint of :func:`distribute_voltage_t_to_d`, whose transpose equals the
+    aggregation pattern entry for entry (the form applied here)."""
+    return _AGG @ np.asarray(head_grad, dtype=float)
+
+
+def distribute_dual_t_to_d(spec: CouplingSpec, lam_r, lam_i):
     """Stated closed form of the coupling-bus dual relationship.
 
     Same rotation pattern as the voltage distribution, scaled by 1/kappa.
@@ -76,10 +72,10 @@ def distribute_dual_t_to_d(port: CouplingPort, lam_r: float, lam_i: float):
     form, and this function preserves the published one for reference and
     diagnostics.
     """
-    return _DIST @ np.array([lam_r, lam_i]) / port.kappa
+    return _DIST @ np.array([lam_r, lam_i]) / spec.kappa
 
 
-def port_dual_prices(port: CouplingPort, lam_r: float, lam_i: float):
+def port_dual_prices(spec: CouplingSpec, lam_r, lam_i):
     """Adjoint-exact distribution-side KCL duals implied by the T-side dual.
 
     Derived by eliminating the current-coupling constraint from the combined
@@ -88,10 +84,10 @@ def port_dual_prices(port: CouplingPort, lam_r: float, lam_i: float):
     1/(3 kappa).  At a combined optimum this is the relationship that
     actually holds; it equals :func:`distribute_dual_t_to_d` divided by 3.
     """
-    return _AGG.T @ np.array([lam_r, lam_i]) / (3.0 * port.kappa)
+    return _AGG.T @ np.array([lam_r, lam_i]) / (3.0 * spec.kappa)
 
 
-def round_trip_check(port: CouplingPort, v_r: float, v_i: float,
+def round_trip_check(spec: CouplingSpec, v_r: float, v_i: float,
                      load_g: float = 1.0, load_b: float = 0.0) -> float:
     """Consistency defect of distribute followed by aggregate.
 
@@ -100,10 +96,10 @@ def round_trip_check(port: CouplingPort, v_r: float, v_i: float,
     directly computed positive-sequence current.  Exactly balanced states
     must reproduce positive-sequence quantities up to roundoff.
     """
-    v_abc = distribute_voltage_t_to_d(port, v_r, v_i)
+    v_abc = distribute_voltage_t_to_d(spec, v_r, v_i)
     y = np.array([[load_g, -load_b], [load_b, load_g]])
     i_abc = np.concatenate([y @ v_abc[2 * k:2 * k + 2] for k in range(3)])
     # physical-form aggregation of a balanced set divides out to I_1 = y V_1 / kappa
-    got = np.array(aggregate_current_d_to_t(port, i_abc))
-    want = y @ np.array([v_r, v_i]) / port.kappa
+    got = aggregate_current_d_to_t(spec, i_abc)
+    want = y @ np.array([v_r, v_i]) / spec.kappa
     return float(np.max(np.abs(got - want)))

@@ -54,8 +54,8 @@ from itertools import compress
 import numpy as np
 import scipy.sparse as sp
 
-from .coupling import _AGG, _DIST, CouplingPort
-from .netmodel import Network, Partition
+from .coupling import aggregate_current_d_to_t, distribute_voltage_t_to_d
+from .netmodel import CouplingSpec, Network, Partition
 
 #: voltage-magnitude-squared guard for current-injection denominators (pu^2)
 DELTA_V = 1e-4
@@ -109,12 +109,8 @@ class PortBuild:
                      voltages by the 'internal' port's voltage rows.
     Neither distribution-only mode bounds the head voltages.
     """
-    port: CouplingPort
+    spec: CouplingSpec
     mode: str
-
-    @property
-    def key(self) -> str:
-        return self.port.key
 
 
 @dataclass
@@ -123,8 +119,6 @@ class Cell:
     name: str
     nets: list[Network]
     port_builds: list[PortBuild]
-    ports_t: list[CouplingPort]       # torn ports whose transmission side is here
-    ports_d: list[CouplingPort]       # torn ports whose distribution side is here
 
 
 def partition_cells(nets, couplings, partition: Partition, t_mode: str,
@@ -136,7 +130,7 @@ def partition_cells(nets, couplings, partition: Partition, t_mode: str,
     distribution cell in ``d_mode`` ('d_head' or 'd_phasor').  Within a
     cell the internal ports come first, then the torn ports in coupling
     order (the variable layout depends on it).  Returns ``(cells, torn)``
-    with ``torn`` a list of ``(key, port, t_cell, d_cell)`` in coupling
+    with ``torn`` a list of ``(key, spec, t_cell, d_cell)`` in coupling
     order.
     """
     by_name = {n.name: n for n in nets}
@@ -145,24 +139,21 @@ def partition_cells(nets, couplings, partition: Partition, t_mode: str,
     torn = []
     for idx in partition.external_couplings:
         spec = couplings[idx]
-        port = CouplingPort(spec)
-        torn.append((port.key, port, owner[net_of_bus[spec.t_bus]],
+        torn.append((spec.key, spec, owner[net_of_bus[spec.t_bus]],
                      owner[net_of_bus[spec.d_bus]]))
     cells = []
     for sub in partition.subproblems:
         cell = Cell(name=sub.name, nets=[by_name[m] for m in sub.networks],
-                    port_builds=[], ports_t=[], ports_d=[])
+                    port_builds=[])
         for idx in partition.internal_couplings:
             spec = couplings[idx]
             if net_of_bus[spec.t_bus] in sub.networks:
-                cell.port_builds.append(PortBuild(CouplingPort(spec), "internal"))
-        for _, port, t_cell, d_cell in torn:
+                cell.port_builds.append(PortBuild(spec, "internal"))
+        for _, spec, t_cell, d_cell in torn:
             if t_cell == sub.name:
-                cell.port_builds.append(PortBuild(port, t_mode))
-                cell.ports_t.append(port)
+                cell.port_builds.append(PortBuild(spec, t_mode))
             if d_cell == sub.name:
-                cell.port_builds.append(PortBuild(port, d_mode))
-                cell.ports_d.append(port)
+                cell.port_builds.append(PortBuild(spec, d_mode))
         cells.append(cell)
     return cells, torn
 
@@ -865,9 +856,9 @@ class _Builder:
         self._net_of_bus = {b.id: n.name for n in nets for b in n.buses}
         # torn feeder heads (net, bus) -> port build: their voltages are not
         # bounded, and those of a 'd_head' port are exchange parameters
-        self._heads = {(self._net_of_bus[pb.port.spec.d_bus], pb.port.spec.d_bus): pb
+        self._heads = {(self._net_of_bus[pb.spec.d_bus], pb.spec.d_bus): pb
                        for pb in self.ports if pb.mode in ("d_head", "d_phasor")}
-        self._head_param_buses = {nb: pb.key for nb, pb in self._heads.items()
+        self._head_param_buses = {nb: pb.spec.key for nb, pb in self._heads.items()
                                   if pb.mode == "d_head"}
         self._nodes = [_Nodes(n, self._heads, self._head_param_buses) for n in nets]
         self._build()
@@ -1014,7 +1005,7 @@ class _Builder:
 
     def _alloc_ports(self):
         for pb in self.ports:
-            spec, key = pb.port.spec, pb.key
+            spec, key = pb.spec, pb.spec.key
             if pb.mode in ("internal", "t_free", "t_draw"):
                 tnet = self._net_of_bus[spec.t_bus]
                 self.maps.poi_v[key] = list(self.maps.v_slot[(tnet, spec.t_bus, "1")])
@@ -1067,16 +1058,17 @@ class _Builder:
                     i = nd.index[(bus.id, ph)]
                     nd.iu[i], nd.iv[i] = off, off + 1
         for pb in self.ports:
+            key = pb.spec.key
             if pb.mode == "t_draw":
-                self._new_params(f"draw:{pb.key}", 2)
+                self._new_params(f"draw:{key}", 2)
                 # POI-voltage price fed back from the distribution cell
-                sl = self._new_params(f"vprice:{pb.key}", 2)
-                tu, tv = self.maps.poi_v[pb.key]
+                sl = self._new_params(f"vprice:{key}", 2)
+                tu, tv = self.maps.poi_v[key]
                 self.price_pairs += [(tu, sl.start), (tv, sl.start + 1)]
             if pb.mode == "d_head":
                 # port-current prices from the transmission dual
-                sl = self._new_params(f"price:{pb.key}", 6)
-                for off, var in enumerate(self.maps.port_dvar[pb.key]):
+                sl = self._new_params(f"price:{key}", 6)
+                for off, var in enumerate(self.maps.port_dvar[key]):
                     self.price_pairs.append((var, sl.start + off))
         self.zero = self.nvar + self.n_param
 
@@ -1178,8 +1170,7 @@ class _Builder:
             cols.append(col)
             vals.append(val)
         for pb in self.ports:
-            spec, key = pb.port.spec, pb.key
-            kappa = pb.port.kappa
+            spec, key = pb.spec, pb.spec.key
             if pb.mode in ("internal", "t_free", "t_draw"):
                 tnet = self._net_of_bus[spec.t_bus]
                 rr, ri = self.maps.kcl_row[(tnet, spec.t_bus, "1")]
@@ -1201,23 +1192,25 @@ class _Builder:
             if pb.mode == "internal":
                 it = self.maps.port_tvar[key]
                 idv = self.maps.port_dvar[key]
+                agg = aggregate_current_d_to_t(spec, np.eye(6))
                 first = self._new_rows("eq", 2, partial(_port_labels, ("c1r", "c1i"), key))
                 for r in range(2):
                     stamp(first + r, it[r], 1.0)
                     for cidx in range(6):
-                        stamp(first + r, idv[cidx], -_AGG[r, cidx] / (3 * kappa))
+                        stamp(first + r, idv[cidx], -agg[r, cidx])
             if pb.mode in ("internal", "d_phasor"):
                 # the head voltages are the balanced expansion of the POI
                 # voltage, or of a 'd_phasor' port's local phasor
                 dnet = self._net_of_bus[spec.d_bus]
                 tu, tv = self.maps.poi_v[key]
+                dist = distribute_voltage_t_to_d(spec, *np.eye(2))
                 row = self._new_rows("eq", 6, partial(
                     _node_labels, ("c2r", "c2i"), [(key, ph) for ph in "abc"]))
                 for k, ph in enumerate("abc"):
                     for c, slot in enumerate(self.maps.v_slot[(dnet, spec.d_bus, ph)]):
                         stamp(row, slot, 1.0)
-                        stamp(row, tu, -_DIST[2 * k + c, 0])
-                        stamp(row, tv, -_DIST[2 * k + c, 1])
+                        stamp(row, tu, -dist[2 * k + c, 0])
+                        stamp(row, tv, -dist[2 * k + c, 1])
                         row += 1
         self._stamp("eq", rows, cols, vals)
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pdip
-from .coupling import _AGG, _DIST, distribute_voltage_t_to_d
+from .coupling import (aggregate_current_d_to_t, distribute_voltage_t_to_d,
+                       poi_voltage_price, port_dual_prices)
 from .ecf import build_problem, partition_cells
 from .netmodel import Network, Partition, default_partition
 from .report import build_report
@@ -97,7 +98,7 @@ def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
     return subs, torn
 
 
-def _exchange(port, i_d, v_t, lam_t, head):
+def _exchange(spec, i_d, v_t, lam_t, head):
     """A torn port's PORT_DIM new boundary values from what its cells hold.
 
     ``i_d`` are the feeder's six port currents, ``v_t`` and ``lam_t`` the
@@ -109,9 +110,10 @@ def _exchange(port, i_d, v_t, lam_t, head):
     (2-D, a column per boundary value) instead of values, it returns the
     rows of the linearized exchange.
     """
-    k3 = 3.0 * port.kappa
-    return np.concatenate([_AGG @ i_d / k3, _DIST @ v_t, _AGG.T @ lam_t / k3,
-                           _AGG @ head])
+    return np.concatenate([aggregate_current_d_to_t(spec, i_d),
+                           distribute_voltage_t_to_d(spec, *v_t),
+                           port_dual_prices(spec, *lam_t),
+                           poi_voltage_price(spec, head)])
 
 
 def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
@@ -124,14 +126,14 @@ def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
     """
     new = np.empty((len(torn), PORT_DIM))
     readings = np.empty((len(torn), 10))
-    for k, (key, port, t_sub, d_sub) in enumerate(torn):
+    for k, (key, spec, t_sub, d_sub) in enumerate(torn):
         t, d = subs_by_name[t_sub], subs_by_name[d_sub]
         v_t = t.state.x[t.problem.maps.poi_v[key]]
         lam_t = t.state.lam[t.problem.maps.poi_row[key]]
         i_d = d.state.x[d.problem.maps.port_dvar[key]]
         head = d.problem.param_lagrangian_grad(d.state.x, d.state.lam,
                                                d.state.mu, f"headv:{key}")
-        new[k] = _exchange(port, i_d, v_t, lam_t, head)
+        new[k] = _exchange(spec, i_d, v_t, lam_t, head)
         readings[k] = np.concatenate([v_t, lam_t, i_d])
     new = new.ravel()
     if damping != 1.0:
@@ -171,9 +173,9 @@ class Coordinator:
                                        source_kind=source_kind, norm=norm,
                                        q_only=q_only)
         boundary = np.zeros(PORT_DIM * len(torn))
-        for k, (_, port, _, _) in enumerate(torn):
+        for k, (_, spec, _, _) in enumerate(torn):
             head = PORT_DIM * k + PORT_LAYOUT["headv"]
-            boundary[head:head + 6] = distribute_voltage_t_to_d(port, 1.0, 0.0)
+            boundary[head:head + 6] = distribute_voltage_t_to_d(spec, 1.0, 0.0)
         return subs, torn, boundary
 
     def payload(self, key: str) -> dict:
@@ -390,13 +392,13 @@ class Coordinator:
             return out
 
         BA = np.empty((self.boundary.size,) * 2)
-        for k, (key, port, t_sub, d_sub) in enumerate(self.torn):
+        for k, (key, spec, t_sub, d_sub) in enumerate(self.torn):
             t, d = self.by_name[t_sub], self.by_name[d_sub]
             St = sens[t_sub][0]
             Sd, dgrad = sens[d_sub]
             hsl = d.problem.param_slots[f"headv:{key}"]
             BA[PORT_DIM * k:PORT_DIM * (k + 1)] = _exchange(
-                port, wide(d, Sd[d.problem.maps.port_dvar[key]]),
+                spec, wide(d, Sd[d.problem.maps.port_dvar[key]]),
                 wide(t, St[t.problem.maps.poi_v[key]]),
                 wide(t, St[t.problem.nvar + np.asarray(t.problem.maps.poi_row[key])]),
                 wide(d, dgrad[hsl]))
@@ -441,12 +443,12 @@ def spectral_radius_split(Y, blocks) -> float:
 
 
 def run(nets, couplings, partition=None, *, source_kind="current", norm="l2",
-        q_only=False, opts=None, gauss_tol=1e-6, max_epochs=200, damping=1.0,
-        workers=1, trace_path=None):
+        q_only=False, opts=None, gauss_tol=1e-6, max_epochs=200, workers=1,
+        trace_path=None):
     """One-call distributed solve; see :class:`Coordinator`."""
     return Coordinator(nets, couplings, partition, source_kind=source_kind,
                        norm=norm, q_only=q_only, opts=opts, gauss_tol=gauss_tol,
-                       max_epochs=max_epochs, damping=damping, workers=workers,
+                       max_epochs=max_epochs, workers=workers,
                        trace_path=trace_path).run()
 
 

@@ -103,6 +103,11 @@ class CouplingSpec:
     def kappa(self) -> float:
         return self.s_base / self.v_base
 
+    @property
+    def key(self) -> str:
+        """Port name used for parameter slots, index maps and exchange data."""
+        return f"{self.t_bus}:{self.d_bus}"
+
 
 @dataclass
 class Network:

@@ -622,9 +622,8 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
                     # merit is flat near a solution when the step is mostly in
                     # the duals; accept on plain KKT-residual contraction
                     tstate = KktState(x=x_new, lam=state.lam + alpha * dlam,
-                                      mu=(np.maximum(state.mu + min(alpha_mu, alpha) * dmu,
-                                                     1e-300) if system.mi
-                                          else state.mu),
+                                      mu=(state.mu + min(alpha_mu, alpha) * dmu
+                                          if system.mi else state.mu),
                                       eps=state.eps)
                     tres = assemble_kkt(problem, tstate, trial)
                     if max(tres.stationarity, tres.feasibility,
@@ -644,7 +643,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
         else:
             state.lam = state.lam + alpha * dlam
             if system.mi:
-                state.mu = np.maximum(state.mu + alpha_mu * dmu, 1e-300)
+                state.mu = state.mu + alpha_mu * dmu
         if trace is not None:
             trace.append(IterRecord(iteration=it, eps=state.eps,
                                     kkt=kkt0, alpha=alpha,
@@ -672,12 +671,11 @@ def solve_centralized(nets, couplings, *, source_kind="current", norm="l2",
     import json
     import time
 
-    from .coupling import CouplingPort
     from .ecf import PortBuild, build_problem
     from .report import build_report
 
     opts = opts or SolverOptions()
-    ports = [PortBuild(CouplingPort(c), "internal") for c in couplings]
+    ports = [PortBuild(c, "internal") for c in couplings]
     problem = build_problem(nets, ports, source_kind=source_kind, norm=norm,
                             q_only=q_only)
     trace = [] if trace_path else None

@@ -10,7 +10,7 @@ CASES = ROOT / "cases"
 PARTITIONS = CASES / "partitions"
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from gridweld import CouplingPort, PortBuild, build_problem, load_case  # noqa: E402
+from gridweld import PortBuild, build_problem, load_case  # noqa: E402
 from gridweld.coupling import distribute_voltage_t_to_d  # noqa: E402
 
 
@@ -28,7 +28,7 @@ def load(name: str):
 
 def centralized_problem(name: str, **kw):
     nets, coups = load(name)
-    ports = [PortBuild(CouplingPort(c), "internal") for c in coups]
+    ports = [PortBuild(c, "internal") for c in coups]
     kw.setdefault("source_kind", "current")
     kw.setdefault("norm", "l2")
     return nets, coups, build_problem(nets, ports, **kw)
@@ -39,12 +39,12 @@ def head_cell(name: str, kind="current"):
     head voltages at 1.01 pu / 0.02 rad and nonzero port-current prices."""
     nets, coups = load(name)
     dnet = next(n for n in nets if n.side == "distribution")
-    port = CouplingPort(coups[0])
-    prob = build_problem([dnet], [PortBuild(port, "d_head")],
+    spec = coups[0]
+    prob = build_problem([dnet], [PortBuild(spec, "d_head")],
                          source_kind=kind, norm="l2")
-    prob.set_params(f"headv:{port.key}", distribute_voltage_t_to_d(port, 1.01, 0.02))
-    prob.set_params(f"price:{port.key}", 0.1 * np.arange(6))
-    return prob, port.key
+    prob.set_params(f"headv:{spec.key}", distribute_voltage_t_to_d(spec, 1.01, 0.02))
+    prob.set_params(f"price:{spec.key}", 0.1 * np.arange(6))
+    return prob, spec.key
 
 
 def problem_digest(problem, seed=0, rho=1.7, names=True):

@@ -117,9 +117,8 @@ def test_c05_dual_relationship():
                              gauss_tol=gauss_tol)
         rep = co.run()
         assert rep.converged, case
-        for key, port, t_sub, d_sub in co.torn:
+        for key, spec, t_sub, d_sub in co.torn:
             tsub, dsub = co.by_name[t_sub], co.by_name[d_sub]
-            spec = port.spec
             tnet = next(n.name for n in tsub.nets if n.has_bus(spec.t_bus))
             rr, ri = tsub.problem.maps.kcl_row[(tnet, spec.t_bus, "1")]
             lam_t = (tsub.state.lam[rr], tsub.state.lam[ri])
@@ -128,7 +127,7 @@ def test_c05_dual_relationship():
                 dsub.state.lam[dsub.problem.maps.kcl_row[(dnet, spec.d_bus,
                                                           ph)][c]]
                 for ph in "abc" for c in (0, 1)])
-            want = port_dual_prices(port, *lam_t)
+            want = port_dual_prices(spec, *lam_t)
             assert np.max(np.abs(lam_d - want)) < 10 * gauss_tol, (case, key)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gridweld import CouplingPort, PortBuild, admm, build_problem, gjn, pdip
-from gridweld.coupling import _DIST
+from gridweld import PortBuild, admm, build_problem, gjn, pdip
+from gridweld.coupling import distribute_voltage_t_to_d
 from gridweld.netmodel import load_partition
 from gridweld.pdip import solve_centralized
 
@@ -29,16 +29,16 @@ def test_phasor_cell_is_head_cell_with_head_voltages_kept(rng, kind, norm):
     six tie rows vanish."""
     nets, coups = load("case_micro_td_stressed")
     dnet = next(n for n in nets if n.side == "distribution")
-    port = CouplingPort(coups[0])
-    head, phasor = (build_problem([dnet], [PortBuild(port, mode)],
+    spec = coups[0]
+    head, phasor = (build_problem([dnet], [PortBuild(spec, mode)],
                                   source_kind=kind, norm=norm)
                     for mode in ("d_head", "d_phasor"))
     x = phasor.x0() + 0.05 * rng.standard_normal(phasor.nvar)
-    expansion = _DIST @ x[phasor.maps.poi_v[port.key]]
+    expansion = distribute_voltage_t_to_d(spec, *x[phasor.maps.poi_v[spec.key]])
     for k, ph in enumerate("abc"):
-        x[list(phasor.maps.v_slot[(dnet.name, port.spec.d_bus, ph)])] = \
+        x[list(phasor.maps.v_slot[(dnet.name, spec.d_bus, ph)])] = \
             expansion[2 * k:2 * k + 2]
-    head.set_params(f"headv:{port.key}", expansion)
+    head.set_params(f"headv:{spec.key}", expansion)
     at = {label: i for i, label in enumerate(phasor.var_label)}
     x_head = x[[at[label] for label in head.var_label]]
 
@@ -46,7 +46,7 @@ def test_phasor_cell_is_head_cell_with_head_voltages_kept(rng, kind, norm):
     eq_at = {label: i for i, label in enumerate(phasor.eq_label)}
     for i, label in enumerate(head.eq_label):
         assert c_phasor[eq_at.pop(label)] == pytest.approx(c_head[i], abs=1e-12)
-    assert sorted(eq_at) == sorted(f"c2{part}:{port.key}:{ph}"
+    assert sorted(eq_at) == sorted(f"c2{part}:{spec.key}:{ph}"
                                    for part in "ri" for ph in "abc")
     assert np.max(np.abs(c_phasor[list(eq_at.values())])) < 1e-15
 

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridweld.coupling import (ALPHA_BLOCK, ALPHA2_BLOCK, CouplingPort,
+from gridweld.coupling import (ALPHA_BLOCK, ALPHA2_BLOCK,
                                aggregate_current_d_to_t,
                                distribute_dual_t_to_d,
-                               distribute_voltage_t_to_d, port_dual_prices,
-                               round_trip_check)
+                               distribute_voltage_t_to_d, poi_voltage_price,
+                               port_dual_prices, round_trip_check)
 from gridweld.netmodel import CouplingSpec
 
 from oracles import ALPHA
 
 
 def port(kappa=1.0):
-    return CouplingPort(CouplingSpec("t", "d", s_base=kappa * 7500.0,
-                                     v_base=7500.0))
+    return CouplingSpec("t", "d", s_base=kappa * 7500.0, v_base=7500.0)
 
 
 def as_complex(pair_or_six):
@@ -42,7 +43,7 @@ def test_aggregate_balanced_set_is_identity():
 
 
 def test_aggregate_zero():
-    assert aggregate_current_d_to_t(port(2.0), np.zeros(6)) == (0.0, 0.0)
+    assert aggregate_current_d_to_t(port(2.0), np.zeros(6)).tolist() == [0.0, 0.0]
 
 
 def test_aggregate_unbalanced_matches_complex_oracle(rng):
@@ -139,3 +140,38 @@ def test_round_trip_random_balanced(rng):
         kappa = float(rng.uniform(0.3, 80.0))
         assert round_trip_check(port(kappa), v[0], v[1],
                                 load_g=1.3, load_b=-0.4) < 1e-12
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kappa=st.floats(0.3, 80.0), n=st.integers(1, 5),
+       values=st.lists(_FINITE, min_size=30, max_size=30))
+def test_port_maps_on_a_block_are_columnwise_and_v_price_is_adjoint(kappa, n, values):
+    """Each port map applied to a 2-D block maps it column by column, so
+    the exchange and its sensitivity rows share one code path; and the
+    POI-voltage price is the adjoint of the voltage distribution:
+    <D^T g, v> = <g, D v>.  A block and a vector product may round apart
+    in the last bit (numpy takes another BLAS kernel for each), so columns
+    are held to a few ulps of the largest input; on an identity block,
+    the form the coupling rows stamp, every map is exact."""
+    p = port(kappa)
+    maps = [(6, lambda m: aggregate_current_d_to_t(p, m)),
+            (6, lambda m: poi_voltage_price(p, m)),
+            (2, lambda m: distribute_voltage_t_to_d(p, *m)),
+            (2, lambda m: distribute_dual_t_to_d(p, *m)),
+            (2, lambda m: port_dual_prices(p, *m))]
+    ulps = 16 * np.finfo(float).eps * max(1.0, 1.0 / kappa)
+    for k, fn in maps:
+        block = np.reshape(values[:k * n], (k, n))
+        got = fn(block)
+        cols = np.array([fn(col) for col in block.T]).T
+        assert got.shape == cols.shape == (cols.shape[0], n)
+        assert np.max(np.abs(got - cols)) <= ulps * max(np.abs(block).max(), 1.0)
+        eye = np.eye(k)
+        assert np.array_equal(fn(eye), np.array([fn(e) for e in eye]).T)
+    g, v = np.array(values[:6]), np.array(values[6:8])
+    lhs = poi_voltage_price(p, g) @ v
+    rhs = g @ distribute_voltage_t_to_d(p, *v)
+    assert abs(lhs - rhs) <= 1e-14 * (np.abs(g).sum() * np.abs(v).sum() + 1.0)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridweld import CouplingPort, PortBuild, build_problem
+from gridweld import PortBuild, build_problem
 from gridweld.ecf import CircuitProblem, _Builder
 from gridweld.netmodel import Branch, Bus, Network, case_from_dict
 
@@ -275,7 +275,7 @@ def test_problem_pickles_and_does_not_keep_its_builder():
     they pickle, give the labels the problem gives, and hold no reference
     to the builder."""
     nets, coups = load("case_micro_flowcap")
-    builder = _Builder(nets, [PortBuild(CouplingPort(c), "internal") for c in coups],
+    builder = _Builder(nets, [PortBuild(c, "internal") for c in coups],
                        "power", "l1", False)
     prob, ref = CircuitProblem(builder), weakref.ref(builder)
     del builder

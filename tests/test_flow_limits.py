@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridweld import admm, gjn, load_case
-from gridweld.coupling import CouplingPort
 from gridweld.ecf import SOURCE_KINDS, PortBuild, build_problem
 from gridweld.pdip import solve_centralized, solve_nlp
 
@@ -24,7 +23,7 @@ def flowcap():
 
 def test_limits_bind_at_the_optimum(flowcap):
     nets, coups = flowcap
-    ports = [PortBuild(CouplingPort(c), "internal") for c in coups]
+    ports = [PortBuild(c, "internal") for c in coups]
     prob = build_problem(nets, ports, source_kind="current", norm="l2")
     state, status = solve_nlp(prob)
     assert status == "converged"

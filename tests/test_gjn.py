@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridweld import gjn
-from gridweld.coupling import (CouplingPort, _AGG, distribute_dual_t_to_d,
+from gridweld.coupling import (distribute_dual_t_to_d, poi_voltage_price,
                                port_dual_prices)
 from gridweld.netmodel import load_partition
 from gridweld.pdip import assemble_kkt, solve_centralized, solve_subproblem
@@ -88,7 +88,7 @@ def test_decomposed_kkt_coincides_with_centralized_at_its_solution():
     from gridweld.pdip import KktState, solve_nlp
 
     nets, coups = load("case_micro_td_stressed")
-    ports = [PortBuild(CouplingPort(c), "internal") for c in coups]
+    ports = [PortBuild(c, "internal") for c in coups]
     central = build_problem(nets, ports, source_kind="current", norm="l2")
     cstate, cstatus = solve_nlp(central)
     assert cstatus == "converged"
@@ -108,7 +108,7 @@ def test_decomposed_kkt_coincides_with_centralized_at_its_solution():
 
     spec = coups[0].t_bus, coups[0].d_bus
     key = f"{spec[0]}:{spec[1]}"
-    port = CouplingPort(coups[0])
+    port = coups[0]
     tsub = co.by_name[co.partition.owner_of("t0")]
     dsub = co.by_name[co.partition.owner_of("d0")]
     # boundary values read off the combined solution
@@ -129,7 +129,7 @@ def test_decomposed_kkt_coincides_with_centralized_at_its_solution():
         d_state.x, d_state.lam, d_state.mu, f"headv:{key}")
     t_state = mapped_state(tsub)
     tsub.problem.set_params(f"draw:{key}", draw)
-    tsub.problem.set_params(f"vprice:{key}", _AGG @ head_sens)
+    tsub.problem.set_params(f"vprice:{key}", poi_voltage_price(port, head_sens))
     t_res = assemble_kkt(tsub.problem, t_state)
     assert t_res.stationarity < 1e-7
     assert t_res.feasibility < 1e-7
@@ -140,19 +140,18 @@ def test_dual_relationship_holds_at_convergence():
     co = coordinator("case_micro_td_stressed", gauss_tol=gauss_tol)
     rep = co.run()
     assert rep.converged
-    for key, port, t_sub, d_sub in co.torn:
+    for key, spec, t_sub, d_sub in co.torn:
         tsub, dsub = co.by_name[t_sub], co.by_name[d_sub]
-        spec = port.spec
         tnet = next(n.name for n in tsub.nets if n.has_bus(spec.t_bus))
         rr, ri = tsub.problem.maps.kcl_row[(tnet, spec.t_bus, "1")]
         lam_t = (tsub.state.lam[rr], tsub.state.lam[ri])
         dnet = next(n.name for n in dsub.nets if n.has_bus(spec.d_bus))
         lam_d = np.array([dsub.state.lam[dsub.problem.maps.kcl_row[
             (dnet, spec.d_bus, ph)][c]] for ph in "abc" for c in (0, 1)])
-        want = port_dual_prices(port, *lam_t)
+        want = port_dual_prices(spec, *lam_t)
         assert np.max(np.abs(lam_d - want)) < 10 * gauss_tol
         # equivalently, the stated rotation form scaled by the aggregation's 1/3
-        stated = np.asarray(distribute_dual_t_to_d(port, *lam_t)) / 3.0
+        stated = np.asarray(distribute_dual_t_to_d(spec, *lam_t)) / 3.0
         assert np.max(np.abs(lam_d - stated)) < 10 * gauss_tol
 
 
@@ -311,15 +310,15 @@ def test_coupling_equalities_hold_at_boundary():
     assert rep.converged
     from gridweld.coupling import (aggregate_current_d_to_t,
                                    distribute_voltage_t_to_d)
-    for key, port, t_sub, d_sub in co.torn:
+    for key, spec, t_sub, d_sub in co.torn:
         bs = co.payload(key)
         tsub = co.by_name[t_sub]
         ext_draw = tsub.problem.get_params(f"draw:{key}")
-        want = aggregate_current_d_to_t(port, bs["d_current"])
-        assert np.max(np.abs(np.asarray(want) - ext_draw)) <= 2 * gauss_tol
+        want = aggregate_current_d_to_t(spec, bs["d_current"])
+        assert np.max(np.abs(want - ext_draw)) <= 2 * gauss_tol
         dsub = co.by_name[d_sub]
         head = dsub.problem.get_params(f"headv:{key}")
-        want_v = distribute_voltage_t_to_d(port, *bs["t_voltage"])
+        want_v = distribute_voltage_t_to_d(spec, *bs["t_voltage"])
         assert np.max(np.abs(want_v - head)) <= 2 * gauss_tol
 
 
@@ -343,7 +342,7 @@ def test_large_feeder_distributed_agrees():
 def test_partition_variables_plus_boundary_cover_centralized_set():
     from gridweld.ecf import PortBuild, build_problem
     nets, coups = load("case_micro_td")
-    ports = [PortBuild(CouplingPort(c), "internal") for c in coups]
+    ports = [PortBuild(c, "internal") for c in coups]
     central = build_problem(nets, ports, source_kind="current", norm="l2")
     co = coordinator("case_micro_td")
     cell_labels = set()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gridweld.coupling import CouplingPort
 from gridweld.ecf import FixedMatrix, PortBuild, build_problem
 from gridweld.pdip import (KktState, NewtonSystem, SolveFailure, SolverOptions,
                            assemble_kkt, newton_step, solve_centralized,
@@ -636,7 +635,7 @@ def test_feasible_t_subproblem_with_oracle_boundary_draw():
     i1 = sum(coeff * kcl[idx[(spec.d_bus, ph)]]
              for ph, coeff in (("a", 1), ("b", alpha), ("c", alpha ** 2)))
     i1 /= 3.0 * spec.kappa
-    prob = build_problem([tnet], [PortBuild(CouplingPort(spec), "t_draw")],
+    prob = build_problem([tnet], [PortBuild(spec, "t_draw")],
                          source_kind="current", norm="l2")
     prob.set_params(f"draw:{spec.t_bus}:{spec.d_bus}", [i1.real, i1.imag])
     prob.set_params(f"vprice:{spec.t_bus}:{spec.d_bus}", [0.0, 0.0])
@@ -655,13 +654,12 @@ def test_overloaded_d_subproblem_positive_objective():
     nets, coups = load("case_micro_qstress")
     dnet = next(n for n in nets if n.side == "distribution")
     spec = coups[0]
-    prob = build_problem([dnet], [PortBuild(CouplingPort(spec), "d_head")],
+    prob = build_problem([dnet], [PortBuild(spec, "d_head")],
                          source_kind="power", norm="l2", q_only=True)
     key = f"{spec.t_bus}:{spec.d_bus}"
     head = np.array([1.0, 0.0])
     from gridweld.coupling import distribute_voltage_t_to_d
-    prob.set_params(f"headv:{key}",
-                    distribute_voltage_t_to_d(CouplingPort(spec), 1.0, 0.0))
+    prob.set_params(f"headv:{key}", distribute_voltage_t_to_d(spec, 1.0, 0.0))
     prob.set_params(f"price:{key}", np.zeros(6))
     state, status = solve_subproblem(prob)
     assert status == "converged"

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridweld import CouplingPort, PortBuild, build_problem, gjn, pdip
+from gridweld import PortBuild, build_problem, gjn, pdip
 from gridweld.netmodel import case_from_dict, case_to_dict, load_partition
 
 from conftest import load, partition_path, problem_digest
@@ -38,7 +38,7 @@ def _relabel(nets, coups, seed):
 
 def _problems(nets, coups, part, kind, norm):
     subs, _ = gjn.build_subproblems(nets, coups, part, source_kind=kind, norm=norm)
-    ports = [PortBuild(CouplingPort(c), "internal") for c in coups]
+    ports = [PortBuild(c, "internal") for c in coups]
     return [build_problem(nets, ports, source_kind=kind, norm=norm)] + [s.problem for s in subs]
 
 

@@ -81,8 +81,8 @@ def test_case_files_are_valid_json_with_sorted_keys():
 
 def test_demo_and_readme_imports_resolve():
     """Every gridweld name the demos and the README's Library block import
-    exists.  Only the imports are checked: running the demos takes seconds
-    each."""
+    exists.  Demos 05 and 06 also run end to end below; the others take
+    seconds each, so only their imports are checked."""
     texts = {p.name: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))}
     readme = (ROOT / "README.md").read_text()
     texts["README.md"] = readme.split("## Library", 1)[1] \
@@ -105,17 +105,31 @@ def test_demo_and_readme_imports_resolve():
     assert len(texts) > 1 and checked > 0
 
 
-def test_convergence_diagnostics_demo_runs():
-    """The spectral-radius demo runs end to end and prints both radii."""
+def _run_demo(name):
+    """The demo's standard output; it must exit cleanly."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run(
-        [sys.executable, "demos/06_convergence_diagnostics.py"], cwd=ROOT,
+        [sys.executable, f"demos/{name}"], cwd=ROOT,
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "raw radius" in done.stdout
-    assert "relaxed (0.5)" in done.stdout
+    return done.stdout
+
+
+def test_convergence_diagnostics_demo_runs():
+    """The spectral-radius demo runs end to end and prints both radii."""
+    out = _run_demo("06_convergence_diagnostics.py")
+    assert "raw radius" in out
+    assert "relaxed (0.5)" in out
+
+
+def test_coupling_port_algebra_demo_runs():
+    """The port-algebra demo runs end to end, so a changed signature or
+    return type of a port map shows here, not only in its imports."""
+    out = _run_demo("05_coupling_port_algebra.py")
+    assert "port poi:head" in out
+    assert "aggregate = 0.015000" in out
 
 
 def test_one_factorization_site():
@@ -188,15 +202,38 @@ def test_newton_system_does_no_sparse_algebra():
 
 
 def test_exchange_written_once():
-    """The coupling maps enter ``gjn`` only inside ``_exchange``, so the
-    epoch loop and the epoch map apply one exchange, not two copies."""
-    tree = ast.parse((ROOT / "src" / "gridweld" / "gjn.py").read_text())
-    (exchange,) = [n for n in ast.walk(tree)
-                   if isinstance(n, ast.FunctionDef) and n.name == "_exchange"]
-    inside = {id(n) for n in ast.walk(exchange)}
-    uses = [n for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and n.id in ("_AGG", "_DIST")]
-    assert uses and all(id(n) in inside for n in uses)
+    """``coupling`` is the one home of the port maps and ``CouplingSpec``
+    the one port type.  In ``src`` only ``coupling`` names the map matrices
+    ``_AGG``/``_DIST``, and no module imports a private name from it; no
+    ``CouplingPort`` is left in ``src``, ``tests`` or ``demos``; and in
+    ``gjn`` the maps are called only inside ``_exchange``, which the epoch
+    loop and the epoch map share, and in the flat start of ``_cells``."""
+    src = ROOT / "src" / "gridweld"
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert [name for name, tree in trees.items()
+            if any(isinstance(n, ast.Name) and n.id in ("_AGG", "_DIST")
+                   for n in ast.walk(tree))] == ["coupling.py"]
+    assert [f"{name}: {a.name}" for name, tree in trees.items()
+            for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and (n.module or "").split(".")[-1] == "coupling"
+            for a in n.names if a.name.startswith("_")] == []
+    files = [*src.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "demos").glob("*.py")]
+    assert [p.name for p in files if p.resolve() != Path(__file__).resolve()
+            and "CouplingPort" in p.read_text()] == []
+    maps = {"aggregate_current_d_to_t", "distribute_voltage_t_to_d",
+            "port_dual_prices", "poi_voltage_price"}
+    called = {}
+    for fn in ast.walk(trees["gjn.py"]):
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) in maps:
+                    called.setdefault(fn.name, []).append(n.func.id)
+    assert sorted(called) == ["_cells", "_exchange"]
+    assert len([n for n in ast.walk(trees["gjn.py"]) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) in maps]) == 5
+    assert sorted(called["_exchange"]) == sorted(maps)
+    assert called["_cells"] == ["distribute_voltage_t_to_d"]
 
 
 def test_epoch_loop_written_once():

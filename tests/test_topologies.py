@@ -68,10 +68,9 @@ def feeder_pv_case():
 
 def test_three_phase_pv_bus_holds_magnitude():
     nets, coups = feeder_pv_case()
-    from gridweld.coupling import CouplingPort
     from gridweld.ecf import PortBuild, build_problem
     from gridweld.pdip import solve_nlp
-    ports = [PortBuild(CouplingPort(c), "internal") for c in coups]
+    ports = [PortBuild(c, "internal") for c in coups]
     prob = build_problem(nets, ports, source_kind="current", norm="l2")
     state, status = solve_nlp(prob)
     assert status == "converged"
