@@ -6,7 +6,7 @@ from .netmodel import (Branch, Bus, CaseError, CouplingSpec, Generator, Load,
 from .coupling import (aggregate_current_d_to_t, distribute_dual_t_to_d,
                        distribute_voltage_t_to_d, poi_voltage_price,
                        port_dual_prices, round_trip_check)
-from .ecf import CircuitProblem, InfeasibilitySource, PortBuild, build_problem
+from .ecf import CircuitProblem, PortBuild, build_problem
 from .pdip import (KktState, NewtonSystem, SolverOptions, assemble_kkt,
                    newton_step, solve_centralized, solve_nlp, solve_subproblem)
 from .gjn import (Coordinator, Subproblem, compare_modes,

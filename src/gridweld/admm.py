@@ -48,9 +48,7 @@ class ConsensusAgent:
             # limit or a power- or admittance-kind source at the coupling
             # node) is rejected: without this check, L2 ADMM on
             # case_micro_flowcap had not finished after 10 minutes
-            head = [c for (_, bus, _), slot in maps.v_slot.items()
-                    if bus == spec.d_bus for c in slot]
-            if np.isin(head, base.nonlinear_cols).any():
+            if np.isin(maps.head_v[spec.key], base.nonlinear_cols).any():
                 raise ValueError("feeder-head nonlinearities (loads, flow "
                                  "limits or sources at the coupling node) "
                                  "are not supported in consensus mode")
@@ -108,7 +106,7 @@ def build_agents(nets, couplings, partition, *, source_kind, norm, q_only):
     """One cell per partition subproblem, its problem a :class:`ConsensusAgent`,
     plus the torn ports as :func:`gridweld.ecf.partition_cells` lists them."""
     cells, torn = partition_cells(nets, couplings, partition, "t_free", "d_phasor")
-    subs = [Subproblem(cell.name, cell.nets,
+    subs = [Subproblem(cell.name,
                        ConsensusAgent(build_problem(cell.nets, cell.port_builds,
                                                     source_kind=source_kind,
                                                     norm=norm, q_only=q_only),

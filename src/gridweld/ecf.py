@@ -41,7 +41,9 @@ result: a fixed pattern sums duplicate entries in the order they are
 emitted, constants are added in that order, and Hessian pairs sum in spec
 order, so each pass emits in the order of the case (branches grouped by
 phase count go back to branch order) and a float sum of three or more terms
-rounds as it always has.  Labels are formatted when first read.
+rounds as it always has.  Labels are formatted when first read, and they
+are how a caller finds a node's columns and rows (``vr:bus:phase``,
+``kclr:bus:phase``, ...); only coupling ports keep index maps.
 """
 
 from __future__ import annotations
@@ -81,16 +83,6 @@ _SOURCE_COMPONENTS = {"current": ("ir", "ii"), "power": ("p", "q"),
 
 # ---------------------------------------------------------------------------
 # assembled problem
-
-
-@dataclass(frozen=True)
-class InfeasibilitySource:
-    net: str
-    bus: str
-    phase: str
-    kind: str
-    components: tuple[str, ...]   # variable labels, e.g. ("ir", "ii") or ("q",)
-    var_index: tuple[int, ...]
 
 
 @dataclass
@@ -428,11 +420,14 @@ class CircuitProblem:
         self.nvar = nx = b.nvar
         self.n_eq = b.n_eq
         self.n_in = b.n_in
-        self.nets = b.nets
         self.norm = b.norm
         self.source_kind = b.source_kind
         self.q_only = b.q_only
-        self.sources: list[InfeasibilitySource] = b.sources
+        #: one (net, bus, phase) per infeasibility source and the component names,
+        #: e.g. ("ir", "ii"); source_cols[i, c] is the variable of component c of source i
+        self.source_nodes: list[tuple[str, str, str]] = b.source_nodes
+        self.source_components: tuple[str, ...] = b.source_components
+        self.source_cols = b.src_idx.reshape(len(b.source_nodes), len(b.source_components))
         self._label_recipes, self._label_lists = b.labels, {}
         self.param_slots: dict[str, slice] = b.param_slots
         self.n_param = npar = b.n_param
@@ -656,16 +651,14 @@ class CircuitProblem:
 
 @dataclass
 class IndexMaps:
-    """Lookup tables produced during assembly (variable/row bookkeeping)."""
-    v_slot: dict = field(default_factory=dict)       # (net,bus,ph) -> (iu, iv) z columns
-    kcl_row: dict = field(default_factory=dict)      # (net,bus,ph) -> (rowR, rowI)
+    """Each coupling port's columns and rows, by port key (a node's are found by label)."""
     port_tvar: dict = field(default_factory=dict)    # port key -> (2,) indices
     port_dvar: dict = field(default_factory=dict)    # port key -> (6,) indices
     # port key -> POI voltage [iu, iv] slots; a 'd_phasor' port's head phasor
     poi_v: dict = field(default_factory=dict)
     poi_row: dict = field(default_factory=dict)      # port key -> POI balance [rowR, rowI]
-    pv_qvar: dict = field(default_factory=dict)      # (net,bus,ph) -> q index
-    inj_var: dict = field(default_factory=dict)      # (net,bus,ph) -> (ir, ii)
+    # port key -> six head-voltage z columns [iu_a, iv_a, ..., iv_c] ('d_head': parameters)
+    head_v: dict = field(default_factory=dict)
 
 
 def _filled(vals, n):
@@ -720,11 +713,6 @@ def _flow_labels(limited):
     return [f"flow:{i}:{br.from_bus}-{br.to_bus}:{ph}" for i, br in limited for ph in br.phases]
 
 
-def _joined(recipes):
-    """The labels of each recipe in turn."""
-    return [lbl for recipe in recipes for lbl in recipe()]
-
-
 def _epigraph_var_labels(sources):
     """``t:`` and the label of each source component (a recipe)."""
     return [f"t:{lbl}" for lbl in sources()]
@@ -733,12 +721,6 @@ def _epigraph_var_labels(sources):
 def _epigraph_row_labels(sources):
     """The three epigraph rows of each source component (a recipe)."""
     return [f"epi{c}:{lbl}" for lbl in sources() for c in "+-0"]
-
-
-def _index_pairs(start, count):
-    """``(start, start + 1), (start + 2, start + 3), ...``, ``count`` pairs
-    of Python ints: the index-map values of two-wide blocks."""
-    return zip(range(start, start + 2 * count, 2), range(start + 1, start + 2 * count, 2))
 
 
 class _Nodes:
@@ -750,15 +732,13 @@ class _Nodes:
     let a pass skip what a network does not have."""
 
     def __init__(self, net, heads, head_params):
-        nm = self.name = net.name
         self.net = net
         self.buses = [b for b in net.buses for _ in b.phases]
         self.pairs = [(b.id, ph) for b in net.buses for ph in b.phases]
-        self.keys = [(nm, b, ph) for b, ph in self.pairs]
         n = self.n = len(self.pairs)
         self.index = dict(zip(self.pairs, range(n)))
         attrs = np.array([(_PHASE_CODE[ph], _KIND_CODE[b.kind], b.infeasibility_eligible,
-                           (nm, b.id) in heads, (nm, b.id) in head_params)
+                           b.id in heads, b.id in head_params)
                           for b in net.buses for ph in b.phases], dtype=int).reshape(n, 5)
         self.phase = attrs[:, 0]
         self.slack, self.pv = attrs[:, 1] == _KIND_CODE["slack"], attrs[:, 1] == _KIND_CODE["pv"]
@@ -794,13 +774,13 @@ class _Nodes:
         # a node carries an injection current if a device sits on it or it
         # is a pv node (whose net reactive demand is a variable)
         self.inj = np.array(has, dtype=bool) | self.pv
-        self.n_inj, self.n_slack, self.n_pv, self.n_param = (
-            int(np.count_nonzero(m)) for m in (self.inj, self.slack, self.pv, self.param))
+        self.n_inj, self.n_slack, self.n_pv = (
+            int(np.count_nonzero(m)) for m in (self.inj, self.slack, self.pv))
         #: the slack and pv nodes, in node order
         self.slack_pv = (attrs[:, 1] < _KIND_CODE["pq"]).nonzero()[0].tolist()
         self.uv = np.zeros((2, n), dtype=int)
         self.iu, self.iv = self.uv
-        self.ir = self.isr = self.qvar = self.src_nodes = _NONE
+        self.ir = self.isr = self.qvar = _NONE
         self.src = _NONE.reshape(0, 0)
 
     def pick(self, mask, items):
@@ -826,7 +806,6 @@ class _Builder:
             raise ValueError(f"source kind must be one of {SOURCE_KINDS}")
         if q_only and source_kind != "power":
             raise ValueError("q_only is only meaningful with power-kind sources")
-        self.nets = {n.name: n for n in nets}
         self.ports: list[PortBuild] = ports
         self.source_kind = source_kind
         self.norm = norm
@@ -842,7 +821,9 @@ class _Builder:
         self.labels = {"var": [], "eq": [], "in": []}
         self.param_slots: dict[str, slice] = {}
         self.maps = IndexMaps()
-        self.sources: list[InfeasibilitySource] = []
+        self.source_nodes: list[tuple[str, str, str]] = []
+        self.source_components: tuple[str, ...] = (
+            () if source_kind is None else ("q",) if q_only else _SOURCE_COMPONENTS[source_kind])
         # per kind of row, "eq" or "in": the linear entries as (rows, z
         # columns, values) arrays and the constants as (rows, values)
         # arrays, in stamp order
@@ -853,15 +834,18 @@ class _Builder:
         self.src_idx = self.epi_idx = _NONE
         self.price_pairs: list[tuple[int, int]] = []
 
-        self._net_of_bus = {b.id: n.name for n in nets for b in n.buses}
-        # torn feeder heads (net, bus) -> port build: their voltages are not
-        # bounded, and those of a 'd_head' port are exchange parameters
-        self._heads = {(self._net_of_bus[pb.spec.d_bus], pb.spec.d_bus): pb
-                       for pb in self.ports if pb.mode in ("d_head", "d_phasor")}
-        self._head_param_buses = {nb: pb.spec.key for nb, pb in self._heads.items()
-                                  if pb.mode == "d_head"}
-        self._nodes = [_Nodes(n, self._heads, self._head_param_buses) for n in nets]
+        # torn feeder head buses: their voltages are not bounded, and those
+        # of a 'd_head' port (bus -> port key) are exchange parameters
+        heads = {pb.spec.d_bus for pb in ports if pb.mode in ("d_head", "d_phasor")}
+        self._head_param_buses = {pb.spec.d_bus: pb.spec.key for pb in ports if pb.mode == "d_head"}
+        self._nodes = [_Nodes(n, heads, self._head_param_buses) for n in nets]
+        self._nodes_of_bus = {b.id: nd for nd in self._nodes for b in nd.net.buses}
         self._build()
+
+    def _node(self, bus, ph):
+        """The :class:`_Nodes` holding phase node ``(bus, ph)``, and its position there."""
+        nd = self._nodes_of_bus[bus]
+        return nd, nd.index[(bus, ph)]
 
     # -- allocation and the one stamp -----------------------------------------
 
@@ -957,7 +941,7 @@ class _Builder:
 
     def _alloc_voltages(self, nd):
         own = ~nd.param                 # the rest are exchange parameters
-        pairs, keys = nd.pick(own, nd.pairs), nd.pick(own, nd.keys)
+        pairs = nd.pick(own, nd.pairs)
         m = len(pairs)
         # flat start: unit magnitude everywhere (balanced rotations on
         # feeders), so branch flows begin at zero
@@ -965,7 +949,6 @@ class _Builder:
                                partial(_node_labels, ("vr", "vi"), pairs))
         nd.iu[own] = np.arange(start, start + 2 * m, 2)
         nd.iv[own] = nd.iu[own] + 1
-        self.maps.v_slot.update(zip(keys, _index_pairs(start, m)))
 
     def _alloc_injections(self, nd):
         if not nd.n_inj:
@@ -979,7 +962,6 @@ class _Builder:
         start = self._new_vars(2 * m, x0,
                                partial(_node_labels, ("ir", "ii"), nd.pick(inj, nd.pairs)))
         nd.ir = np.arange(start, start + 2 * m, 2)
-        self.maps.inj_var.update(zip(nd.pick(inj, nd.keys), _index_pairs(start, m)))
 
     def _alloc_slack_and_pv(self, nd):
         """Two source currents per slack node and one net reactive demand
@@ -999,16 +981,13 @@ class _Builder:
                 labels.append(("q", b, ph))
         self._new_vars(len(x0), x0, partial(_tagged_labels, labels))
         nd.isr, nd.qvar = np.array(isr, dtype=int), np.array(qvar, dtype=int)
-        self.maps.inj_var.update(((nm, b, ph + "!slack"), (c, c + 1)) for (nm, b, ph), c
-                                 in zip(nd.pick(nd.slack, nd.keys), isr))
-        self.maps.pv_qvar.update(zip(nd.pick(nd.pv, nd.keys), qvar))
 
     def _alloc_ports(self):
         for pb in self.ports:
             spec, key = pb.spec, pb.spec.key
             if pb.mode in ("internal", "t_free", "t_draw"):
-                tnet = self._net_of_bus[spec.t_bus]
-                self.maps.poi_v[key] = list(self.maps.v_slot[(tnet, spec.t_bus, "1")])
+                nd, i = self._node(spec.t_bus, "1")
+                self.maps.poi_v[key] = nd.uv[:, i].tolist()
             if pb.mode in ("internal", "t_free"):
                 start = self._new_vars(2, 0.0, partial(_port_labels, ("itr", "iti"), key))
                 self.maps.port_tvar[key] = [start, start + 1]
@@ -1020,24 +999,21 @@ class _Builder:
                 self.maps.port_dvar[key] = list(range(start, start + 6))
 
     def _alloc_sources(self):
+        """One block of source components, source by source, the sources in
+        node order."""
         if self.source_kind is None:
             return
-        comps = ("q",) if self.q_only else _SOURCE_COMPONENTS[self.source_kind]
-        k = len(comps)
-        recipes = []
+        k, pairs = len(self.source_components), []
         for nd in self._nodes:
-            nd.src_nodes = nd.eligible.nonzero()[0]
-            pairs = nd.pick(nd.eligible, nd.pairs)
-            recipes.append(partial(_node_labels, tuple(f"s{c}" for c in comps), pairs))
-            start = self._new_vars(k * len(pairs), 0.0, recipes[-1])
-            nd.src = start + np.arange(k * len(pairs)).reshape(-1, k)
-            self.sources += [InfeasibilitySource(nd.name, b, ph, self.source_kind, comps,
-                                                 tuple(range(s, s + k)))
-                             for (b, ph), s in zip(pairs, range(start, self.nvar, k))]
-        self.src_idx = np.concatenate([nd.src.ravel() for nd in self._nodes])
-        self._src_labels = partial(_joined, recipes)
+            mine = nd.pick(nd.eligible, nd.pairs)
+            nd.src = self.nvar + k * len(pairs) + np.arange(k * len(mine)).reshape(-1, k)
+            self.source_nodes += [(nd.net.name, b, ph) for b, ph in mine]
+            pairs += mine
+        self._src_labels = partial(
+            _node_labels, tuple(f"s{c}" for c in self.source_components), pairs)
+        n = k * len(pairs)
+        self.src_idx = self._new_vars(n, 0.0, self._src_labels) + np.arange(n)
         if self.norm == "l1":
-            n = len(self.src_idx)
             self.epi_idx = self._new_vars(
                 n, 0.1, partial(_epigraph_var_labels, self._src_labels)) + np.arange(n)
 
@@ -1045,18 +1021,13 @@ class _Builder:
         """Exchange parameters, after every variable: parameter j is z column
         nvar + j, and column nvar + n_param holds the constant zero."""
         for nd in self._nodes:
-            if not nd.n_param:
-                continue
             for bus in nd.net.buses:
-                key = self._head_param_buses.get((nd.name, bus.id))
-                if key is None:
-                    continue
-                base = self.nvar + self._new_params(f"headv:{key}", 6).start
-                for ph in bus.phases:
-                    off = base + 2 * "abc".index(ph)
-                    self.maps.v_slot[(nd.name, bus.id, ph)] = (off, off + 1)
-                    i = nd.index[(bus.id, ph)]
-                    nd.iu[i], nd.iv[i] = off, off + 1
+                key = self._head_param_buses.get(bus.id)
+                if key is not None:
+                    base = self.nvar + self._new_params(f"headv:{key}", 6).start
+                    for k, ph in enumerate("abc"):
+                        i = nd.index[(bus.id, ph)]
+                        nd.iu[i], nd.iv[i] = base + 2 * k, base + 2 * k + 1
         for pb in self.ports:
             key = pb.spec.key
             if pb.mode == "t_draw":
@@ -1079,7 +1050,6 @@ class _Builder:
         r0 = self._new_rows("eq", 2 * n, partial(_node_labels, ("kclr", "kcli"), nd.pairs))
         nd.kcl = np.arange(r0, r0 + 2 * n).reshape(n, 2).T
         nd.rr, nd.ri = nd.kcl
-        self.maps.kcl_row.update(zip(nd.keys, _index_pairs(r0, n)))
         self._stamp_branches(nd)
 
         # each node's own rows, in node order: the device-current
@@ -1125,15 +1095,15 @@ class _Builder:
             if pv_pins:
                 self.pv.append(np.array(pv_pins))
 
-        k = nd.src_nodes
-        if not len(k):
+        k, s = nd.eligible, nd.src
+        if not len(s):
             return
-        rr, ri, iu, iv, s = nd.rr[k], nd.ri[k], nd.iu[k], nd.iv[k], nd.src
+        rr, ri, iu, iv = nd.rr[k], nd.ri[k], nd.iu[k], nd.iv[k]
         if self.source_kind == "current":
             self._stamp("eq", np.concatenate([rr, ri]), np.concatenate([s[:, 0], s[:, 1]]), -1.0)
         elif self.source_kind == "power":
-            ip, iq = (np.full(len(k), zero), s[:, 0]) if self.q_only else (s[:, 0], s[:, 1])
-            z, one = np.zeros(len(k)), np.ones(len(k))
+            ip, iq = (np.full(len(s), zero), s[:, 0]) if self.q_only else (s[:, 0], s[:, 1])
+            z, one = np.zeros(len(s)), np.ones(len(s))
             self.inj.append(_interleaved([rr, iu, iv, ip, iq, z, one, z],
                                          [ri, iu, iv, iq, ip, z, -one, z]))
         else:
@@ -1172,9 +1142,8 @@ class _Builder:
         for pb in self.ports:
             spec, key = pb.spec, pb.spec.key
             if pb.mode in ("internal", "t_free", "t_draw"):
-                tnet = self._net_of_bus[spec.t_bus]
-                rr, ri = self.maps.kcl_row[(tnet, spec.t_bus, "1")]
-                self.maps.poi_row[key] = [rr, ri]
+                nd, i = self._node(spec.t_bus, "1")
+                rr, ri = self.maps.poi_row[key] = nd.kcl[:, i].tolist()
                 if pb.mode == "t_draw":      # the draw is an exchange parameter
                     col = self.nvar + self.param_slots[f"draw:{key}"].start
                     it = (col, col + 1)
@@ -1183,15 +1152,14 @@ class _Builder:
                 stamp(rr, it[0], 1.0)
                 stamp(ri, it[1], 1.0)
             if pb.mode in ("internal", "d_head", "d_phasor"):
-                dnet = self._net_of_bus[spec.d_bus]
+                nd, _ = self._node(spec.d_bus, "a")
+                at = [nd.index[(spec.d_bus, ph)] for ph in "abc"]
+                self.maps.head_v[key] = nd.uv[:, at].T.ravel().tolist()
                 idv = self.maps.port_dvar[key]
-                for k, ph in enumerate("abc"):
-                    rr, ri = self.maps.kcl_row[(dnet, spec.d_bus, ph)]
+                for k, (rr, ri) in enumerate(nd.kcl[:, at].T.tolist()):
                     stamp(rr, idv[2 * k], -1.0)
                     stamp(ri, idv[2 * k + 1], -1.0)
-            if pb.mode == "internal":
-                it = self.maps.port_tvar[key]
-                idv = self.maps.port_dvar[key]
+            if pb.mode == "internal":     # it and idv are this port's, as above
                 agg = aggregate_current_d_to_t(spec, np.eye(6))
                 first = self._new_rows("eq", 2, partial(_port_labels, ("c1r", "c1i"), key))
                 for r in range(2):
@@ -1201,17 +1169,14 @@ class _Builder:
             if pb.mode in ("internal", "d_phasor"):
                 # the head voltages are the balanced expansion of the POI
                 # voltage, or of a 'd_phasor' port's local phasor
-                dnet = self._net_of_bus[spec.d_bus]
                 tu, tv = self.maps.poi_v[key]
                 dist = distribute_voltage_t_to_d(spec, *np.eye(2))
                 row = self._new_rows("eq", 6, partial(
                     _node_labels, ("c2r", "c2i"), [(key, ph) for ph in "abc"]))
-                for k, ph in enumerate("abc"):
-                    for c, slot in enumerate(self.maps.v_slot[(dnet, spec.d_bus, ph)]):
-                        stamp(row, slot, 1.0)
-                        stamp(row, tu, -dist[2 * k + c, 0])
-                        stamp(row, tv, -dist[2 * k + c, 1])
-                        row += 1
+                for j, slot in enumerate(self.maps.head_v[key]):
+                    stamp(row + j, slot, 1.0)
+                    stamp(row + j, tu, -dist[j, 0])
+                    stamp(row + j, tv, -dist[j, 1])
         self._stamp("eq", rows, cols, vals)
 
     # -- inequality rows --------------------------------------------------------

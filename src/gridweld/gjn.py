@@ -39,7 +39,7 @@ from . import pdip
 from .coupling import (aggregate_current_d_to_t, distribute_voltage_t_to_d,
                        poi_voltage_price, port_dual_prices)
 from .ecf import build_problem, partition_cells
-from .netmodel import Network, Partition, default_partition
+from .netmodel import Partition, default_partition
 from .report import build_report
 
 log = logging.getLogger("gridweld.gjn")
@@ -57,7 +57,6 @@ class Subproblem:
     """One partition cell with its own problem and state; ``cols`` is the
     boundary-vector index of each of its exchange parameters."""
     name: str
-    nets: list[Network]
     problem: object
     cols: np.ndarray
     state: pdip.KktState | None = None
@@ -94,7 +93,7 @@ def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
             warnings.warn(f"subproblem '{cell.name}': boundary dimension "
                           f"{prob.n_param} exceeds 20% of internal "
                           f"dimension {prob.nvar}")
-        subs.append(Subproblem(cell.name, cell.nets, prob, cols))
+        subs.append(Subproblem(cell.name, prob, cols))
     return subs, torn
 
 

@@ -11,8 +11,9 @@ read-only, so they are safe to share across worker threads.
 
 Loading validates every field and raises :class:`CaseError` naming the
 first one at fault, a non-finite number included (JSON readers accept
-``NaN`` and ``Infinity``).  A message is formatted only when its check
-fails, since a large case runs tens of thousands of checks.
+``NaN`` and ``Infinity``), or naming a file that is not JSON.  A message
+is formatted only when its check fails, since a large case runs tens of
+thousands of checks.
 """
 
 from __future__ import annotations
@@ -165,11 +166,37 @@ class Partition:
 # formats it, called only when a check fails
 
 
+def _read_json(path) -> dict:
+    """The JSON object in the file ``path``."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:       # not JSON, or not text
+            raise CaseError(f"{path}: not a valid JSON file ({exc})") from None
+    if not isinstance(raw, dict):
+        raise CaseError(f"{path}: must hold a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _entries(raw: dict, key: str, where: str) -> list:
+    """The list of objects ``raw[key]``, empty if absent."""
+    items = raw.get(key, [])
+    if not isinstance(items, list):
+        raise CaseError(f"{where}: '{key}' must be a list, got {type(items).__name__}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise CaseError(f"{where}: '{key}'[{i}] must be an object, got {type(item).__name__}")
+    return items
+
+
 def _number(raw: dict, key: str, where, nan_only: bool = False) -> float:
     """``raw[key]`` as a float.  JSON readers accept ``NaN`` and
     ``Infinity``; any non-finite value is an error naming the field, or with
     ``nan_only`` (for fields whose default is infinite) a NaN only."""
-    v = float(raw[key])
+    try:
+        v = float(raw[key])
+    except (TypeError, ValueError):
+        raise CaseError(f"{where()}: '{key}' must be a number, got {raw[key]!r}") from None
     if v != v or not (nan_only or math.isfinite(v)):
         raise CaseError(f"{where()}: '{key}' must be finite, got {v}")
     return v
@@ -198,7 +225,10 @@ def _validate_bus(raw: dict, net_name: str) -> Bus:
         v_set = _number(raw, "v_set", where)
         if not v_set > 0:
             raise CaseError(f"{where()}: 'v_set' must be positive")
-    eligible = bool(raw["infeasibility_eligible"])
+    eligible = raw["infeasibility_eligible"]
+    if not isinstance(eligible, bool):
+        raise CaseError(f"{where()}: 'infeasibility_eligible' must be true or false, "
+                        f"got {eligible!r}")
     if kind == "slack" and eligible:
         raise CaseError(f"{where()}: slack buses must have infeasibility_eligible = false")
     return Bus(id=str(raw["id"]), kind=kind, phases=phases, v_set=v_set,
@@ -215,7 +245,10 @@ def _validate_matrix(raw, n: int, where, name: str) -> tuple[tuple[float, ...], 
     for r in raw:
         if not (isinstance(r, list) and len(r) == n):
             raise CaseError(f"{where()}: '{name}' row length != {n}")
-        vals = tuple(map(float, r))
+        try:
+            vals = tuple(map(float, r))
+        except (TypeError, ValueError):
+            raise CaseError(f"{where()}: '{name}' must hold numbers, got {r!r}") from None
         if not all(map(math.isfinite, vals)):
             raise CaseError(f"{where()}: '{name}' must be finite")
         rows.append(vals)
@@ -254,7 +287,10 @@ def _validate_phase_map(raw, bus: Bus, where, name: str) -> dict[str, float]:
     for ph in raw:
         if ph not in bus.phases:
             raise CaseError(f"{where()}: phase '{ph}' not connected at bus '{bus.id}'")
-    out = {ph: float(val) for ph, val in raw.items()}
+    try:
+        out = {ph: float(val) for ph, val in raw.items()}
+    except (TypeError, ValueError):
+        raise CaseError(f"{where()}: '{name}' must map phase -> number, got {raw!r}") from None
     if not all(map(math.isfinite, out.values())):
         raise CaseError(f"{where()}: '{name}' must be finite, got {out}")
     return out
@@ -322,7 +358,8 @@ def _validate_network(raw: dict, idx: int, base_mva: float) -> Network:
         raise CaseError(f"network[{idx}]: 'side' must be transmission|distribution, "
                         f"got {raw.get('side')!r}")
     name = str(raw.get("name", f"{side[0]}{idx}"))
-    buses = [_validate_bus(b, name) for b in raw.get("buses", [])]
+    where = f"network '{name}'"
+    buses = [_validate_bus(b, name) for b in _entries(raw, "buses", where)]
     if not buses:
         raise CaseError(f"network '{name}': needs at least one bus")
     net = Network(name=name, side=side, buses=buses, branches=[], loads=[],
@@ -338,9 +375,9 @@ def _validate_network(raw: dict, idx: int, base_mva: float) -> Network:
         if side == "distribution" and TRANSMISSION_PHASE in b.phases:
             raise CaseError(f"network '{name}' bus '{b.id}': distribution buses carry "
                             f"phases from 'abc'")
-    net.branches = [_validate_branch(br, net) for br in raw.get("branches", [])]
-    net.loads = [_validate_load(ld, net) for ld in raw.get("loads", [])]
-    net.generators = [_validate_generator(g, net) for g in raw.get("generators", [])]
+    net.branches = [_validate_branch(br, net) for br in _entries(raw, "branches", where)]
+    net.loads = [_validate_load(ld, net) for ld in _entries(raw, "loads", where)]
+    net.generators = [_validate_generator(g, net) for g in _entries(raw, "generators", where)]
     n_slack = len(net.slack_buses)
     if side == "transmission" and n_slack != 1:
         raise CaseError(f"network '{name}': transmission networks need exactly one "
@@ -354,9 +391,7 @@ def _validate_network(raw: dict, idx: int, base_mva: float) -> Network:
 
 def load_case(path) -> tuple[list[Network], list[CouplingSpec]]:
     """Parse and validate a case file; returns per-unit in-memory networks."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    return case_from_dict(raw)
+    return case_from_dict(_read_json(path))
 
 
 def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
@@ -365,7 +400,8 @@ def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
     base_mva = _number(raw, "base_mva", lambda: "case")
     if not base_mva > 0:
         raise CaseError(f"case: 'base_mva' must be positive, got {base_mva}")
-    nets = [_validate_network(n, i, base_mva) for i, n in enumerate(raw.get("networks", []))]
+    nets = [_validate_network(n, i, base_mva)
+            for i, n in enumerate(_entries(raw, "networks", "case"))]
     if not nets:
         raise CaseError("case: needs at least one network")
     names = [n.name for n in nets]
@@ -382,7 +418,7 @@ def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
 
     couplings = []
     ported = set()
-    for i, c in enumerate(raw.get("couplings", [])):
+    for i, c in enumerate(_entries(raw, "couplings", "case")):
         where = f"coupling[{i}]"
         for key in ("t_bus", "d_bus", "s_base", "v_base"):
             if key not in c:
@@ -525,9 +561,7 @@ def default_partition(nets: list[Network], couplings: list[CouplingSpec]) -> Par
 
 def load_partition(path, nets: list[Network],
                    couplings: list[CouplingSpec] | None = None) -> Partition:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return partition_from_dict(raw, nets, couplings or [])
+    return partition_from_dict(_read_json(path), nets, couplings or [])
 
 
 def partition_from_dict(raw: dict, nets: list[Network],
@@ -537,9 +571,12 @@ def partition_from_dict(raw: dict, nets: list[Network],
     known = {n.name for n in nets}
     assigned: dict[str, str] = {}
     subs = []
-    for i, s in enumerate(raw["subproblems"]):
+    for i, s in enumerate(_entries(raw, "subproblems", "partition")):
         name = str(s.get("name", f"sub{i}"))
-        members = [str(m) for m in s.get("networks", [])]
+        members = s.get("networks", [])
+        if not isinstance(members, list):
+            raise CaseError(f"partition subproblem '{name}': 'networks' must be a list")
+        members = [str(m) for m in members]
         if not members:
             raise CaseError(f"partition subproblem '{name}': empty network list")
         for m in members:

@@ -113,12 +113,12 @@ def build_report(parts, status, *, mode, nets, epochs=1, inner_iterations=0,
                 kkt[name] = max(kkt.get(name, 0.0), val)
             kkt["mu_min"] = min(kkt.get("mu_min", np.inf), res.mu_min)
             kkt["g_max"] = max(kkt.get("g_max", -np.inf), res.g_max)
-        for src in problem.sources:
-            comps = {c: float(state.x[i])
-                     for c, i in zip(src.components, src.var_index)}
-            xy = coords.get((src.net, src.bus), (None, None))
+        for (net, bus, ph), vals in zip(problem.source_nodes,
+                                        state.x[problem.source_cols].tolist()):
+            comps = dict(zip(problem.source_components, vals))
+            xy = coords.get((net, bus), (None, None))
             entries.append(NodeEntry(
-                net=src.net, bus=src.bus, phase=src.phase, components=comps,
+                net=net, bus=bus, phase=ph, components=comps,
                 magnitude=float(np.hypot.reduce(list(comps.values()))),
                 x=xy[0], y=xy[1]))
     have = {(e.net, e.bus, e.phase) for e in entries}

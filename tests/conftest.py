@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from gridweld import PortBuild, build_problem, load_case  # noqa: E402
 from gridweld.coupling import distribute_voltage_t_to_d  # noqa: E402
+from oracles import net_demand  # noqa: E402
 
 
 def case_path(name: str) -> str:
@@ -51,7 +52,7 @@ def problem_digest(problem, seed=0, rho=1.7, names=True):
     """SHA-256 hex digest of everything a build fixes and every array the
     problem evaluates.
 
-    It hashes the labels, the parameter slots, the sources and the index
+    It hashes the labels, the parameter slots, the sources and the port
     maps (``repr``, so key order and Python-int values count), ``x0`` and
     ``nonlinear_cols``, then, at ``x0 + 0.01 N(0, 1)`` with multipliers in
     [0, 1) and parameters ``1 + 0.05 N(0, 1)`` drawn from ``seed``, both
@@ -60,8 +61,9 @@ def problem_digest(problem, seed=0, rho=1.7, names=True):
     consensus agent (an object with a ``base`` problem) is evaluated at
     penalty weight ``rho``, so its Hessian is ``W + rho P``.  Two builds
     with the same digest give the same arrays bit for bit.  With ``names``
-    false, the bus and port names are left out: the labels, and the keys of
-    the index maps and parameter slots (their values stay, in key order).
+    false, the bus and port names are left out: the labels, the source
+    nodes, and the keys of the port maps and parameter slots (their values
+    stay, in key order).
     """
     base = getattr(problem, "base", problem)
     rng = np.random.default_rng(seed)
@@ -79,11 +81,11 @@ def problem_digest(problem, seed=0, rho=1.7, names=True):
 
     if names:
         put(list(base.var_label), list(base.eq_label), list(base.in_label),
-            base.param_slots, base.sources, base.maps)
+            base.param_slots, base.source_nodes, base.maps)
     else:
         put(list(base.param_slots.values()),
-            [(s.kind, s.components, s.var_index) for s in base.sources],
             [list(m.values()) for m in vars(base.maps).values()])
+    put(base.source_components, base.source_cols)
     put(base.x0(), base.nonlinear_cols)
     x = base.x0() + 0.01 * rng.standard_normal(base.nvar)
     lam, mu = rng.random(base.n_eq), rng.random(base.n_in)
@@ -99,7 +101,39 @@ def problem_digest(problem, seed=0, rho=1.7, names=True):
 def source_values(problem, x):
     """The infeasibility source components of ``problem`` at ``x``, in
     source order."""
-    return x[[i for src in problem.sources for i in src.var_index]]
+    return x[problem.source_cols.ravel()]
+
+
+#: the balance currents no constant-power relation fixes: slack sources and
+#: port currents
+_FREE_CURRENTS = {"isr", "isi", "itr", "iti"} | {f"id{ph}{c}" for ph in "abc" for c in "ri"}
+
+
+def oracle_state(prob, nets, pf):
+    """``prob``'s state at the oracle power flow ``pf``: voltages, pv net
+    reactive demands and constant-power injection currents written in by
+    label, then the free balance currents fitted to the linear rows."""
+    at = {label: i for i, label in enumerate(prob.var_label)}
+    x = np.zeros(prob.nvar)
+    for net in nets:
+        demand = net_demand(net)
+        for bus in net.buses:
+            for ph in bus.phases:
+                node, tail = (net.name, bus.id, ph), f"{bus.id}:{ph}"
+                v = pf.volts[node]
+                x[at[f"vr:{tail}"]], x[at[f"vi:{tail}"]] = v.real, v.imag
+                p, q = demand.get((bus.id, ph), (0.0, 0.0))
+                if node in pf.q_pv:
+                    q = x[at[f"q:{tail}"]] = pf.q_pv[node]
+                if f"ir:{tail}" in at:
+                    inj = np.conj((p + 1j * q) / v)
+                    x[at[f"ir:{tail}"]], x[at[f"ii:{tail}"]] = inj.real, inj.imag
+    r = prob.residual_eq(x)
+    A = prob.jac_eq(x).tocsr()
+    free = np.array([i for label, i in at.items() if label.split(":")[0] in _FREE_CURRENTS])
+    x[free] = np.linalg.lstsq(A[:, free].toarray(), -(r - A[:, free] @ x[free]),
+                              rcond=None)[0]
+    return x
 
 
 def interior_point(problem, rng, scale=0.05):

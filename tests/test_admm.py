@@ -35,9 +35,7 @@ def test_phasor_cell_is_head_cell_with_head_voltages_kept(rng, kind, norm):
                     for mode in ("d_head", "d_phasor"))
     x = phasor.x0() + 0.05 * rng.standard_normal(phasor.nvar)
     expansion = distribute_voltage_t_to_d(spec, *x[phasor.maps.poi_v[spec.key]])
-    for k, ph in enumerate("abc"):
-        x[list(phasor.maps.v_slot[(dnet.name, spec.d_bus, ph)])] = \
-            expansion[2 * k:2 * k + 2]
+    x[phasor.maps.head_v[spec.key]] = expansion
     head.set_params(f"headv:{spec.key}", expansion)
     at = {label: i for i, label in enumerate(phasor.var_label)}
     x_head = x[[at[label] for label in head.var_label]]

@@ -67,18 +67,33 @@ def _net(raw, side):
     return next(n for n in raw["networks"] if n["side"] == side)
 
 
-@pytest.mark.parametrize("edit, field", [
-    (lambda raw: _net(raw, "distribution")["loads"][0]["p"].update(a=float("nan")), "'p'"),
-    (lambda raw: _net(raw, "distribution")["buses"][1].update(v_max=float("inf")), "'v_max'"),
+@pytest.mark.parametrize("edit, fault", [
+    (lambda raw: _net(raw, "distribution")["loads"][0]["p"].update(a=float("nan")),
+     "'p' must be finite"),
+    (lambda raw: _net(raw, "distribution")["buses"][1].update(v_max=float("inf")),
+     "'v_max' must be finite"),
     (lambda raw: _net(raw, "distribution")["branches"][0].update(flow_limit=float("inf")),
-     "'flow_limit'"),
-    (lambda raw: _net(raw, "distribution")["buses"][1].update(x=float("nan")), "'x'"),
+     "'flow_limit' must be finite"),
+    (lambda raw: _net(raw, "distribution")["buses"][1].update(x=float("nan")),
+     "'x' must be finite"),
     (lambda raw: [g.update(q_max=float("nan")) for g in _net(raw, "transmission")["generators"]
-                  if g.get("mode") == "pv"], "'q_max'"),
-], ids=["load-p-nan", "v_max-inf", "flow_limit-inf", "x-nan", "q_max-nan"])
-def test_non_finite_number_exits_one_naming_the_field(tmp_path, capsys, edit, field):
-    """JSON readers accept NaN and Infinity; a case holding one is an input
-    error (exit 1), not a failed solve (exit 2) or a report with NaN in it."""
+                  if g.get("mode") == "pv"], "'q_max' must be finite"),
+    (lambda raw: _net(raw, "distribution")["buses"][1].update(v_min="low"),
+     "'v_min' must be a number, got 'low'"),
+    (lambda raw: _net(raw, "distribution")["buses"][1].update(v_min=None),
+     "'v_min' must be a number, got None"),
+    (lambda raw: _net(raw, "distribution")["branches"][0].update(G=[["x"] * 3] * 3),
+     "'G' must hold numbers"),
+    (lambda raw: _net(raw, "distribution")["loads"][0].update(p={"a": "big"}),
+     "'p' must map phase -> number"),
+    (lambda raw: raw["networks"].append(5), "'networks'[2] must be an object, got int"),
+], ids=["load-p-nan", "v_max-inf", "flow_limit-inf", "x-nan", "q_max-nan", "v_min-string",
+        "v_min-null", "G-string", "load-p-string", "network-int"])
+def test_non_finite_number_exits_one_naming_the_field(tmp_path, capsys, edit, fault):
+    """JSON readers accept NaN and Infinity; a case holding one, or holding
+    something else where a number or an object belongs, is an input error
+    (exit 1), not a failed solve (exit 2), a traceback or a report with NaN
+    in it."""
     with open(case_path("case_micro_td")) as fh:
         raw = json.load(fh)
     edit(raw)
@@ -87,7 +102,24 @@ def test_non_finite_number_exits_one_naming_the_field(tmp_path, capsys, edit, fi
     code = run_cli(["--case", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{field} must be finite" in err
+    assert err.startswith("error: ") and fault in err
+
+
+def test_malformed_case_or_partition_file_exits_one(tmp_path, capsys):
+    """A truncated case file and a partition whose subproblems are not
+    objects are input errors naming the file or the field."""
+    text = open(case_path("case_micro_td")).read()
+    case = tmp_path / "case.json"
+    case.write_text(text[:len(text) // 2])
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"subproblems": [5]}))
+    for args, fault in (
+            (["--case", str(case)], f"{case}: not a valid JSON file"),
+            (["--case", case_path("case_micro_td"), "--mode", "dpdip", "--partition", str(part)],
+             "partition: 'subproblems'[0] must be an object, got int")):
+        assert run_cli(args + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fault in err
 
 
 @pytest.mark.parametrize("flag, value", [("--tol-kkt", "-1"),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridweld import PortBuild, build_problem
-from gridweld.ecf import CircuitProblem, _Builder
-from gridweld.netmodel import Branch, Bus, Network, case_from_dict
+from gridweld.ecf import CircuitProblem, IndexMaps, _Builder, partition_cells
+from gridweld.netmodel import Branch, Bus, Network, case_from_dict, load_partition
 
-from conftest import centralized_problem, interior_point, load
+from conftest import (centralized_problem, interior_point, load, oracle_state,
+                      partition_path)
 from oracles import fd_jacobian, solve_power_flow
 from test_netmodel import minimal_two_bus
 
@@ -29,8 +31,8 @@ def _at_voltages(prob, volts):
     """Flat start with the given complex bus voltages written in."""
     x = prob.x0()
     for bus, v in volts.items():
-        iu, iv = prob.maps.v_slot[("t0", bus, "1")]
-        x[iu], x[iv] = v.real, v.imag
+        x[prob.var_label.index(f"vr:{bus}:1")] = v.real
+        x[prob.var_label.index(f"vi:{bus}:1")] = v.imag
     return x
 
 
@@ -64,22 +66,21 @@ def test_power_source_equals_current_source_through_complex_product(rng):
     """A power source S at V enters the balance as the current conj(S / V)."""
     cur = _two_bus_problem(source_kind="current")
     pwr = _two_bus_problem(source_kind="power")
-    (src_c,), (src_p,) = cur.sources, pwr.sources
-    assert src_c.var_index == src_p.var_index
-    assert pwr.var_label[:src_p.var_index[0]] == \
-        cur.var_label[:src_c.var_index[0]]
+    (src_c,), (src_p,) = cur.source_cols.tolist(), pwr.source_cols.tolist()
+    assert src_c == src_p
+    assert pwr.var_label[:src_p[0]] == cur.var_label[:src_c[0]]
     for _ in range(25):
         v1, v2 = (complex(*(rng.uniform(0.5, 1.3, 2) * rng.choice([-1, 1], 2)))
                   for _ in range(2))
         x = _at_voltages(cur, {"b1": v1, "b2": v2})
         others = [i for i in range(cur.nvar)
-                  if i not in src_c.var_index and cur.var_label[i][0] != "v"]
+                  if i not in src_c and cur.var_label[i][0] != "v"]
         x[others] += rng.standard_normal(len(others))
         i_src = complex(*rng.standard_normal(2))
-        x[list(src_c.var_index)] = i_src.real, i_src.imag
+        x[src_c] = i_src.real, i_src.imag
         s = v2 * np.conj(i_src)
         y = x.copy()
-        y[list(src_p.var_index)] = s.real, s.imag
+        y[src_p] = s.real, s.imag
         assert np.allclose(pwr.residual_eq(y), cur.residual_eq(x),
                            rtol=1e-12, atol=1e-12)
 
@@ -137,8 +138,7 @@ def test_zero_sources_reduce_to_plain_power_flow_rows(rng):
                                             source_kind="current")
     _, _, plain = centralized_problem("case_micro_td", source_kind=None)
     x = prob.x0() + 0.03 * rng.standard_normal(prob.nvar)
-    src = [i for s in prob.sources for i in s.var_index]
-    x[src] = 0.0
+    x[prob.source_cols] = 0.0
     r = prob.residual_eq(x)
     r_plain = plain.residual_eq(x[:plain.nvar])
     assert np.array_equal(r, r_plain)
@@ -151,54 +151,71 @@ def test_variable_ordering_documented_layout():
     first_d = labels.index("vr:d1:a")
     assert labels[first_d + 1] == "vi:d1:a"
     assert labels[first_d + 2] == "vr:d1:b"
-    src_start = min(i for s in prob.sources for i in s.var_index)
-    assert all(i >= src_start for s in prob.sources for i in s.var_index)
+    src_start = prob.source_cols.min()
+    assert (prob.source_cols >= src_start).all()
 
 
 def test_assembled_rows_vanish_at_oracle_power_flow_point():
     nets, coups, prob = centralized_problem("case_micro_td", source_kind=None)
     pf = solve_power_flow(nets, coups)
     assert pf.success
-    x = np.zeros(prob.nvar)
-    for (nm, bus, ph), (iu, iv) in prob.maps.v_slot.items():
-        v = pf.volts[(nm, bus, ph)]
-        x[iu], x[iv] = v.real, v.imag
-    for (nm, bus, ph), qi in prob.maps.pv_qvar.items():
-        x[qi] = pf.q_pv[(nm, bus, ph)]
-    # injection currents from the constant-power relation
-    for key, (ir, ii) in prob.maps.inj_var.items():
-        nm, bus, ph = key
-        if ph.endswith("!slack"):
-            continue
-        net = next(n for n in nets if n.name == nm)
-        p = sum(ld.p.get(ph, 0.0) for ld in net.loads if ld.bus == bus)
-        q = sum(ld.q.get(ph, 0.0) for ld in net.loads if ld.bus == bus)
-        for g in net.generators:
-            if g.bus == bus:
-                p -= g.p.get(ph, 0.0)
-                if g.mode == "pq":
-                    q -= g.q.get(ph, 0.0)
-        if (nm, bus, ph) in prob.maps.pv_qvar:
-            q = pf.q_pv[(nm, bus, ph)]
-        v = pf.volts[(nm, bus, ph)]
-        inj = np.conj((p + 1j * q) / v)
-        x[ir], x[ii] = inj.real, inj.imag
-    # free balance currents: slack and port injections from their rows
-    r = prob.residual_eq(x)
-    A = prob.jac_eq(x).tocsr()
-    free = []
-    for key, (ir, ii) in prob.maps.inj_var.items():
-        if key[2].endswith("!slack"):
-            free += [ir, ii]
-    for key in prob.maps.port_tvar:
-        free += list(prob.maps.port_tvar[key])
-    for key in prob.maps.port_dvar:
-        free += list(prob.maps.port_dvar[key])
-    free = np.array(free)
-    x[free] = np.linalg.lstsq(A[:, free].toarray(), -r + A[:, free] @ x[free],
-                              rcond=None)[0]
-    res = prob.residual_eq(x)
+    res = prob.residual_eq(oracle_state(prob, nets, pf))
     assert np.max(np.abs(res)) < 1e-10
+
+
+_PORT_CASES = {"case_micro_td": "micro_default", "case_threefeeder_td": "threefeeder",
+               "case_micro_flowcap": "micro_default"}
+
+
+@pytest.mark.parametrize("case", sorted(_PORT_CASES))
+@pytest.mark.parametrize("kind, q_only", [("current", False), ("power", True),
+                                          ("admittance", False)])
+def test_port_maps_and_sources_agree_with_the_labels(case, kind, q_only):
+    """Every port mode's index maps and every source's columns name the
+    columns and rows whose labels say so, and the maps are keyed by port."""
+    nets, coups = load(case)
+    part = load_partition(partition_path(_PORT_CASES[case]), nets, coups)
+    builds = [(nets, [PortBuild(c, "internal") for c in coups])]
+    for modes in (("t_draw", "d_head"), ("t_free", "d_phasor")):
+        cells, _ = partition_cells(nets, coups, part, *modes)
+        builds += [(cell.nets, cell.port_builds) for cell in cells]
+    assert [f.name for f in dataclasses.fields(IndexMaps)] == [
+        "port_tvar", "port_dvar", "poi_v", "poi_row", "head_v"]
+    seen = set()
+    for build_nets, ports in builds:
+        prob = build_problem(build_nets, ports, source_kind=kind, norm="l1", q_only=q_only)
+        var, eq, m = prob.var_label, prob.eq_label, prob.maps
+        for pb in ports:
+            spec, key, mode = pb.spec, pb.spec.key, pb.mode
+            seen.add(mode)
+            if mode in ("internal", "t_draw", "t_free"):
+                assert [var[c] for c in m.poi_v[key]] == [f"v{c}:{spec.t_bus}:1" for c in "ri"]
+                assert [eq[r] for r in m.poi_row[key]] == [f"kcl{c}:{spec.t_bus}:1"
+                                                           for c in "ri"]
+            if mode in ("internal", "t_free"):
+                assert [var[c] for c in m.port_tvar[key]] == [f"it{c}:{key}" for c in "ri"]
+            if mode == "d_phasor":
+                assert [var[c] for c in m.poi_v[key]] == [f"vp{c}:{key}" for c in "ri"]
+            if mode in ("internal", "d_phasor"):
+                assert [var[c] for c in m.head_v[key]] == [
+                    f"v{c}:{spec.d_bus}:{ph}" for ph in "abc" for c in "ri"]
+            if mode == "d_head":
+                sl = prob.param_slots[f"headv:{key}"]
+                assert m.head_v[key] == list(range(prob.nvar + sl.start, prob.nvar + sl.stop))
+            if mode in ("internal", "d_head", "d_phasor"):
+                assert [var[c] for c in m.port_dvar[key]] == [
+                    f"id{ph}{c}:{key}" for ph in "abc" for c in "ri"]
+        keys = {pb.spec.key for pb in ports}
+        assert all(set(getattr(m, f.name)) <= keys for f in dataclasses.fields(m))
+        assert prob.source_nodes == [(n.name, b.id, ph) for n in build_nets for b in n.buses
+                                     if b.infeasibility_eligible for ph in b.phases]
+        assert [[var[c] for c in cols] for cols in prob.source_cols] == [
+            [f"s{c}:{bus}:{ph}" for c in prob.source_components]
+            for _, bus, ph in prob.source_nodes]
+    assert seen == {"internal", "t_draw", "t_free", "d_head", "d_phasor"}
+    plain = build_problem(nets, builds[0][1], source_kind=None)
+    assert (plain.source_nodes, plain.source_components) == ([], ())
+    assert plain.source_cols.shape == (0, 0)
 
 
 @st.composite
@@ -254,19 +271,21 @@ def test_branch_entries_sum_in_branch_order():
                   [branch("x", "l1", ("a",), 1.0), branch("p", "x", abc, 1e-17),
                    branch("x", "l2", ("a",), -1.0)], [], [], 100.0)
     prob = build_problem([net], source_kind=None)
+    row_at = {label: i for i, label in enumerate(prob.eq_label)}
+    col_at = {label: i for i, label in enumerate(prob.var_label)}
     want: dict = {}
     for br in net.branches:
         for i, ph in enumerate(br.phases):
             for end, sign in ((br.from_bus, 1.0), (br.to_bus, -1.0)):
-                row = prob.maps.kcl_row[("d", end, ph)][0]
+                row = row_at[f"kclr:{end}:{ph}"]
                 for j, qh in enumerate(br.phases):
                     for other, s in ((br.from_bus, 1.0), (br.to_bus, -1.0)):
-                        col = prob.maps.v_slot[("d", other, qh)][0]
+                        col = col_at[f"vr:{other}:{qh}"]
                         want[row, col] = want.get((row, col), 0.0) + sign * s * br.g[i][j]
     J = prob.jac_eq(prob.x0()).toarray()
     got = {rc: J[rc] for rc in want}
     assert got == want
-    x_a = (prob.maps.kcl_row[("d", "x", "a")][0], prob.maps.v_slot[("d", "x", "a")][0])
+    x_a = (row_at["kclr:x:a"], col_at["vr:x:a"])
     assert got[x_a] == 0.0 != (1.0 + -1.0) + 1e-17
 
 

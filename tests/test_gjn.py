@@ -142,12 +142,9 @@ def test_dual_relationship_holds_at_convergence():
     assert rep.converged
     for key, spec, t_sub, d_sub in co.torn:
         tsub, dsub = co.by_name[t_sub], co.by_name[d_sub]
-        tnet = next(n.name for n in tsub.nets if n.has_bus(spec.t_bus))
-        rr, ri = tsub.problem.maps.kcl_row[(tnet, spec.t_bus, "1")]
-        lam_t = (tsub.state.lam[rr], tsub.state.lam[ri])
-        dnet = next(n.name for n in dsub.nets if n.has_bus(spec.d_bus))
-        lam_d = np.array([dsub.state.lam[dsub.problem.maps.kcl_row[
-            (dnet, spec.d_bus, ph)][c]] for ph in "abc" for c in (0, 1)])
+        lam_t = tsub.state.lam[tsub.problem.maps.poi_row[key]]
+        lam_d = dsub.state.lam[[dsub.problem.eq_label.index(f"kcl{c}:{spec.d_bus}:{ph}")
+                                for ph in "abc" for c in "ri"]]
         want = port_dual_prices(spec, *lam_t)
         assert np.max(np.abs(lam_d - want)) < 10 * gauss_tol
         # equivalently, the stated rotation form scaled by the aggregation's 1/3

@@ -115,11 +115,24 @@ def _with_generator(**fields):
      "network 't0' generator at 'b2': q_min must be <= q_max"),
     (_with_generator(mode="pq", p={"b": 0.1}),
      "network 't0' generator at 'b2': phase 'b' not connected at bus 'b2'"),
+    (_set((*_BUS, "v_min"), "low"), "network 't0' bus 'b2': 'v_min' must be a number, got 'low'"),
+    (lambda case: case["networks"][0]["buses"][1].update(v_min=None),
+     "network 't0' bus 'b2': 'v_min' must be a number, got None"),
+    (_set((*_BUS, "infeasibility_eligible"), "false"),
+     "network 't0' bus 'b2': 'infeasibility_eligible' must be true or false, got 'false'"),
+    (_set((*_BRANCH, "G"), [["x"]]),
+     "network 't0' branch b1-b2: 'G' must hold numbers, got \\['x'\\]"),
+    (_set((*_LOAD, "p"), {"1": "big"}),
+     "network 't0' load at 'b2': 'p' must map phase -> number, got {'1': 'big'}"),
+    (lambda case: case["networks"].append(5), "case: 'networks'\\[1\\] must be an object, got int"),
+    (_set((*_NET, "buses"), {"b1": {}}), "network 't0': 'buses' must be a list, got dict"),
 ], ids=["bus-missing-field", "bus-kind", "bus-phases-type", "bus-phase-unknown",
         "bus-v_set-positive", "branch-missing-field", "matrix-shape", "matrix-short-row",
         "matrix-non-finite", "branch-no-shared-phase", "branch-flow-limit", "load-missing-bus",
         "load-unknown-bus", "load-phase", "phase-map-type", "generator-pv-on-pq",
-        "generator-mode", "generator-q-box", "generator-phase"])
+        "generator-mode", "generator-q-box", "generator-phase", "number-string",
+        "number-null", "eligible-string", "matrix-string", "phase-map-string",
+        "network-not-object", "buses-not-list"])
 def test_each_rejection_names_the_element_and_the_fault(mutate, message):
     """Every message is formatted only when its check fails, so each one is
     run here: one field of ``minimal_two_bus()`` changed at a time."""

@@ -7,7 +7,7 @@ from gridweld.pdip import (KktState, NewtonSystem, SolveFailure, SolverOptions,
                            assemble_kkt, newton_step, solve_centralized,
                            solve_nlp, solve_subproblem)
 
-from conftest import centralized_problem, load, source_values
+from conftest import centralized_problem, load, oracle_state, source_values
 from oracles import (brute_force_two_bus, net_demand, net_ybus,
                      reduced_least_squares_objective, solve_power_flow)
 
@@ -512,39 +512,6 @@ def test_singular_kkt_matrix_retries_with_larger_delta(monkeypatch):
     assert pdip._PATTERNS[prob].order is not None
 
 
-def _oracle_state(prob, nets, pf):
-    """Map an oracle power-flow solution into a problem state vector."""
-    x = np.zeros(prob.nvar)
-    for (nm, bus, ph), (iu, iv) in prob.maps.v_slot.items():
-        v = pf.volts[(nm, bus, ph)]
-        if iu >= 0:
-            x[iu], x[iv] = v.real, v.imag
-    for key, qi in prob.maps.pv_qvar.items():
-        x[qi] = pf.q_pv[key]
-    for (nm, bus, ph), (ir, ii) in prob.maps.inj_var.items():
-        if ph.endswith("!slack"):
-            continue
-        net = next(n for n in nets if n.name == nm)
-        p, q = net_demand(net).get((bus, ph), (0.0, 0.0))
-        if (nm, bus, ph) in prob.maps.pv_qvar:
-            q = pf.q_pv[(nm, bus, ph)]
-        inj = np.conj((p + 1j * q) / pf.volts[(nm, bus, ph)])
-        x[ir], x[ii] = inj.real, inj.imag
-    # solve the remaining linear rows for the free balance currents
-    r = prob.residual_eq(x)
-    A = prob.jac_eq(x).tocsr()
-    free = [i for key, pair in prob.maps.inj_var.items()
-            if key[2].endswith("!slack") for i in pair]
-    for key in prob.maps.port_tvar:
-        free += list(prob.maps.port_tvar[key])
-    for key in prob.maps.port_dvar:
-        free += list(prob.maps.port_dvar[key])
-    free = np.array(free)
-    x[free] = np.linalg.lstsq(A[:, free].toarray(),
-                              -(r - A[:, free] @ x[free]), rcond=None)[0]
-    return x
-
-
 def test_kkt_residuals_match_fd_of_lagrangian_at_random_point(rng):
     from conftest import interior_point
     from oracles import fd_gradient
@@ -568,7 +535,7 @@ def test_kkt_residuals_match_fd_of_lagrangian_at_random_point(rng):
 def test_feasible_point_with_zero_duals_has_eps_complementarity():
     nets, coups, prob = centralized_problem("case_micro_td")
     pf = solve_power_flow(nets, coups)
-    x = _oracle_state(prob, nets, pf)
+    x = oracle_state(prob, nets, pf)
     eps = 1e-3
     state = KktState(x=x, lam=np.zeros(prob.n_eq), mu=np.zeros(prob.n_in),
                      eps=eps)
@@ -644,7 +611,7 @@ def test_feasible_t_subproblem_with_oracle_boundary_draw():
     s = source_values(prob, state.x)
     assert 0.5 * float(s @ s) < 1e-8
     assert np.max(np.abs(s)) < 1e-8
-    iu, iv = prob.maps.v_slot[(tnet.name, spec.t_bus, "1")]
+    iu, iv = prob.maps.poi_v[spec.key]
     want = pf.volts[(tnet.name, spec.t_bus, "1")]
     assert state.x[iu] == pytest.approx(want.real, abs=1e-7)
     assert state.x[iv] == pytest.approx(want.imag, abs=1e-7)

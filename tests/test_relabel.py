@@ -36,6 +36,13 @@ def _relabel(nets, coups, seed):
     return (*case_from_dict(raw), names)
 
 
+def _renamed(label, names):
+    """``label`` with each bus id in it renamed: the ``:``-separated fields,
+    and the ends of a flow label's ``from-to``."""
+    return ":".join("-".join(names.get(end, end) for end in part.split("-"))
+                    for part in label.split(":"))
+
+
 def _problems(nets, coups, part, kind, norm):
     subs, _ = gjn.build_subproblems(nets, coups, part, source_kind=kind, norm=norm)
     ports = [PortBuild(c, "internal") for c in coups]
@@ -56,9 +63,9 @@ def test_relabeling_buses_changes_no_array_and_no_reported_value(case, seed, kin
     assert [problem_digest(p, names=False) for p in before] == \
         [problem_digest(p, names=False) for p in after]
     for p, q in zip(before, after):
-        for field in ("v_slot", "kcl_row", "pv_qvar", "inj_var"):
-            assert {(nm, names[bus], ph): v for (nm, bus, ph), v
-                    in getattr(p.maps, field).items()} == getattr(q.maps, field)
+        for labels in ("var_label", "eq_label", "in_label"):
+            assert [_renamed(lbl, names) for lbl in getattr(p, labels)] == getattr(q, labels)
+        assert [(nm, names[bus], ph) for nm, bus, ph in p.source_nodes] == q.source_nodes
 
     def per_node(report, rename):
         return {(e.net, rename(e.bus), e.phase): (e.components, e.magnitude, e.x, e.y)

@@ -176,10 +176,10 @@ def micro_cells():
 
 def _assert_sources_reported(rep, problem, state):
     by_node = {(e.net, e.bus, e.phase): e for e in rep.per_node}
-    for src in problem.sources:
-        entry = by_node[(src.net, src.bus, src.phase)]
+    for node, cols in zip(problem.source_nodes, problem.source_cols):
+        entry = by_node[node]
         assert entry.components == {c: float(state.x[i]) for c, i in
-                                    zip(src.components, src.var_index)}
+                                    zip(problem.source_components, cols)}
 
 
 def test_build_report_takes_worst_kkt_over_parts(micro_cells):

@@ -35,10 +35,10 @@ def test_equality_row_count_identity():
     rows + eight coupling rows per internal port."""
     nets, coups, prob = centralized_problem("case_micro_td")
     n_phase = sum(len(b.phases) for n in nets for b in n.buses)
-    n_inj = sum(1 for k in prob.maps.inj_var if not k[2].endswith("!slack"))
+    n_inj = sum(1 for label in prob.var_label if label.startswith("ir:"))
     n_slack_ph = sum(len(b.phases) for n in nets for b in n.buses
                      if b.kind == "slack")
-    n_pv = len(prob.maps.pv_qvar)
+    n_pv = sum(1 for label in prob.var_label if label.startswith("q:"))
     want = 2 * n_phase + 2 * n_inj + 2 * n_slack_ph + n_pv + 8 * len(coups)
     assert prob.n_eq == want
 

@@ -77,11 +77,12 @@ def test_three_phase_pv_bus_holds_magnitude():
     s = source_values(prob, state.x)
     assert 0.5 * float(s @ s) < 1e-8
     dnet = next(n for n in nets if n.side == "distribution")
+    at = {label: i for i, label in enumerate(prob.var_label)}
     for ph in "abc":
-        iu, iv = prob.maps.v_slot[(dnet.name, "d3", ph)]
+        iu, iv = at[f"vr:d3:{ph}"], at[f"vi:d3:{ph}"]
         assert np.hypot(state.x[iu], state.x[iv]) == pytest.approx(1.0,
                                                                    abs=1e-7)
-        assert (dnet.name, "d3", ph) in prob.maps.pv_qvar
+        assert f"q:d3:{ph}" in at
 
 
 def test_three_phase_pv_bus_distributed():
