@@ -34,9 +34,9 @@ print(f"monolithic objective          {cen.objective:.6f} pu "
 
 print()
 print("what actually crossed the boundary (per port, final epoch):")
-for key, _, _, _ in co.torn:
-    print(f"  port {key}:")
-    for name, val in sorted(co.payload(key).items()):
+for port in co.torn:
+    print(f"  port {port.key} (cells {port.t_cell} and {port.d_cell}):")
+    for name, val in sorted(co.payload(port.key).items()):
         if name != "port":
             print(f"    {name:14s} {val}")
 

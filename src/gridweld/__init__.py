@@ -1,8 +1,9 @@
 """Infeasibility localization for combined transmission + distribution networks."""
 
-from .netmodel import (Branch, Bus, CaseError, CouplingSpec, Generator, Load,
-                       Network, Partition, case_from_dict, case_to_dict,
-                       default_partition, load_case, load_partition, save_case)
+from .netmodel import (Branch, Bus, CaseError, Cell, CouplingSpec, Generator,
+                       Load, Network, Partition, Port, case_from_dict,
+                       case_to_dict, default_partition, load_case,
+                       load_partition)
 from .coupling import (aggregate_current_d_to_t, distribute_dual_t_to_d,
                        distribute_voltage_t_to_d, poi_voltage_price,
                        port_dual_prices, round_trip_check)

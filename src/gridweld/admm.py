@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from .coupling import aggregate_current_d_to_t
-from .ecf import _FixedCSR, build_problem, partition_cells
+from .ecf import _FixedCSR, build_problem, port_builds
 from .gjn import Coordinator, Subproblem
 
 
@@ -102,18 +102,18 @@ class ConsensusAgent:
         return C @ x[cols]
 
 
-def build_agents(nets, couplings, partition, *, source_kind, norm, q_only):
-    """One cell per partition subproblem, its problem a :class:`ConsensusAgent`,
-    plus the torn ports as :func:`gridweld.ecf.partition_cells` lists them."""
-    cells, torn = partition_cells(nets, couplings, partition, "t_free", "d_phasor")
-    subs = [Subproblem(cell.name,
-                       ConsensusAgent(build_problem(cell.nets, cell.port_builds,
-                                                    source_kind=source_kind,
-                                                    norm=norm, q_only=q_only),
-                                      cell.port_builds),
-                       np.empty(0, dtype=int))
-            for cell in cells]
-    return subs, torn
+def build_agents(partition, *, source_kind, norm, q_only):
+    """One built cell per partition cell, its problem a
+    :class:`ConsensusAgent`, its torn ports in 't_free' and 'd_phasor'
+    mode."""
+    subs = []
+    for cell in partition.cells:
+        ports = port_builds(cell, "t_free", "d_phasor")
+        prob = build_problem(cell.networks, ports, source_kind=source_kind,
+                             norm=norm, q_only=q_only)
+        subs.append(Subproblem(cell.name, ConsensusAgent(prob, ports),
+                               np.empty(0, dtype=int)))
+    return subs
 
 
 class Consensus(Coordinator):
@@ -136,17 +136,16 @@ class Consensus(Coordinator):
         self.r = self.s = np.inf if self.torn else 0.0
 
     def _cells(self, source_kind, norm, q_only):
-        subs, torn = build_agents(self.nets, self.couplings, self.partition,
-                                  source_kind=source_kind, norm=norm,
-                                  q_only=q_only)
-        return subs, torn, np.tile([1.0, 0.0, 0.0, 0.0], (len(torn), 1))
+        subs = build_agents(self.partition, source_kind=source_kind, norm=norm,
+                            q_only=q_only)
+        return subs, np.tile([1.0, 0.0, 0.0, 0.0], (len(self.torn), 1))
 
     def _load(self, sub):
         """The agent's penalty centers z - u of its copies, and rho."""
-        for k, (key, _, *sides) in enumerate(self.torn):
-            for side, name in enumerate(sides):
+        for k, port in enumerate(self.torn):
+            for side, name in enumerate((port.t_cell, port.d_cell)):
                 if name == sub.name:
-                    sub.problem.centers[key] = self.boundary[k] - self.u[k, side]
+                    sub.problem.centers[port.key] = self.boundary[k] - self.u[k, side]
         sub.problem.rho = self.rho
 
     def _update(self):
@@ -155,8 +154,8 @@ class Consensus(Coordinator):
         if not self.torn:
             return float("nan"), None
         y = np.array([[self.by_name[name].problem.local_copy(
-            self.by_name[name].state.x, key) for name in sides]
-            for key, _, *sides in self.torn])
+            self.by_name[name].state.x, p.key) for name in (p.t_cell, p.d_cell)]
+            for p in self.torn])
         z_old, u = self.boundary, self.u
         self.boundary = 0.5 * (y[:, 0] + u[:, 0] + y[:, 1] + u[:, 1])
         self.u += y - self.boundary[:, None]

@@ -4,9 +4,9 @@ Every network element is a current-voltage relation in rectangular
 coordinates; node balance (KCL) rows form the equality constraints.
 :func:`build_problem` walks one or more networks plus their coupling ports
 and emits a :class:`CircuitProblem` with vectorized residual / Jacobian /
-Lagrangian-Hessian evaluators for the solver; :func:`partition_cells` gives
-the per-cell network and port lists a partition's distributed solves build
-their problems from.
+Lagrangian-Hessian evaluators for the solver; a partition's distributed
+solves build one per :class:`~gridweld.netmodel.Cell`, from its networks and
+its :func:`port_builds`.
 
 State vector ordering (fixed, relied on by tests and warm starts):
 
@@ -57,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coupling import aggregate_current_d_to_t, distribute_voltage_t_to_d
-from .netmodel import CouplingSpec, Network, Partition
+from .netmodel import Cell, CouplingSpec
 
 #: voltage-magnitude-squared guard for current-injection denominators (pu^2)
 DELTA_V = 1e-4
@@ -105,49 +105,14 @@ class PortBuild:
     mode: str
 
 
-@dataclass
-class Cell:
-    """One partition cell: its member networks and how its ports build."""
-    name: str
-    nets: list[Network]
-    port_builds: list[PortBuild]
-
-
-def partition_cells(nets, couplings, partition: Partition, t_mode: str,
-                    d_mode: str):
-    """Walk a partition into per-cell builds plus the ports it tears.
-
-    A cell's internal couplings enter in full; a torn port enters its
-    transmission cell in ``t_mode`` ('t_draw' or 't_free') and its
-    distribution cell in ``d_mode`` ('d_head' or 'd_phasor').  Within a
-    cell the internal ports come first, then the torn ports in coupling
-    order (the variable layout depends on it).  Returns ``(cells, torn)``
-    with ``torn`` a list of ``(key, spec, t_cell, d_cell)`` in coupling
-    order.
-    """
-    by_name = {n.name: n for n in nets}
-    net_of_bus = {b.id: n.name for n in nets for b in n.buses}
-    owner = {m: s.name for s in partition.subproblems for m in s.networks}
-    torn = []
-    for idx in partition.external_couplings:
-        spec = couplings[idx]
-        torn.append((spec.key, spec, owner[net_of_bus[spec.t_bus]],
-                     owner[net_of_bus[spec.d_bus]]))
-    cells = []
-    for sub in partition.subproblems:
-        cell = Cell(name=sub.name, nets=[by_name[m] for m in sub.networks],
-                    port_builds=[])
-        for idx in partition.internal_couplings:
-            spec = couplings[idx]
-            if net_of_bus[spec.t_bus] in sub.networks:
-                cell.port_builds.append(PortBuild(spec, "internal"))
-        for _, spec, t_cell, d_cell in torn:
-            if t_cell == sub.name:
-                cell.port_builds.append(PortBuild(spec, t_mode))
-            if d_cell == sub.name:
-                cell.port_builds.append(PortBuild(spec, d_mode))
-        cells.append(cell)
-    return cells, torn
+def port_builds(cell: Cell, t_mode: str, d_mode: str) -> list[PortBuild]:
+    """A partition cell's ports as it builds them, in its port order: an
+    internal one in full, a torn one in ``t_mode`` ('t_draw' or 't_free') on
+    its transmission side and in ``d_mode`` ('d_head' or 'd_phasor') on its
+    distribution side."""
+    return [PortBuild(p.spec, "internal" if not p.torn
+                      else t_mode if p.t_cell == cell.name else d_mode)
+            for p in cell.ports]
 
 
 # ---------------------------------------------------------------------------

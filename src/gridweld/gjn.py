@@ -38,7 +38,7 @@ import numpy as np
 from . import pdip
 from .coupling import (aggregate_current_d_to_t, distribute_voltage_t_to_d,
                        poi_voltage_price, port_dual_prices)
-from .ecf import build_problem, partition_cells
+from .ecf import build_problem, port_builds
 from .netmodel import Partition, default_partition
 from .report import build_report
 
@@ -54,8 +54,8 @@ PORT_LAYOUT = {"draw": 0, "headv": 2, "price": 8, "vprice": 14}
 
 @dataclass
 class Subproblem:
-    """One partition cell with its own problem and state; ``cols`` is the
-    boundary-vector index of each of its exchange parameters."""
+    """One partition cell as built: its problem and its run state; ``cols``
+    is the boundary-vector index of each of its exchange parameters."""
     name: str
     problem: object
     cols: np.ndarray
@@ -76,15 +76,14 @@ class EpochRecord:
     step: str | None = None      # "newton" or "plain"; None without an update
 
 
-def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
-                      norm, q_only=False):
-    """Instantiate per-cell problems plus the port list torn by the partition."""
-    cells, torn = partition_cells(nets, couplings, partition, "t_draw", "d_head")
-    at = {key: PORT_DIM * k for k, (key, _, _, _) in enumerate(torn)}
+def build_subproblems(partition: Partition, *, source_kind, norm, q_only=False):
+    """One built cell per partition cell, its torn ports in 't_draw' and
+    'd_head' mode."""
+    at = {p.key: PORT_DIM * k for k, p in enumerate(partition.torn)}
     subs = []
-    for cell in cells:
-        prob = build_problem(cell.nets, cell.port_builds, source_kind=source_kind,
-                             norm=norm, q_only=q_only)
+    for cell in partition.cells:
+        prob = build_problem(cell.networks, port_builds(cell, "t_draw", "d_head"),
+                             source_kind=source_kind, norm=norm, q_only=q_only)
         cols = np.empty(prob.n_param, dtype=int)
         for name, sl in prob.param_slots.items():
             kind, key = name.split(":", 1)
@@ -94,7 +93,7 @@ def build_subproblems(nets, couplings, partition: Partition, *, source_kind,
                           f"{prob.n_param} exceeds 20% of internal "
                           f"dimension {prob.nvar}")
         subs.append(Subproblem(cell.name, prob, cols))
-    return subs, torn
+    return subs
 
 
 def _exchange(spec, i_d, v_t, lam_t, head):
@@ -125,14 +124,15 @@ def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
     """
     new = np.empty((len(torn), PORT_DIM))
     readings = np.empty((len(torn), 10))
-    for k, (key, spec, t_sub, d_sub) in enumerate(torn):
-        t, d = subs_by_name[t_sub], subs_by_name[d_sub]
+    for k, port in enumerate(torn):
+        key = port.key
+        t, d = subs_by_name[port.t_cell], subs_by_name[port.d_cell]
         v_t = t.state.x[t.problem.maps.poi_v[key]]
         lam_t = t.state.lam[t.problem.maps.poi_row[key]]
         i_d = d.state.x[d.problem.maps.port_dvar[key]]
         head = d.problem.param_lagrangian_grad(d.state.x, d.state.lam,
                                                d.state.mu, f"headv:{key}")
-        new[k] = _exchange(spec, i_d, v_t, lam_t, head)
+        new[k] = _exchange(port.spec, i_d, v_t, lam_t, head)
         readings[k] = np.concatenate([v_t, lam_t, i_d])
     new = new.ravel()
     if damping != 1.0:
@@ -152,34 +152,33 @@ class Coordinator:
                  norm="l2", q_only=False, opts=None, gauss_tol=1e-6,
                  max_epochs=200, damping=1.0, workers=1, trace_path=None):
         self.nets = list(nets)
-        self.couplings = list(couplings)
-        self.partition = partition or default_partition(self.nets, self.couplings)
+        self.partition = partition or default_partition(self.nets, couplings)
         self.opts = opts or pdip.SolverOptions()
         self.gauss_tol = gauss_tol
         self.max_epochs = max_epochs
         self.damping = damping
         self.workers = max(1, workers)
         self.trace_path = trace_path
-        self.subs, self.torn, self.boundary = self._cells(source_kind, norm, q_only)
+        self.torn = self.partition.torn
+        self.subs, self.boundary = self._cells(source_kind, norm, q_only)
         self.by_name = {s.name: s for s in self.subs}
         self.readings = np.zeros((len(self.torn), 10))   # see gauss_boundary_update
         self.epochs: list[EpochRecord] = []
 
     def _cells(self, source_kind, norm, q_only):
-        """The cells, the torn ports and the flat-start boundary: zero draws
-        and prices, balanced 1 pu head voltages."""
-        subs, torn = build_subproblems(self.nets, self.couplings, self.partition,
-                                       source_kind=source_kind, norm=norm,
-                                       q_only=q_only)
-        boundary = np.zeros(PORT_DIM * len(torn))
-        for k, (_, spec, _, _) in enumerate(torn):
+        """The built cells and the flat-start boundary: zero draws and
+        prices, balanced 1 pu head voltages."""
+        subs = build_subproblems(self.partition, source_kind=source_kind,
+                                 norm=norm, q_only=q_only)
+        boundary = np.zeros(PORT_DIM * len(self.torn))
+        for k, port in enumerate(self.torn):
             head = PORT_DIM * k + PORT_LAYOUT["headv"]
-            boundary[head:head + 6] = distribute_voltage_t_to_d(spec, 1.0, 0.0)
-        return subs, torn, boundary
+            boundary[head:head + 6] = distribute_voltage_t_to_d(port.spec, 1.0, 0.0)
+        return subs, boundary
 
     def payload(self, key: str) -> dict:
         """What crossed torn port ``key`` in the last exchange."""
-        k = [t[0] for t in self.torn].index(key)
+        k = [p.key for p in self.torn].index(key)
         mine = self.boundary[PORT_DIM * k:PORT_DIM * (k + 1)]
         draw, head_v, price, v_price = np.split(mine, list(PORT_LAYOUT.values())[1:])
         t_voltage, t_dual, d_current = np.split(self.readings[k], [2, 4])
@@ -290,7 +289,7 @@ class Coordinator:
                 "inner": {k: {"status": v[0], "iterations": v[1],
                               **rec.solves.get(k, {})}
                           for k, v in rec.inner.items()},
-                "ports": {key: self.payload(key) for key, _, _, _ in self.torn}}
+                "ports": {p.key: self.payload(p.key) for p in self.torn}}
 
     def _after_epoch(self, epoch: int) -> str | None:
         """A stop status after an epoch that neither failed nor converged."""
@@ -391,13 +390,14 @@ class Coordinator:
             return out
 
         BA = np.empty((self.boundary.size,) * 2)
-        for k, (key, spec, t_sub, d_sub) in enumerate(self.torn):
-            t, d = self.by_name[t_sub], self.by_name[d_sub]
-            St = sens[t_sub][0]
-            Sd, dgrad = sens[d_sub]
+        for k, port in enumerate(self.torn):
+            key = port.key
+            t, d = self.by_name[port.t_cell], self.by_name[port.d_cell]
+            St = sens[port.t_cell][0]
+            Sd, dgrad = sens[port.d_cell]
             hsl = d.problem.param_slots[f"headv:{key}"]
             BA[PORT_DIM * k:PORT_DIM * (k + 1)] = _exchange(
-                spec, wide(d, Sd[d.problem.maps.port_dvar[key]]),
+                port.spec, wide(d, Sd[d.problem.maps.port_dvar[key]]),
                 wide(t, St[t.problem.maps.poi_v[key]]),
                 wide(t, St[t.problem.nvar + np.asarray(t.problem.maps.poi_row[key])]),
                 wide(d, dgrad[hsl]))

@@ -119,8 +119,6 @@ class Network:
     loads: list[Load]
     generators: list[Generator]
     base_mva: float
-    power_base_va: float = 0.0     # resolved at load time (T: base_mva*1e6, D: coupling s_base)
-    voltage_base_v: float | None = None
     _by_id: dict[str, Bus] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -141,24 +139,41 @@ class Network:
         return [b for b in self.buses if b.kind == "slack"]
 
 
+@dataclass(frozen=True)
+class Port:
+    """A coupling as a partition resolves it: its spec and the cells that
+    hold its transmission and distribution sides.  It is torn when they
+    differ."""
+    spec: CouplingSpec
+    t_cell: str
+    d_cell: str
+
+    @property
+    def key(self) -> str:
+        return self.spec.key
+
+    @property
+    def torn(self) -> bool:
+        return self.t_cell != self.d_cell
+
+
 @dataclass
-class Subproblem:
-    """One partition cell: the networks it owns, resolved at load time."""
+class Cell:
+    """One partition cell: its networks and its ports in build order, the
+    couplings internal to it first, then the torn ports it holds a side of
+    in coupling order (the variable layout depends on that order)."""
     name: str
-    networks: list[str]
+    networks: list[Network]
+    ports: list[Port] = field(default_factory=list)
 
 
 @dataclass
 class Partition:
-    subproblems: list[Subproblem]
+    """A case's networks resolved into cells and its couplings into ports."""
+    cells: list[Cell]
+    torn: list[Port]                # in coupling order
     internal_couplings: list[int]   # indices into the case coupling list
     external_couplings: list[int]
-
-    def owner_of(self, net_name: str) -> str:
-        for sub in self.subproblems:
-            if net_name in sub.networks:
-                return sub.name
-        raise KeyError(net_name)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +183,13 @@ class Partition:
 
 def _read_json(path) -> dict:
     """The JSON object in the file ``path``."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except ValueError as exc:       # not JSON, or not text
-            raise CaseError(f"{path}: not a valid JSON file ({exc})") from None
+    except OSError as exc:              # a directory, or not readable
+        raise CaseError(f"{path}: cannot be read ({exc.strerror})") from None
+    except ValueError as exc:           # not JSON, or not text
+        raise CaseError(f"{path}: not a valid JSON file ({exc})") from None
     if not isinstance(raw, dict):
         raise CaseError(f"{path}: must hold a JSON object, got {type(raw).__name__}")
     return raw
@@ -189,17 +206,40 @@ def _entries(raw: dict, key: str, where: str) -> list:
     return items
 
 
-def _number(raw: dict, key: str, where, nan_only: bool = False) -> float:
-    """``raw[key]`` as a float.  JSON readers accept ``NaN`` and
-    ``Infinity``; any non-finite value is an error naming the field, or with
-    ``nan_only`` (for fields whose default is infinite) a NaN only."""
+def _numbers(vals, nan_only: bool = False) -> tuple[float, ...]:
+    """The values of the sequence ``vals`` as floats, the one number reader
+    of the loader.
+
+    Raises ``TypeError`` if one is not a number; a JSON boolean is not one,
+    though ``float(True)`` is 1.0.  Raises ``ValueError`` holding the first
+    non-finite value (JSON readers accept ``NaN`` and ``Infinity``), or with
+    ``nan_only`` (for fields whose default is infinite) the first NaN.
+    """
+    if bool in map(type, vals):
+        raise TypeError
     try:
-        v = float(raw[key])
+        out = tuple(map(float, vals))
     except (TypeError, ValueError):
-        raise CaseError(f"{where()}: '{key}' must be a number, got {raw[key]!r}") from None
-    if v != v or not (nan_only or math.isfinite(v)):
-        raise CaseError(f"{where()}: '{key}' must be finite, got {v}")
-    return v
+        raise TypeError from None
+    if all(map(math.isfinite, out)):
+        return out
+    for v in out:
+        if v != v or not (nan_only or math.isfinite(v)):
+            raise ValueError(v)
+    return out
+
+
+def _number(raw: dict, key: str, where, nan_only: bool = False) -> float:
+    """``raw[key]`` as a float, or an error naming the field."""
+    v = raw[key]
+    if type(v) is float and math.isfinite(v):  # the common case, without the tuples
+        return v
+    try:
+        return _numbers((v,), nan_only)[0]
+    except TypeError:
+        raise CaseError(f"{where()}: '{key}' must be a number, got {v!r}") from None
+    except ValueError as exc:
+        raise CaseError(f"{where()}: '{key}' must be finite, got {exc.args[0]}") from None
 
 
 def _validate_bus(raw: dict, net_name: str) -> Bus:
@@ -246,12 +286,11 @@ def _validate_matrix(raw, n: int, where, name: str) -> tuple[tuple[float, ...], 
         if not (isinstance(r, list) and len(r) == n):
             raise CaseError(f"{where()}: '{name}' row length != {n}")
         try:
-            vals = tuple(map(float, r))
-        except (TypeError, ValueError):
+            rows.append(_numbers(r))
+        except TypeError:
             raise CaseError(f"{where()}: '{name}' must hold numbers, got {r!r}") from None
-        if not all(map(math.isfinite, vals)):
-            raise CaseError(f"{where()}: '{name}' must be finite")
-        rows.append(vals)
+        except ValueError:
+            raise CaseError(f"{where()}: '{name}' must be finite") from None
     return tuple(rows)
 
 
@@ -288,12 +327,11 @@ def _validate_phase_map(raw, bus: Bus, where, name: str) -> dict[str, float]:
         if ph not in bus.phases:
             raise CaseError(f"{where()}: phase '{ph}' not connected at bus '{bus.id}'")
     try:
-        out = {ph: float(val) for ph, val in raw.items()}
-    except (TypeError, ValueError):
+        return dict(zip(raw, _numbers(raw.values())))
+    except TypeError:
         raise CaseError(f"{where()}: '{name}' must map phase -> number, got {raw!r}") from None
-    if not all(map(math.isfinite, out.values())):
-        raise CaseError(f"{where()}: '{name}' must be finite, got {out}")
-    return out
+    except ValueError:
+        raise CaseError(f"{where()}: '{name}' must be finite, got {raw}") from None
 
 
 def _device_bus(raw: dict, net: Network, where) -> Bus:
@@ -443,11 +481,9 @@ def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
         v_base = _number(c, "v_base", lambda: where)
         if not (s_base > 0 and v_base > 0):
             raise CaseError(f"{where}: 's_base' and 'v_base' must be positive")
-        spec = CouplingSpec(t_bus=t_bus, d_bus=d_bus, s_base=s_base, v_base=v_base)
-        d_net.power_base_va = s_base
-        d_net.voltage_base_v = v_base
         ported.add(d_bus)
-        couplings.append(spec)
+        couplings.append(CouplingSpec(t_bus=t_bus, d_bus=d_bus, s_base=s_base,
+                                      v_base=v_base))
 
     coupled = {all_ids[c.d_bus] for c in couplings}
     for net in nets:
@@ -464,9 +500,7 @@ def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
             if not (lo < hi or not math.isfinite(lo + hi)):
                 raise CaseError(f"network '{net.name}' pv bus '{b.id}': reactive box must "
                                 f"have q_min < q_max")
-        if net.side == "transmission":
-            net.power_base_va = base_mva * 1e6
-        elif net.name not in coupled:
+        if net.side == "distribution" and net.name not in coupled:
             raise CaseError(f"network '{net.name}': distribution network has no coupling "
                             f"node")
     return nets, couplings
@@ -518,45 +552,13 @@ def case_to_dict(nets: list[Network], couplings: list[CouplingSpec]) -> dict:
     return out
 
 
-def save_case(path, nets: list[Network], couplings: list[CouplingSpec]):
-    with open(path, "w") as fh:
-        json.dump(case_to_dict(nets, couplings), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# physical-unit conversion (kept deliberately thin: each side has one power
-# base and, on the distribution side, one voltage base)
-
-
-def power_to_physical(net: Network, p_pu: float) -> float:
-    return p_pu * net.power_base_va
-
-
-def power_to_per_unit(net: Network, p_va: float) -> float:
-    return p_va / net.power_base_va
-
-
-def voltage_to_physical(net: Network, v_pu: float) -> float:
-    if net.voltage_base_v is None:
-        raise ValueError(f"network '{net.name}' has no voltage base")
-    return v_pu * net.voltage_base_v
-
-
-def voltage_to_per_unit(net: Network, v_volt: float) -> float:
-    if net.voltage_base_v is None:
-        raise ValueError(f"network '{net.name}' has no voltage base")
-    return v_volt / net.voltage_base_v
-
-
 # ---------------------------------------------------------------------------
 # partitions
 
 
 def default_partition(nets: list[Network], couplings: list[CouplingSpec]) -> Partition:
-    """One subproblem per network, all coupling ports torn."""
-    subs = [Subproblem(name=n.name, networks=[n.name]) for n in nets]
-    return _finish_partition(subs, nets, couplings)
+    """One cell per network, all coupling ports torn."""
+    return _finish_partition([Cell(n.name, [n]) for n in nets], couplings)
 
 
 def load_partition(path, nets: list[Network],
@@ -568,9 +570,9 @@ def partition_from_dict(raw: dict, nets: list[Network],
                         couplings: list[CouplingSpec]) -> Partition:
     if "subproblems" not in raw:
         raise CaseError("partition: missing field 'subproblems'")
-    known = {n.name for n in nets}
+    by_name = {n.name: n for n in nets}
     assigned: dict[str, str] = {}
-    subs = []
+    cells = []
     for i, s in enumerate(_entries(raw, "subproblems", "partition")):
         name = str(s.get("name", f"sub{i}"))
         members = s.get("networks", [])
@@ -579,35 +581,37 @@ def partition_from_dict(raw: dict, nets: list[Network],
         members = [str(m) for m in members]
         if not members:
             raise CaseError(f"partition subproblem '{name}': empty network list")
+        if any(c.name == name for c in cells):
+            raise CaseError(f"partition: duplicate subproblem name '{name}'")
         for m in members:
-            if m not in known:
+            if m not in by_name:
                 raise CaseError(f"partition subproblem '{name}': unknown network '{m}'")
             if m in assigned:
                 raise CaseError(f"network '{m}' assigned to both '{assigned[m]}' and "
                                 f"'{name}'")
             assigned[m] = name
-        subs.append(Subproblem(name=name, networks=members))
-    missing = sorted(known - set(assigned))
+        cells.append(Cell(name, [by_name[m] for m in members]))
+    missing = sorted(set(by_name) - set(assigned))
     if missing:
         raise CaseError(f"partition: networks {missing} not assigned to any subproblem")
-    return _finish_partition(subs, nets, couplings)
+    return _finish_partition(cells, couplings)
 
 
-def _finish_partition(subs: list[Subproblem], nets: list[Network],
-                      couplings: list[CouplingSpec]) -> Partition:
-    owner = {}
-    for sub in subs:
-        for m in sub.networks:
-            owner[m] = sub.name
-    net_of_bus = {b.id: n.name for n in nets for b in n.buses}
-    internal, external = [], []
-    for i, c in enumerate(couplings):
-        same = owner[net_of_bus[c.t_bus]] == owner[net_of_bus[c.d_bus]]
-        if same:
-            warnings.warn(f"coupling {c.t_bus}<->{c.d_bus}: both sides in subproblem "
-                          f"'{owner[net_of_bus[c.t_bus]]}' (degenerate tearing)")
-            internal.append(i)
-        else:
-            external.append(i)
-    return Partition(subproblems=subs, internal_couplings=internal,
-                     external_couplings=external)
+def _finish_partition(cells: list[Cell], couplings: list[CouplingSpec]) -> Partition:
+    """Resolve each coupling into a port of the cells holding its two sides,
+    the one place that maps buses to their networks' cells."""
+    by_name = {c.name: c for c in cells}
+    cell_of_bus = {b.id: c.name for c in cells for n in c.networks for b in n.buses}
+    ports = [Port(c, cell_of_bus[c.t_bus], cell_of_bus[c.d_bus]) for c in couplings]
+    internal = [i for i, p in enumerate(ports) if not p.torn]
+    external = [i for i, p in enumerate(ports) if p.torn]
+    for i in internal:
+        p = ports[i]
+        warnings.warn(f"coupling {p.spec.t_bus}<->{p.spec.d_bus}: both sides in "
+                      f"subproblem '{p.t_cell}' (degenerate tearing)")
+        by_name[p.t_cell].ports.append(p)
+    for i in external:
+        by_name[ports[i].t_cell].ports.append(ports[i])
+        by_name[ports[i].d_cell].ports.append(ports[i])
+    return Partition(cells=cells, torn=[ports[i] for i in external],
+                     internal_couplings=internal, external_couplings=external)

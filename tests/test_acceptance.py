@@ -117,8 +117,9 @@ def test_c05_dual_relationship():
                              gauss_tol=gauss_tol)
         rep = co.run()
         assert rep.converged, case
-        for key, spec, t_sub, d_sub in co.torn:
-            tsub, dsub = co.by_name[t_sub], co.by_name[d_sub]
+        for p in co.torn:
+            key, spec = p.key, p.spec
+            tsub, dsub = co.by_name[p.t_cell], co.by_name[p.d_cell]
             lam_t = tsub.state.lam[tsub.problem.maps.poi_row[key]]
             lam_d = dsub.state.lam[[dsub.problem.eq_label.index(f"kcl{c}:{spec.d_bus}:{ph}")
                                     for ph in "abc" for c in "ri"]]

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import pickle
 import weakref
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridweld import PortBuild, build_problem
-from gridweld.ecf import CircuitProblem, IndexMaps, _Builder, partition_cells
+from gridweld.ecf import CircuitProblem, IndexMaps, _Builder, port_builds
 from gridweld.netmodel import Branch, Bus, Network, case_from_dict, load_partition
 
 from conftest import (centralized_problem, interior_point, load, oracle_state,
@@ -145,14 +146,32 @@ def test_zero_sources_reduce_to_plain_power_flow_rows(rng):
 
 
 def test_variable_ordering_documented_layout():
+    """Voltages lead, bus by bus and phase by phase; every source column
+    comes after every port-variable column and, under L1, before every
+    epigraph column: on the central build and on each cell build of both
+    port-mode pairs."""
     nets, coups, prob = centralized_problem("case_micro_td")
     labels = prob.var_label
     assert labels[0].startswith("vr:t1") and labels[1].startswith("vi:t1")
     first_d = labels.index("vr:d1:a")
     assert labels[first_d + 1] == "vi:d1:a"
     assert labels[first_d + 2] == "vr:d1:b"
-    src_start = prob.source_cols.min()
-    assert (prob.source_cols >= src_start).all()
+    part = load_partition(partition_path("micro_default"), nets, coups)
+    builds = [(nets, [PortBuild(c, "internal") for c in coups])]
+    for modes in (("t_draw", "d_head"), ("t_free", "d_phasor")):
+        builds += [(cell.networks, port_builds(cell, *modes)) for cell in part.cells]
+    for (build_nets, ports), norm in itertools.product(builds, ("l1", "l2")):
+        prob = build_problem(build_nets, ports, source_kind="current", norm=norm)
+        m = prob.maps
+        port_cols = [c for cols in [*m.port_tvar.values(), *m.port_dvar.values()]
+                     for c in cols]
+        port_cols += [c for pb in ports if pb.mode == "d_phasor"
+                      for c in m.poi_v[pb.spec.key]]
+        epigraph = [i for i, lbl in enumerate(prob.var_label) if lbl.startswith("t:")]
+        src = prob.source_cols.ravel()
+        assert src.size and bool(epigraph) == (norm == "l1")
+        assert src.min() > max(port_cols, default=-1)
+        assert src.max() < min(epigraph, default=prob.nvar)
 
 
 def test_assembled_rows_vanish_at_oracle_power_flow_point():
@@ -177,8 +196,7 @@ def test_port_maps_and_sources_agree_with_the_labels(case, kind, q_only):
     part = load_partition(partition_path(_PORT_CASES[case]), nets, coups)
     builds = [(nets, [PortBuild(c, "internal") for c in coups])]
     for modes in (("t_draw", "d_head"), ("t_free", "d_phasor")):
-        cells, _ = partition_cells(nets, coups, part, *modes)
-        builds += [(cell.nets, cell.port_builds) for cell in cells]
+        builds += [(cell.networks, port_builds(cell, *modes)) for cell in part.cells]
     assert [f.name for f in dataclasses.fields(IndexMaps)] == [
         "port_tvar", "port_dvar", "poi_v", "poi_row", "head_v"]
     seen = set()

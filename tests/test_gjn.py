@@ -109,8 +109,8 @@ def test_decomposed_kkt_coincides_with_centralized_at_its_solution():
     spec = coups[0].t_bus, coups[0].d_bus
     key = f"{spec[0]}:{spec[1]}"
     port = coups[0]
-    tsub = co.by_name[co.partition.owner_of("t0")]
-    dsub = co.by_name[co.partition.owner_of("d0")]
+    tsub = co.by_name[co.torn[0].t_cell]
+    dsub = co.by_name[co.torn[0].d_cell]
     # boundary values read off the combined solution
     draw = np.array([cstate.x[cvar[f"itr:{key}"]], cstate.x[cvar[f"iti:{key}"]]])
     vt = np.array([cstate.x[cvar[f"vr:{spec[0]}:1"]],
@@ -140,8 +140,9 @@ def test_dual_relationship_holds_at_convergence():
     co = coordinator("case_micro_td_stressed", gauss_tol=gauss_tol)
     rep = co.run()
     assert rep.converged
-    for key, spec, t_sub, d_sub in co.torn:
-        tsub, dsub = co.by_name[t_sub], co.by_name[d_sub]
+    for p in co.torn:
+        key, spec = p.key, p.spec
+        tsub, dsub = co.by_name[p.t_cell], co.by_name[p.d_cell]
         lam_t = tsub.state.lam[tsub.problem.maps.poi_row[key]]
         lam_d = dsub.state.lam[[dsub.problem.eq_label.index(f"kcl{c}:{spec.d_bus}:{ph}")
                                 for ph in "abc" for c in "ri"]]
@@ -157,7 +158,7 @@ def test_boundary_payload_contains_no_internal_state():
     rep = co.run()
     allowed = {"port", "draw", "head_voltage", "price", "v_price",
                "t_voltage", "t_dual", "d_current"}
-    for key, _, _, _ in co.torn:
+    for key in (p.key for p in co.torn):
         payload = co.payload(key)
         assert set(payload) == allowed
         blob = json.dumps(payload)
@@ -307,13 +308,14 @@ def test_coupling_equalities_hold_at_boundary():
     assert rep.converged
     from gridweld.coupling import (aggregate_current_d_to_t,
                                    distribute_voltage_t_to_d)
-    for key, spec, t_sub, d_sub in co.torn:
+    for p in co.torn:
+        key, spec = p.key, p.spec
         bs = co.payload(key)
-        tsub = co.by_name[t_sub]
+        tsub = co.by_name[p.t_cell]
         ext_draw = tsub.problem.get_params(f"draw:{key}")
         want = aggregate_current_d_to_t(spec, bs["d_current"])
         assert np.max(np.abs(want - ext_draw)) <= 2 * gauss_tol
-        dsub = co.by_name[d_sub]
+        dsub = co.by_name[p.d_cell]
         head = dsub.problem.get_params(f"headv:{key}")
         want_v = distribute_voltage_t_to_d(spec, *bs["t_voltage"])
         assert np.max(np.abs(want_v - head)) <= 2 * gauss_tol

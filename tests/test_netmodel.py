@@ -1,11 +1,13 @@
+import json
+import warnings
+
 import pytest
 
-from gridweld import netmodel
 from gridweld.netmodel import (CaseError, case_from_dict, case_to_dict,
                                default_partition, load_case, load_partition,
                                partition_from_dict)
 
-from conftest import load, partition_path
+from conftest import CASES, PARTITIONS, load, partition_path
 
 
 def minimal_two_bus():
@@ -33,7 +35,6 @@ def test_minimal_two_bus_case():
     net = nets[0]
     assert [b.kind for b in net.buses] == ["slack", "pq"]
     assert len(net.branches) == 1
-    assert net.power_base_va == 100e6
 
 
 def test_dangling_branch_reference_names_the_bus():
@@ -124,6 +125,11 @@ def _with_generator(**fields):
      "network 't0' branch b1-b2: 'G' must hold numbers, got \\['x'\\]"),
     (_set((*_LOAD, "p"), {"1": "big"}),
      "network 't0' load at 'b2': 'p' must map phase -> number, got {'1': 'big'}"),
+    (_set((*_BUS, "v_min"), True), "network 't0' bus 'b2': 'v_min' must be a number, got True"),
+    (_set((*_LOAD, "p"), {"1": True}),
+     "network 't0' load at 'b2': 'p' must map phase -> number, got {'1': True}"),
+    (_set((*_BRANCH, "G"), [[True]]),
+     "network 't0' branch b1-b2: 'G' must hold numbers, got \\[True\\]"),
     (lambda case: case["networks"].append(5), "case: 'networks'\\[1\\] must be an object, got int"),
     (_set((*_NET, "buses"), {"b1": {}}), "network 't0': 'buses' must be a list, got dict"),
 ], ids=["bus-missing-field", "bus-kind", "bus-phases-type", "bus-phase-unknown",
@@ -132,7 +138,8 @@ def _with_generator(**fields):
         "load-unknown-bus", "load-phase", "phase-map-type", "generator-pv-on-pq",
         "generator-mode", "generator-q-box", "generator-phase", "number-string",
         "number-null", "eligible-string", "matrix-string", "phase-map-string",
-        "network-not-object", "buses-not-list"])
+        "network-not-object", "buses-not-list", "number-bool", "phase-map-bool",
+        "matrix-bool"])
 def test_each_rejection_names_the_element_and_the_fault(mutate, message):
     """Every message is formatted only when its check fails, so each one is
     run here: one field of ``minimal_two_bus()`` changed at a time."""
@@ -264,7 +271,7 @@ def test_roundtrip_serialization_field_by_field(tmp_path):
     for name in ("case_micro_td", "case_threefeeder_td", "case_feeder210"):
         nets, coups = load(name)
         out = tmp_path / f"{name}.json"
-        netmodel.save_case(out, nets, coups)
+        out.write_text(json.dumps(case_to_dict(nets, coups)))
         nets2, coups2 = load_case(out)
         assert case_to_dict(nets, coups) == case_to_dict(nets2, coups2)
         assert coups == coups2
@@ -275,23 +282,10 @@ def test_roundtrip_serialization_field_by_field(tmp_path):
             assert a.generators == b.generators
 
 
-def test_per_unit_physical_round_trip():
-    nets, _ = load("case_micro_td")
-    for net in nets:
-        for val in (0.013, 1.0, 7.3):
-            there = netmodel.power_to_physical(net, val)
-            back = netmodel.power_to_per_unit(net, there)
-            assert abs(back - val) <= 1e-12 * abs(val)
-        if net.voltage_base_v is not None:
-            v = netmodel.voltage_to_per_unit(
-                net, netmodel.voltage_to_physical(net, 0.97))
-            assert abs(v - 0.97) <= 1e-12
-
-
 def test_default_partition_micro():
     nets, coups = load("case_micro_td")
     part = default_partition(nets, coups)
-    assert [s.name for s in part.subproblems] == ["t0", "d0"]
+    assert [c.name for c in part.cells] == ["t0", "d0"]
     assert part.external_couplings == [0]
     assert part.internal_couplings == []
 
@@ -299,7 +293,7 @@ def test_default_partition_micro():
 def test_partition_file_micro_default():
     nets, coups = load("case_micro_td")
     part = load_partition(partition_path("micro_default"), nets, coups)
-    assert len(part.subproblems) == 2
+    assert len(part.cells) == 2
     assert len(part.external_couplings) == 1
 
 
@@ -307,7 +301,7 @@ def test_degenerate_single_subproblem_warns():
     nets, coups = load("case_micro_td")
     with pytest.warns(UserWarning, match="degenerate"):
         part = load_partition(partition_path("micro_single"), nets, coups)
-    assert len(part.subproblems) == 1
+    assert len(part.cells) == 1
     assert part.internal_couplings == [0]
     assert part.external_couplings == []
 
@@ -315,7 +309,7 @@ def test_degenerate_single_subproblem_warns():
 def test_threefeeder_partition_shape():
     nets, coups = load("case_threefeeder_td")
     part = load_partition(partition_path("threefeeder"), nets, coups)
-    assert len(part.subproblems) == 4
+    assert len(part.cells) == 4
     assert len(part.external_couplings) == 3
 
 
@@ -331,11 +325,71 @@ def test_partition_validates_assignment():
     with pytest.raises(CaseError, match="unknown network"):
         partition_from_dict({"subproblems": [
             {"name": "a", "networks": ["t0", "dX"]}]}, nets, coups)
+    with pytest.raises(CaseError, match="^partition: duplicate subproblem name 'a'$"):
+        partition_from_dict({"subproblems": [
+            {"name": "a", "networks": ["t0"]},
+            {"name": "a", "networks": ["d0"]}]}, nets, coups)
 
 
 def test_partition_covers_variables_once():
     nets, coups = load("case_threefeeder_td")
     part = load_partition(partition_path("threefeeder"), nets, coups)
-    seen = [m for s in part.subproblems for m in s.networks]
+    seen = [m.name for c in part.cells for m in c.networks]
     assert sorted(seen) == sorted(n.name for n in nets)
     assert len(seen) == len(set(seen))
+
+
+def _shipped_partitions():
+    """Each shipped partition file with every shipped case it assigns all
+    the networks of."""
+    pairs = []
+    for part in sorted(PARTITIONS.glob("*.json")):
+        members = {m for s in json.loads(part.read_text())["subproblems"]
+                   for m in s["networks"]}
+        for case in sorted(CASES.glob("case_*.json")):
+            if {n["name"] for n in json.loads(case.read_text())["networks"]} == members:
+                pairs.append((case.stem, part.stem))
+    return pairs
+
+
+def test_every_shipped_partition_has_a_case():
+    assert ({part for _, part in _shipped_partitions()}
+            == {p.stem for p in PARTITIONS.glob("*.json")})
+
+
+@pytest.mark.parametrize("case, part_name", _shipped_partitions())
+def test_shipped_partition_resolves_into_cells(case, part_name):
+    """Each network is in exactly one cell; each coupling is internal to the
+    cell holding both its sides or torn between the cell of its T bus and
+    the cell of its D bus; a cell's ports run internal first, then torn, each
+    in coupling order; only an internal coupling warns."""
+    nets, coups = load(case)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        part = load_partition(partition_path(part_name), nets, coups)
+    owner = {}
+    for cell in part.cells:
+        for net in cell.networks:
+            assert net.name not in owner
+            owner[net.name] = cell.name
+    assert sorted(owner) == sorted(n.name for n in nets)
+    cell_of = {b.id: owner[n.name] for n in nets for b in n.buses}
+    internal = {c.name: [] for c in part.cells}
+    torn = {c.name: [] for c in part.cells}
+    for i, spec in enumerate(coups):
+        t_cell, d_cell = cell_of[spec.t_bus], cell_of[spec.d_bus]
+        assert (i in part.internal_couplings) == (t_cell == d_cell)
+        assert (i in part.external_couplings) == (t_cell != d_cell)
+        if t_cell == d_cell:
+            internal[t_cell].append(spec)
+        else:
+            torn[t_cell].append(spec)
+            torn[d_cell].append(spec)
+    assert [p.spec for p in part.torn] == [coups[i] for i in part.external_couplings]
+    for cell in part.cells:
+        assert [p.spec for p in cell.ports] == internal[cell.name] + torn[cell.name]
+        for p in cell.ports:
+            assert (p.t_cell, p.d_cell) == (cell_of[p.spec.t_bus], cell_of[p.spec.d_bus])
+    degenerate = [w for w in caught if "degenerate" in str(w.message)]
+    assert len(degenerate) == len(part.internal_couplings)
+    assert bool(degenerate) == (part_name == "micro_single")

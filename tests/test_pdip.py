@@ -357,8 +357,7 @@ def _consensus_agent(name):
     from conftest import partition_path
     nets, coups = load("case_micro_td")
     part = load_partition(partition_path("micro_default"), nets, coups)
-    subs, _ = admm.build_agents(nets, coups, part, source_kind="current",
-                                norm="l2", q_only=False)
+    subs = admm.build_agents(part, source_kind="current", norm="l2", q_only=False)
     return next(s.problem for s in subs if s.name == name)
 
 

@@ -44,7 +44,7 @@ def _renamed(label, names):
 
 
 def _problems(nets, coups, part, kind, norm):
-    subs, _ = gjn.build_subproblems(nets, coups, part, source_kind=kind, norm=norm)
+    subs = gjn.build_subproblems(part, source_kind=kind, norm=norm)
     ports = [PortBuild(c, "internal") for c in coups]
     return [build_problem(nets, ports, source_kind=kind, norm=norm)] + [s.problem for s in subs]
 
