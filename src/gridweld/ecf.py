@@ -323,45 +323,55 @@ def _sum_products(bins, data, vals, n):
     return out
 
 
+def place_entries(rows, cols, shape):
+    """The CSR pattern of the entries ``(rows, cols)`` of a ``shape``
+    matrix: ``(slot, rows, indices, indptr)``, with ``slot[k]`` the stored
+    position of entry ``k`` and ``rows`` the row of each stored position,
+    all int32.  ``np.bincount(slot, vals, len(indices))`` then sums the
+    entries' values into the pattern, duplicates in entry order from 0.0.
+    The one placement of a fixed pattern: every circuit matrix and the
+    condensed KKT pattern (:class:`~gridweld.pdip._KktPattern`) use it."""
+    n_rows, n_cols = shape
+    # the distinct positions in order and each entry's slot among them:
+    # np.unique(key, return_inverse=True) without its per-call overhead and
+    # its copies of the keys; a stable sort, as entries come in sorted runs
+    # (any sort gives the same pattern and slots)
+    key = np.multiply(rows, n_cols, dtype=np.int64)
+    key += cols
+    order = key.argsort(kind="stable")
+    key.sort()
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    pos = key[new]
+    del key
+    # int32, the index type scipy picks at these sizes, keeps the maps
+    # small and lets scipy take the index arrays without a scan
+    slot = np.empty(len(new), dtype=np.int32)
+    slot[order] = new.cumsum(dtype=np.int32) - 1
+    del order, new
+    rows = pos // n_cols
+    indices = (pos - rows * n_cols).astype(np.int32)
+    indptr = rows.searchsorted(np.arange(n_rows + 1)).astype(np.int32)
+    return slot, rows.astype(np.int32), indices, indptr
+
+
 class _FixedCSR:
     """A CSR pattern fixed at build time from the entries ``vals[src] ->
-    (rows, cols)``.  Each call sums new values into it with one
-    ``np.bincount``, duplicates in entry order, and keeps zero sums, so the
-    pattern depends on the build only; it returns a :class:`FixedMatrix`."""
+    (rows, cols)`` by :func:`place_entries`.  Each call sums new values
+    into it with one ``np.bincount``, duplicates in entry order, and keeps
+    zero sums, so the pattern depends on the build only; it returns a
+    :class:`FixedMatrix`, float also without entries."""
 
     def __init__(self, src, rows, cols, shape):
-        n_rows, n_cols = shape
-        # the distinct positions in order and each entry's slot among them:
-        # np.unique(key, return_inverse=True) without its per-call overhead;
-        # a stable sort, as entries come in sorted runs (any sort gives the
-        # same pattern and slots)
-        key = np.asarray(rows, dtype=np.int64) * n_cols + cols
-        order = key.argsort(kind="stable")
-        key = key[order]
-        new = np.empty(len(key), dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        pos = key[new]
-        # int32, the index type scipy picks at these sizes, keeps the maps
-        # small and lets scipy take the index arrays without a scan
-        self.slot = np.empty(len(key), dtype=np.int32)
-        self.slot[order] = new.cumsum() - 1
+        self.slot, self.rows, self.indices, self.indptr = place_entries(rows, cols, shape)
         self.src = src.astype(np.int32)
-        rows = pos // n_cols
-        self.rows, self.indices = rows.astype(np.int32), (pos - rows * n_cols).astype(np.int32)
-        self.indptr = rows.searchsorted(np.arange(n_rows + 1)).astype(np.int32)
         self.shape = shape
 
     def __call__(self, vals) -> FixedMatrix:
-        data = np.bincount(self.slot, vals[self.src], len(self.indices))
+        # bincount sums into integer zeros when there is nothing to sum
+        data = np.bincount(self.slot, vals[self.src], len(self.indices)).astype(float, copy=False)
         return FixedMatrix(data, self.indices, self.indptr, self.rows, self.shape)
-
-
-def _empty(shape) -> FixedMatrix:
-    """A matrix of ``shape`` with no entries."""
-    none = np.zeros(0, dtype=np.int32)
-    return FixedMatrix(np.zeros(0), none, np.zeros(shape[0] + 1, dtype=np.int32),
-                       none, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +386,8 @@ class CircuitProblem:
     ``jac_*`` and ``hess_lagrangian`` read the x columns,
     :meth:`param_derivatives` the parameter columns.  Every matrix is a
     :class:`FixedMatrix` on a :class:`_FixedCSR` pattern, so its sparsity
-    pattern is fixed by the build.  A problem without exchange parameters
-    builds no parameter-column pattern.
+    pattern is fixed by the build; without exchange parameters the
+    parameter-column patterns are empty.
     """
 
     def __init__(self, builder: "_Builder"):
@@ -408,8 +418,8 @@ class CircuitProblem:
         src = np.arange(len(rows))
         self._A_eq = _FixedCSR(*_select(src, rows, cols, cols < nx),
                                (self.n_eq, nx))(vals)
-        self._B_eq = (_FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
-                                (self.n_eq, npar))(vals) if npar else None)
+        self._B_eq = _FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
+                               (self.n_eq, npar))(vals)
         rows, cols, vals = in_stamps
         self._A_in = _FixedCSR(np.arange(len(rows)), rows, cols, (self.n_in, nx))(vals)
 
@@ -424,10 +434,9 @@ class CircuitProblem:
         self._x0 = np.concatenate(b.x0)
 
         def jacobian(elems, linear):
-            """x and parameter blocks (None without parameters) over the
-            entries of the linear parts (``(matrix, first z column)``
-            pairs, valued by their ``data``), then the elements' (see
-            :meth:`_jac_values`)."""
+            """x and parameter blocks over the entries of the linear parts
+            (``(matrix, first z column)`` pairs, valued by their ``data``),
+            then the elements' (see :meth:`_jac_values`)."""
             rows = np.concatenate([M.rows for M, _ in linear]
                                   + [e.jac_rows for e in elems])
             cols = np.concatenate([M.indices + c0 for M, c0 in linear]
@@ -435,8 +444,8 @@ class CircuitProblem:
             src, n_rows = np.arange(len(rows)), linear[0][0].shape[0]
             return (_FixedCSR(*_select(src, rows, cols, cols < nx), (n_rows, nx)),
                     _FixedCSR(*_select(src, rows, cols, on_p(cols), col0=nx),
-                              (n_rows, npar)) if npar else None)
-        eq_linear = [(self._A_eq, 0)] + ([(self._B_eq, nx)] if npar else [])
+                              (n_rows, npar)))
+        eq_linear = [(self._A_eq, 0), (self._B_eq, nx)]
         self._jac_eq = jacobian(self._eq, eq_linear)
         self._jac_in = jacobian(self._in, [(self._A_in, 0)])
         self._eq_lin = np.concatenate([M.data for M, _ in eq_linear])
@@ -463,11 +472,10 @@ class CircuitProblem:
         cols = np.where(mirror, pi[src], pj[src])
         self._hess_xx = _FixedCSR(*_select(src, rows, cols, (rows < nx) & (cols < nx)),
                                   (nx, nx))
-        if npar:
-            self._hess_xp = _FixedCSR(*_select(src, rows, cols, (rows < nx) & on_p(cols),
-                                               col0=nx), (nx, npar))
-            self._hess_pp = _FixedCSR(*_select(src, rows, cols, on_p(rows) & on_p(cols),
-                                               nx, nx), (npar, npar))
+        self._hess_xp = _FixedCSR(*_select(src, rows, cols, (rows < nx) & on_p(cols),
+                                           col0=nx), (nx, npar))
+        self._hess_pp = _FixedCSR(*_select(src, rows, cols, on_p(rows) & on_p(cols),
+                                           nx, nx), (npar, npar))
 
     # -- labels ----------------------------------------------------------------
 
@@ -585,9 +593,6 @@ class CircuitProblem:
         the objective or enters a row nonlinearly.  Without parameters
         every block is empty.
         """
-        if not self.n_param:
-            return (_empty((self.nvar, 0)), _empty((0, 0)),
-                    _empty((self.n_eq, 0)), _empty((self.n_in, 0)))
         z = self._z(x)
         h = self._hess_values(z, lam, mu)
         return (self._hess_xp(h), self._hess_pp(h), *self._param_jacobians(z))

@@ -210,17 +210,15 @@ def _numbers(vals, nan_only: bool = False) -> tuple[float, ...]:
     """The values of the sequence ``vals`` as floats, the one number reader
     of the loader.
 
-    Raises ``TypeError`` if one is not a number; a JSON boolean is not one,
-    though ``float(True)`` is 1.0.  Raises ``ValueError`` holding the first
-    non-finite value (JSON readers accept ``NaN`` and ``Infinity``), or with
-    ``nan_only`` (for fields whose default is infinite) the first NaN.
+    Raises ``TypeError`` if one is not a number; a JSON boolean or string
+    is not one, though ``float(True)`` is 1.0 and ``float("0.93")`` 0.93.
+    Raises ``ValueError`` holding the first non-finite value (JSON readers
+    accept ``NaN`` and ``Infinity``), or with ``nan_only`` (for fields whose
+    default is infinite) the first NaN.
     """
-    if bool in map(type, vals):
+    if not {bool, str}.isdisjoint(map(type, vals)):
         raise TypeError
-    try:
-        out = tuple(map(float, vals))
-    except (TypeError, ValueError):
-        raise TypeError from None
+    out = tuple(map(float, vals))
     if all(map(math.isfinite, out)):
         return out
     for v in out:
@@ -561,9 +559,8 @@ def default_partition(nets: list[Network], couplings: list[CouplingSpec]) -> Par
     return _finish_partition([Cell(n.name, [n]) for n in nets], couplings)
 
 
-def load_partition(path, nets: list[Network],
-                   couplings: list[CouplingSpec] | None = None) -> Partition:
-    return partition_from_dict(_read_json(path), nets, couplings or [])
+def load_partition(path, nets: list[Network], couplings: list[CouplingSpec]) -> Partition:
+    return partition_from_dict(_read_json(path), nets, couplings)
 
 
 def partition_from_dict(raw: dict, nets: list[Network],

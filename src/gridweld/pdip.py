@@ -30,8 +30,10 @@ problem's build.  A problem has one CSC pattern of the condensed matrix,
 which holds the full diagonal, so ``delta`` is only a value filled into
 it; the pattern is built on the problem's first matrix and kept for the
 problem, weakly referenced, and a step whose W, Jc or Jg pattern differs
-raises ``ValueError`` (see :class:`NewtonSystem`).  A step fills the
-pattern with one ``np.bincount``; the products ``Jc^T lam``, ``Jg^T mu``,
+raises ``ValueError`` (see :class:`NewtonSystem`).  Its entries are
+placed by :func:`~gridweld.ecf.place_entries`, as every circuit matrix's
+are, and a step fills it with one ``np.bincount`` over a slot per entry
+(see :class:`_KktPattern`); the products ``Jc^T lam``, ``Jg^T mu``,
 ``Jg^T (1/s)`` and ``Jg dx`` are bincounts over the stored entries, so a
 step does no sparse algebra and makes one scipy object, the CSC matrix it
 factors.  The fill stores no Hessian entry that comes to exactly zero, as
@@ -96,7 +98,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ecf import FixedMatrix
+from .ecf import FixedMatrix, place_entries
 
 log = logging.getLogger("gridweld.pdip")
 
@@ -302,12 +304,16 @@ class _KktPattern:
     (``order`` is None until then).  It holds every diagonal entry of H, so
     any ``delta`` fills it.
 
-    A Hessian slot is an entry of W, of a pair of Jg entries in one row or
-    of the diagonal; only this block is deduplicated, and the Jc entries go
-    by per-column counts.  :meth:`fill` sums each slot in the order scipy's
-    ``Jg.T @ (diag(d) @ Jg)``, then ``W + P``, then ``+ delta*I`` do: the
-    pair products ``Jg[r,i] * (d[r] * Jg[r,j])`` of slot ``(i, j)`` by
-    ascending Jg row ``r``, then W, then ``delta``.  W, Jc and Jg are
+    A CSC matrix is the CSR form of its transpose, so the first ``n``
+    columns are placed by :func:`~gridweld.ecf.place_entries`, the one
+    placement of a fixed pattern, with K's columns as its rows.  It places
+    four groups of entries: the pair products ``Jg[r,i] * (d[r] *
+    Jg[r,j])`` of slot ``(i, j)`` by ascending Jg row ``r``, then W, then
+    the diagonal, then Jc below H.  The Jc^T columns are Jc's own CSR
+    arrays, appended.  ``slot`` maps each entry of the groups, and then of
+    Jc^T, to its position, so :meth:`fill` is one ``np.bincount`` that sums
+    each Hessian slot in the order scipy's ``Jg.T @ (diag(d) @ Jg)``, then
+    ``W + P``, then ``+ delta*I`` do.  W, Jc and Jg are
     :class:`~gridweld.ecf.FixedMatrix` arrays; their index arrays are held,
     not copied, to tell a pattern change.
     """
@@ -325,37 +331,21 @@ class _KktPattern:
         self.pair_a = (first + t // width).astype(np.int32)
         self.pair_b = (first + t % width).astype(np.int32)
         del first, t, width
-        # Hessian slots of W, the pairs and the diagonal, column-major
-        keys = np.concatenate([
-            W.indices.astype(np.int64) * n + W.rows,
-            Jg.indices[self.pair_b].astype(np.int64) * n + Jg.indices[self.pair_a],
-            np.arange(n, dtype=np.int64) * (n + 1)])
-        hkeys, slot = np.unique(keys, return_inverse=True)
-        del keys
-        h_count = np.bincount(hkeys // n, minlength=n)
-        j_count = np.bincount(Jc.indices, minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(h_count + j_count),
-                                      len(hkeys) + Jc.nnz + Jc.indptr[1:]]).astype(np.int32)
-        # a column's Hessian slots come first, shifted by the Jc entries of
-        # the columns before; then its Jc entries, by ascending row
-        j_before = np.cumsum(j_count) - j_count
-        h_pos = (np.arange(len(hkeys)) + np.repeat(j_before, h_count)).astype(np.int32)
-        self.indices = np.empty(self.indptr[-1], dtype=np.int32)
-        self.indices[h_pos] = hkeys % n
-        self.w_pos, self.pair_pos, self.diag_pos = np.split(
-            h_pos[slot], [W.nnz, W.nnz + len(self.pair_a)])
-        del h_pos, hkeys, slot
-        by_col = np.argsort(Jc.indices, kind="stable")
-        self.jc_pos = np.empty(2 * Jc.nnz, dtype=np.int32)
-        self.jc_pos[by_col] = (np.arange(Jc.nnz) - np.repeat(j_before, j_count)
-                               + np.repeat(self.indptr[:n] + h_count, j_count))
-        self.jc_pos[Jc.nnz:] = self.indptr[n] + np.arange(Jc.nnz)
-        self.indices[self.jc_pos[:Jc.nnz]] = n + Jc.rows
-        self.indices[self.jc_pos[Jc.nnz:]] = Jc.indices
+        diag = np.arange(n, dtype=np.int32)
+        slot, _, indices, indptr = place_entries(
+            np.concatenate([Jg.indices[self.pair_b], W.indices, diag, Jc.indices]),
+            np.concatenate([Jg.indices[self.pair_a], W.rows, diag, n + Jc.rows]),
+            (n, n + me))
+        placed = len(indices)
+        # intp, which each fill's bincount would otherwise copy it to
+        self.slot = np.concatenate([slot, placed + np.arange(Jc.nnz, dtype=np.intp)])
+        self.indices = np.concatenate([indices, Jc.indices]).astype(np.int32, copy=False)
+        self.indptr = np.concatenate([indptr, placed + Jc.indptr[1:]]).astype(np.int32,
+                                                                             copy=False)
         self.order = None
         # the Hessian slots, of which the fill drops those that come to 0
         self.hessian = np.ones(len(self.indices), dtype=bool)
-        self.hessian[self.jc_pos] = False
+        self.hessian[self.slot[len(self.slot) - 2 * Jc.nnz:]] = False
 
     def fits(self, W, Jc, Jg) -> bool:
         """Whether W, Jc and Jg have the patterns this was built from."""
@@ -365,16 +355,15 @@ class _KktPattern:
     def reorder(self, order):
         """Put the natural-order columns in ``order`` (column ``k`` is
         natural column ``order[k]``) by moving each position, rows kept.
-        The slot maps and ``hessian`` are rewritten in place; ``indices``
-        and ``indptr``, which matrices share, are new arrays."""
+        ``slot`` and ``hessian`` are rewritten in place; ``indices`` and
+        ``indptr``, which matrices share, are new arrays."""
         counts = np.diff(self.indptr)
         indptr = np.concatenate([[0], np.cumsum(counts[order])]).astype(np.int32)
         start = np.empty(len(order), dtype=np.int64)
         start[order] = indptr[:-1]
         shift = start - self.indptr[:-1]
         moved = (np.arange(len(self.indices)) + np.repeat(shift, counts)).astype(np.int32)
-        for pos in (self.w_pos, self.pair_pos, self.diag_pos, self.jc_pos):
-            pos[:] = moved[pos]
+        self.slot[:] = moved[self.slot]
         indices = np.empty_like(self.indices)
         indices[moved] = self.indices
         self.hessian[moved] = self.hessian.copy()
@@ -384,19 +373,15 @@ class _KktPattern:
         """The matrix with ``diag(d)`` and ``delta``.
 
         It stores no Hessian entry that comes to exactly 0, as scipy's sums
-        with a Jg term, ``delta`` or a consensus penalty would not; Jc
-        zeros are kept."""
-        nnz = len(self.indices)
+        with a Jg term, ``delta`` or a consensus penalty would not, so at
+        ``delta = 0`` a diagonal slot with nothing else drops out; Jc zeros
+        are kept."""
         products = Jg.data[self.pair_a]
         products *= (d[Jg.rows] * Jg.data)[self.pair_b]
-        # float also with no pairs, where bincount gives integer zeros
-        data = np.bincount(self.pair_pos, products, nnz).astype(float, copy=False)
+        data = np.bincount(self.slot, np.concatenate(
+            [products, W.data, np.full(W.shape[0], delta), Jc.data, Jc.data]),
+            len(self.indices))
         del products
-        data[self.w_pos] += W.data
-        if delta:       # at 0 a diagonal slot with nothing else drops out below
-            data[self.diag_pos] += delta
-        data[self.jc_pos[:Jc.nnz]] = Jc.data
-        data[self.jc_pos[Jc.nnz:]] = Jc.data
         indices, indptr = self.indices, self.indptr
         zero = data == 0.0
         zero &= self.hessian

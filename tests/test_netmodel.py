@@ -130,6 +130,12 @@ def _with_generator(**fields):
      "network 't0' load at 'b2': 'p' must map phase -> number, got {'1': True}"),
     (_set((*_BRANCH, "G"), [[True]]),
      "network 't0' branch b1-b2: 'G' must hold numbers, got \\[True\\]"),
+    (_set((*_BUS, "v_min"), "0.93"),
+     "network 't0' bus 'b2': 'v_min' must be a number, got '0.93'"),
+    (_set((*_LOAD, "p"), {"1": "0.2"}),
+     "network 't0' load at 'b2': 'p' must map phase -> number, got {'1': '0.2'}"),
+    (_set((*_BRANCH, "G"), [["1.0"]]),
+     "network 't0' branch b1-b2: 'G' must hold numbers, got \\['1.0'\\]"),
     (lambda case: case["networks"].append(5), "case: 'networks'\\[1\\] must be an object, got int"),
     (_set((*_NET, "buses"), {"b1": {}}), "network 't0': 'buses' must be a list, got dict"),
 ], ids=["bus-missing-field", "bus-kind", "bus-phases-type", "bus-phase-unknown",
@@ -138,8 +144,9 @@ def _with_generator(**fields):
         "load-unknown-bus", "load-phase", "phase-map-type", "generator-pv-on-pq",
         "generator-mode", "generator-q-box", "generator-phase", "number-string",
         "number-null", "eligible-string", "matrix-string", "phase-map-string",
-        "network-not-object", "buses-not-list", "number-bool", "phase-map-bool",
-        "matrix-bool"])
+        "number-bool", "phase-map-bool", "matrix-bool", "number-numeric-string",
+        "phase-map-numeric-string", "matrix-numeric-string", "network-not-object",
+        "buses-not-list"])
 def test_each_rejection_names_the_element_and_the_fault(mutate, message):
     """Every message is formatted only when its check fails, so each one is
     run here: one field of ``minimal_two_bus()`` changed at a time."""
@@ -295,6 +302,14 @@ def test_partition_file_micro_default():
     part = load_partition(partition_path("micro_default"), nets, coups)
     assert len(part.cells) == 2
     assert len(part.external_couplings) == 1
+
+
+def test_partition_file_needs_the_couplings():
+    """Without the case's couplings a partition would have no ports, and a
+    distributed run would solve its cells uncoupled."""
+    nets, _ = load("case_micro_td")
+    with pytest.raises(TypeError, match="couplings"):
+        load_partition(partition_path("micro_default"), nets)
 
 
 def test_degenerate_single_subproblem_warns():

@@ -310,12 +310,14 @@ def test_one_pattern_serves_every_delta_in_the_kept_order(monkeypatch, rng):
     _assert_fill_matches_sparse_algebra(system, 0.0)
     assert newton_step(system) is not None
     kept = pdip._PATTERNS[prob]
-    arrays = {a: getattr(kept, a).copy() for a in
-              ("indices", "indptr", "w_pos", "pair_pos", "diag_pos", "jc_pos")}
+    arrays = {a: getattr(kept, a).copy() for a in ("indices", "indptr", "slot", "hessian")}
     order = kept.order
-    assert len(kept.diag_pos) == prob.nvar
-    assert np.array_equal(np.sort(kept.indices[kept.diag_pos]),
-                          np.arange(prob.nvar))
+    # the diagonal group follows the pair products and W: natural column j's
+    # diagonal slot holds row j, in the column the kept order moved j to
+    diag = kept.slot[len(kept.pair_a) + system.W.nnz:][:prob.nvar]
+    assert np.array_equal(kept.indices[diag], np.arange(prob.nvar))
+    assert np.array_equal(np.searchsorted(kept.indptr, diag, side="right") - 1,
+                          np.argsort(order)[:prob.nvar])
     assert newton_step(system, 1e-8) is not None
     later = NewtonSystem.build(prob, KktState(x=x, lam=lam, mu=mu, eps=1e-3))
     for delta in (1e-6, 0.0, 1e-4):
@@ -446,6 +448,30 @@ def test_fill_stores_no_hessian_zero_without_a_sum(rng):
     K = system.matrix()
     assert K.nnz == W.nnz - len(W.data[::4]) + 2 * Jc.nnz
     _assert_fill_matches_sparse_algebra(system, 0.0)
+
+
+def test_fill_sums_pair_products_then_w_then_delta():
+    """A Hessian slot sums its Jg pair products, then W, then ``delta``, as
+    scipy's ``W + Jg^T diag(d) Jg`` and then ``+ delta*I`` do.  In slot
+    (0, 0) a pair product of 1e16 and a W entry of -1e16 cancel, and
+    ``delta = 1`` leaves 1.0; adding ``delta`` before W would round it
+    away, and the slot would drop.  Checked in natural order and in the
+    kept one."""
+    import gridweld.pdip as pdip
+    system = NewtonSystem(W=FixedMatrix.of(np.diag([-1e16, 1.0])),
+                          Jc=FixedMatrix.of(np.array([[1.0, 1.0]])),
+                          Jg=FixedMatrix.of(np.array([[1e8, 0.0]])),
+                          g=np.array([-1.0]), mu=np.array([1.0]),
+                          rhs=np.zeros(4), problem=_Owner())
+    for _ in range(2):
+        K = system.matrix(1.0)
+        order = pdip._PATTERNS[system.problem].order
+        if order is not None:
+            K = K[:, np.argsort(order)]
+        assert K[0, 0] == 1.0
+        _assert_fill_matches_sparse_algebra(system, 1.0)
+        assert newton_step(system, 1.0) is not None
+    assert order is not None
 
 
 @pytest.mark.parametrize("case", ["case_micro_td", "case_feeder210_stressed",

@@ -251,18 +251,17 @@ def test_epoch_loop_written_once():
 
 def test_circuit_matrices_built_one_way(rng):
     """In ``ecf``, every circuit matrix is a ``FixedMatrix`` on a pattern
-    fixed at build time: only ``_FixedCSR.__call__`` and ``_empty`` make
-    one, and scipy matrices are made only inside ``FixedMatrix`` (its
-    copies and its wrapping of a foreign matrix).  Every evaluator hands
-    one out, the parameter blocks included, so ``gjn``'s epoch map needs
-    nothing of ``scipy.sparse``."""
+    fixed at build time: only ``_FixedCSR.__call__`` makes one, the empty
+    parameter blocks of a problem without parameters included, and scipy
+    matrices are made only inside ``FixedMatrix`` (its copies and its
+    wrapping of a foreign matrix).  Every evaluator hands one out, the
+    parameter blocks included, so ``gjn``'s epoch map needs nothing of
+    ``scipy.sparse``."""
     tree = ast.parse((ROOT / "src" / "gridweld" / "ecf.py").read_text())
     fixed, allowed = set(), set()
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name == "FixedMatrix":
             allowed |= {id(n) for n in ast.walk(node)}
-        if getattr(node, "name", None) == "_empty":
-            fixed |= {id(n) for n in ast.walk(node)}
         if isinstance(node, ast.ClassDef) and node.name == "_FixedCSR":
             for fn in node.body:
                 if getattr(fn, "name", None) == "__call__":
@@ -285,9 +284,37 @@ def test_circuit_matrices_built_one_way(rng):
     blocks = cell.param_derivatives(x, rng.standard_normal(cell.n_eq),
                                     rng.random(cell.n_in))
     assert len(blocks) == 4 and all(isinstance(M, FixedMatrix) for M in blocks)
+    x = interior_point(prob, rng)
+    blocks = prob.param_derivatives(x, lam, mu)
+    assert [M.shape for M in blocks] == [(prob.nvar, 0), (0, 0), (prob.n_eq, 0),
+                                         (prob.n_in, 0)]
+    assert all(isinstance(M, FixedMatrix) and M.data.dtype == float for M in blocks)
     tree = ast.parse((ROOT / "src" / "gridweld" / "gjn.py").read_text())
     imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
                 for a in n.names]
     imported += [f"{n.module}.{a.name}" for n in ast.walk(tree)
                  if isinstance(n, ast.ImportFrom) and n.module for a in n.names]
     assert imported and not [m for m in imported if m.startswith("scipy.sparse")]
+
+
+def test_one_placement_of_a_fixed_pattern():
+    """One function places entries in a fixed sparse pattern: the one that
+    ``ecf._FixedCSR.__init__`` calls, which ``pdip._KktPattern.__init__``
+    calls too.  No module of ``src/gridweld`` calls ``np.unique``, the
+    other way to give entries their slots."""
+    src = ROOT / "src" / "gridweld"
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert [name for name, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "unique"
+            and isinstance(n.value, ast.Name) and n.value.id == "np"] == []
+
+    def called(module, cls):
+        """The names ``cls.__init__`` of ``module`` calls."""
+        (init,) = [fn for c in trees[module].body
+                   if isinstance(c, ast.ClassDef) and c.name == cls
+                   for fn in c.body if getattr(fn, "name", None) == "__init__"]
+        return {n.func.id for n in ast.walk(init)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    defined = {fn.name for fn in trees["ecf.py"].body if isinstance(fn, ast.FunctionDef)}
+    shared = called("ecf.py", "_FixedCSR") & called("pdip.py", "_KktPattern") & defined
+    assert len(shared) == 1
