@@ -2,8 +2,7 @@
 
 from .netmodel import (Branch, Bus, CaseError, Cell, CouplingSpec, Generator,
                        Load, Network, Partition, Port, case_from_dict,
-                       case_to_dict, default_partition, load_case,
-                       load_partition)
+                       default_partition, load_case, load_partition)
 from .coupling import (aggregate_current_d_to_t, distribute_dual_t_to_d,
                        distribute_voltage_t_to_d, poi_voltage_price,
                        port_dual_prices, round_trip_check)

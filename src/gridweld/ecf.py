@@ -274,7 +274,9 @@ class FixedMatrix:
     output entry is summed in entry order from 0.0, as scipy's CSR and
     transposed products sum it, so both agree with scipy's bit for bit.
     :meth:`tocsr` (sharing the arrays) and :meth:`toarray` give scipy and
-    dense forms for tests and diagnostics; the solver never needs them.
+    dense forms; the Newton loop never needs them, but the Gauss-Jacobi
+    epoch map (:meth:`~gridweld.gjn.Coordinator.epoch_map`) solves against
+    the dense parameter blocks.
     """
     __slots__ = ("data", "indices", "indptr", "rows", "shape")
 
@@ -502,13 +504,7 @@ class CircuitProblem:
         """One label per inequality row, formatted when first read."""
         return self._labels("in")
 
-    # -- parameter handling ------------------------------------------------
-
-    def set_params(self, name: str, values):
-        self.params[self.param_slots[name]] = np.asarray(values, dtype=float)
-
-    def get_params(self, name: str):
-        return self.params[self.param_slots[name]].copy()
+    # -- start point -------------------------------------------------------
 
     def x0(self) -> np.ndarray:
         return self._x0.copy()
@@ -542,18 +538,18 @@ class CircuitProblem:
 
     def objective(self, x) -> float:
         f = 0.0
-        if self.norm == "l2" and len(self._src_idx):
+        if self.norm == "l2":
             s = x[self._src_idx]
             f += 0.5 * float(s @ s)
-        elif self.norm == "l1" and len(self._epi_idx):
+        else:
             f += float(x[self._epi_idx].sum())
         return f + float(self.params[self._price_pairs[:, 1]] @ x[self._price_pairs[:, 0]])
 
     def grad_objective(self, x) -> np.ndarray:
         g = np.zeros(self.nvar)
-        if self.norm == "l2" and len(self._src_idx):
+        if self.norm == "l2":
             g[self._src_idx] = x[self._src_idx]
-        elif self.norm == "l1" and len(self._epi_idx):
+        else:
             g[self._epi_idx] = 1.0
         np.add.at(g, self._price_pairs[:, 0], self.params[self._price_pairs[:, 1]])
         return g
@@ -1092,9 +1088,7 @@ class _Builder:
             parts.append((idx, kcl.repeat(width, 1).ravel(),
                           cols[:, None].repeat(4 * k, 1).ravel(),
                           np.concatenate([c, -c], 1).ravel()))
-        if len(parts) == 1:
-            self._stamp("eq", *parts[0][1:])
-        elif parts:                     # the groups back in branch order
+        if parts:       # the groups back in branch order; a stable sort keeps one group's
             key = np.concatenate([np.repeat(idx, len(rows) // len(idx))
                                   for idx, rows, _, _ in parts])
             order = key.argsort(kind="stable")

@@ -68,7 +68,6 @@ class Subproblem:
 class EpochRecord:
     epoch: int
     metric: float
-    boundary_after: list[float]
     inner: dict[str, tuple[str, int]]
     # cell -> {"delta_steps", "cold_restart", "recentered"}; only with a
     # trace path
@@ -241,9 +240,8 @@ class Coordinator:
                 solves[name] = solve
         metric, step = (self._update() if all(s.state is not None for s in self.subs)
                         else (float("nan"), None))
-        rec = EpochRecord(epoch=epoch, metric=metric,
-                          boundary_after=self.boundary.tolist(),
-                          inner=inner, solves=solves, step=step)
+        rec = EpochRecord(epoch=epoch, metric=metric, inner=inner, solves=solves,
+                          step=step)
         self.epochs.append(rec)
         return rec
 

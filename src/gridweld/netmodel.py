@@ -214,17 +214,30 @@ def _numbers(vals, nan_only: bool = False) -> tuple[float, ...]:
     is not one, though ``float(True)`` is 1.0 and ``float("0.93")`` 0.93.
     Raises ``ValueError`` holding the first non-finite value (JSON readers
     accept ``NaN`` and ``Infinity``), or with ``nan_only`` (for fields whose
-    default is infinite) the first NaN.
+    default is infinite) the first NaN.  An integer beyond the float range
+    reads as infinite, as ``1e400`` does.
     """
     if not {bool, str}.isdisjoint(map(type, vals)):
         raise TypeError
-    out = tuple(map(float, vals))
+    try:
+        out = tuple(map(float, vals))
+    except OverflowError:
+        out = tuple(map(_float, vals))
     if all(map(math.isfinite, out)):
         return out
     for v in out:
         if v != v or not (nan_only or math.isfinite(v)):
             raise ValueError(v)
     return out
+
+
+def _float(v) -> float:
+    """``float(v)``, or an infinity of ``v``'s sign for an integer too large
+    for a float."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _number(raw: dict, key: str, where, nan_only: bool = False) -> float:
@@ -502,52 +515,6 @@ def case_from_dict(raw: dict) -> tuple[list[Network], list[CouplingSpec]]:
             raise CaseError(f"network '{net.name}': distribution network has no coupling "
                             f"node")
     return nets, couplings
-
-
-# ---------------------------------------------------------------------------
-# serialization (inverse of load_case, field-by-field)
-
-
-def _phase_str(phases: tuple[str, ...]) -> str:
-    return "".join(phases)
-
-
-def case_to_dict(nets: list[Network], couplings: list[CouplingSpec]) -> dict:
-    out = {"base_mva": nets[0].base_mva, "networks": [], "couplings": []}
-    for net in nets:
-        nd = {"name": net.name, "side": net.side, "buses": [], "branches": [],
-              "loads": [], "generators": []}
-        for b in net.buses:
-            bd = {"id": b.id, "kind": b.kind, "phases": _phase_str(b.phases),
-                  "v_min": b.v_min, "v_max": b.v_max,
-                  "infeasibility_eligible": b.infeasibility_eligible}
-            if b.v_set is not None:
-                bd["v_set"] = b.v_set
-            if b.x is not None:
-                bd["x"] = b.x
-            if b.y is not None:
-                bd["y"] = b.y
-            nd["buses"].append(bd)
-        for br in net.branches:
-            brd = {"from": br.from_bus, "to": br.to_bus,
-                   "G": [list(r) for r in br.g], "B": [list(r) for r in br.b]}
-            if br.flow_limit is not None:
-                brd["flow_limit"] = br.flow_limit
-            nd["branches"].append(brd)
-        for ld in net.loads:
-            nd["loads"].append({"bus": ld.bus, "p": dict(ld.p), "q": dict(ld.q)})
-        for g in net.generators:
-            gd = {"bus": g.bus, "mode": g.mode, "p": dict(g.p), "q": dict(g.q)}
-            if g.q_min != float("-inf"):
-                gd["q_min"] = g.q_min
-            if g.q_max != float("inf"):
-                gd["q_max"] = g.q_max
-            nd["generators"].append(gd)
-        out["networks"].append(nd)
-    for c in couplings:
-        out["couplings"].append({"t_bus": c.t_bus, "d_bus": c.d_bus,
-                                 "s_base": c.s_base, "v_base": c.v_base})
-    return out
 
 
 # ---------------------------------------------------------------------------

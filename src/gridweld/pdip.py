@@ -47,33 +47,19 @@ matrix); every later step, epoch and exchange sensitivity factors in that
 order.  The order comes from the sparsest pattern the matrix has: a first
 step starts from zero equality multipliers, so W's constraint entries are
 exact zeros that drop out of ``W + Jg^T diag(mu/s) Jg`` (``ladder_f4`` L1
-power: 94,136 entries at the first step, 105,856 later).  Later matrices fill about as little in that
-order as in a fresh COLAMD one (21-feeder ladder, central L1: 1.27M
-against 1.35M LU entries with power sources, 1.15M against 1.14M with
-current ones).  Every factorization passes ``panel_size=SPLU_PANEL_SIZE``
+power: 94,136 entries at the first step, 105,856 later).  Later matrices
+fill about as little in that order as in a fresh COLAMD one (21-feeder
+ladder, central L1: 1.27M against 1.35M LU entries with power sources,
+1.15M against 1.14M with current ones).  Every factorization passes ``panel_size=SPLU_PANEL_SIZE``
 and ``relax=SPLU_RELAX``, both 1: one-column panels and no relaxed
 supernodes.  SuperLU's panels and relaxed supernodes (Demmel, Eisenstat,
 Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999) pay off on factors
 with dense supernodes; this factor fills 2.3-2.7x, and SuperLU's defaults
 run it at 0.18-0.22 GFlop/s (16 Mflop in 70-90 ms for the 21-feeder ladder's
-central L1 matrix), so its cost is bookkeeping.  Median ``splu`` time, one
-BLAS thread, on matrices captured from runs (ranges over repeated
-interleaved measurements):
-
-    matrix                         columns   defaults      panel 1      panel 1, relax 1
-    dpdip 4-feeder ladder cell, L1   2,652   4.5-4.8 ms    -21%         -22 to -25%
-    central 4-feeder ladder, L2      8,848   16-19 ms      -15 to -25%  -20 to -26%
-    central 21-feeder ladder, L1    56,120   68-87 ms      -17 to -30%  -11 to -32%
-    central 86-feeder ladder, L1   229,800   300-430 ms    -27 to -30%  -29 to -31%
-    3,033 later matrices of a      12-2,218  0.99-1.20 s   -12 to -32%  -26 to -37%
-    ``compare`` round, summed
-
-The panel width is what matters: ``relax=1`` alone gains nothing on the
-later 21- and 86-feeder matrices (0 to +7%).  Without relaxation SuperLU
-stores fewer explicit zeros (21-feeder: 1,157,445 -> 1,136,017 L+U
-entries; 86-feeder: 4,720,646 -> 4,632,838), and residuals on a random
-right-hand side stay the same size.  Steps have fraction-to-boundary caps and an Armijo
-backtracking line search on an L1-penalty merit function.  One loop picks
+central L1 matrix), so its cost is bookkeeping.  The panel width is what
+matters; the measured ``splu`` times, 2.7k to 230k columns, are in the
+README's "Numerical notes".  Steps have fraction-to-boundary caps and an
+Armijo backtracking line search on an L1-penalty merit function.  One loop picks
 ``delta``: 0, then 1e-8 growing tenfold to 1e4, moving on while the factor
 is singular or not finite or the step is no descent direction of the merit;
 past 1e4 the solve fails.  Each iterate's ``f``, ``c``, ``g``, gradient and
@@ -128,8 +114,9 @@ DELTA_MAX = 1e4
 # Panels and relaxed supernodes pay off on factors with dense supernodes; the
 # condensed KKT factor fills only 2.3-2.7x and is factored at about 0.2
 # GFlop/s, so they cost more bookkeeping than they save.  One-column panels
-# without relaxation factor 20-35% faster from 2.7k to 230k columns; the
-# panel width is the part that matters (see the module docstring).
+# without relaxation factor 11-37% faster from 2.7k to 230k columns; the
+# panel width is the part that matters (README, "Numerical notes", has the
+# measured table).
 SPLU_PANEL_SIZE = 1
 SPLU_RELAX = 1
 
@@ -213,7 +200,7 @@ class _Point:
             self.c = problem.residual_eq(x)
             self.g = problem.residual_in(x)
         self.c_norm = float(np.sum(np.abs(self.c)))
-        self.g_max = float(self.g.max()) if self.g.size else -np.inf
+        self.g_max = float(self.g.max(initial=-np.inf))
         self._r_x = (None, None, None)     # (lam, mu, r_x) of the last residuals
 
     @classmethod
@@ -239,7 +226,7 @@ class _Point:
 
     @cached_property
     def c_max(self) -> float:
-        return float(np.abs(self.c).max()) if self.c.size else 0.0
+        return float(np.abs(self.c).max(initial=0.0))
 
     @cached_property
     def log_barrier(self) -> float:
@@ -259,21 +246,17 @@ class _Point:
         ``r_x`` is computed once for each pair of multiplier arrays."""
         lam, mu, r_x = self._r_x
         if lam is not state.lam or mu is not state.mu:
-            r_x = self.grad
-            if self.c.size:
-                r_x = r_x + self.Jc.transpose_times(state.lam)
-            if self.g.size:
-                r_x = r_x + self.Jg.transpose_times(state.mu)
+            r_x = (self.grad + self.Jc.transpose_times(state.lam)
+                   + self.Jg.transpose_times(state.mu))
             self._r_x = (state.lam, state.mu, r_x)
-        r_m = -state.mu * self.g - state.eps if self.g.size else np.zeros(0)
+        r_m = -state.mu * self.g - state.eps
         return r_x, self.c, self.g, r_m
 
     def merit(self, eps: float, nu: float) -> float:
         """L1-penalty barrier merit; infinite off the strict interior."""
         if self.g_max >= 0.0:
             return np.inf
-        barrier = -eps * self.log_barrier if self.g.size else 0.0
-        return self.f + barrier + nu * self.c_norm
+        return self.f - eps * self.log_barrier + nu * self.c_norm
 
 
 def assemble_kkt(problem, state: KktState,
@@ -289,10 +272,10 @@ def assemble_kkt(problem, state: KktState,
     if point.g_max >= 0.0:
         raise SolveFailure(f"non-interior point: max g = {point.g_max:.3e}")
     return KktResiduals(
-        stationarity=float(np.abs(r_x).max()) if r_x.size else 0.0,
+        stationarity=float(np.abs(r_x).max(initial=0.0)),
         feasibility=point.c_max,
-        complementarity=float(np.abs(r_m).max()) if r_m.size else 0.0,
-        complementarity_raw=float(np.abs(state.mu * g).max()) if g.size else 0.0,
+        complementarity=float(np.abs(r_m).max(initial=0.0)),
+        complementarity_raw=float(np.abs(state.mu * g).max(initial=0.0)),
         mu_min=float(state.mu.min()) if g.size else 0.0,
         g_max=point.g_max)
 
@@ -472,9 +455,8 @@ class NewtonSystem:
         inv_s = 1.0 / -self.g
 
         def solve(b_x, b_c, b_m):
-            if self.mi:
-                b_x = b_x - self.Jg.transpose_times(_scale_rows(inv_s, b_m))
-            rhs = np.concatenate([b_x, b_c])
+            rhs = np.concatenate([b_x - self.Jg.transpose_times(_scale_rows(inv_s, b_m)),
+                                  b_c])
             if order is None:       # the factor permutes its columns itself
                 v = lu.solve(rhs)
             else:
@@ -532,7 +514,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             raise SolveFailure(f"initial point not strictly interior: "
                                f"max g = {point.g_max:.3e}")
         eps = BARRIER_INITIAL if g.size else opts.barrier_floor
-        mu = eps / (-g) if g.size else np.zeros(0)
+        mu = eps / (-g)
         state = KktState(x=point.x, lam=np.zeros(problem.n_eq), mu=mu, eps=eps)
 
     nu = 1.0
@@ -559,9 +541,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
 
         system = NewtonSystem.build(problem, state, point)
         # merit slope along dx: grad_barrier @ dx - nu * |c|_1
-        grad_barrier = point.grad
-        if system.mi:
-            grad_barrier = grad_barrier + state.eps * system.Jg.transpose_times(1.0 / (-system.g))
+        grad_barrier = point.grad + state.eps * system.Jg.transpose_times(1.0 / (-system.g))
         flat = 1e-10 * (1.0 + abs(point.f))
         delta = 0.0
         while True:
@@ -576,18 +556,11 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             delta = DELTA_FIRST if delta == 0.0 else delta * 10.0
             if delta > DELTA_MAX:
                 return _finish(state, point, it, "failed")
-        alpha_max = alpha_mu = 1.0
-        if system.mi:
-            s = -system.g
-            ds = -Jg_dx
-            shrink = ds < 0.0
-            if shrink.any():
-                alpha_max = min(1.0, float(
-                    (TAU_BOUNDARY * s[shrink] / (-ds[shrink])).min()))
-            dmu_neg = dmu < 0.0
-            if dmu_neg.any():
-                alpha_mu = min(1.0, float(
-                    (TAU_BOUNDARY * state.mu[dmu_neg] / (-dmu[dmu_neg])).min()))
+        # fraction-to-boundary caps on the slacks s = -g and on mu
+        shrink = Jg_dx > 0.0
+        alpha_max = float((TAU_BOUNDARY * -system.g[shrink] / Jg_dx[shrink]).min(initial=1.0))
+        dmu_neg = dmu < 0.0
+        alpha_mu = float((TAU_BOUNDARY * state.mu[dmu_neg] / -dmu[dmu_neg]).min(initial=1.0))
 
         phi0 = point.merit(state.eps, nu)
         kkt0 = max(res.stationarity, res.feasibility, res.complementarity)
@@ -607,8 +580,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
                     # merit is flat near a solution when the step is mostly in
                     # the duals; accept on plain KKT-residual contraction
                     tstate = KktState(x=x_new, lam=state.lam + alpha * dlam,
-                                      mu=(state.mu + min(alpha_mu, alpha) * dmu
-                                          if system.mi else state.mu),
+                                      mu=state.mu + min(alpha_mu, alpha) * dmu,
                                       eps=state.eps)
                     tres = assemble_kkt(problem, tstate, trial)
                     if max(tres.stationarity, tres.feasibility,
@@ -627,8 +599,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             state.lam, state.mu = tstate.lam, tstate.mu
         else:
             state.lam = state.lam + alpha * dlam
-            if system.mi:
-                state.mu = state.mu + alpha_mu * dmu
+            state.mu = state.mu + alpha_mu * dmu
         if trace is not None:
             trace.append(IterRecord(iteration=it, eps=state.eps,
                                     kkt=kkt0, alpha=alpha,

@@ -176,13 +176,6 @@ def export_heatmap(report: SolveReport, path):
             out.writerow([e.bus, e.phase, x, y, repr(e.magnitude)])
 
 
-def parse_heatmap(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    return [(bus, ph, None if x == "" else float(x), None if y == "" else float(y),
-             float(mag)) for bus, ph, x, y, mag in rows]
-
-
 def write_report(report: SolveReport, path):
     with open(path, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -27,6 +28,13 @@ def load(name: str):
     return load_case(case_path(name))
 
 
+def raw_case(name: str) -> dict:
+    """The case file ``name`` as its JSON object, for a test that edits a
+    case and loads it with ``case_from_dict``."""
+    with open(case_path(name)) as fh:
+        return json.load(fh)
+
+
 def centralized_problem(name: str, **kw):
     nets, coups = load(name)
     ports = [PortBuild(c, "internal") for c in coups]
@@ -43,8 +51,9 @@ def head_cell(name: str, kind="current"):
     spec = coups[0]
     prob = build_problem([dnet], [PortBuild(spec, "d_head")],
                          source_kind=kind, norm="l2")
-    prob.set_params(f"headv:{spec.key}", distribute_voltage_t_to_d(spec, 1.01, 0.02))
-    prob.set_params(f"price:{spec.key}", 0.1 * np.arange(6))
+    at = prob.param_slots
+    prob.params[at[f"headv:{spec.key}"]] = distribute_voltage_t_to_d(spec, 1.01, 0.02)
+    prob.params[at[f"price:{spec.key}"]] = 0.1 * np.arange(6)
     return prob, spec.key
 
 

@@ -36,7 +36,7 @@ def test_phasor_cell_is_head_cell_with_head_voltages_kept(rng, kind, norm):
     x = phasor.x0() + 0.05 * rng.standard_normal(phasor.nvar)
     expansion = distribute_voltage_t_to_d(spec, *x[phasor.maps.poi_v[spec.key]])
     x[phasor.maps.head_v[spec.key]] = expansion
-    head.set_params(f"headv:{spec.key}", expansion)
+    head.params[head.param_slots[f"headv:{spec.key}"]] = expansion
     at = {label: i for i, label in enumerate(phasor.var_label)}
     x_head = x[[at[label] for label in head.var_label]]
 

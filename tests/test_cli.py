@@ -107,11 +107,16 @@ def test_non_finite_number_exits_one_naming_the_field(tmp_path, capsys, edit, fa
 
 def test_malformed_case_or_partition_file_exits_one(tmp_path, capsys):
     """A truncated or empty case file, a directory given as a case or a
-    partition file, and a partition whose subproblems are not objects are
-    input errors naming the file or the field, not tracebacks."""
+    partition file, a partition whose subproblems are not objects and a
+    number too large for a float are input errors naming the file or the
+    field, not tracebacks."""
     text = open(case_path("case_micro_td")).read()
     case = tmp_path / "case.json"
     case.write_text(text[:len(text) // 2])
+    raw = json.loads(text)
+    _net(raw, "distribution")["buses"][1]["v_max"] = 10 ** 400
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(raw))
     empty = tmp_path / "empty.json"
     empty.write_text("")
     part = tmp_path / "part.json"
@@ -122,7 +127,8 @@ def test_malformed_case_or_partition_file_exits_one(tmp_path, capsys):
             (["--case", str(empty)], f"{empty}: not a valid JSON file"),
             (["--case", str(tmp_path)], f"{tmp_path}: cannot be read (Is a directory)"),
             (dpdip + [str(tmp_path)], f"{tmp_path}: cannot be read (Is a directory)"),
-            (dpdip + [str(part)], "partition: 'subproblems'[0] must be an object, got int")):
+            (dpdip + [str(part)], "partition: 'subproblems'[0] must be an object, got int"),
+            (["--case", str(huge)], "'v_max' must be finite, got inf")):
         assert run_cli(args + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fault in err and "Traceback" not in err

@@ -3,11 +3,10 @@ import warnings
 
 import pytest
 
-from gridweld.netmodel import (CaseError, case_from_dict, case_to_dict,
-                               default_partition, load_case, load_partition,
-                               partition_from_dict)
+from gridweld.netmodel import (CaseError, case_from_dict, default_partition,
+                               load_partition, partition_from_dict)
 
-from conftest import CASES, PARTITIONS, load, partition_path
+from conftest import CASES, PARTITIONS, load, partition_path, raw_case
 
 
 def minimal_two_bus():
@@ -138,6 +137,9 @@ def _with_generator(**fields):
      "network 't0' branch b1-b2: 'G' must hold numbers, got \\['1.0'\\]"),
     (lambda case: case["networks"].append(5), "case: 'networks'\\[1\\] must be an object, got int"),
     (_set((*_NET, "buses"), {"b1": {}}), "network 't0': 'buses' must be a list, got dict"),
+    (_set((*_BUS, "v_max"), 10 ** 400), "network 't0' bus 'b2': 'v_max' must be finite, got inf"),
+    (_set((*_LOAD, "p"), {"1": -10 ** 400}), "network 't0' load at 'b2': 'p' must be finite"),
+    (_set((*_BRANCH, "G"), [[10 ** 400]]), "network 't0' branch b1-b2: 'G' must be finite"),
 ], ids=["bus-missing-field", "bus-kind", "bus-phases-type", "bus-phase-unknown",
         "bus-v_set-positive", "branch-missing-field", "matrix-shape", "matrix-short-row",
         "matrix-non-finite", "branch-no-shared-phase", "branch-flow-limit", "load-missing-bus",
@@ -146,7 +148,7 @@ def _with_generator(**fields):
         "number-null", "eligible-string", "matrix-string", "phase-map-string",
         "number-bool", "phase-map-bool", "matrix-bool", "number-numeric-string",
         "phase-map-numeric-string", "matrix-numeric-string", "network-not-object",
-        "buses-not-list"])
+        "buses-not-list", "number-huge-int", "phase-map-huge-int", "matrix-huge-int"])
 def test_each_rejection_names_the_element_and_the_fault(mutate, message):
     """Every message is formatted only when its check fails, so each one is
     run here: one field of ``minimal_two_bus()`` changed at a time."""
@@ -175,11 +177,14 @@ def test_non_finite_numbers_rejected(path, value, field):
 
 
 def test_generator_box_may_be_infinite_but_not_nan():
-    """``q_min``/``q_max`` default to -inf/+inf, so only NaN is rejected."""
-    case = minimal_two_bus()
-    _with_generator(mode="pq", q_min=float("-inf"), q_max=float("inf"))(case)
-    (net,), _ = case_from_dict(case)
-    assert (net.generators[0].q_min, net.generators[0].q_max) == (float("-inf"), float("inf"))
+    """``q_min``/``q_max`` default to -inf/+inf, so only NaN is rejected.
+    An integer too large for a float reads as infinite, as ``1e400`` does."""
+    for lo, hi in ((float("-inf"), float("inf")), (-10 ** 400, 10 ** 400)):
+        case = minimal_two_bus()
+        _with_generator(mode="pq", q_min=lo, q_max=hi)(case)
+        (net,), _ = case_from_dict(case)
+        gen = net.generators[0]
+        assert (gen.q_min, gen.q_max) == (float("-inf"), float("inf"))
     for key in ("q_min", "q_max"):
         case = minimal_two_bus()
         _with_generator(mode="pq", **{key: float("nan")})(case)
@@ -188,9 +193,8 @@ def test_generator_box_may_be_infinite_but_not_nan():
 
 
 def test_coupling_bases_must_be_finite():
-    nets, coups = load("case_micro_td")
     for key in ("s_base", "v_base"):
-        case = case_to_dict(nets, coups)
+        case = raw_case("case_micro_td")
         case["couplings"][0][key] = float("inf")
         with pytest.raises(CaseError, match=f"coupling\\[0\\]: '{key}' must be finite"):
             case_from_dict(case)
@@ -249,12 +253,11 @@ def test_micro_case_counts():
 
 
 def test_coupling_node_must_be_pq_and_unique():
-    nets, coups = load("case_micro_td")
-    case = case_to_dict(nets, coups)
+    case = raw_case("case_micro_td")
     case["couplings"].append(dict(case["couplings"][0]))
     with pytest.raises(CaseError, match="already has a port"):
         case_from_dict(case)
-    case = case_to_dict(nets, coups)
+    case = raw_case("case_micro_td")
     for b in case["networks"][1]["buses"]:
         if b["id"] == "d1":
             b["kind"] = "pv"
@@ -272,21 +275,6 @@ def test_distribution_needs_coupling():
         "branches": [], "loads": [], "generators": []})
     with pytest.raises(CaseError, match="coupling"):
         case_from_dict(case)
-
-
-def test_roundtrip_serialization_field_by_field(tmp_path):
-    for name in ("case_micro_td", "case_threefeeder_td", "case_feeder210"):
-        nets, coups = load(name)
-        out = tmp_path / f"{name}.json"
-        out.write_text(json.dumps(case_to_dict(nets, coups)))
-        nets2, coups2 = load_case(out)
-        assert case_to_dict(nets, coups) == case_to_dict(nets2, coups2)
-        assert coups == coups2
-        for a, b in zip(nets, nets2):
-            assert a.buses == b.buses
-            assert a.branches == b.branches
-            assert a.loads == b.loads
-            assert a.generators == b.generators
 
 
 def test_default_partition_micro():

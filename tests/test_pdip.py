@@ -106,6 +106,27 @@ def test_newton_step_unconstrained_quadratic_is_exact():
     assert status == "converged" and abs(state.x[0]) < 1e-10
 
 
+def test_equality_without_inequalities_takes_the_general_path():
+    """min x0^2 + x1^2 s.t. x0 + x1 = 1: no inequality block, so the solve
+    runs on empty g and mu arrays; optimum (0.5, 0.5), multiplier -1."""
+    prob = ToyProblem(
+        2, lambda x: float(x @ x), lambda x: 2 * x,
+        lambda x, lam, mu: sp.csr_matrix(2 * np.eye(2)),
+        c=lambda x: np.array([x[0] + x[1] - 1.0]),
+        jc=lambda x: sp.csr_matrix(np.ones((1, 2))),
+        x_start=[2.0, -3.0])
+    assert (prob.n_eq, prob.n_in) == (1, 0)
+    state, status = solve_nlp(prob)
+    assert status == "converged"
+    assert state.x == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert state.lam == pytest.approx([-1.0], abs=1e-12)
+    assert state.mu.shape == (0,)
+    res = assemble_kkt(prob, state)
+    assert (res.complementarity, res.complementarity_raw, res.mu_min, res.g_max) == \
+        (0.0, 0.0, 0.0, -np.inf)
+    assert res.stationarity < 1e-12 and res.feasibility < 1e-12
+
+
 def test_toy_qp_kkt_residual_contracts_fast():
     prob = qp_x_ge_1()
     trace = []
@@ -629,8 +650,8 @@ def test_feasible_t_subproblem_with_oracle_boundary_draw():
     i1 /= 3.0 * spec.kappa
     prob = build_problem([tnet], [PortBuild(spec, "t_draw")],
                          source_kind="current", norm="l2")
-    prob.set_params(f"draw:{spec.t_bus}:{spec.d_bus}", [i1.real, i1.imag])
-    prob.set_params(f"vprice:{spec.t_bus}:{spec.d_bus}", [0.0, 0.0])
+    prob.params[prob.param_slots[f"draw:{spec.t_bus}:{spec.d_bus}"]] = [i1.real, i1.imag]
+    prob.params[prob.param_slots[f"vprice:{spec.t_bus}:{spec.d_bus}"]] = [0.0, 0.0]
     state, status = solve_subproblem(prob)
     assert status == "converged"
     s = source_values(prob, state.x)
@@ -651,8 +672,8 @@ def test_overloaded_d_subproblem_positive_objective():
     key = f"{spec.t_bus}:{spec.d_bus}"
     head = np.array([1.0, 0.0])
     from gridweld.coupling import distribute_voltage_t_to_d
-    prob.set_params(f"headv:{key}", distribute_voltage_t_to_d(spec, 1.0, 0.0))
-    prob.set_params(f"price:{key}", np.zeros(6))
+    prob.params[prob.param_slots[f"headv:{key}"]] = distribute_voltage_t_to_d(spec, 1.0, 0.0)
+    prob.params[prob.param_slots[f"price:{key}"]] = np.zeros(6)
     state, status = solve_subproblem(prob)
     assert status == "converged"
     s = source_values(prob, state.x)

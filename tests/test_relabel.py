@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridweld import PortBuild, build_problem, gjn, pdip
-from gridweld.netmodel import case_from_dict, case_to_dict, load_partition
+from gridweld.netmodel import case_from_dict, load_partition
 
-from conftest import load, partition_path, problem_digest
+from conftest import load, partition_path, problem_digest, raw_case
 
 CASES = {"case_micro_td": "micro_default", "case_micro_flowcap": "micro_default",
          "case_threefeeder_td": "threefeeder"}
 
 
-def _relabel(nets, coups, seed):
+def _relabel(case, seed):
     """The case with every bus id renamed through a seeded injective map,
     in the networks and in the couplings; returns ``(nets, coups, names)``."""
-    raw = case_to_dict(nets, coups)
+    raw = raw_case(case)
     ids = [b["id"] for n in raw["networks"] for b in n["buses"]]
     fresh = [f"n{k}" for k in range(len(ids))]
     random.Random(seed).shuffle(fresh)
@@ -55,7 +55,7 @@ def _problems(nets, coups, part, kind, norm):
        norm=st.sampled_from(["l1", "l2"]))
 def test_relabeling_buses_changes_no_array_and_no_reported_value(case, seed, kind, norm):
     nets, coups = load(case)
-    renamed, rcoups, names = _relabel(nets, coups, seed)
+    renamed, rcoups, names = _relabel(case, seed)
     part = load_partition(partition_path(CASES[case]), nets, coups)
     rpart = load_partition(partition_path(CASES[case]), renamed, rcoups)
     before = _problems(nets, coups, part, kind, norm)

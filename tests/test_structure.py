@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -318,3 +319,23 @@ def test_one_placement_of_a_fixed_pattern():
     defined = {fn.name for fn in trees["ecf.py"].body if isinstance(fn, ast.FunctionDef)}
     shared = called("ecf.py", "_FixedCSR") & called("pdip.py", "_KktPattern") & defined
     assert len(shared) == 1
+
+
+def test_every_export_is_used_outside_the_tests():
+    """Each name ``gridweld/__init__.py`` exports is read somewhere other
+    than its own ``def``/``class`` line: in the package's other modules,
+    the demos, the benchmark or the README.  An export only tests reach is
+    code only tests reach."""
+    init = ROOT / "src" / "gridweld" / "__init__.py"
+    exports = [a.asname or a.name for n in ast.parse(init.read_text()).body
+               if isinstance(n, ast.ImportFrom) for a in n.names]
+    bench = ROOT / "perfbench"
+    files = ([p for p in (ROOT / "src" / "gridweld").glob("*.py") if p != init]
+             + sorted((ROOT / "demos").glob("*.py")) + sorted(bench.glob("*.py"))
+             + sorted(bench.glob("tests/*.py")) + [bench / "README.md", ROOT / "README.md"])
+    lines = [line for p in files for line in p.read_text().splitlines()]
+    unused = [name for name in exports
+              if not any(re.search(rf"\b{name}\b", line)
+                         and not re.match(rf"\s*(def|class) {name}\b", line)
+                         for line in lines)]
+    assert len(exports) > 20 and unused == []

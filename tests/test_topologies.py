@@ -8,22 +8,21 @@ from gridweld import gjn
 from gridweld.netmodel import case_from_dict
 from gridweld.pdip import solve_centralized
 
-from conftest import load, source_values
+from conftest import raw_case, source_values
 from oracles import solve_power_flow, within_bounds
-from gridweld.netmodel import case_to_dict
 
 
 def hub_case():
-    """Both feeders of the two-feeder case moved onto one POI bus."""
-    nets, coups = load("case_twofeeder_td")
-    case = case_to_dict(nets, coups)
+    """The two-feeder case's JSON object with both feeders moved onto one
+    POI bus."""
+    case = raw_case("case_twofeeder_td")
     for c in case["couplings"]:
         c["t_bus"] = "t2"
-    return case_from_dict(case)
+    return case
 
 
 def test_hub_poi_with_two_ports_feasible():
-    nets, coups = hub_case()
+    nets, coups = case_from_dict(hub_case())
     assert {c.t_bus for c in coups} == {"t2"}
     pf = solve_power_flow(nets, coups)
     assert pf.success and within_bounds(nets, pf)[0]
@@ -34,8 +33,7 @@ def test_hub_poi_with_two_ports_feasible():
 
 
 def test_hub_poi_with_two_ports_stressed_agrees():
-    nets, coups = hub_case()
-    case = case_to_dict(nets, coups)
+    case = hub_case()
     for net in case["networks"]:
         if net["name"] == "dB":
             for ld in net["loads"]:
@@ -53,8 +51,7 @@ def test_hub_poi_with_two_ports_stressed_agrees():
 
 def feeder_pv_case():
     """Micro case with a voltage-controlled three-phase machine at d3."""
-    nets, coups = load("case_micro_td")
-    case = case_to_dict(nets, coups)
+    case = raw_case("case_micro_td")
     d = case["networks"][1]
     for b in d["buses"]:
         if b["id"] == "d3":
