@@ -22,7 +22,7 @@ print("-----------------------------------")
 co = Coordinator(nets, couplings, source_kind="current", norm="l2")
 rep = co.run()
 for r in co.epochs:
-    inner = ", ".join(f"{k}:{v[1]}" for k, v in sorted(r.inner.items()))
+    inner = ", ".join(f"{k}:{v['iterations']}" for k, v in sorted(r.inner.items()))
     print(f"  epoch {r.epoch:2d}: exchange delta = {r.metric:9.3e} "
           f"(inner Newton steps {inner})")
 print(f"status={rep.status}, objective={rep.objective:.6f} pu "

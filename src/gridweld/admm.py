@@ -169,7 +169,7 @@ class Consensus(Coordinator):
             return None
         return {"type": "admm", "iteration": rec.epoch, "r": self.r,
                 "s": self.s, "rho": self.rho,
-                "delta_steps": sum(v["delta_steps"] for v in rec.solves.values())}
+                "delta_steps": sum(v["delta_steps"] for v in rec.inner.values())}
 
     def _after_epoch(self, epoch):
         """Residual balancing of rho every fifth iteration; never a stop."""

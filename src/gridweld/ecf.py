@@ -328,9 +328,12 @@ def _sum_products(bins, data, vals, n):
 def place_entries(rows, cols, shape):
     """The CSR pattern of the entries ``(rows, cols)`` of a ``shape``
     matrix: ``(slot, rows, indices, indptr)``, with ``slot[k]`` the stored
-    position of entry ``k`` and ``rows`` the row of each stored position,
-    all int32.  ``np.bincount(slot, vals, len(indices))`` then sums the
-    entries' values into the pattern, duplicates in entry order from 0.0.
+    position of entry ``k`` and ``rows`` the row of each stored position.
+    ``np.bincount(slot, vals, len(indices))`` then sums the entries' values
+    into the pattern, duplicates in entry order from 0.0.  ``slot`` is
+    intp, the type ``np.bincount`` would otherwise copy it to on every
+    call; the other three are int32, the index type scipy picks at these
+    sizes, which keeps them small and lets scipy take them without a scan.
     The one placement of a fixed pattern: every circuit matrix and the
     condensed KKT pattern (:class:`~gridweld.pdip._KktPattern`) use it."""
     n_rows, n_cols = shape
@@ -347,10 +350,8 @@ def place_entries(rows, cols, shape):
     np.not_equal(key[1:], key[:-1], out=new[1:])
     pos = key[new]
     del key
-    # int32, the index type scipy picks at these sizes, keeps the maps
-    # small and lets scipy take the index arrays without a scan
-    slot = np.empty(len(new), dtype=np.int32)
-    slot[order] = new.cumsum(dtype=np.int32) - 1
+    slot = np.empty(len(new), dtype=np.intp)
+    slot[order] = new.cumsum(dtype=np.intp) - 1
     del order, new
     rows = pos // n_cols
     indices = (pos - rows * n_cols).astype(np.int32)
@@ -690,7 +691,7 @@ def _epigraph_row_labels(sources):
 
 
 class _Nodes:
-    """One network's phase nodes in ``Network.phase_nodes`` order, with the
+    """One network's phase nodes in case-file order, phase-minor, with the
     per-node arrays the builder's passes read: phase codes, bus-kind masks,
     the constant injections and pv boxes summed over the loads (in case
     order) and then the generators, and the z columns of each node's

@@ -31,7 +31,7 @@ import logging
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +61,15 @@ class Subproblem:
     cols: np.ndarray
     state: pdip.KktState | None = None
     status: str = "pending"
-    inner_iterations: int = 0
 
 
 @dataclass
 class EpochRecord:
     epoch: int
     metric: float
-    inner: dict[str, tuple[str, int]]
-    # cell -> {"delta_steps", "cold_restart", "recentered"}; only with a
-    # trace path
-    solves: dict[str, dict] = field(default_factory=dict)
+    # cell -> {"status", "iterations", "delta_steps", "cold_restart",
+    # "recentered"} of its solve (see Coordinator._solve_one)
+    inner: dict[str, dict]
     step: str | None = None      # "newton" or "plain"; None without an update
 
 
@@ -192,19 +190,20 @@ class Coordinator:
         """Set what ``sub`` reads before its solve: its boundary parameters."""
         sub.problem.params[:] = self.boundary[sub.cols]
 
-    def _solve_one(self, sub: Subproblem):
-        """Solve a cell warm, restarted cold (from ``x0``) once if that fails;
-        a :class:`pdip.SolveFailure` reads as ``(None, 'failed')``.  ``used``
-        counts the Newton steps of the last attempt.  With a trace path,
-        ``solve`` gives that attempt's accepted steps with ``delta != 0``,
-        whether it was a cold restart and its re-centerings (within a solve
-        ``eps`` rises only by one); without, it is None."""
+    def _solve_one(self, sub: Subproblem) -> dict:
+        """Solve a cell warm, restarted cold (from ``x0``) once if that
+        fails, and keep its new state and status on ``sub``; a
+        :class:`pdip.SolveFailure` reads as status 'failed' and keeps the
+        previous state.  Returns the cell's entry of the epoch record: the
+        status, the Newton steps of the last attempt, its accepted steps
+        with ``delta != 0``, whether it was a cold restart and its
+        re-centerings (within a solve ``eps`` rises only by one)."""
         self._load(sub)
         label = f"subproblem '{sub.name}'"
         for warm in (sub.state, None):
             # solve_nlp advances a warm state's step count in place
             start = warm.iterations if warm is not None else 0
-            steps = [] if self.trace_path else None
+            steps = []
             try:
                 state, status = pdip.solve_subproblem(
                     sub.problem, self.opts, warm=warm, capped=bool(self.torn),
@@ -215,33 +214,24 @@ class Coordinator:
             if status != "failed" or warm is None:
                 break
             log.warning("%s: warm start failed, restarting cold", label)
-        used = state.iterations - start if state is not None else 0
-        solve = None if steps is None else {
-            "delta_steps": sum(r.delta != 0.0 for r in steps),
-            "cold_restart": warm is None and sub.state is not None,
-            "recentered": sum(b.eps > a.eps for a, b in zip(steps, steps[1:]))}
-        return sub.name, state, status, used, solve
+        cold_restart = warm is None and sub.state is not None
+        if state is not None:
+            sub.state = state
+        sub.status = status
+        return {"status": status,
+                "iterations": state.iterations - start if state is not None else 0,
+                "delta_steps": sum(r.delta != 0.0 for r in steps),
+                "cold_restart": cold_restart,
+                "recentered": sum(b.eps > a.eps for a, b in zip(steps, steps[1:]))}
 
     def run_epoch(self, epoch: int, pool=None) -> EpochRecord:
-        """One epoch; with ``pool`` (an executor) the cells solve on it."""
-        if pool is None:
-            results = [self._solve_one(s) for s in self.subs]
-        else:
-            results = list(pool.map(self._solve_one, self.subs))
-        inner, solves = {}, {}
-        for name, state, status, used, solve in sorted(results, key=lambda r: r[0]):
-            sub = self.by_name[name]
-            if state is not None:
-                sub.state = state
-            sub.status = status
-            sub.inner_iterations += used
-            inner[name] = (status, used)
-            if solve is not None:
-                solves[name] = solve
+        """One epoch; with ``pool`` (an executor) the cells solve on it, each
+        thread writing only its own cell."""
+        solves = (pool.map if pool else map)(self._solve_one, self.subs)
+        inner = dict(zip([s.name for s in self.subs], solves))
         metric, step = (self._update() if all(s.state is not None for s in self.subs)
                         else (float("nan"), None))
-        rec = EpochRecord(epoch=epoch, metric=metric, inner=inner, solves=solves,
-                          step=step)
+        rec = EpochRecord(epoch=epoch, metric=metric, inner=inner, step=step)
         self.epochs.append(rec)
         return rec
 
@@ -283,10 +273,7 @@ class Coordinator:
         (None for the first), is what the step kind was chosen against."""
         last = self.epochs[-2].metric if len(self.epochs) > 1 else None
         return {"type": "epoch", "epoch": rec.epoch, "metric": rec.metric,
-                "step": rec.step, "last_metric": last,
-                "inner": {k: {"status": v[0], "iterations": v[1],
-                              **rec.solves.get(k, {})}
-                          for k, v in rec.inner.items()},
+                "step": rec.step, "last_metric": last, "inner": rec.inner,
                 "ports": {p.key: self.payload(p.key) for p in self.torn}}
 
     def _after_epoch(self, epoch: int) -> str | None:
@@ -328,8 +315,9 @@ class Coordinator:
         return build_report([(s.problem, s.state) for s in self.subs], status,
                             mode=self.mode, nets=self.nets,
                             epochs=len(self.epochs),
-                            inner_iterations=sum(s.inner_iterations
-                                                 for s in self.subs),
+                            inner_iterations=sum(c["iterations"]
+                                                 for r in self.epochs
+                                                 for c in r.inner.values()),
                             diagnostics=self._diagnostics(), wall_time=wall)
 
     def _diagnostics(self) -> dict:

@@ -130,10 +130,6 @@ class Network:
     def has_bus(self, bus_id: str) -> bool:
         return bus_id in self._by_id
 
-    def phase_nodes(self) -> list[tuple[str, str]]:
-        """All (bus_id, phase) pairs in case-file order, phase-minor."""
-        return [(b.id, ph) for b in self.buses for ph in b.phases]
-
     @property
     def slack_buses(self) -> list[Bus]:
         return [b for b in self.buses if b.kind == "slack"]
@@ -341,8 +337,8 @@ def _validate_phase_map(raw, bus: Bus, where, name: str) -> dict[str, float]:
         return dict(zip(raw, _numbers(raw.values())))
     except TypeError:
         raise CaseError(f"{where()}: '{name}' must map phase -> number, got {raw!r}") from None
-    except ValueError:
-        raise CaseError(f"{where()}: '{name}' must be finite, got {raw}") from None
+    except ValueError as exc:
+        raise CaseError(f"{where()}: '{name}' must be finite, got {exc.args[0]}") from None
 
 
 def _device_bus(raw: dict, net: Network, where) -> Bus:

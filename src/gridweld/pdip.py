@@ -65,17 +65,20 @@ is singular or not finite or the step is no descent direction of the merit;
 past 1e4 the solve fails.  Each iterate's ``f``, ``c``, ``g``, gradient and
 Jacobians are evaluated once and every use reads them from there, and the
 stationarity residual is computed once per multiplier pair.  A returned
-state keeps the constraint evaluation of its last point (``c``, ``g``,
-``Jc``, ``Jg``): a warm start from it reuses that evaluation while the
-state's ``x`` is the same object and the problem's ``params`` are equal
-to those it was made under, so a state's arrays must never be written in
-place.  ``f`` and its gradient are evaluated anew at every start, since
+state keeps the residuals the solve measured at its last point (``kkt``,
+the certificate a report reads) and that point's constraint evaluation
+(``c``, ``g``, ``Jc``, ``Jg``): a warm start from it reuses that
+evaluation while the state's ``x`` is the same object and the problem's
+``params`` are equal to those it was made under, so a state's arrays
+must never be written in place.  ``f`` and its gradient are evaluated anew at every start, since
 ADMM's penalty centers and weight change them between calls.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import time
 import weakref
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -84,7 +87,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ecf import FixedMatrix, place_entries
+from .ecf import FixedMatrix, PortBuild, build_problem, place_entries
+from .report import build_report
 
 log = logging.getLogger("gridweld.pdip")
 
@@ -146,6 +150,8 @@ class KktState:
     # (x, params, {"c", "g", "Jc", "Jg" evaluated at x}) of the last point
     # of the solve that returned this state; see _Point.at
     constraints: tuple | None = field(default=None, repr=False, compare=False)
+    # the KktResiduals of the returned point, as that solve measured them
+    kkt: KktResiduals | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -320,8 +326,7 @@ class _KktPattern:
             np.concatenate([Jg.indices[self.pair_a], W.rows, diag, n + Jc.rows]),
             (n, n + me))
         placed = len(indices)
-        # intp, which each fill's bincount would otherwise copy it to
-        self.slot = np.concatenate([slot, placed + np.arange(Jc.nnz, dtype=np.intp)])
+        self.slot = np.concatenate([slot, placed + np.arange(Jc.nnz)])
         self.indices = np.concatenate([indices, Jc.indices]).astype(np.int32, copy=False)
         self.indptr = np.concatenate([indptr, placed + Jc.indptr[1:]]).astype(np.int32,
                                                                              copy=False)
@@ -522,9 +527,9 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
     for it in range(budget + 1):
         res = assemble_kkt(problem, state, point)
         if res.converged(opts) and state.eps <= opts.barrier_floor * (1 + 1e-9):
-            return _finish(state, point, it, "converged")
+            return _finish(state, point, res, it, "converged")
         if it == budget:
-            return _finish(state, point, it, "iteration-capped")
+            return _finish(state, point, res, it, "iteration-capped")
         # barrier update once the current perturbed system is solved well enough
         current = max(res.stationarity, res.feasibility, res.complementarity)
         while (state.eps > opts.barrier_floor
@@ -555,7 +560,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
             # singular or non-finite factor, or no descent: regularize W more
             delta = DELTA_FIRST if delta == 0.0 else delta * 10.0
             if delta > DELTA_MAX:
-                return _finish(state, point, it, "failed")
+                return _finish(state, point, res, it, "failed")
         # fraction-to-boundary caps on the slacks s = -g and on mu
         shrink = Jg_dx > 0.0
         alpha_max = float((TAU_BOUNDARY * -system.g[shrink] / Jg_dx[shrink]).min(initial=1.0))
@@ -589,7 +594,7 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
                         break
             alpha *= 0.5
         if accepted is None:
-            return _finish(state, point, it, "failed")
+            return _finish(state, point, res, it, "failed")
 
         blocked = blocked + 1 if alpha < RECENTER_ALPHA else 0
         point = trial
@@ -608,9 +613,12 @@ def solve_nlp(problem, opts: SolverOptions | None = None,
                                     accept=accepted))
 
 
-def _finish(state: KktState, point: _Point, steps: int, status: str):
-    """Count a solve's steps and keep its last point's constraint evaluation."""
+def _finish(state: KktState, point: _Point, res: KktResiduals, steps: int,
+            status: str):
+    """Count a solve's steps; keep its last point's constraint evaluation
+    and residuals."""
     state.iterations += steps
+    state.kkt = res
     point.keep(state)
     return state, status
 
@@ -624,17 +632,11 @@ def solve_centralized(nets, couplings, *, source_kind="current", norm="l2",
     a :class:`~gridweld.report.SolveReport`.  With ``trace_path`` one JSON
     line per accepted Newton step is written there.
     """
-    import json
-    import time
-
-    from .ecf import PortBuild, build_problem
-    from .report import build_report
-
     opts = opts or SolverOptions()
     ports = [PortBuild(c, "internal") for c in couplings]
     problem = build_problem(nets, ports, source_kind=source_kind, norm=norm,
                             q_only=q_only)
-    trace = [] if trace_path else None
+    trace = []
     t0 = time.perf_counter()
     try:
         state, status = solve_nlp(problem, opts, trace=trace)

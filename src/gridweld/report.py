@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pdip
-
 SCHEMA_VERSION = "gridweld-report/1"
 NONZERO_THRESHOLD = 1e-6
 
@@ -86,14 +84,15 @@ def build_report(parts, status, *, mode, nets, epochs=1, inner_iterations=0,
     problem of a centralized solve, or one pair per cell of a distributed or
     consensus run.  A ``None`` state (a solve that never produced one)
     contributes nothing.  Every other part contributes its sources' values,
-    and its KKT figures enter the worst case over the parts (max of
+    and the KKT residuals its solve measured at the point it returned
+    (``state.kkt``) enter the worst case over the parts (max of
     stationarity, feasibility and unperturbed complementarity, min of the
-    smallest multiplier, max of the largest inequality row) unless its
-    state fails :func:`~gridweld.pdip.assemble_kkt`; such a part still
-    reports its sources.  The remaining phase nodes of ``nets`` follow with
-    zero magnitude, in net/bus/phase order.  Norm, source kind and the
-    Q-only flag are read from the first part's problem, which carries them
-    even when the solve failed.
+    smallest multiplier, max of the largest inequality row); a state that
+    carries none, one not returned by a solve, reports only its sources.
+    The remaining phase nodes of ``nets`` follow with zero magnitude, in
+    net/bus/phase order.  Norm, source kind and the Q-only flag are read
+    from the first part's problem, which carries them even when the solve
+    failed.
     """
     coords = {(net.name, bus.id): (bus.x, bus.y)
               for net in nets for bus in net.buses}
@@ -102,11 +101,8 @@ def build_report(parts, status, *, mode, nets, epochs=1, inner_iterations=0,
     for problem, state in parts:
         if state is None:
             continue
-        try:
-            res = pdip.assemble_kkt(problem, state)
-        except pdip.SolveFailure:
-            pass
-        else:
+        res = state.kkt
+        if res is not None:
             for name, val in (("stationarity", res.stationarity),
                               ("feasibility", res.feasibility),
                               ("complementarity", res.complementarity_raw)):

@@ -32,7 +32,7 @@ def fd_gradient(fun, x, h=1e-6):
 
 def net_ybus(net):
     """Dense complex nodal admittance matrix of one network."""
-    nodes = net.phase_nodes()
+    nodes = [(b.id, ph) for b in net.buses for ph in b.phases]
     idx = {k: i for i, k in enumerate(nodes)}
     Y = np.zeros((len(nodes), len(nodes)), dtype=complex)
     for br in net.branches:

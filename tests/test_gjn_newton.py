@@ -35,8 +35,8 @@ def test_flowcap_l2_cells_are_never_capped():
     co = coordinator("case_micro_flowcap", "current", "l2")
     assert co.run().converged
     capped = [(r.epoch, name) for r in co.epochs
-              for name, (status, _) in r.inner.items()
-              if status == "iteration-capped"]
+              for name, cell in r.inner.items()
+              if cell["status"] == "iteration-capped"]
     assert capped == []
 
 

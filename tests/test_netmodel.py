@@ -138,7 +138,10 @@ def _with_generator(**fields):
     (lambda case: case["networks"].append(5), "case: 'networks'\\[1\\] must be an object, got int"),
     (_set((*_NET, "buses"), {"b1": {}}), "network 't0': 'buses' must be a list, got dict"),
     (_set((*_BUS, "v_max"), 10 ** 400), "network 't0' bus 'b2': 'v_max' must be finite, got inf"),
-    (_set((*_LOAD, "p"), {"1": -10 ** 400}), "network 't0' load at 'b2': 'p' must be finite"),
+    (_set((*_LOAD, "p"), {"1": -10 ** 400}),
+     "network 't0' load at 'b2': 'p' must be finite, got -inf$"),
+    (_set((*_LOAD, "p"), {"1": float("nan")}),
+     "network 't0' load at 'b2': 'p' must be finite, got nan$"),
     (_set((*_BRANCH, "G"), [[10 ** 400]]), "network 't0' branch b1-b2: 'G' must be finite"),
 ], ids=["bus-missing-field", "bus-kind", "bus-phases-type", "bus-phase-unknown",
         "bus-v_set-positive", "branch-missing-field", "matrix-shape", "matrix-short-row",
@@ -148,7 +151,8 @@ def _with_generator(**fields):
         "number-null", "eligible-string", "matrix-string", "phase-map-string",
         "number-bool", "phase-map-bool", "matrix-bool", "number-numeric-string",
         "phase-map-numeric-string", "matrix-numeric-string", "network-not-object",
-        "buses-not-list", "number-huge-int", "phase-map-huge-int", "matrix-huge-int"])
+        "buses-not-list", "number-huge-int", "phase-map-huge-int", "phase-map-nan",
+        "matrix-huge-int"])
 def test_each_rejection_names_the_element_and_the_fault(mutate, message):
     """Every message is formatted only when its check fails, so each one is
     run here: one field of ``minimal_two_bus()`` changed at a time."""

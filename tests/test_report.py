@@ -3,13 +3,13 @@ import json
 
 import pytest
 
-from gridweld import gjn, pdip
+from gridweld import admm, gjn, pdip
 from gridweld.netmodel import case_from_dict, load_partition
 from gridweld.pdip import KktState, SolveFailure, assemble_kkt, solve_centralized
 from gridweld.report import (SCHEMA_VERSION, build_report, export_heatmap,
                              localize_weak_nodes, write_report)
 
-from conftest import load, partition_path, raw_case
+from conftest import centralized_problem, load, partition_path, raw_case
 
 
 def read_heatmap(path):
@@ -204,6 +204,31 @@ def test_build_report_takes_worst_kkt_over_parts(micro_cells):
     n_nodes = sum(len(b.phases) for n in nets for b in n.buses)
     assert len(rep.per_node) == n_nodes
     assert len({(e.net, e.bus, e.phase) for e in rep.per_node}) == n_nodes
+
+
+def test_each_solve_keeps_the_certificate_it_measured(micro_cells, monkeypatch):
+    """A returned state carries the KKT residuals of its point: equal, as a
+    dataclass, to assembling them again, for the central problem, both
+    ``dpdip`` cells and both ADMM agents.  The report reads them and makes
+    no ``assemble_kkt`` call of its own."""
+    _, _, central = centralized_problem("case_micro_td_stressed")
+    state, status = pdip.solve_nlp(central)
+    assert status == "converged"
+    nets, cells = micro_cells
+    a_nets, a_coups = load("case_micro_td_stressed")
+    part = load_partition(partition_path("micro_default"), a_nets, a_coups)
+    co = admm.Consensus(a_nets, a_coups, part, source_kind="current", norm="l2")
+    assert co.run().converged
+    parts = [(central, state), *cells, *[(s.problem, s.state) for s in co.subs]]
+    assert len(parts) == 5
+    for problem, state in parts:
+        assert isinstance(state.kkt, pdip.KktResiduals)
+        assert state.kkt == assemble_kkt(problem, state)
+    calls = []
+    monkeypatch.setattr(pdip, "assemble_kkt", lambda *a, **k: calls.append(a))
+    rep = build_report(cells, "converged", mode="dpdip", nets=nets)
+    assert calls == [] and rep.kkt["stationarity"] == max(
+        s.kkt.stationarity for _, s in cells)
 
 
 def test_build_report_keeps_sources_of_part_failing_kkt(micro_cells):

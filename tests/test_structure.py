@@ -250,6 +250,27 @@ def test_epoch_loop_written_once():
     assert not called & {"solve_nlp", "solve_subproblem", "build_report"}
 
 
+def test_report_only_formats_what_the_solver_measured():
+    """``report`` imports nothing from ``pdip``: it reads each part's
+    ``state.kkt`` and re-derives no residual.  So ``pdip`` imports
+    ``report`` at module level, and none of its functions holds an
+    import."""
+    src = ROOT / "src" / "gridweld"
+    report = ast.parse((src / "report.py").read_text())
+    imported = [a.name for n in ast.walk(report) if isinstance(n, ast.Import)
+                for a in n.names]
+    imported += [f"{n.module}.{a.name}" if n.module else a.name
+                 for n in ast.walk(report) if isinstance(n, ast.ImportFrom)
+                 for a in n.names]
+    assert imported and not [m for m in imported if "pdip" in m]
+    pdip = ast.parse((src / "pdip.py").read_text())
+    functions = [n for n in ast.walk(pdip)
+                 if isinstance(n, ast.FunctionDef)]
+    assert functions and not [f"{fn.name}: {ast.unparse(n)}" for fn in functions
+                              for n in ast.walk(fn)
+                              if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
 def test_circuit_matrices_built_one_way(rng):
     """In ``ecf``, every circuit matrix is a ``FixedMatrix`` on a pattern
     fixed at build time: only ``_FixedCSR.__call__`` makes one, the empty
