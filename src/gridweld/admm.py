@@ -148,9 +148,9 @@ class Consensus(Coordinator):
                     sub.problem.centers[port.key] = self.boundary[k] - self.u[k, side]
         sub.problem.rho = self.rho
 
-    def _update(self):
+    def _update(self, inner):
         """Consensus average and first-order dual step; returns max(r, s)
-        and no step kind."""
+        and no step kind (the cells' statuses in ``inner`` do not enter)."""
         if not self.torn:
             return float("nan"), None
         y = np.array([[self.by_name[name].problem.local_copy(

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import admm, gjn
+from .ecf import NORMS, SOURCE_KINDS
 from .netmodel import CaseError, load_case, load_partition
 from .pdip import SolverOptions, solve_centralized
 from .report import export_heatmap, localize_weak_nodes, write_report
@@ -20,7 +21,6 @@ from .report import export_heatmap, localize_weak_nodes, write_report
 log = logging.getLogger("gridweld.cli")
 
 MODES = ("central", "dpdip", "admm", "compare")
-SOURCES = ("current", "power", "admittance")
 
 
 class _ArgumentError(Exception):
@@ -39,8 +39,8 @@ def build_parser() -> _Parser:
     sv.add_argument("--case", required=True, help="case JSON file")
     sv.add_argument("--partition", help="partition JSON (dpdip/admm/compare)")
     sv.add_argument("--mode", choices=MODES, default="central")
-    sv.add_argument("--norm", choices=("l1", "l2"), default="l2")
-    sv.add_argument("--source", choices=SOURCES, default="current")
+    sv.add_argument("--norm", choices=NORMS, default="l2")
+    sv.add_argument("--source", choices=SOURCE_KINDS, default="current")
     sv.add_argument("--q-only", action="store_true",
                     help="reactive-only power sources (compensation studies)")
     sv.add_argument("--tol-kkt", type=float, default=1e-8)

@@ -33,17 +33,19 @@ gives its values, Jacobian entries and Hessian entries over z with index
 arrays fixed at build time; the x columns feed the solver and the
 parameter columns feed :meth:`CircuitProblem.param_derivatives`.
 
-The builder works in array passes, one per network and kind of row: each
-network's branch currents, its KCL, injection, slack and PV rows, its
-sources, its voltage bounds, and the L1 epigraph rows emit their entries as
-arrays through one stamp (``_Builder._stamp``).  Entry order is part of the
-result: a fixed pattern sums duplicate entries in the order they are
-emitted, constants are added in that order, and Hessian pairs sum in spec
-order, so each pass emits in the order of the case (branches grouped by
-phase count go back to branch order) and a float sum of three or more terms
-rounds as it always has.  Labels are formatted when first read, and they
-are how a caller finds a node's columns and rows (``vr:bus:phase``,
-``kclr:bus:phase``, ...); only coupling ports keep index maps.
+The builder works in array passes, one per kind of row, over every
+network's nodes: the branch currents, KCL, injection, slack and PV rows,
+sources, voltage bounds, flow limits, PV boxes and L1 epigraph rows emit
+their entries as arrays through one stamp (``_Builder._stamp``); equality
+and inequality rows are each numbered in that order, port rows after the
+nodes' own.  Entry order is part of the result: a fixed pattern sums
+duplicate entries in the order they are emitted, constants are added in
+that order, and Hessian pairs sum in spec order, so each pass emits in the
+order of the case (branches grouped by phase count go back to branch
+order) and a float sum of three or more terms rounds as it always has.
+Labels are formatted when first read, and they are how a caller finds a
+node's columns and rows (``vr:bus:phase``, ``kclr:bus:phase``, ...); only
+coupling ports keep index maps.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .netmodel import Cell, CouplingSpec
 DELTA_V = 1e-4
 
 SOURCE_KINDS = ("current", "power", "admittance")
+NORMS = ("l1", "l2")
 #: flat-start voltage angle per phase
 _FLAT = {"a": 0.0, "b": -2 * np.pi / 3, "c": 2 * np.pi / 3, "1": 0.0}
 _PHASE_CODE = {ph: i for i, ph in enumerate(_FLAT)}
@@ -691,36 +694,40 @@ def _epigraph_row_labels(sources):
 
 
 class _Nodes:
-    """One network's phase nodes in case-file order, phase-minor, with the
-    per-node arrays the builder's passes read: phase codes, bus-kind masks,
-    the constant injections and pv boxes summed over the loads (in case
-    order) and then the generators, and the z columns of each node's
-    voltage, filled in as the builder allocates them.  The ``n_*`` counts
-    let a pass skip what a network does not have."""
+    """Every phase node of a build, network by network in build order and
+    bus by bus in case-file order, phase-minor, with the per-node arrays
+    the builder's passes read: each node's network, phase codes, bus-kind
+    masks, the constant injections and pv boxes summed over the loads (in
+    case order) and then the generators, and the z columns of each node's
+    voltage, filled in as the builder allocates them; and every branch
+    with its index in its own network, which the flow labels carry."""
 
-    def __init__(self, net, heads, head_params):
-        self.net = net
-        self.buses = [b for b in net.buses for _ in b.phases]
-        self.pairs = [(b.id, ph) for b in net.buses for ph in b.phases]
+    def __init__(self, nets, heads, head_params):
+        buses = [(net.name, b) for net in nets for b in net.buses]
+        self.nets = [name for name, b in buses for _ in b.phases]
+        self.buses = [b for _, b in buses for _ in b.phases]
+        self.pairs = [(b.id, ph) for _, b in buses for ph in b.phases]
+        self.branches = [(i, br) for net in nets for i, br in enumerate(net.branches)]
         n = self.n = len(self.pairs)
         self.index = dict(zip(self.pairs, range(n)))
         attrs = np.array([(_PHASE_CODE[ph], _KIND_CODE[b.kind], b.infeasibility_eligible,
                            b.id in heads, b.id in head_params)
-                          for b in net.buses for ph in b.phases], dtype=int).reshape(n, 5)
+                          for b, (_, ph) in zip(self.buses, self.pairs)], dtype=int).reshape(n, 5)
         self.phase = attrs[:, 0]
         self.slack, self.pv = attrs[:, 1] == _KIND_CODE["slack"], attrs[:, 1] == _KIND_CODE["pv"]
         self.eligible, self.head, self.param = attrs[:, 2:].T == 1
         p, q, has, lo, hi = [0.0] * n, [0.0] * n, [False] * n, [0.0] * n, [0.0] * n
-        for ld in net.loads:
+        for ld in [ld for net in nets for ld in net.loads]:
             for ph in ld.p.keys() | ld.q.keys():
                 i = self.index.get((ld.bus, ph))
                 if i is not None:
                     p[i] += ld.p.get(ph, 0.0)
                     q[i] += ld.q.get(ph, 0.0)
                     has[i] = True
+        phases = {b.id: b.phases for _, b in buses}
         pv_nodes = []
-        for g in net.generators:
-            for ph in net.bus(g.bus).phases:
+        for g in [g for net in nets for g in net.generators]:
+            for ph in phases[g.bus]:
                 i = self.index[(g.bus, ph)]
                 p[i] -= g.p.get(ph, 0.0)
                 has[i] = has[i] or ph in g.p or ph in g.q
@@ -741,8 +748,6 @@ class _Nodes:
         # a node carries an injection current if a device sits on it or it
         # is a pv node (whose net reactive demand is a variable)
         self.inj = np.array(has, dtype=bool) | self.pv
-        self.n_inj, self.n_slack, self.n_pv = (
-            int(np.count_nonzero(m)) for m in (self.inj, self.slack, self.pv))
         #: the slack and pv nodes, in node order
         self.slack_pv = (attrs[:, 1] < _KIND_CODE["pq"]).nonzero()[0].tolist()
         self.uv = np.zeros((2, n), dtype=int)
@@ -757,7 +762,7 @@ class _Nodes:
 
 class _Builder:
     """Allocates one problem's variables and rows and stamps its entries,
-    in array passes over each network's phase nodes and branches.
+    in array passes over the phase nodes and branches of all its networks.
 
     Variables and rows come in blocks (:meth:`_new_vars`,
     :meth:`_new_rows`), each with a label recipe that
@@ -767,8 +772,8 @@ class _Builder:
     """
 
     def __init__(self, nets, ports, source_kind, norm, q_only):
-        if norm not in ("l1", "l2"):
-            raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
+        if norm not in NORMS:
+            raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
         if source_kind is not None and source_kind not in SOURCE_KINDS:
             raise ValueError(f"source kind must be one of {SOURCE_KINDS}")
         if q_only and source_kind != "power":
@@ -805,14 +810,8 @@ class _Builder:
         # of a 'd_head' port (bus -> port key) are exchange parameters
         heads = {pb.spec.d_bus for pb in ports if pb.mode in ("d_head", "d_phasor")}
         self._head_param_buses = {pb.spec.d_bus: pb.spec.key for pb in ports if pb.mode == "d_head"}
-        self._nodes = [_Nodes(n, heads, self._head_param_buses) for n in nets]
-        self._nodes_of_bus = {b.id: nd for nd in self._nodes for b in nd.net.buses}
+        self._nodes = _Nodes(nets, heads, self._head_param_buses)
         self._build()
-
-    def _node(self, bus, ph):
-        """The :class:`_Nodes` holding phase node ``(bus, ph)``, and its position there."""
-        nd = self._nodes_of_bus[bus]
-        return nd, nd.index[(bus, ph)]
 
     # -- allocation and the one stamp -----------------------------------------
 
@@ -861,7 +860,7 @@ class _Builder:
         keep = vals != 0.0
         return (rows[keep], cols[keep], vals[keep]), const
 
-    def _branch_currents(self, nd, branches):
+    def _branch_currents(self, branches):
         """Each phase's from-end current ``Y (V_from - V_to)`` over z columns,
         for the branches grouped by phase count ``k``.
 
@@ -874,13 +873,13 @@ class _Builder:
         groups: dict[int, list[int]] = {}
         for i, br in enumerate(branches):
             groups.setdefault(len(br.phases), []).append(i)
-        at = nd.index
+        at, uv = self._nodes.index, self._nodes.uv
         for k, idx in groups.items():
             brs = [branches[i] for i in idx]
             nb = len(idx)
             ends = np.array([(at[(br.from_bus, ph)], at[(br.to_bus, ph)])
                              for br in brs for ph in br.phases], dtype=int).reshape(nb, k, 2)
-            cols = nd.uv[:, ends].transpose(1, 2, 3, 0).reshape(nb, 4 * k)
+            cols = uv[:, ends].transpose(1, 2, 3, 0).reshape(nb, 4 * k)
             gb = np.array([(br.g, br.b) for br in brs])
             c = (gb[:, _CURRENT_OF] * _CURRENT_SIGN[:, :, None, None]).transpose(
                 0, 1, 3, 4, 2).reshape(nb, 2, k, 4 * k)
@@ -889,24 +888,20 @@ class _Builder:
     # -- assembly ------------------------------------------------------------
 
     def _build(self):
-        for nd in self._nodes:
-            self._alloc_voltages(nd)
-        for nd in self._nodes:
-            self._alloc_injections(nd)
-        for nd in self._nodes:
-            self._alloc_slack_and_pv(nd)
+        self._alloc_voltages()
+        self._alloc_injections()
+        self._alloc_slack_and_pv()
         self._alloc_ports()
         self._alloc_sources()
         self._alloc_params()
-        for nd in self._nodes:
-            self._rows_network(nd)
+        self._rows_network()
         self._rows_ports()
-        for nd in self._nodes:
-            self._rows_inequalities(nd)
+        self._rows_inequalities()
         if self.norm == "l1" and len(self.src_idx):
             self._rows_epigraph()
 
-    def _alloc_voltages(self, nd):
+    def _alloc_voltages(self):
+        nd = self._nodes
         own = ~nd.param                 # the rest are exchange parameters
         pairs = nd.pick(own, nd.pairs)
         m = len(pairs)
@@ -917,24 +912,22 @@ class _Builder:
         nd.iu[own] = np.arange(start, start + 2 * m, 2)
         nd.iv[own] = nd.iu[own] + 1
 
-    def _alloc_injections(self, nd):
-        if not nd.n_inj:
-            return
-        inj, m = nd.inj, nd.n_inj
+    def _alloc_injections(self):
+        nd = self._nodes
+        inj = nd.inj
         xr, xi = _FLAT_X0[nd.phase[inj]].T
         p, q0 = nd.p[inj], nd.q0[inj]
         # start injection currents consistent with the flat voltages
         d0 = xr * xr + xi * xi
         x0 = np.array([(p * xr + q0 * xi) / d0, (p * xi - q0 * xr) / d0]).T.ravel()
-        start = self._new_vars(2 * m, x0,
+        start = self._new_vars(len(x0), x0,
                                partial(_node_labels, ("ir", "ii"), nd.pick(inj, nd.pairs)))
-        nd.ir = np.arange(start, start + 2 * m, 2)
+        nd.ir = np.arange(start, self.nvar, 2)
 
-    def _alloc_slack_and_pv(self, nd):
+    def _alloc_slack_and_pv(self):
         """Two source currents per slack node and one net reactive demand
-        per pv node, in node order (a network has few of either)."""
-        if not nd.slack_pv:
-            return
+        per pv node, in node order (a build has few of either)."""
+        nd = self._nodes
         x0, labels, isr, qvar = [], [], [], []
         for i in nd.slack_pv:
             (b, ph), col = nd.pairs[i], self.nvar + len(x0)
@@ -950,10 +943,11 @@ class _Builder:
         nd.isr, nd.qvar = np.array(isr, dtype=int), np.array(qvar, dtype=int)
 
     def _alloc_ports(self):
+        nd = self._nodes
         for pb in self.ports:
             spec, key = pb.spec, pb.spec.key
             if pb.mode in ("internal", "t_free", "t_draw"):
-                nd, i = self._node(spec.t_bus, "1")
+                i = nd.index[(spec.t_bus, "1")]
                 self.maps.poi_v[key] = nd.uv[:, i].tolist()
             if pb.mode in ("internal", "t_free"):
                 start = self._new_vars(2, 0.0, partial(_port_labels, ("itr", "iti"), key))
@@ -970,16 +964,15 @@ class _Builder:
         node order."""
         if self.source_kind is None:
             return
-        k, pairs = len(self.source_components), []
-        for nd in self._nodes:
-            mine = nd.pick(nd.eligible, nd.pairs)
-            nd.src = self.nvar + k * len(pairs) + np.arange(k * len(mine)).reshape(-1, k)
-            self.source_nodes += [(nd.net.name, b, ph) for b, ph in mine]
-            pairs += mine
+        nd, k = self._nodes, len(self.source_components)
+        pairs = nd.pick(nd.eligible, nd.pairs)
+        self.source_nodes = [(net, b, ph) for net, (b, ph)
+                             in zip(nd.pick(nd.eligible, nd.nets), pairs)]
         self._src_labels = partial(
             _node_labels, tuple(f"s{c}" for c in self.source_components), pairs)
         n = k * len(pairs)
         self.src_idx = self._new_vars(n, 0.0, self._src_labels) + np.arange(n)
+        nd.src = self.src_idx.reshape(-1, k)
         if self.norm == "l1":
             self.epi_idx = self._new_vars(
                 n, 0.1, partial(_epigraph_var_labels, self._src_labels)) + np.arange(n)
@@ -987,14 +980,12 @@ class _Builder:
     def _alloc_params(self):
         """Exchange parameters, after every variable: parameter j is z column
         nvar + j, and column nvar + n_param holds the constant zero."""
-        for nd in self._nodes:
-            for bus in nd.net.buses:
-                key = self._head_param_buses.get(bus.id)
-                if key is not None:
-                    base = self.nvar + self._new_params(f"headv:{key}", 6).start
-                    for k, ph in enumerate("abc"):
-                        i = nd.index[(bus.id, ph)]
-                        nd.iu[i], nd.iv[i] = base + 2 * k, base + 2 * k + 1
+        nd = self._nodes
+        for bus in dict.fromkeys(b for b, _ in nd.pick(nd.param, nd.pairs)):
+            base = self.nvar + self._new_params(f"headv:{self._head_param_buses[bus]}", 6).start
+            for k, ph in enumerate("abc"):
+                i = nd.index[(bus, ph)]
+                nd.iu[i], nd.iv[i] = base + 2 * k, base + 2 * k + 1
         for pb in self.ports:
             key = pb.spec.key
             if pb.mode == "t_draw":
@@ -1012,55 +1003,52 @@ class _Builder:
 
     # -- equality rows ---------------------------------------------------------
 
-    def _rows_network(self, nd):
+    def _rows_network(self):
+        nd = self._nodes
         n, inj, slack, pv = nd.n, nd.inj, nd.slack, nd.pv
         r0 = self._new_rows("eq", 2 * n, partial(_node_labels, ("kclr", "kcli"), nd.pairs))
         nd.kcl = np.arange(r0, r0 + 2 * n).reshape(n, 2).T
         nd.rr, nd.ri = nd.kcl
-        self._stamp_branches(nd)
+        self._stamp_branches()
 
         # each node's own rows, in node order: the device-current
         # definitions, then the slack pins or the pv magnitude pin
         is_inj, is_slack = inj.tolist(), slack.tolist()
         count = 2 * inj + 2 * slack + pv
-        first = self._new_rows("eq", 2 * (nd.n_inj + nd.n_slack) + nd.n_pv, partial(
+        first = self._new_rows("eq", int(count.sum()), partial(
             _own_row_labels, nd.pairs, is_inj, is_slack, pv.tolist())) + count.cumsum() - count
         zero = self.zero
-        if nd.n_inj:
-            m, ir, dr = nd.n_inj, nd.ir, first[inj]
-            # the balance picks up the device current, defined by the
-            # constant-power relation
-            self._stamp("eq", np.concatenate([nd.kcl[:, inj].ravel(), dr, dr + 1]),
-                        np.concatenate([ir, ir + 1, ir, ir + 1]), 1.0)
-            p, q, qcol = nd.p[inj], nd.q[inj], np.full(m, zero)
-            qr, qi = q, -q
-            if nd.n_pv:                 # a pv node's net reactive demand is a variable
-                on_pv = pv[inj]
-                qcol[on_pv] = nd.qvar
-                qr, qi = np.where(on_pv, 0.0, qr), np.where(on_pv, 0.0, qi)
-            iu, iv, z, one = nd.iu[inj], nd.iv[inj], np.full(m, zero), np.ones(m)
-            self.inj.append(_interleaved([dr, iu, iv, z, qcol, p, one, qr],
-                                         [dr + 1, iu, iv, qcol, z, qi, -one, p]))
-        if nd.slack_pv:
-            # the slack sources in the balance and the slack and pv pins
-            kcl, pins, pin_const, pv_pins = [], [], [], []
-            isr = iter(nd.isr.tolist())
-            for i in nd.slack_pv:
-                bus, row = nd.buses[i], int(first[i]) + 2 * is_inj[i]
-                iu, iv = int(nd.iu[i]), int(nd.iv[i])
-                if is_slack[i]:
-                    col = next(isr)
-                    kcl += ((int(nd.rr[i]), col), (int(nd.ri[i]), col + 1))
-                    pins += ((row, iu), (row + 1, iv))
-                    pin_const += (-bus.v_set, 0.0)
-                else:
-                    pv_pins.append((row, iu, iv, 1.0, -bus.v_set ** 2))
-            for entries, const in ((kcl, None), (pins, pin_const)):
-                if entries:
-                    rows, cols = zip(*entries)
-                    self._stamp("eq", rows, cols, 1.0, const)
-            if pv_pins:
-                self.pv.append(np.array(pv_pins))
+        ir, dr = nd.ir, first[inj]
+        # the balance picks up the device current, defined by the
+        # constant-power relation
+        self._stamp("eq", np.concatenate([nd.kcl[:, inj].ravel(), dr, dr + 1]),
+                    np.concatenate([ir, ir + 1, ir, ir + 1]), 1.0)
+        m, p, q, on_pv = len(ir), nd.p[inj], nd.q[inj], pv[inj]
+        qcol = np.full(m, zero)
+        qcol[on_pv] = nd.qvar           # a pv node's net reactive demand is a variable
+        qr, qi = np.where(on_pv, 0.0, q), np.where(on_pv, 0.0, -q)
+        iu, iv, z, one = nd.iu[inj], nd.iv[inj], np.full(m, zero), np.ones(m)
+        self.inj.append(_interleaved([dr, iu, iv, z, qcol, p, one, qr],
+                                     [dr + 1, iu, iv, qcol, z, qi, -one, p]))
+        # the slack sources in the balance and the slack and pv pins
+        kcl, pins, pin_const, pv_pins = [], [], [], []
+        isr = iter(nd.isr.tolist())
+        for i in nd.slack_pv:
+            bus, row = nd.buses[i], int(first[i]) + 2 * is_inj[i]
+            iu, iv = int(nd.iu[i]), int(nd.iv[i])
+            if is_slack[i]:
+                col = next(isr)
+                kcl += ((int(nd.rr[i]), col), (int(nd.ri[i]), col + 1))
+                pins += ((row, iu), (row + 1, iv))
+                pin_const += (-bus.v_set, 0.0)
+            else:
+                pv_pins.append((row, iu, iv, 1.0, -bus.v_set ** 2))
+        for entries, const in ((kcl, None), (pins, pin_const)):
+            if entries:
+                rows, cols = zip(*entries)
+                self._stamp("eq", rows, cols, 1.0, const)
+        if pv_pins:
+            self.pv.append(np.array(pv_pins))
 
         k, s = nd.eligible, nd.src
         if not len(s):
@@ -1076,14 +1064,14 @@ class _Builder:
         else:
             self.adm.append(_interleaved([rr, ri, iu, iv, s[:, 0], s[:, 1]]))
 
-    def _stamp_branches(self, nd):
+    def _stamp_branches(self):
         """The from-end current of each branch leaves the KCL rows of its
         from bus and enters those of its to bus.  Entries run over (branch,
         bus, real/imaginary row, phase, column) in branch order, since
         entries on one slot (a bus's own voltage in its KCL rows) are
         summed in stamp order."""
-        parts = []
-        for idx, ends, cols, c in self._branch_currents(nd, nd.net.branches):
+        nd, parts = self._nodes, []
+        for idx, ends, cols, c in self._branch_currents([br for _, br in nd.branches]):
             nb, _, k, width = c.shape
             kcl = nd.kcl[:, ends].transpose(1, 3, 0, 2).reshape(nb, 4 * k)
             parts.append((idx, kcl.repeat(width, 1).ravel(),
@@ -1098,7 +1086,7 @@ class _Builder:
             self._stamp("eq", rows, cols, vals)
 
     def _rows_ports(self):
-        rows, cols, vals = [], [], []
+        nd, rows, cols, vals = self._nodes, [], [], []
 
         def stamp(row, col, val):
             rows.append(row)
@@ -1107,7 +1095,7 @@ class _Builder:
         for pb in self.ports:
             spec, key = pb.spec, pb.spec.key
             if pb.mode in ("internal", "t_free", "t_draw"):
-                nd, i = self._node(spec.t_bus, "1")
+                i = nd.index[(spec.t_bus, "1")]
                 rr, ri = self.maps.poi_row[key] = nd.kcl[:, i].tolist()
                 if pb.mode == "t_draw":      # the draw is an exchange parameter
                     col = self.nvar + self.param_slots[f"draw:{key}"].start
@@ -1117,7 +1105,6 @@ class _Builder:
                 stamp(rr, it[0], 1.0)
                 stamp(ri, it[1], 1.0)
             if pb.mode in ("internal", "d_head", "d_phasor"):
-                nd, _ = self._node(spec.d_bus, "a")
                 at = [nd.index[(spec.d_bus, ph)] for ph in "abc"]
                 self.maps.head_v[key] = nd.uv[:, at].T.ravel().tolist()
                 idv = self.maps.port_dvar[key]
@@ -1146,7 +1133,8 @@ class _Builder:
 
     # -- inequality rows --------------------------------------------------------
 
-    def _rows_inequalities(self, nd):
+    def _rows_inequalities(self):
+        nd = self._nodes
         # magnitude bounds on every node but the slack and torn feeder heads
         bounded = ~(nd.slack | nd.head)
         pairs, buses = nd.pick(bounded, nd.pairs), nd.pick(bounded, nd.buses)
@@ -1158,11 +1146,11 @@ class _Builder:
             self.vmag.append(_interleaved(
                 [rows, iu, iv, -one, [b.v_min ** 2 for b in buses]],
                 [rows + 1, iu, iv, one, [-b.v_max ** 2 for b in buses]]))
-        limited = [(i, br) for i, br in enumerate(nd.net.branches) if br.flow_limit is not None]
+        limited = [(i, br) for i, br in nd.branches if br.flow_limit is not None]
         if limited:
             brs = [br for _, br in limited]
             current = {}
-            for idx, _, cols, c in self._branch_currents(nd, brs):
+            for idx, _, cols, c in self._branch_currents(brs):
                 current.update(zip(idx, zip(cols, c)))
             row = self._new_rows("in", sum(len(br.phases) for br in brs),
                                  partial(_flow_labels, limited))
@@ -1172,20 +1160,19 @@ class _Builder:
                                    np.full(k, -br.flow_limit ** 2), np.tile(cols, (k, 1)),
                                    c_r, c_i))
                 row += k
-        if nd.n_pv:
-            # q_net >= q_load - q_max and q_net <= q_load - q_min, where finite
-            box = []                    # (label, bus, phase, q column, coefficient, constant)
-            for i, (b, ph), qvar in zip(nd.pv.nonzero()[0].tolist(), nd.pick(nd.pv, nd.pairs),
-                                        nd.qvar.tolist()):
-                q, lo, hi = nd.q[i], nd.lo[i], nd.hi[i]
-                if math.isfinite(hi):
-                    box.append(("qlo", b, ph, qvar, -1.0, q - hi))
-                if math.isfinite(lo):
-                    box.append(("qhi", b, ph, qvar, 1.0, -(q - lo)))
-            first = self._new_rows("in", len(box), partial(_tagged_labels, box))
-            if box:
-                _, _, _, cols, vals, const = zip(*box)
-                self._stamp("in", np.arange(first, first + len(box)), cols, vals, const)
+        # q_net >= q_load - q_max and q_net <= q_load - q_min, where finite
+        box = []                        # (label, bus, phase, q column, coefficient, constant)
+        for i, (b, ph), qvar in zip(nd.pv.nonzero()[0].tolist(), nd.pick(nd.pv, nd.pairs),
+                                    nd.qvar.tolist()):
+            q, lo, hi = nd.q[i], nd.lo[i], nd.hi[i]
+            if math.isfinite(hi):
+                box.append(("qlo", b, ph, qvar, -1.0, q - hi))
+            if math.isfinite(lo):
+                box.append(("qhi", b, ph, qvar, 1.0, -(q - lo)))
+        first = self._new_rows("in", len(box), partial(_tagged_labels, box))
+        if box:
+            _, _, _, cols, vals, const = zip(*box)
+            self._stamp("in", np.arange(first, first + len(box)), cols, vals, const)
 
     def _rows_epigraph(self):
         """The rows s - t <= 0, -s - t <= 0 and -t <= 0 of each source

@@ -60,7 +60,6 @@ class Subproblem:
     problem: object
     cols: np.ndarray
     state: pdip.KktState | None = None
-    status: str = "pending"
 
 
 @dataclass
@@ -192,12 +191,12 @@ class Coordinator:
 
     def _solve_one(self, sub: Subproblem) -> dict:
         """Solve a cell warm, restarted cold (from ``x0``) once if that
-        fails, and keep its new state and status on ``sub``; a
-        :class:`pdip.SolveFailure` reads as status 'failed' and keeps the
-        previous state.  Returns the cell's entry of the epoch record: the
-        status, the Newton steps of the last attempt, its accepted steps
-        with ``delta != 0``, whether it was a cold restart and its
-        re-centerings (within a solve ``eps`` rises only by one)."""
+        fails, and keep its new state on ``sub``; a :class:`pdip.SolveFailure`
+        reads as status 'failed' and keeps the previous state.  Returns the
+        cell's entry of the epoch record: the status, the Newton steps of
+        the last attempt, its accepted steps with ``delta != 0``, whether it
+        was a cold restart and its re-centerings (within a solve ``eps``
+        rises only by one)."""
         self._load(sub)
         label = f"subproblem '{sub.name}'"
         for warm in (sub.state, None):
@@ -217,7 +216,6 @@ class Coordinator:
         cold_restart = warm is None and sub.state is not None
         if state is not None:
             sub.state = state
-        sub.status = status
         return {"status": status,
                 "iterations": state.iterations - start if state is not None else 0,
                 "delta_steps": sum(r.delta != 0.0 for r in steps),
@@ -229,15 +227,15 @@ class Coordinator:
         thread writing only its own cell."""
         solves = (pool.map if pool else map)(self._solve_one, self.subs)
         inner = dict(zip([s.name for s in self.subs], solves))
-        metric, step = (self._update() if all(s.state is not None for s in self.subs)
+        metric, step = (self._update(inner) if all(s.state is not None for s in self.subs)
                         else (float("nan"), None))
         rec = EpochRecord(epoch=epoch, metric=metric, inner=inner, step=step)
         self.epochs.append(rec)
         return rec
 
-    def _update(self) -> tuple[float, str]:
-        """The boundary update on the cells' states; returns the exchange
-        metric and the kind of step taken.
+    def _update(self, inner) -> tuple[float, str]:
+        """The boundary update on the cells' states and their epoch entries
+        ``inner``; returns the exchange metric and the kind of step taken.
 
         With ``F`` the exchange and ``BA`` its :meth:`epoch_map` at this
         epoch's states and ``b``, the relaxed exchange is
@@ -255,7 +253,7 @@ class Coordinator:
         step = "plain"
         last = self.epochs[-1].metric if self.epochs else np.inf
         if (self.gauss_tol < metric <= last
-                and all(s.status == "converged" for s in self.subs)):
+                and all(c["status"] == "converged" for c in inner.values())):
             try:
                 move = np.linalg.solve(
                     self.damping * (np.eye(self.boundary.size) - self.epoch_map()),
@@ -297,11 +295,11 @@ class Coordinator:
                 line = self._trace(rec) if trace_fh else None
                 if line is not None:
                     trace_fh.write(json.dumps(line, sort_keys=True) + "\n")
-                if any(s.status == "failed" for s in self.subs):
+                if any(c["status"] == "failed" for c in rec.inner.values()):
                     status = "failed"
                     break
                 if ((not self.torn or rec.metric <= self.gauss_tol)
-                        and all(s.status == "converged" for s in self.subs)):
+                        and all(c["status"] == "converged" for c in rec.inner.values())):
                     status = "converged"
                     break
                 stop = self._after_epoch(epoch)

@@ -1,7 +1,14 @@
 """Shipped-case hygiene: feasible cases truly solve inside their bands,
-stressed variants truly violate or lack a solution."""
+stressed variants truly violate or lack a solution, and a feasible case
+needs no infeasibility source."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridweld import casegen, solve_centralized
+from gridweld.ecf import NORMS, SOURCE_KINDS
+from gridweld.netmodel import case_from_dict
 
 from conftest import load
 from oracles import solve_power_flow, within_bounds
@@ -64,3 +71,17 @@ def test_feeder_case_is_at_least_two_hundred_phase_nodes():
     nets, _ = load("case_feeder210_stressed")
     d = next(n for n in nets if n.side == "distribution")
     assert sum(len(b.phases) for b in d.buses) >= 200
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(case=st.sampled_from([casegen.case_micro_td, casegen.case_twofeeder_td,
+                             casegen.case_feeder210]),
+       scale=st.floats(0.0, 1.0), kind=st.sampled_from(SOURCE_KINDS),
+       norm=st.sampled_from(NORMS))
+def test_feasible_case_gives_zero(case, scale, kind, norm):
+    """A generator's case with its load scaled into [0, 1] is feasible, so
+    the central solve converges with no nonzero source."""
+    nets, coups = case_from_dict(case(scale))
+    rep = solve_centralized(nets, coups, source_kind=kind, norm=norm)
+    assert rep.status == "converged"
+    assert rep.nonzero_count == 0 and rep.objective < 1e-8

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridweld import PortBuild, build_problem
-from gridweld.ecf import CircuitProblem, IndexMaps, _Builder, port_builds
+from gridweld.ecf import CircuitProblem, IndexMaps, _Builder, _Nodes, port_builds
 from gridweld.netmodel import Branch, Bus, Network, case_from_dict, load_partition
 
 from conftest import (centralized_problem, interior_point, load, oracle_state,
@@ -305,6 +305,20 @@ def test_branch_entries_sum_in_branch_order():
     assert got == want
     x_a = (row_at["kclr:x:a"], col_at["vr:x:a"])
     assert got[x_a] == 0.0 != (1.0 + -1.0) + 1e-17
+
+
+def test_a_build_over_many_networks_lists_their_nodes_in_one_table(monkeypatch):
+    """Each pass runs once per build: the central build of four networks
+    constructs one node table."""
+    made = []
+    init = _Nodes.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+    monkeypatch.setattr(_Nodes, "__init__", counted)
+    nets, _, _ = centralized_problem("case_threefeeder_td")
+    assert (len(nets), len(made)) == (4, 1)
 
 
 def test_problem_pickles_and_does_not_keep_its_builder():
