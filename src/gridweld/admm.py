@@ -10,7 +10,8 @@ phasor, tied to the head voltages by the balanced-expansion rows of a
 cell's NLP with the scaled quadratic penalty through the interior-point
 core; the z-update is the plain consensus average and the dual update is
 first order, with residual-balancing adaptation of the penalty weight.
-The iterations run on :class:`gridweld.gjn.Coordinator`'s epoch loop.
+The iterations run on :class:`gridweld.gjn.Coordinator`'s epoch loop, and
+each cell (an :class:`Agent`) hands its copies over as its readings.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ from .gjn import Coordinator, Subproblem
 
 
 class ConsensusAgent:
-    """One cell's problem plus the scaled consensus penalty on its copies.
-
-    The cell builds its torn feeder heads as 'd_phasor' ports and its torn
-    transmission sides as 't_free' ports, so every local copy is a set of
-    ordinary variables: a 'd_phasor' port of ``port_builds`` copies the
-    head phasor and the aggregated port current, a 't_free' port the POI
-    voltage and the free port current.  The agent adds the penalty to the
-    objective and its derivatives; every other value is the cell problem's own.  Its Hessian
+    """One cell's problem plus the scaled consensus penalty on its local
+    copies, which are ordinary variables of the cell (see the module
+    docstring).  The agent adds the penalty to the objective and its
+    derivatives; every other value is the cell problem's own.  Its Hessian
     ``W + rho * P`` lies on one pattern, the union of the cell's W pattern
     and the constant penalty pattern ``P``, fixed here.
     """
@@ -97,22 +94,26 @@ class ConsensusAgent:
         W = self.base.hess_lagrangian(x, lam, mu)
         return self._hess(np.concatenate([W.data, self.rho * self._p_data]))
 
-    def local_copy(self, x, key):
-        cols, C = self.copy_map[key]
-        return C @ x[cols]
+
+class Agent(Subproblem):
+    """A built ADMM cell, its problem a :class:`ConsensusAgent`: what it
+    hands over at a torn port is its local copy there."""
+
+    def readings(self) -> dict:
+        x = self.state.x
+        return {key: C @ x[cols] for key, (cols, C) in self.problem.copy_map.items()}
 
 
 def build_agents(partition, *, source_kind, norm, q_only):
-    """One built cell per partition cell, its problem a
-    :class:`ConsensusAgent`, its torn ports in 't_free' and 'd_phasor'
-    mode."""
+    """One :class:`Agent` per partition cell, its torn ports in 't_free' and
+    'd_phasor' mode."""
     subs = []
     for cell in partition.cells:
         ports = port_builds(cell, "t_free", "d_phasor")
         prob = build_problem(cell.networks, ports, source_kind=source_kind,
                              norm=norm, q_only=q_only)
-        subs.append(Subproblem(cell.name, ConsensusAgent(prob, ports),
-                               np.empty(0, dtype=int)))
+        subs.append(Agent(cell.name, ConsensusAgent(prob, ports),
+                          np.empty(0, dtype=int), [p for p in cell.ports if p.torn]))
     return subs
 
 
@@ -142,10 +143,9 @@ class Consensus(Coordinator):
 
     def _load(self, sub):
         """The agent's penalty centers z - u of its copies, and rho."""
-        for k, port in enumerate(self.torn):
-            for side, name in enumerate((port.t_cell, port.d_cell)):
-                if name == sub.name:
-                    sub.problem.centers[port.key] = self.boundary[k] - self.u[k, side]
+        for port in sub.ports:
+            k, side = self.torn.index(port), int(port.d_cell == sub.name)
+            sub.problem.centers[port.key] = self.boundary[k] - self.u[k, side]
         sub.problem.rho = self.rho
 
     def _update(self, inner):
@@ -153,9 +153,8 @@ class Consensus(Coordinator):
         and no step kind (the cells' statuses in ``inner`` do not enter)."""
         if not self.torn:
             return float("nan"), None
-        y = np.array([[self.by_name[name].problem.local_copy(
-            self.by_name[name].state.x, p.key) for name in (p.t_cell, p.d_cell)]
-            for p in self.torn])
+        read = {s.name: s.readings() for s in self.subs}
+        y = np.array([[read[p.t_cell][p.key], read[p.d_cell][p.key]] for p in self.torn])
         z_old, u = self.boundary, self.u
         self.boundary = 0.5 * (y[:, 0] + u[:, 0] + y[:, 1] + u[:, 1])
         self.u += y - self.boundary[:, None]

@@ -63,8 +63,8 @@ def _config(ns: argparse.Namespace) -> argparse.Namespace:
     if ns.trace is not None and ns.mode == "compare":
         raise _ArgumentError("--trace is not valid with --mode compare")
     for flag in ("tol_kkt", "tol_gauss", "max_epochs", "inner_cap", "workers"):
-        if not getattr(ns, flag) > 0:
-            raise _ArgumentError(f"--{flag.replace('_', '-')} must be positive")
+        if not 0 < getattr(ns, flag) < float("inf"):
+            raise _ArgumentError(f"--{flag.replace('_', '-')} must be positive and finite")
     return ns
 
 

@@ -277,9 +277,9 @@ class FixedMatrix:
     output entry is summed in entry order from 0.0, as scipy's CSR and
     transposed products sum it, so both agree with scipy's bit for bit.
     :meth:`tocsr` (sharing the arrays) and :meth:`toarray` give scipy and
-    dense forms; the Newton loop never needs them, but the Gauss-Jacobi
-    epoch map (:meth:`~gridweld.gjn.Coordinator.epoch_map`) solves against
-    the dense parameter blocks.
+    dense forms; the Newton loop never needs them, but a cell's sensitivity
+    for the Gauss-Jacobi epoch map (:meth:`~gridweld.gjn.Subproblem.sensitivity`)
+    solves against the dense parameter blocks.
     """
     __slots__ = ("data", "indices", "indptr", "rows", "shape")
 
@@ -602,17 +602,18 @@ class CircuitProblem:
         return (self._jac_eq[1](self._jac_values(self._eq_lin, self._eq, z)),
                 self._jac_in[1](self._jac_values(self._A_in.data, self._in, z)))
 
-    def param_lagrangian_grad(self, x, lam, mu, name: str) -> np.ndarray:
-        """Gradient of the Lagrangian with respect to one parameter block.
+    def param_lagrangian_grad(self, x, lam, mu) -> np.ndarray:
+        """Gradient of the Lagrangian in the exchange parameters, indexed as
+        ``params`` (``param_slots`` names its blocks).
 
-        This is the marginal value of an exchange parameter (e.g. the fixed
-        head voltages of a torn feeder) to this cell's optimum, used by the
-        coordinator to price boundary quantities on the other side.
+        Each entry is the marginal value of an exchange parameter (e.g. the
+        fixed head voltages of a torn feeder) to this cell's optimum, which
+        the exchange uses to price boundary quantities on the other side.
         """
         Jc_p, Jg_p = self._param_jacobians(self._z(x))
         grad = Jc_p.transpose_times(lam) + Jg_p.transpose_times(mu)
         np.add.at(grad, self._price_pairs[:, 1], x[self._price_pairs[:, 0]])
-        return grad[self.param_slots[name]]
+        return grad
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,19 @@ transmission-side draws, the transmission POI voltage distributes onto
 feeder heads, and the POI balance duals distribute into distribution-side
 port-current prices.  The boundary then takes a Newton step on the fixed
 point of that exchange, ``b + (I - BA)^-1 (F(b) - b)`` with ``BA`` the
-:meth:`Coordinator.epoch_map` (the cells' sensitivities at their epoch-end
-states), once every cell converged and the exchange metric did not grow
-but has not met the tolerance; otherwise it takes the plain exchange,
-relaxed by ``damping``.  So the
-boundary converges in a few epochs also where the plain exchange is slow
-or not a contraction.  Everything reads only the epoch's finished
-snapshots, so the trajectory is identical for any worker count.
+:meth:`Coordinator.epoch_map`, once every cell converged and the exchange
+metric did not grow but has not met the tolerance; otherwise it takes the
+plain exchange, relaxed by ``damping``.  So the boundary converges in a few
+epochs also where the plain exchange is slow or not a contraction.
+Everything reads only the epoch's finished snapshots, so the trajectory is
+identical for any worker count.
 
-The payload that crosses subproblem boundaries is restricted to per-port
-boundary primal/dual values; internal states never leave their owner.
-Those values form one boundary vector, 16 per torn port (``PORT_LAYOUT``);
-each cell reads its parameters from it through its ``cols``, and one
-function, :func:`_exchange`, writes a port's values from its cells' states
-(each epoch) or from their sensitivities (the epoch map).
+Only per-port boundary values cross between cells; internal states never
+leave their owner, a :class:`Subproblem`, which hands over its
+:meth:`~Subproblem.readings` or their :meth:`~Subproblem.sensitivity`.  The
+boundary vector holds 16 values per torn port (``PORT_LAYOUT``); each cell
+reads its parameters from it through its ``cols``, and :func:`_exchange`
+writes a port's values from what its two cells hand over.
 """
 
 from __future__ import annotations
@@ -54,12 +53,68 @@ PORT_LAYOUT = {"draw": 0, "headv": 2, "price": 8, "vprice": 14}
 
 @dataclass
 class Subproblem:
-    """One partition cell as built: its problem and its run state; ``cols``
-    is the boundary-vector index of each of its exchange parameters."""
+    """One partition cell as built: its problem, the torn ports it holds a
+    side of and its run state, which only the cell reads; ``cols`` is the
+    boundary-vector index of each of its exchange parameters."""
     name: str
     problem: object
     cols: np.ndarray
+    ports: list
     state: pdip.KktState | None = None
+
+    def _read(self, z, grad_p) -> dict:
+        """Per port key, the blocks of the stacked point ``z = (x, lam, mu)``
+        and of the Lagrangian's parameter gradient ``grad_p``, as values or
+        as rows, that cross it: the POI voltage and balance duals on the
+        transmission side, the port currents and head gradient on the
+        distribution side."""
+        prob, maps = self.problem, self.problem.maps
+        return {p.key: (z[maps.poi_v[p.key]], z[prob.nvar + np.asarray(maps.poi_row[p.key])])
+                if p.t_cell == self.name else
+                (z[maps.port_dvar[p.key]], grad_p[prob.param_slots[f"headv:{p.key}"]])
+                for p in self.ports}
+
+    def readings(self) -> dict:
+        """Per torn port, what :func:`_exchange` reads of this cell's state;
+        only a cell that holds a feeder head evaluates the gradient."""
+        st = self.state
+        return self._read(np.concatenate([st.x, st.lam, st.mu]),
+                          self.problem.param_lagrangian_grad(st.x, st.lam, st.mu)
+                          if any(p.d_cell == self.name for p in self.ports) else None)
+
+    def sensitivity(self, boundary) -> dict:
+        """The entries of :meth:`readings` as rows along ``boundary``: their
+        derivatives in the boundary values, with ``boundary`` loaded.
+
+        One :meth:`pdip.NewtonSystem.factor` of the cell's condensed KKT
+        matrix at ``delta = 0`` (the pattern its Newton steps use) and one
+        solve with a column per parameter give its KKT point's sensitivity,
+        exact also where head parameters enter rows nonlinearly; the head
+        gradient's follows by ``transpose_times``, with no scipy algebra,
+        and only the port entries are widened to the boundary's columns.
+        """
+        prob, st = self.problem, self.state
+        if st is None:
+            raise ValueError(f"subproblem '{self.name}' has no state; "
+                             "the epoch map needs a finished run")
+        if not self.ports:
+            return {}
+        prob.params[:] = boundary[self.cols]
+        W_xp, W_pp, Jc_p, Jg_p = prob.param_derivatives(st.x, st.lam, st.mu)
+        # the Newton system with the parameters' derivatives of its rows
+        # (stationarity, equalities, complementarity -mu * g) moved right
+        dx, dlam, dmu, _ = pdip.NewtonSystem.build(prob, st).factor()(
+            -W_xp.toarray(), -Jc_p.toarray(), st.mu[:, None] * Jg_p.toarray())
+        # d(grad_p L) = G^T d(x, lam, mu) + W_pp dp
+        dgrad = (W_xp.transpose_times(dx) + Jc_p.transpose_times(dlam)
+                 + Jg_p.transpose_times(dmu) + W_pp.toarray())
+
+        def wide(rows):
+            out = np.zeros((rows.shape[0], boundary.size))
+            out[:, self.cols] = rows
+            return out
+        return {key: (wide(a), wide(b)) for key, (a, b)
+                in self._read(np.vstack([dx, dlam, dmu]), dgrad).items()}
 
 
 @dataclass
@@ -88,52 +143,43 @@ def build_subproblems(partition: Partition, *, source_kind, norm, q_only=False):
             warnings.warn(f"subproblem '{cell.name}': boundary dimension "
                           f"{prob.n_param} exceeds 20% of internal "
                           f"dimension {prob.nvar}")
-        subs.append(Subproblem(cell.name, prob, cols))
+        subs.append(Subproblem(cell.name, prob, cols, [p for p in cell.ports if p.torn]))
     return subs
 
 
-def _exchange(spec, i_d, v_t, lam_t, head):
-    """A torn port's PORT_DIM new boundary values from what its cells hold.
-
-    ``i_d`` are the feeder's six port currents, ``v_t`` and ``lam_t`` the
-    transmission POI voltage and balance duals, and ``head`` the gradient of
-    the feeder's Lagrangian in its head voltages.  Distribution currents
+def _exchange(spec, v_t, lam_t, i_d, head):
+    """A torn port's PORT_DIM new boundary values from what its two cells
+    hand over (:meth:`Subproblem.readings`): the feeder's port currents
     aggregate into the draw, the POI voltage distributes onto the head, the
     POI duals become the port-current prices and the head gradient the POI
-    voltage price.  The map is linear: given blocks of sensitivity rows
-    (2-D, a column per boundary value) instead of values, it returns the
-    rows of the linearized exchange.
-    """
+    voltage price.  The map is linear: given sensitivity rows (2-D, a column
+    per boundary value) instead of values, it returns the rows of the
+    linearized exchange."""
     return np.concatenate([aggregate_current_d_to_t(spec, i_d),
                            distribute_voltage_t_to_d(spec, *v_t),
                            port_dual_prices(spec, *lam_t),
                            poi_voltage_price(spec, head)])
 
 
+def _exchanged(torn, read, shape):
+    """Every torn port's exchange, stacked in port order into ``shape``, from
+    the cells' per-port readings or sensitivity rows ``read[cell][key]``."""
+    return np.reshape([_exchange(p.spec, *read[p.t_cell][p.key], *read[p.d_cell][p.key])
+                       for p in torn], shape)
+
+
 def gauss_boundary_update(torn, boundary, subs_by_name, damping=1.0):
     """Pure-Jacobi exchange: the new boundary vector from epoch-end snapshots.
 
-    Reads only the finished subproblem states, so the result is independent
-    of solve completion order.  Returns ``(new_boundary, metric, readings)``;
-    row k of ``readings`` holds what the exchange read at port k: the POI
-    voltage (2), the POI balance duals (2) and the feeder port currents (6).
+    Reads only the finished cells' :meth:`Subproblem.readings`, so the
+    result is independent of solve completion order.  Returns
+    ``(new_boundary, metric, read)``, ``read`` giving each cell's readings.
     """
-    new = np.empty((len(torn), PORT_DIM))
-    readings = np.empty((len(torn), 10))
-    for k, port in enumerate(torn):
-        key = port.key
-        t, d = subs_by_name[port.t_cell], subs_by_name[port.d_cell]
-        v_t = t.state.x[t.problem.maps.poi_v[key]]
-        lam_t = t.state.lam[t.problem.maps.poi_row[key]]
-        i_d = d.state.x[d.problem.maps.port_dvar[key]]
-        head = d.problem.param_lagrangian_grad(d.state.x, d.state.lam,
-                                               d.state.mu, f"headv:{key}")
-        new[k] = _exchange(port.spec, i_d, v_t, lam_t, head)
-        readings[k] = np.concatenate([v_t, lam_t, i_d])
-    new = new.ravel()
+    read = {name: sub.readings() for name, sub in subs_by_name.items()}
+    new = _exchanged(torn, read, boundary.shape)
     if damping != 1.0:
         new = (1 - damping) * boundary + damping * new
-    return new, float(np.max(np.abs(new - boundary), initial=0.0)), readings
+    return new, float(np.max(np.abs(new - boundary), initial=0.0)), read
 
 
 class Coordinator:
@@ -158,7 +204,7 @@ class Coordinator:
         self.torn = self.partition.torn
         self.subs, self.boundary = self._cells(source_kind, norm, q_only)
         self.by_name = {s.name: s for s in self.subs}
-        self.readings = np.zeros((len(self.torn), 10))   # see gauss_boundary_update
+        self.read: dict = {}        # the cells' readings at the last exchange
         self.epochs: list[EpochRecord] = []
 
     def _cells(self, source_kind, norm, q_only):
@@ -173,11 +219,15 @@ class Coordinator:
         return subs, boundary
 
     def payload(self, key: str) -> dict:
-        """What crossed torn port ``key`` in the last exchange."""
+        """What crossed torn port ``key`` in the last exchange (the readings
+        are zeros before the first)."""
         k = [p.key for p in self.torn].index(key)
+        t, d = self.torn[k].t_cell, self.torn[k].d_cell
         mine = self.boundary[PORT_DIM * k:PORT_DIM * (k + 1)]
         draw, head_v, price, v_price = np.split(mine, list(PORT_LAYOUT.values())[1:])
-        t_voltage, t_dual, d_current = np.split(self.readings[k], [2, 4])
+        t_voltage, t_dual, d_current = np.split(
+            np.concatenate([*self.read[t][key], self.read[d][key][0]])
+            if self.read else np.zeros(10), [2, 4])
         return {"port": key, "draw": draw.tolist(),
                 "head_voltage": head_v.tolist(), "price": price.tolist(),
                 "v_price": v_price.tolist(), "t_voltage": t_voltage.tolist(),
@@ -234,7 +284,7 @@ class Coordinator:
         return rec
 
     def _update(self, inner) -> tuple[float, str]:
-        """The boundary update on the cells' states and their epoch entries
+        """The boundary update on the cells' readings and their epoch entries
         ``inner``; returns the exchange metric and the kind of step taken.
 
         With ``F`` the exchange and ``BA`` its :meth:`epoch_map` at this
@@ -248,7 +298,7 @@ class Coordinator:
         ``gauss_tol`` with every cell converged ends the run, so it takes
         ``G(b)`` and builds no ``BA``.
         """
-        new, metric, self.readings = gauss_boundary_update(
+        new, metric, self.read = gauss_boundary_update(
             self.torn, self.boundary, self.by_name, self.damping)
         step = "plain"
         last = self.epochs[-1].metric if self.epochs else np.inf
@@ -329,63 +379,13 @@ class Coordinator:
         """``BA``: the Jacobian of one undamped epoch on the boundary vector.
 
         Evaluated at the cells' states with the current boundary as their
-        parameters.  Each cell contributes the sensitivity of its KKT point
-        to its parameters: one :meth:`pdip.NewtonSystem.factor` of the
-        cell's condensed KKT matrix at ``delta = 0``, in the pattern and
-        column order the cell's Newton steps use, and one solve of that
-        factor with a right-hand-side column per parameter (dense copies of
-        the ``FixedMatrix`` blocks from ``param_derivatives``), which
-        recovers the inequality multipliers' block from ``dx`` as a Newton
-        step does.  The derivative of the feeder's head gradient along it
-        (the v-price rows) is three ``transpose_times`` plus ``W_pp``, so
-        the map does no scipy algebra.
-        The sensitivity stays in the cell's own parameter columns; only the
-        rows :func:`_exchange` reads are widened to the whole boundary before
-        the exchange maps them onto the new boundary values.  The map is
-        exact also where head parameters enter rows nonlinearly (head loads,
-        head flow limits).  Its cost grows with the number of ports, not
-        with the cells' size cubed.
+        parameters: each cell's :meth:`Subproblem.sensitivity` gives the
+        rows of what it hands over, and :func:`_exchange` maps them onto the
+        new boundary values as it maps the readings.  Its cost grows with
+        the number of ports, not with the cells' size cubed.
         """
-        for sub in self.subs:
-            if sub.state is None:
-                raise ValueError(f"subproblem '{sub.name}' has no state; "
-                                 "the epoch map needs a finished run")
-        sens = {}
-        for sub in self.subs:
-            prob, st = sub.problem, sub.state
-            if not prob.n_param:
-                continue
-            prob.params[:] = self.boundary[sub.cols]
-            W_xp, W_pp, Jc_p, Jg_p = prob.param_derivatives(st.x, st.lam, st.mu)
-            # implicit-function sensitivity of the cell's KKT point: the Newton
-            # system with the boundary parameters' derivatives of its rows
-            # (stationarity, equalities, complementarity -mu * g) moved right
-            dx, dlam, dmu, _ = pdip.NewtonSystem.build(prob, st).factor()(
-                -W_xp.toarray(), -Jc_p.toarray(), st.mu[:, None] * Jg_p.toarray())
-            # and the derivative of the parameter gradient of the Lagrangian (the
-            # v-price source) along it: d(grad_p L) = G^T d(x, lam, mu) + W_pp dp
-            sens[sub.name] = (np.vstack([dx, dlam, dmu]),
-                              W_xp.transpose_times(dx) + Jc_p.transpose_times(dlam)
-                              + Jg_p.transpose_times(dmu) + W_pp.toarray())
-
-        def wide(sub, rows):
-            out = np.zeros((rows.shape[0], self.boundary.size))
-            out[:, sub.cols] = rows
-            return out
-
-        BA = np.empty((self.boundary.size,) * 2)
-        for k, port in enumerate(self.torn):
-            key = port.key
-            t, d = self.by_name[port.t_cell], self.by_name[port.d_cell]
-            St = sens[port.t_cell][0]
-            Sd, dgrad = sens[port.d_cell]
-            hsl = d.problem.param_slots[f"headv:{key}"]
-            BA[PORT_DIM * k:PORT_DIM * (k + 1)] = _exchange(
-                port.spec, wide(d, Sd[d.problem.maps.port_dvar[key]]),
-                wide(t, St[t.problem.maps.poi_v[key]]),
-                wide(t, St[t.problem.nvar + np.asarray(t.problem.maps.poi_row[key])]),
-                wide(d, dgrad[hsl]))
-        return BA
+        rows = {sub.name: sub.sensitivity(self.boundary) for sub in self.subs}
+        return _exchanged(self.torn, rows, (self.boundary.size,) * 2)
 
     def spectral_radius(self, damping: float | None = None) -> float:
         """Gauss-Jacobi contraction factor of the linearized exchange.

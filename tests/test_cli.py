@@ -1,7 +1,10 @@
+import errno
 import json
+import os
 
 import pytest
 
+from gridweld import netmodel
 from gridweld.cli import main
 
 from conftest import case_path, partition_path
@@ -105,12 +108,22 @@ def test_non_finite_number_exits_one_naming_the_field(tmp_path, capsys, edit, fa
     assert err.startswith("error: ") and fault in err
 
 
-def test_malformed_case_or_partition_file_exits_one(tmp_path, capsys):
+def test_malformed_case_or_partition_file_exits_one(tmp_path, capsys, monkeypatch):
     """A truncated or empty case file, a directory given as a case or a
-    partition file, a partition whose subproblems are not objects and a
-    number too large for a float are input errors naming the file or the
-    field, not tracebacks."""
+    partition file, a case file that cannot be read, a partition whose
+    subproblems are not objects and a number too large for a float are
+    input errors naming the file or the field, not tracebacks."""
     text = open(case_path("case_micro_td")).read()
+    locked = tmp_path / "locked.json"
+    locked.write_text(text)
+
+    def no_read(path, *args, **kw):
+        """``open``, but reading ``locked`` is not permitted (the tests may
+        run as a user who can read any file, so a mode bit cannot do it)."""
+        if str(path) == str(locked):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return open(path, *args, **kw)
+    monkeypatch.setattr(netmodel, "open", no_read, raising=False)
     case = tmp_path / "case.json"
     case.write_text(text[:len(text) // 2])
     raw = json.loads(text)
@@ -127,6 +140,7 @@ def test_malformed_case_or_partition_file_exits_one(tmp_path, capsys):
             (["--case", str(empty)], f"{empty}: not a valid JSON file"),
             (["--case", str(tmp_path)], f"{tmp_path}: cannot be read (Is a directory)"),
             (dpdip + [str(tmp_path)], f"{tmp_path}: cannot be read (Is a directory)"),
+            (["--case", str(locked)], f"{locked}: cannot be read (Permission denied)"),
             (dpdip + [str(part)], "partition: 'subproblems'[0] must be an object, got int"),
             (["--case", str(huge)], "'v_max' must be finite, got inf")):
         assert run_cli(args + ["--out", str(tmp_path / "out")]) == 1
@@ -138,9 +152,14 @@ def test_malformed_case_or_partition_file_exits_one(tmp_path, capsys):
                                          ("--tol-gauss", "0"),
                                          ("--max-epochs", "0"),
                                          ("--inner-cap", "0"),
-                                         ("--workers", "-2")])
+                                         ("--workers", "-2"),
+                                         ("--tol-gauss", "inf"),
+                                         ("--tol-kkt", "inf")])
 def test_non_positive_number_exits_one_naming_the_flag(tmp_path, capsys,
                                                        flag, value):
+    """Each numeric flag must be positive and finite: an infinite
+    tolerance would stop a run at once with a wrong answer (``--tol-gauss
+    inf`` ends ``micro_td_stressed`` after one epoch as 'converged')."""
     code = run_cli(["--case", case_path("case_micro_td"), "--mode", "dpdip",
                     flag, value, "--out", str(tmp_path)])
     assert code == 1

@@ -100,8 +100,7 @@ def test_head_sensitivity_gradient_matches_fd(seed):
                     + prob.jac_in(x).transpose_times(mu))
 
         def grad_p():
-            return np.concatenate([prob.param_lagrangian_grad(x, lam, mu, name)
-                                   for name in prob.param_slots])
+            return prob.param_lagrangian_grad(x, lam, mu)
 
         def lagrangian():
             return (prob.objective(x) + lam @ prob.residual_eq(x)

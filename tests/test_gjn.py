@@ -128,7 +128,7 @@ def test_decomposed_kkt_coincides_with_centralized_at_its_solution():
     assert d_res.feasibility < 1e-7
 
     head_sens = dsub.problem.param_lagrangian_grad(
-        d_state.x, d_state.lam, d_state.mu, f"headv:{key}")
+        d_state.x, d_state.lam, d_state.mu)[dprob.param_slots[f"headv:{key}"]]
     t_state = mapped_state(tsub)
     tprob.params[tprob.param_slots[f"draw:{key}"]] = draw
     tprob.params[tprob.param_slots[f"vprice:{key}"]] = poi_voltage_price(port, head_sens)

@@ -360,3 +360,25 @@ def test_every_export_is_used_outside_the_tests():
                          and not re.match(rf"\s*(def|class) {name}\b", line)
                          for line in lines)]
     assert len(exports) > 20 and unused == []
+
+
+def test_cells_own_their_state():
+    """In ``gjn`` and ``admm`` a cell's state and port maps are read only by
+    the cell: no attribute named ``maps``, ``x``, ``lam`` or ``mu`` is read
+    outside ``Subproblem``, its subclasses and ``ConsensusAgent``.  The
+    coordinators see what a cell hands over at its ports, its readings or
+    their sensitivity; they may still hand a whole state to the solver and
+    to the report."""
+    src = ROOT / "src" / "gridweld"
+    reads = []
+    for name in ("gjn.py", "admm.py"):
+        tree = ast.parse((src / name).read_text())
+        owners = [n for n in tree.body if isinstance(n, ast.ClassDef)
+                  and (n.name in ("Subproblem", "ConsensusAgent")
+                       or "Subproblem" in [ast.unparse(b) for b in n.bases])]
+        inside = {id(n) for cls in owners for n in ast.walk(cls)}
+        reads += [f"{name}:{n.lineno}: {ast.unparse(n)}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and n.attr in ("maps", "x", "lam", "mu") and id(n) not in inside]
+        assert owners
+    assert reads == []
